@@ -1,62 +1,38 @@
-.PHONY: build test lint bench bench-json check telemetry chaos scale trace regress store serve
+.PHONY: build test lint bench check telemetry chaos scale trace store serve
 
 build:
 	cargo build --release
 
-# Tier-1 gate: build + full workspace test suite + repo lint.
-test: lint
+# Tier-1 gate: build + full workspace test suite (which includes the
+# repo lint, tests/repo_lint.rs).
+test:
 	cargo build --release
 	cargo test -q --release --workspace
 
 lint:
-	sh tools/lint.sh
+	cargo test -q --release --test repo_lint
 
+# The benchmark command of BENCHMARK.json: four workloads at the
+# default seed (benchmark/README.md). Compare two runs' results files
+# with `benchmark compare`.
 bench:
-	cargo bench --workspace
+	cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml --bin benchmark --
 
-# Bench trajectory: the JSON-emitting benches write
-# BENCH_pipeline.json, BENCH_sweep.json, BENCH_population.json,
-# BENCH_store.json, and BENCH_http.json at the repo root as run
-# manifests (seed, config fingerprint, metrics) so `ddoscovery runs
-# diff` can compare any two of them across commits.
-bench-json:
-	cargo bench -p ddoscovery-bench --bench pipeline
-	cargo bench -p ddoscovery-bench --bench sweep
-	cargo bench -p ddoscovery-bench --bench population
-	cargo bench -p ddoscovery-bench --bench store
-	cargo bench -p ddoscovery-bench --bench http
-
-# Perf regression gate: diff each fresh BENCH file against the stored
-# baseline under .ddoscovery/bench/ with a generous wall-clock gate,
-# then refresh the baselines. First run just seeds the baselines.
-regress:
-	@mkdir -p .ddoscovery/bench
-	@for b in pipeline sweep population; do \
-		if [ -f .ddoscovery/bench/BENCH_$$b.json ]; then \
-			cargo run --release -p ddoscovery --bin ddoscovery -- \
-				runs diff .ddoscovery/bench/BENCH_$$b.json BENCH_$$b.json \
-				--gate 50 || exit 1; \
-		else \
-			echo "regress: no baseline for $$b, seeding"; \
-		fi; \
-		cp BENCH_$$b.json .ddoscovery/bench/BENCH_$$b.json; \
-	done
-
-# Everything `test` gates on, plus a compile-only smoke of every bench
-# target so bench drift cannot rot outside the tier-1 path.
+# Everything `test` gates on, plus the benchmark's own suite (unit
+# tests and a 1 s smoke run of every workload), so the one benchmark
+# harness cannot rot outside the tier-1 path.
 check: test
-	cargo bench --workspace --no-run
+	cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # 10M-attack scale path (DESIGN.md §9): per-stage peak-RSS probes in
-# separate processes (VmHWM is monotone, so stages must not share one),
-# the population throughput bench (BENCH_population.json), and the
-# ignored 10M release smoke test.
+# separate processes (VmHWM is monotone, so stages must not share one;
+# they also print generate and execute attacks/s), and the ignored 10M
+# release smoke test.
 scale:
 	DDOS_SCALE_TARGET=10000000 DDOS_SCALE_STAGE=generate \
 		cargo run --release --example scale_probe
 	DDOS_SCALE_TARGET=10000000 \
 		cargo run --release --example scale_probe
-	cargo bench -p ddoscovery-bench --bench population
 	cargo test -q --release --test scale_smoke -- --ignored
 
 # Cross-process warm smoke (DESIGN.md §11): two sequential CLI runs

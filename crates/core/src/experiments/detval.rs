@@ -6,7 +6,7 @@ use super::ExperimentResult;
 use crate::pipeline::StudyRun;
 use crate::render::text_table;
 use attackgen::packets::{backscatter_packets, sensor_request_packets};
-use attackgen::AttackClass;
+use attackgen::{AttackClass, ObservationColumns};
 use honeypot::{HoneypotConfig, HoneypotDetector};
 use simcore::SimRng;
 use telescope::{RsdosConfig, RsdosDetector, Telescope};
@@ -33,7 +33,7 @@ pub fn detval(run: &StudyRun) -> ExperimentResult {
     let mut tel_agree = 0usize;
     let mut tel_total = 0usize;
     for a in &rsdos {
-        let event = ucsd.observe(a, &root).is_some();
+        let event = ucsd.observe_into(a.view(), &root, &mut ObservationColumns::new());
         let mut pkt_rng = root.fork(a.id.0).fork_named("detval-packets");
         let pkts = backscatter_packets(a, &ucsd.spec, &mut pkt_rng);
         let mut det = RsdosDetector::new(RsdosConfig::default());

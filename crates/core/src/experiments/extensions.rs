@@ -13,6 +13,7 @@ use super::ExperimentResult;
 use crate::pipeline::{ObsId, StudyRun};
 use crate::render::text_table;
 use analytics::best_lag;
+use attackgen::ObservationColumns;
 use flowmon::{MitigationModel, MitigationParams};
 use reports::{period_sensitivity, synthesize, table1_industry_counts, TrendClaim};
 use simcore::SimRng;
@@ -245,6 +246,10 @@ pub fn interference(run: &StudyRun) -> ExperimentResult {
             ("UCSD", Telescope::ucsd(&run.plan)),
             ("ORION", Telescope::orion(&run.plan)),
         ] {
+            // Only the verdict counts: each call gets a fresh sink.
+            let seen = |a: &attackgen::Attack| {
+                tele.observe_into(a.view(), &root, &mut ObservationColumns::new()) as usize
+            };
             let mut baseline = 0usize;
             let mut mitigated = 0usize;
             for a in run.attacks.iter() {
@@ -254,9 +259,9 @@ pub fn interference(run: &StudyRun) -> ExperimentResult {
                 // The mitigation model rewrites attack fields, so this
                 // cold path materializes the row once per DPS attack.
                 let a = a.to_attack();
-                baseline += tele.observe(&a, &root).is_some() as usize;
+                baseline += seen(&a);
                 let truncated = model.apply(&a, &run.plan, &root);
-                mitigated += tele.observe(&truncated, &root).is_some() as usize;
+                mitigated += seen(&truncated);
             }
             let lost = 1.0 - mitigated as f64 / baseline.max(1) as f64;
             csv.push_str(&format!(

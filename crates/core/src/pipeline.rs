@@ -256,7 +256,7 @@ enum ShardOut {
 /// under the overall `run.peak_rss` gauge, both of which land in the
 /// JSON manifest and the stderr summary table. A pure side channel —
 /// no-op where procfs is unavailable. Public so the CLI can stamp the
-/// projection stage (`"project"`), which runs outside `execute_on`.
+/// projection stage (`"project"`), which runs outside `execute`.
 pub fn record_peak_rss(stage: &str) {
     if let Some(bytes) = obs::peak_rss_bytes() {
         obs::metrics::gauge(&format!("run.peak_rss.{stage}")).set(bytes as f64);
@@ -326,17 +326,8 @@ impl StudyRun {
         Ok(Self::execute_on(config, &pool))
     }
 
-    /// Validate, then execute on a caller-provided pool.
-    pub fn try_execute_on(
-        config: &StudyConfig,
-        pool: &ExecPool,
-    ) -> crate::error::Result<StudyRun> {
-        config.validate()?;
-        Ok(Self::execute_on(config, pool))
-    }
-
-    /// Execute the three-stage dataflow on a caller-provided pool,
-    /// against the global [`StageCache`].
+    /// Execute the three-stage dataflow on `pool` (built from
+    /// `config.workers`), against the global [`StageCache`].
     ///
     /// Each stage is looked up by its content fingerprint
     /// ([`StageFingerprints`]) and computed only on a miss, so repeated
@@ -353,7 +344,7 @@ impl StudyRun {
     /// Stage spans (`plan`, `generate`, `observe`, `merge`) nest under
     /// whatever span the caller holds and are only opened when the
     /// stage actually computes — a fully warm run emits no stage spans.
-    pub fn execute_on(config: &StudyConfig, pool: &ExecPool) -> StudyRun {
+    fn execute_on(config: &StudyConfig, pool: &ExecPool) -> StudyRun {
         let bound = stagecache::resolve_bound(config);
         let cache = StageCache::global();
         // The disk tier under the memory cache (DESIGN.md §11): probed
@@ -523,8 +514,8 @@ impl StudyRun {
             // Flatten (needed source × attack-shard) onto the pool.
             // Tasks are ordered source-major / shard-minor and the pool
             // returns results in task order, so per-source
-            // concatenation below reproduces each serial `observe_all`
-            // exactly.
+            // concatenation below reproduces a serial loop over every
+            // attack row exactly.
             let chunk = simcore::pool::shard_size(attacks.len(), pool.workers());
             let n_shards = attacks.len().div_ceil(chunk).max(1);
             let tasks: Vec<ObsTask> = (0..N_OBSERVATORIES)
@@ -540,8 +531,8 @@ impl StudyRun {
             // into. Tasks are source-major / shard-minor and the fold
             // consumes results in task order, so each source's stream
             // is the concatenation of its shards in attack order —
-            // exactly a serial `observe_all` — while every shard's
-            // buffers free as soon as they are spliced in.
+            // exactly a serial loop over every attack row — while every
+            // shard's buffers free as soon as they are spliced in.
             let mut plain_streams: Vec<ObservationColumns> =
                 (0..5).map(|_| ObservationColumns::new()).collect();
             let mut ixp_ra = ObservationColumns::new();

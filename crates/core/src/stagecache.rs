@@ -1,6 +1,6 @@
 //! Content-addressed cross-run stage cache (DESIGN.md §7).
 //!
-//! [`crate::StudyRun::execute_on`] is an explicit three-stage
+//! [`crate::StudyRun::try_execute`] runs an explicit three-stage
 //! dataflow — `plan` → `attacks` → per-observatory `observations` —
 //! and each stage output is a pure function of a *subset* of the
 //! [`StudyConfig`] plus the outputs of earlier stages. This module

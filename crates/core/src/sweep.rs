@@ -4,8 +4,9 @@
 //! different?" questions (SAV strength, takedown depth, growth rates).
 //!
 //! Grid points run concurrently on the shared execution pool (each
-//! study is independent and internally deterministic); nested study
-//! fan-outs reuse the same pool handle, which is reentrant.
+//! study is independent and internally deterministic); each point's
+//! study fans out on a pool of the same `workers` width, and the
+//! stateless pool is reentrant.
 //!
 //! Every mutated grid point is re-validated before execution: `apply`
 //! is an arbitrary closure, so it can push a copy of the base config
@@ -81,7 +82,7 @@ pub fn sweep(
             return Err(SweepSkip { value, error });
         }
         let run = match simcore::recover::capture(simcore::chaos::sites::SWEEP_POINT, || {
-            StudyRun::execute_on(&cfg, &pool)
+            StudyRun::execute(&cfg)
         }) {
             Ok(run) => run,
             Err(caught) => {

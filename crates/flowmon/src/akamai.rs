@@ -7,7 +7,7 @@
 //! joins with Akamai are ≈ 100× smaller than with Netscout (§7.2), and
 //! why Akamai's trends diverge from every other observatory (§6.3).
 
-use attackgen::{Attack, AttackClass, AttackRef, ObservationColumns, ObservedAttack};
+use attackgen::{AttackClass, AttackRef, ObservationColumns};
 use netmodel::{InternetPlan, PrefixTable};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
@@ -99,68 +99,23 @@ impl Akamai {
         out.commit_row();
         Some(attack.class)
     }
-
-    /// Event-level observation with the attack's class attached (Akamai
-    /// publishes separate RA and DP series, Fig. 2(d)/3(d)).
-    pub fn observe(&self, attack: &Attack, root: &SimRng) -> Option<(AttackClass, ObservedAttack)> {
-        let mut out = ObservationColumns::new();
-        let class = self.observe_into(attack.view(), root, &mut out)?;
-        Some((class, out.get(0).to_observed()))
-    }
-
-    /// Observe a stream, split into (RA, DP) series.
-    pub fn observe_all(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-    ) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-        split_by_class(
-            attacks
-                .iter()
-                .filter_map(|a| self.observe(a, root))
-                .collect(),
-        )
-    }
-
-    /// Observe a stream sharded across `pool`, split into (RA, DP)
-    /// series. Identical output to [`Akamai::observe_all`]: per-attack
-    /// draws fork from (attack id, "akamai-prolexic") and shards merge
-    /// in input order before the class split.
-    pub fn observe_all_on(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-        pool: &simcore::ExecPool,
-    ) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-        split_by_class(pool.par_filter_map(attacks, |a| self.observe(a, root)))
-    }
-}
-
-fn split_by_class(
-    tagged: Vec<(AttackClass, ObservedAttack)>,
-) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-    let mut ra = Vec::new();
-    let mut dp = Vec::new();
-    for (class, o) in tagged {
-        if class.is_reflection() {
-            ra.push(o);
-        } else {
-            dp.push(o);
-        }
-    }
-    (ra, dp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{AttackId, AttackVector};
+    use attackgen::attack::{Attack, AttackId, AttackVector};
     use netmodel::{Asn, Ipv4, NetScale};
     use simcore::SimTime;
 
     fn plan() -> InternetPlan {
         let mut rng = SimRng::new(100);
         InternetPlan::build(&NetScale::tiny(), &mut rng)
+    }
+
+    fn seen(ak: &Akamai, a: &Attack, root: &SimRng) -> bool {
+        let mut out = ObservationColumns::new();
+        ak.observe_into(a.view(), root, &mut out).is_some()
     }
 
     fn attack_on(ip: Ipv4, id: u64, class: AttackClass) -> Attack {
@@ -186,10 +141,13 @@ mod tests {
         let ak = Akamai::with_defaults(&plan);
         let root = SimRng::new(1);
         let ip = plan.akamai_prefix_list[0].nth(3);
-        let seen = (0..200)
-            .filter(|&id| ak.observe(&attack_on(ip, id, AttackClass::DirectPathNonSpoofed), &root).is_some())
+        let hits = (0..200)
+            .filter(|&id| {
+                let a = attack_on(ip, id, AttackClass::DirectPathNonSpoofed);
+                seen(&ak, &a, &root)
+            })
             .count();
-        assert!(seen > 170, "seen {seen}");
+        assert!(hits > 170, "seen {hits}");
     }
 
     #[test]
@@ -206,9 +164,8 @@ mod tests {
             .find(|&ip| !ak.protects(ip))
             .unwrap();
         for id in 0..100 {
-            assert!(ak
-                .observe(&attack_on(outside, id, AttackClass::DirectPathNonSpoofed), &root)
-                .is_none());
+            let a = attack_on(outside, id, AttackClass::DirectPathNonSpoofed);
+            assert!(!seen(&ak, &a, &root));
         }
     }
 
@@ -221,7 +178,7 @@ mod tests {
         for id in 0..100 {
             let mut a = attack_on(ip, id, AttackClass::DirectPathNonSpoofed);
             a.bps = 1e6;
-            assert!(ak.observe(&a, &root).is_none());
+            assert!(!seen(&ak, &a, &root));
         }
     }
 
@@ -242,9 +199,10 @@ mod tests {
         for id in 0..50 {
             let mut a = attack_on(protected, id, AttackClass::ReflectionAmplification);
             a.targets = vec![protected, outside];
-            if let Some((class, o)) = ak.observe(&a, &root) {
+            let mut out = ObservationColumns::new();
+            if let Some(class) = ak.observe_into(a.view(), &root, &mut out) {
                 assert!(class.is_reflection());
-                assert_eq!(o.targets, vec![protected]);
+                assert_eq!(out.targets(0), [protected]);
                 found = true;
             }
         }
@@ -270,9 +228,17 @@ mod tests {
                 )
             })
             .collect();
-        let (ra, dp) = ak.observe_all(&attacks, &root);
+        // Route each detection by the class it reports.
+        let (mut ra, mut dp) = (Vec::new(), Vec::new());
+        for a in &attacks {
+            match ak.observe_into(a.view(), &root, &mut ObservationColumns::new()) {
+                Some(class) if class.is_reflection() => ra.push(a.id.0),
+                Some(_) => dp.push(a.id.0),
+                None => {}
+            }
+        }
         assert!(!ra.is_empty() && !dp.is_empty());
-        assert!(ra.iter().all(|o| o.attack_id.0 % 2 == 0));
-        assert!(dp.iter().all(|o| o.attack_id.0 % 2 == 1));
+        assert!(ra.iter().all(|id| id % 2 == 0));
+        assert!(dp.iter().all(|id| id % 2 == 1));
     }
 }

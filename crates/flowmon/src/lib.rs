@@ -17,6 +17,6 @@ pub use mitigation::{MitigationModel, MitigationParams};
 pub use ixp::{classify_blackholed_traffic, IxpBlackholing, IxpConfig, IxpDetection};
 pub use rtbh::{accepted_by_ixp, blackhole_events, rtbh_stats, BlackholeEvent, RtbhParams, RtbhStats};
 pub use netscout::{
-    split_by_class, split_by_class_columns, split_dp_spoofing, split_dp_spoofing_columns,
-    AlertColumns, Netscout, NetscoutAlert, NetscoutConfig, Severity,
+    split_by_class_columns, split_dp_spoofing_columns, AlertColumns, Netscout, NetscoutConfig,
+    Severity,
 };

@@ -7,7 +7,7 @@
 //! comparison baseline was ≈ 28 % of all Netscout alerts, and alerts
 //! below the product-defined "medium" severity are excluded.
 
-use attackgen::{Attack, AttackClass, AttackRef, ObservationColumns, ObservedAttack, ObservedRef};
+use attackgen::{AttackClass, AttackRef, ObservationColumns, ObservedRef};
 use netmodel::{Asn, InternetPlan};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
@@ -20,14 +20,6 @@ pub enum Severity {
     Low,
     Medium,
     High,
-}
-
-/// One Netscout alert: an observation plus its classification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetscoutAlert {
-    pub observation: ObservedAttack,
-    pub class: AttackClass,
-    pub severity: Severity,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -129,59 +121,11 @@ impl Netscout {
         Some((attack.class, severity))
     }
 
-    /// Event-level observation: an alert at `Medium`+ severity for an
-    /// attack on a customer network.
-    pub fn observe(&self, attack: &Attack, root: &SimRng) -> Option<NetscoutAlert> {
-        let (class, severity) = self.observe_view(attack.view(), root)?;
-        Some(NetscoutAlert {
-            observation: ObservedAttack {
-                attack_id: attack.id,
-                start: attack.start,
-                targets: attack.targets.clone(),
-            },
-            class,
-            severity,
-        })
-    }
-
-    /// Observe a stream; returns all alerts.
-    pub fn observe_all(&self, attacks: &[Attack], root: &SimRng) -> Vec<NetscoutAlert> {
-        attacks
-            .iter()
-            .filter_map(|a| self.observe(a, root))
-            .collect()
-    }
-
-    /// Observe a stream sharded across `pool`. Identical output to
-    /// [`Netscout::observe_all`]: per-attack draws fork from (attack id,
-    /// "netscout-atlas") and shards merge in input order.
-    pub fn observe_all_on(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-        pool: &simcore::ExecPool,
-    ) -> Vec<NetscoutAlert> {
-        pool.par_filter_map(attacks, |a| self.observe(a, root))
-    }
-
     /// Per-alert draw deciding whether an alert lands in the shared
     /// research baseline. Deterministic in (root, attack id).
     pub fn baseline_keep(&self, attack_id: u64, root: &SimRng) -> bool {
         let mut rng = root.fork(attack_id).fork_named("netscout-baseline");
         rng.chance(self.cfg.baseline_fraction)
-    }
-
-    /// Draw the shared research baseline: ≈ `baseline_fraction` of all
-    /// alerts, sampled deterministically per alert.
-    pub fn baseline_sample<'a>(
-        &self,
-        alerts: &'a [NetscoutAlert],
-        root: &SimRng,
-    ) -> Vec<&'a NetscoutAlert> {
-        alerts
-            .iter()
-            .filter(|al| self.baseline_keep(al.observation.attack_id.0, root))
-            .collect()
     }
 }
 
@@ -197,14 +141,6 @@ pub struct AlertColumns {
 impl AlertColumns {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    pub fn with_capacity(rows: usize) -> Self {
-        Self {
-            obs: ObservationColumns::with_capacity(rows),
-            class: Vec::with_capacity(rows),
-            severity: Vec::with_capacity(rows),
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -237,32 +173,6 @@ impl AlertColumns {
         self.obs.append(shard.obs);
         self.class.extend_from_slice(&shard.class);
         self.severity.extend_from_slice(&shard.severity);
-    }
-
-    /// Materialise struct-of-pointers alerts (tests, AoS interop).
-    pub fn to_vec(&self) -> Vec<NetscoutAlert> {
-        (0..self.len())
-            .map(|i| NetscoutAlert {
-                observation: self.obs.get(i).to_observed(),
-                class: self.class[i],
-                severity: self.severity[i],
-            })
-            .collect()
-    }
-
-    /// Build columns from struct alerts (tests, AoS interop).
-    pub fn from_alerts(alerts: &[NetscoutAlert]) -> Self {
-        let mut out = Self::with_capacity(alerts.len());
-        for al in alerts {
-            out.obs.begin_row(al.observation.attack_id, al.observation.start);
-            for &t in &al.observation.targets {
-                out.obs.push_target(t);
-            }
-            out.obs.commit_row();
-            out.class.push(al.class);
-            out.severity.push(al.severity);
-        }
-        out
     }
 
     /// Drop accumulated growth slack in every lane.
@@ -334,20 +244,8 @@ impl AlertColumns {
     }
 }
 
-/// Split alerts into the two published series (RA and DP observations).
-pub fn split_by_class(alerts: &[NetscoutAlert]) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-    let mut ra = Vec::new();
-    let mut dp = Vec::new();
-    for al in alerts {
-        match al.class {
-            AttackClass::ReflectionAmplification => ra.push(al.observation.clone()),
-            _ => dp.push(al.observation.clone()),
-        }
-    }
-    (ra, dp)
-}
-
-/// Columnar [`split_by_class`]: same row order, column storage.
+/// Split alerts into the two published series (RA and DP
+/// observations), keeping row order.
 pub fn split_by_class_columns(alerts: &AlertColumns) -> (ObservationColumns, ObservationColumns) {
     let mut ra = ObservationColumns::new();
     let mut dp = ObservationColumns::new();
@@ -362,7 +260,8 @@ pub fn split_by_class_columns(alerts: &AlertColumns) -> (ObservationColumns, Obs
     (ra, dp)
 }
 
-/// Columnar [`split_dp_spoofing`]: same row order, column storage.
+/// Split DP alerts into spoofed / non-spoofed series (the extra split
+/// Netscout provided, §5), keeping row order.
 pub fn split_dp_spoofing_columns(alerts: &AlertColumns) -> (ObservationColumns, ObservationColumns) {
     let mut spoofed = ObservationColumns::new();
     let mut nonspoofed = ObservationColumns::new();
@@ -379,25 +278,10 @@ pub fn split_dp_spoofing_columns(alerts: &AlertColumns) -> (ObservationColumns, 
     (spoofed, nonspoofed)
 }
 
-/// Split DP alerts into spoofed / non-spoofed counts (the extra split
-/// Netscout provided, §5).
-pub fn split_dp_spoofing(alerts: &[NetscoutAlert]) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-    let mut spoofed = Vec::new();
-    let mut nonspoofed = Vec::new();
-    for al in alerts {
-        match al.class {
-            AttackClass::DirectPathSpoofed => spoofed.push(al.observation.clone()),
-            AttackClass::DirectPathNonSpoofed => nonspoofed.push(al.observation.clone()),
-            AttackClass::ReflectionAmplification => {}
-        }
-    }
-    (spoofed, nonspoofed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{AttackId, AttackVector};
+    use attackgen::attack::{Attack, AttackId, AttackVector};
     use netmodel::{Ipv4, NetScale};
     use simcore::SimTime;
 
@@ -406,18 +290,26 @@ mod tests {
         InternetPlan::build(&NetScale::tiny(), &mut rng)
     }
 
+    /// The alert stream of `attacks`, built as the pipeline builds it.
+    fn alert_stream(ns: &Netscout, attacks: &[Attack], root: &SimRng) -> AlertColumns {
+        let mut out = AlertColumns::new();
+        for a in attacks {
+            if let Some((class, severity)) = ns.observe_view(a.view(), root) {
+                out.push(a.view(), class, severity);
+            }
+        }
+        out
+    }
+
     #[test]
     fn alert_columns_wire_round_trip() {
         let plan = plan();
         let root = SimRng::new(41);
         let netscout = Netscout::with_defaults(&plan);
-        let mut cols = AlertColumns::new();
-        for id in 0..400u64 {
-            let a = attack(&plan, id, 50_000.0 + id as f64, AttackClass::DirectPathSpoofed);
-            if let Some((class, severity)) = netscout.observe_view(a.view(), &root) {
-                cols.push(a.view(), class, severity);
-            }
-        }
+        let attacks: Vec<Attack> = (0..400u64)
+            .map(|id| attack(&plan, id, 50_000.0 + id as f64, AttackClass::DirectPathSpoofed))
+            .collect();
+        let cols = alert_stream(&netscout, &attacks, &root);
         assert!(!cols.is_empty(), "sample stream must produce alerts");
         let bytes = cols.to_wire_bytes();
         let back = AlertColumns::from_wire_bytes(&bytes).expect("decode");
@@ -462,7 +354,7 @@ mod tests {
         for id in 0..100 {
             let mut a = low.clone();
             a.id = AttackId(id);
-            seen += ns.observe(&a, &root).is_some() as u32;
+            seen += ns.observe_view(a.view(), &root).is_some() as u32;
         }
         assert_eq!(seen, 0, "sub-medium attacks must be excluded");
     }
@@ -475,12 +367,14 @@ mod tests {
         let mut found_medium = false;
         let mut found_high = false;
         for id in 0..100 {
-            if let Some(al) = ns.observe(&attack(&plan, id, 20_000.0, AttackClass::DirectPathNonSpoofed), &root) {
-                assert_eq!(al.severity, Severity::Medium);
+            let medium = attack(&plan, id, 20_000.0, AttackClass::DirectPathNonSpoofed);
+            if let Some((_, severity)) = ns.observe_view(medium.view(), &root) {
+                assert_eq!(severity, Severity::Medium);
                 found_medium = true;
             }
-            if let Some(al) = ns.observe(&attack(&plan, 1000 + id, 500_000.0, AttackClass::DirectPathNonSpoofed), &root) {
-                assert_eq!(al.severity, Severity::High);
+            let high = attack(&plan, 1000 + id, 500_000.0, AttackClass::DirectPathNonSpoofed);
+            if let Some((_, severity)) = ns.observe_view(high.view(), &root) {
+                assert_eq!(severity, Severity::High);
                 found_high = true;
             }
         }
@@ -501,7 +395,7 @@ mod tests {
         for id in 0..100 {
             let mut a = attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed);
             a.target_asn = outsider;
-            assert!(ns.observe(&a, &root).is_none());
+            assert!(ns.observe_view(a.view(), &root).is_none());
         }
     }
 
@@ -511,7 +405,10 @@ mod tests {
         let ns = Netscout::with_defaults(&plan);
         let root = SimRng::new(1);
         let seen = (0..1000)
-            .filter(|&id| ns.observe(&attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed), &root).is_some())
+            .filter(|&id| {
+                let a = attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed);
+                ns.observe_view(a.view(), &root).is_some()
+            })
             .count();
         assert!((850..=950).contains(&seen), "seen {seen}");
     }
@@ -524,13 +421,20 @@ mod tests {
         let attacks: Vec<Attack> = (0..2000)
             .map(|id| attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed))
             .collect();
-        let alerts = ns.observe_all(&attacks, &root);
-        let baseline = ns.baseline_sample(&alerts, &root);
-        let frac = baseline.len() as f64 / alerts.len() as f64;
+        let alerts = alert_stream(&ns, &attacks, &root);
+        let baseline = || -> Vec<u64> {
+            alerts
+                .obs
+                .iter()
+                .map(|o| o.attack_id.0)
+                .filter(|&id| ns.baseline_keep(id, &root))
+                .collect()
+        };
+        let kept = baseline();
+        let frac = kept.len() as f64 / alerts.len() as f64;
         assert!((frac - 0.28).abs() < 0.04, "baseline fraction {frac}");
         // Deterministic.
-        let again = ns.baseline_sample(&alerts, &root);
-        assert_eq!(baseline.len(), again.len());
+        assert_eq!(baseline(), kept);
     }
 
     #[test]
@@ -541,7 +445,7 @@ mod tests {
         let attacks: Vec<Attack> = (0..1000)
             .map(|id| attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed))
             .collect();
-        let full = healthy.observe_all(&attacks, &root).len();
+        let full = alert_stream(&healthy, &attacks, &root);
 
         // An outage covering the attacks' week blacks everything out.
         let week = SimTime(1000).week_index() as u32;
@@ -550,7 +454,7 @@ mod tests {
             start_week: week,
             end_week: week + 1,
         });
-        assert_eq!(dark.observe_all(&attacks, &root).len(), 0);
+        assert!(alert_stream(&dark, &attacks, &root).is_empty());
 
         // Sampling degradation drops roughly the configured fraction and
         // never resurrects an alert the healthy path dropped.
@@ -559,17 +463,11 @@ mod tests {
             drop_fraction: 0.5,
             start_week: 0,
         });
-        let thinned = degraded.observe_all(&attacks, &root);
-        let frac = thinned.len() as f64 / full as f64;
+        let thinned = alert_stream(&degraded, &attacks, &root);
+        let frac = thinned.len() as f64 / full.len() as f64;
         assert!((0.4..=0.6).contains(&frac), "kept fraction {frac}");
-        let full_ids: std::collections::HashSet<u64> = healthy
-            .observe_all(&attacks, &root)
-            .iter()
-            .map(|al| al.observation.attack_id.0)
-            .collect();
-        assert!(thinned
-            .iter()
-            .all(|al| full_ids.contains(&al.observation.attack_id.0)));
+        let full_ids: HashSet<u64> = full.obs.iter().map(|o| o.attack_id.0).collect();
+        assert!(thinned.obs.iter().all(|o| full_ids.contains(&o.attack_id.0)));
     }
 
     #[test]
@@ -586,11 +484,11 @@ mod tests {
             };
             attacks.push(attack(&plan, id, 50_000.0, class));
         }
-        let alerts = ns.observe_all(&attacks, &root);
-        let (ra, dp) = split_by_class(&alerts);
+        let alerts = alert_stream(&ns, &attacks, &root);
+        let (ra, dp) = split_by_class_columns(&alerts);
         assert_eq!(ra.len() + dp.len(), alerts.len());
         assert!(ra.iter().all(|o| o.attack_id.0 % 3 == 0));
-        let (spoofed, nonspoofed) = split_dp_spoofing(&alerts);
+        let (spoofed, nonspoofed) = split_dp_spoofing_columns(&alerts);
         assert_eq!(spoofed.len() + nonspoofed.len(), dp.len());
         assert!(spoofed.iter().all(|o| o.attack_id.0 % 3 == 1));
         assert!(nonspoofed.iter().all(|o| o.attack_id.0 % 3 == 2));

@@ -1,6 +1,7 @@
 //! Property-based tests for the flow-monitoring observatories.
 
 use attackgen::attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
+use attackgen::ObservationColumns;
 use flowmon::{Akamai, IxpBlackholing, Netscout, Severity};
 use netmodel::{AmpVector, InternetPlan, Ipv4, NetScale};
 use proptest::prelude::*;
@@ -56,11 +57,11 @@ proptest! {
         let root = SimRng::new(1);
         let customer = *plan.netscout_customers.iter().next().unwrap();
         let a = attack(id, AttackClass::DirectPathNonSpoofed, pps, customer, Ipv4(1));
-        let first = ns.observe(&a, &root);
-        prop_assert_eq!(&ns.observe(&a, &root), &first);
-        if let Some(alert) = &first {
+        let first = ns.observe_view(a.view(), &root);
+        prop_assert_eq!(ns.observe_view(a.view(), &root), first);
+        if let Some((_, severity)) = first {
             prop_assert!(a.pps >= ns.cfg.medium_pps);
-            if alert.severity == Severity::High {
+            if severity == Severity::High {
                 prop_assert!(a.pps >= ns.cfg.high_pps);
             }
         } else if pps >= ns.cfg.medium_pps {
@@ -77,7 +78,7 @@ proptest! {
             .unwrap()
             .asn;
         let b = attack(id, AttackClass::DirectPathNonSpoofed, pps, outsider, Ipv4(1));
-        prop_assert!(ns.observe(&b, &root).is_none());
+        prop_assert!(ns.observe_view(b.view(), &root).is_none());
     }
 
     /// IXP detection is monotone in bps: if an attack is observed, the
@@ -90,13 +91,12 @@ proptest! {
         let member = *plan.ixp_members.iter().next().unwrap();
         let lo = attack(id, AttackClass::DirectPathNonSpoofed, pps, member, Ipv4(1));
         let hi = attack(id, AttackClass::DirectPathNonSpoofed, pps * 10.0, member, Ipv4(1));
-        if ixp.observe(&lo, &root).is_some() {
-            prop_assert!(ixp.observe(&hi, &root).is_some());
+        if ixp.observe_view(lo.view(), &root).is_some() {
+            prop_assert!(ixp.observe_view(hi.view(), &root).is_some());
         }
         // Detection class matches attack class when observed.
-        if let Some((det, obs)) = ixp.observe(&hi, &root) {
+        if let Some(det) = ixp.observe_view(hi.view(), &root) {
             prop_assert_eq!(det, flowmon::IxpDetection::DirectPath);
-            prop_assert_eq!(obs.attack_id, hi.id);
         }
     }
 
@@ -113,8 +113,9 @@ proptest! {
         let mut a = attack(id, AttackClass::ReflectionAmplification, 100_000.0,
             netmodel::Asn(1), inside);
         a.targets = vec![inside, outside];
-        if let Some((_, obs)) = ak.observe(&a, &root) {
-            for t in &obs.targets {
+        let mut out = ObservationColumns::new();
+        if ak.observe_into(a.view(), &root, &mut out).is_some() {
+            for t in out.targets(0) {
                 prop_assert!(ak.protects(*t));
                 prop_assert!(a.targets.contains(t));
             }
@@ -122,7 +123,7 @@ proptest! {
         // An attack entirely outside protected space is never seen.
         let b = attack(id, AttackClass::DirectPathSpoofed, 100_000.0,
             netmodel::Asn(1), outside);
-        prop_assert!(ak.observe(&b, &root).is_none());
+        prop_assert!(ak.observe_into(b.view(), &root, &mut ObservationColumns::new()).is_none());
     }
 
     /// The packet-level IXP classifier never returns RA without

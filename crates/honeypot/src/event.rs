@@ -9,7 +9,7 @@
 //! then has to clear the platform's per-flow packet threshold (Table 2).
 
 use crate::platform::HoneypotConfig;
-use attackgen::{Attack, AttackClass, AttackRef, ObservationColumns, ObservedAttack};
+use attackgen::{AttackClass, AttackRef, ObservationColumns};
 use netmodel::{AmpVector, InternetPlan};
 use simcore::dist::{binomial, poisson};
 use simcore::faults::ObsFaults;
@@ -126,46 +126,29 @@ impl Honeypot {
         out.commit_row();
         true
     }
-
-    /// Event-level observation of one struct attack (the columnar
-    /// [`Honeypot::observe_into`] through a one-row sink).
-    pub fn observe(&self, attack: &Attack, root: &SimRng) -> Option<ObservedAttack> {
-        let mut out = ObservationColumns::new();
-        self.observe_into(attack.view(), root, &mut out)
-            .then(|| out.get(0).to_observed())
-    }
-
-    /// Observe a whole attack stream.
-    pub fn observe_all(&self, attacks: &[Attack], root: &SimRng) -> Vec<ObservedAttack> {
-        attacks
-            .iter()
-            .filter_map(|a| self.observe(a, root))
-            .collect()
-    }
-
-    /// Observe a whole attack stream, sharded across `pool`. Identical
-    /// output to [`Honeypot::observe_all`]: per-attack draws fork from
-    /// (attack id, platform name) and shards merge in input order.
-    pub fn observe_all_on(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-        pool: &simcore::ExecPool,
-    ) -> Vec<ObservedAttack> {
-        pool.par_filter_map(attacks, |a| self.observe(a, root))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{AttackId, AttackVector, ReflectorUse};
+    use attackgen::attack::{Attack, AttackId, AttackVector, ReflectorUse};
     use netmodel::{Asn, Ipv4, NetScale};
     use simcore::SimTime;
 
     fn plan() -> InternetPlan {
         let mut rng = SimRng::new(100);
         InternetPlan::build(&NetScale::tiny(), &mut rng)
+    }
+
+    /// The observation of `a` in a fresh sink (empty when unseen).
+    fn sink(hp: &Honeypot, a: &Attack, root: &SimRng) -> ObservationColumns {
+        let mut out = ObservationColumns::new();
+        hp.observe_into(a.view(), root, &mut out);
+        out
+    }
+
+    fn seen(hp: &Honeypot, a: &Attack, root: &SimRng) -> bool {
+        hp.observe_into(a.view(), root, &mut ObservationColumns::new())
     }
 
     fn ra(id: u64, vector: AmpVector, k: u32, pps: f64, width: u32) -> Attack {
@@ -197,10 +180,10 @@ mod tests {
         let pool = plan.reflector_pools[&AmpVector::Dns] as f64;
         // Selection probability ≈ 1 - (1 - k/P)^65; pick k for ≈95 %.
         let k = (pool * 0.045) as u32;
-        let seen = (0..200)
-            .filter(|&id| hp.observe(&ra(id, AmpVector::Dns, k, 50_000.0, 1), &root).is_some())
+        let hits = (0..200)
+            .filter(|&id| seen(&hp, &ra(id, AmpVector::Dns, k, 50_000.0, 1), &root))
             .count();
-        assert!(seen > 170, "seen {seen}/200");
+        assert!(hits > 170, "seen {hits}/200");
     }
 
     #[test]
@@ -208,11 +191,11 @@ mod tests {
         let plan = plan();
         let hp = Honeypot::hopscotch(&plan);
         let root = SimRng::new(1);
-        let seen = (0..200)
-            .filter(|&id| hp.observe(&ra(id, AmpVector::Dns, 20, 50_000.0, 1), &root).is_some())
+        let hits = (0..200)
+            .filter(|&id| seen(&hp, &ra(id, AmpVector::Dns, 20, 50_000.0, 1), &root))
             .count();
         // 20 / 50k pool × 65 sensors ⇒ ~2.6 % selection.
-        assert!(seen < 20, "seen {seen}/200");
+        assert!(hits < 20, "seen {hits}/200");
     }
 
     #[test]
@@ -227,8 +210,8 @@ mod tests {
         let mut amppot_seen = 0;
         for id in 0..100 {
             let a = ra(id, AmpVector::CharGen, k, 100_000.0, 1);
-            assert!(hops.observe(&a, &root).is_none());
-            amppot_seen += amppot.observe(&a, &root).is_some() as u32;
+            assert!(!seen(&hops, &a, &root));
+            amppot_seen += seen(&amppot, &a, &root) as u32;
         }
         assert!(amppot_seen > 50, "amppot {amppot_seen}");
     }
@@ -242,7 +225,7 @@ mod tests {
         a.class = AttackClass::DirectPathSpoofed;
         a.reflectors = None;
         a.spoof_space_fraction = 1.0;
-        assert!(hp.observe(&a, &root).is_none());
+        assert!(!seen(&hp, &a, &root));
     }
 
     #[test]
@@ -266,8 +249,8 @@ mod tests {
             let pps = k as f64 * 30.0 / duration as f64;
             let mut a = ra(id, AmpVector::Dns, k, pps, 1);
             a.duration_secs = duration;
-            hops_seen += hops.observe(&a, &root).is_some() as u32;
-            amppot_seen += amppot.observe(&a, &root).is_some() as u32;
+            hops_seen += seen(&hops, &a, &root) as u32;
+            amppot_seen += seen(&amppot, &a, &root) as u32;
         }
         assert!(hops_seen > 200, "hopscotch {hops_seen}");
         assert!(amppot_seen < hops_seen / 4, "amppot {amppot_seen} vs {hops_seen}");
@@ -286,8 +269,8 @@ mod tests {
         let mut both = 0;
         for id in 0..400 {
             let a = ra(id, AmpVector::Dns, k, 100_000.0, 1);
-            let h = hops.observe(&a, &root).is_some();
-            let m = amppot.observe(&a, &root).is_some();
+            let h = seen(&hops, &a, &root);
+            let m = seen(&amppot, &a, &root);
             if h && m {
                 both += 1;
             } else if h {
@@ -315,7 +298,7 @@ mod tests {
         let mut partial = false;
         for id in 0..100 {
             let a = ra(id, AmpVector::Ssdp, k, pps, width);
-            if let Some(o) = hp.observe(&a, &root) {
+            for o in &sink(&hp, &a, &root) {
                 assert!(o.targets.iter().all(|t| a.targets.contains(t)));
                 if o.targets.len() < width as usize {
                     partial = true;
@@ -352,7 +335,7 @@ mod tests {
                 .filter(|&id| {
                     let mut a = ra(id, AmpVector::Dns, k, 50_000.0, 1);
                     a.start = start;
-                    hp.observe(&a, &root).is_some()
+                    seen(hp, &a, &root)
                 })
                 .count()
         };
@@ -373,9 +356,9 @@ mod tests {
         let root = SimRng::new(5);
         let pool = plan.reflector_pools[&AmpVector::Ntp] as f64;
         let a = ra(42, AmpVector::Ntp, (pool * 0.05) as u32, 80_000.0, 1);
-        let first = hp.observe(&a, &root);
+        let first = sink(&hp, &a, &root);
         for _ in 0..10 {
-            assert_eq!(hp.observe(&a, &root), first);
+            assert_eq!(sink(&hp, &a, &root), first);
         }
     }
 }

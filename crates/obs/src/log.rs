@@ -1,7 +1,7 @@
 //! Leveled stderr logging.
 //!
-//! The repo convention (enforced by `tools/lint.sh` and
-//! `tests/repo_lint.rs`) is that library crates never call `println!`
+//! The repo convention (enforced by `tests/repo_lint.rs`) is that
+//! library crates never call `println!`
 //! or `eprintln!` directly: stdout is reserved for machine-readable
 //! experiment output, and stderr diagnostics go through this module so
 //! `DDOSCOVERY_LOG=error|warn|info|debug` controls verbosity uniformly.

@@ -69,7 +69,7 @@ fn probe_generate(cfg: &StudyConfig) {
 fn probe_pipeline(cfg: &StudyConfig) {
     let rss_start = rss_mb();
     let watch = obs::Stopwatch::start();
-    let run = StudyRun::execute_on(cfg, &ExecPool::global());
+    let run = StudyRun::execute(cfg);
     let exec_secs = watch.elapsed_ns() as f64 / 1e9;
     let n = run.attacks.len();
     let observed: usize = ObsId::ALL.iter().map(|&id| run.observations(id).len()).sum();

@@ -15,7 +15,6 @@
 //! deltas.
 
 use ddoscovery::{ChaosPlan, FaultPlan, ObsId, OutageSpec, StudyConfig, StudyRun};
-use simcore::ExecPool;
 
 /// Silence the default panic printer for *injected* chaos panics (they
 /// are caught and retried by design; the noise would drown real
@@ -110,7 +109,7 @@ fn faulted_output_is_invariant_across_workers_cache_and_chaos() {
         let mut cfg = base.clone();
         cfg.workers = Some(1);
         cfg.stage_cache = Some(0);
-        output_fingerprint(&StudyRun::execute_on(&cfg, &ExecPool::new(1)))
+        output_fingerprint(&StudyRun::execute(&cfg))
     };
     for workers in [1usize, 4, 8] {
         for cache in [0usize, 64] {
@@ -119,7 +118,7 @@ fn faulted_output_is_invariant_across_workers_cache_and_chaos() {
                 cfg.workers = Some(workers);
                 cfg.stage_cache = Some(cache);
                 cfg.chaos = chaos;
-                let fp = output_fingerprint(&StudyRun::execute_on(&cfg, &ExecPool::new(workers)));
+                let fp = output_fingerprint(&StudyRun::execute(&cfg));
                 assert!(
                     fp == reference,
                     "output diverged at workers={workers} cache={cache} chaos={}",
@@ -227,10 +226,9 @@ fn permanent_chaos_fails_deterministically() {
         seed: 3,
     });
     let message_at = |workers: usize| {
-        let cfg = cfg.clone();
-        match simcore::recover::capture("chaos-test", move || {
-            StudyRun::execute_on(&cfg, &ExecPool::new(workers))
-        }) {
+        let mut cfg = cfg.clone();
+        cfg.workers = Some(workers);
+        match simcore::recover::capture("chaos-test", move || StudyRun::execute(&cfg)) {
             Ok(_) => panic!("permanent chaos must abort the run"),
             Err(caught) => caught.message,
         }

@@ -46,11 +46,14 @@ fn worker_count_never_changes_results() {
     // workers is byte-identical — same attacks, same observation ids in
     // the same order for every one of the eleven series, same weekly
     // bit patterns, same baseline sample.
-    use simcore::ExecPool;
-    let cfg = tiny_cfg(41);
-    let serial = StudyRun::execute_on(&cfg, &ExecPool::serial());
-    for workers in [2, 3, 8] {
-        let par = StudyRun::execute_on(&cfg, &ExecPool::new(workers));
+    let with_workers = |workers: usize| {
+        let mut cfg = tiny_cfg(41);
+        cfg.workers = Some(workers);
+        StudyRun::execute(&cfg)
+    };
+    let serial = with_workers(1);
+    for workers in [2, 3, 4, 8] {
+        let par = with_workers(workers);
         assert_eq!(serial.attacks, par.attacks, "attacks diverged at {workers} workers");
         for id in ObsId::ALL {
             assert_eq!(
@@ -69,17 +72,6 @@ fn worker_count_never_changes_results() {
             serial.netscout_baseline_tuples(),
             par.netscout_baseline_tuples()
         );
-    }
-    // The config-level knob routes through the same machinery.
-    let mut one = cfg.clone();
-    one.workers = Some(1);
-    let mut four = cfg.clone();
-    four.workers = Some(4);
-    let a = StudyRun::execute(&one);
-    let b = StudyRun::execute(&four);
-    assert_eq!(a.attacks, b.attacks);
-    for id in ObsId::ALL {
-        assert_eq!(a.observations(id), b.observations(id));
     }
 }
 
@@ -121,21 +113,28 @@ fn different_seeds_differ() {
 fn observation_independent_of_stream_order() {
     // Event-level verdicts are keyed by (attack id, observatory), so
     // observing a shuffled stream must produce the same verdict set.
+    use attackgen::ObservationColumns;
     use simcore::SimRng;
     use telescope::Telescope;
     let cfg = tiny_cfg(5);
     let run = StudyRun::execute(&cfg);
     let root = SimRng::new(cfg.seed).fork_named("observatories");
     let tele = Telescope::ucsd(&run.plan);
-    let attacks = run.attacks.to_vec();
-    let forward = tele.observe_all(&attacks, &root);
-    let mut reversed_attacks = attacks.clone();
-    reversed_attacks.reverse();
-    let mut backward = tele.observe_all(&reversed_attacks, &root);
-    backward.sort_by_key(|o| o.attack_id);
-    let mut forward_sorted = forward.clone();
-    forward_sorted.sort_by_key(|o| o.attack_id);
-    assert_eq!(forward_sorted, backward);
+    let mut forward = ObservationColumns::new();
+    for a in run.attacks.iter() {
+        tele.observe_into(a, &root, &mut forward);
+    }
+    let mut backward = ObservationColumns::new();
+    for a in run.attacks.iter().rev() {
+        tele.observe_into(a, &root, &mut backward);
+    }
+    let by_id = |o: &ObservationColumns| {
+        let mut rows = o.to_vec();
+        rows.sort_by_key(|r| r.attack_id);
+        rows
+    };
+    assert!(!forward.is_empty());
+    assert_eq!(by_id(&forward), by_id(&backward));
 }
 
 #[test]

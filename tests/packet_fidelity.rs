@@ -3,7 +3,7 @@
 //! and check they agree with the event-level observatory models.
 
 use attackgen::packets::{backscatter_packets, sensor_request_packets};
-use attackgen::{AttackClass, AttackGenerator, GenConfig};
+use attackgen::{AttackClass, AttackGenerator, GenConfig, ObservationColumns};
 use honeypot::{merge_sensor_flows, HoneypotConfig, HoneypotDetector};
 use netmodel::{InternetPlan, NetScale};
 use simcore::SimRng;
@@ -39,7 +39,7 @@ fn corsaro_agreement_on_generated_attacks() {
         .filter(|a| a.class == AttackClass::DirectPathSpoofed)
         .take(80)
     {
-        let event = tele.observe(a, &root).is_some();
+        let event = tele.observe_into(a.view(), &root, &mut ObservationColumns::new());
         let mut prng = root.fork(a.id.0).fork_named("fidelity");
         let pkts = backscatter_packets(a, &tele.spec, &mut prng);
         let mut det = RsdosDetector::new(RsdosConfig::default());

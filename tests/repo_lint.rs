@@ -1,5 +1,5 @@
-//! Source lint wired into the test suite (mirrors `tools/lint.sh`),
-//! eight rules:
+//! The repo's source lint (`make lint`; the workspace test run includes
+//! it), eight rules:
 //!
 //! 1. No wall-clock or OS-entropy primitives anywhere in simulation
 //!    code: every stochastic draw must fork from the study seed and

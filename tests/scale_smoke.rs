@@ -7,7 +7,6 @@
 //! `cargo test --release --test scale_smoke -- --ignored`.
 
 use ddoscovery::{ObsId, StudyConfig, StudyRun};
-use simcore::ExecPool;
 
 /// Approximate attack volume of `StudyConfig::paper()`.
 const PAPER_VOLUME: f64 = 600_000.0;
@@ -29,7 +28,7 @@ fn ten_million_attack_pipeline_completes() {
     cfg.stage_cache = Some(0);
     cfg.missing_data = false;
 
-    let run = StudyRun::execute_on(&cfg, &ExecPool::global());
+    let run = StudyRun::execute(&cfg);
 
     let n = run.attacks.len();
     assert!(
