@@ -10,8 +10,9 @@
 //! The design center is robustness under hostile or overloaded input,
 //! not routing (DESIGN.md §12):
 //!
-//! * **Admission control & load shedding** — a bounded acceptor feeds a
-//!   fixed worker pool through a `sync_channel` of depth `queue_depth`;
+//! * **Admission control & load shedding** — a bounded acceptor, parked
+//!   in a blocking `accept()` between connections, feeds a fixed worker
+//!   pool through a `sync_channel` of depth `queue_depth`;
 //!   over-capacity connections are answered `503` + `Retry-After`
 //!   immediately (counted in `http.shed`) instead of queueing without
 //!   bound.
@@ -23,9 +24,10 @@
 //!   by a `ChaosSchedule` at the registered `http.request` site) is
 //!   recovered through `simcore::recover::capture`, 500s exactly that
 //!   one request, and leaves the worker alive.
-//! * **Graceful drain** — shutdown stops accepting, finishes queued and
-//!   in-flight requests, and is bounded by `drain_deadline_ms`; once the
-//!   deadline expires, still-queued connections get a fast `503`.
+//! * **Graceful drain** — shutdown wakes the acceptor with one loopback
+//!   connection, stops accepting, finishes queued and in-flight
+//!   requests, and is bounded by `drain_deadline_ms`; once the deadline
+//!   expires, still-queued connections get a fast `503`.
 //!
 //! Wall-clock use: this crate is an IO boundary like `crates/obs` — its
 //! `Instant` reads drive socket deadlines and the drain budget only and

@@ -8,14 +8,19 @@
 //! responses are written under the same write deadline as everything
 //! else — so one slow or hostile peer cannot stall admission for the
 //! rest.
+//!
+//! The acceptor parks in a blocking `accept()`, so it picks up each
+//! connection the moment it arrives. [`ShutdownHandle::shutdown`] sets
+//! the stop flag, then wakes the acceptor with one throwaway loopback
+//! connection, which is dropped unanswered and uncounted.
 
 use crate::http::{self, ParseError, Response};
 use crate::Handler;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -111,20 +116,49 @@ impl std::fmt::Display for ServeError {
     }
 }
 
+/// Bound on the wake connection [`ShutdownHandle::shutdown`] opens. A
+/// listener whose backlog is full may leave it unanswered, but then
+/// `accept()` has queued connections to return anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// Triggers a graceful drain from another thread (or a request
 /// handler, via `/admin/drain`).
 #[derive(Debug, Clone)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
+pub struct ShutdownHandle {
+    flag: Arc<AtomicBool>,
+    /// The bound address with an unspecified IP mapped to loopback: a
+    /// connection here wakes an acceptor parked in `accept()`.
+    wake: SocketAddr,
+}
 
 impl ShutdownHandle {
+    fn new(local_addr: SocketAddr) -> ShutdownHandle {
+        let mut wake = local_addr;
+        if wake.ip().is_unspecified() {
+            // `set_ip` within one family keeps an IPv6 scope id.
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        ShutdownHandle {
+            flag: Arc::new(AtomicBool::new(false)),
+            wake,
+        }
+    }
+
     /// Ask the server to stop accepting and drain.
     pub fn shutdown(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.flag.store(true, Ordering::SeqCst);
+        // The acceptor re-checks the flag whenever `accept()` returns.
+        // Before `run()` the connection waits in the backlog; a refusal
+        // means the listener is already gone.
+        let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
     }
 
     /// Has a drain been requested?
     pub fn is_shutdown(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -141,7 +175,9 @@ pub struct DrainReport {
     pub shed: u64,
 }
 
-/// `http.*` metric handles, resolved once per server.
+/// `http.*` metric handles, resolved once per server, and the server's
+/// own totals for its [`DrainReport`]: the registry is process-wide, so
+/// its counters add up every server in the process.
 struct Metrics {
     accepted: Arc<obs::metrics::Counter>,
     served: Arc<obs::metrics::Counter>,
@@ -156,6 +192,9 @@ struct Metrics {
     class_4xx: Arc<obs::metrics::Counter>,
     class_5xx: Arc<obs::metrics::Counter>,
     latency: Arc<obs::metrics::Histogram>,
+    own_accepted: AtomicU64,
+    own_served: AtomicU64,
+    own_shed: AtomicU64,
 }
 
 impl Metrics {
@@ -174,6 +213,9 @@ impl Metrics {
             class_4xx: obs::metrics::counter("http.status.4xx"),
             class_5xx: obs::metrics::counter("http.status.5xx"),
             latency: obs::metrics::histogram("http.request_ns", &obs::metrics::LATENCY_NS),
+            own_accepted: AtomicU64::new(0),
+            own_served: AtomicU64::new(0),
+            own_shed: AtomicU64::new(0),
         }
     }
 
@@ -194,7 +236,7 @@ pub struct Server {
     local_addr: SocketAddr,
     cfg: ServeConfig,
     handler: Arc<dyn Handler>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
 }
 
 impl Server {
@@ -218,12 +260,6 @@ impl Server {
             message: format!("{what}: {e}"),
         };
         let listener = TcpListener::bind(addr).map_err(|e| io_err("bind failed", &e))?;
-        // Nonblocking accept lets the acceptor poll the shutdown flag;
-        // per-connection sockets are switched back to blocking +
-        // deadline mode in the worker.
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| io_err("set_nonblocking failed", &e))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| io_err("local_addr failed", &e))?;
@@ -232,7 +268,7 @@ impl Server {
             local_addr,
             cfg,
             handler,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: ShutdownHandle::new(local_addr),
         })
     }
 
@@ -243,7 +279,7 @@ impl Server {
 
     /// A handle that triggers graceful drain when fired.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(self.shutdown.clone())
+        self.shutdown.clone()
     }
 
     /// Accept and serve until the shutdown handle fires, then drain:
@@ -257,7 +293,8 @@ impl Server {
         // Set once when drain starts; workers use it to fast-503 queued
         // connections after the deadline instead of handling them fully.
         let drain_started: Arc<Mutex<Option<Instant>>> = Arc::new(Mutex::new(None));
-        let live = Arc::new(AtomicUsize::new(self.cfg.workers));
+        // Workers still running; each exit notifies the drain wait.
+        let live = Arc::new((Mutex::new(self.cfg.workers), Condvar::new()));
         for i in 0..self.cfg.workers {
             let rx = rx.clone();
             let handler = self.handler.clone();
@@ -269,12 +306,13 @@ impl Server {
                 .name(format!("http-worker-{i}"))
                 .spawn(move || {
                     worker_loop(&rx, &*handler, &metrics, &cfg, &drain_started);
-                    worker_live.fetch_sub(1, Ordering::SeqCst);
+                    *lock(&worker_live.0) -= 1;
+                    worker_live.1.notify_all();
                 });
             if spawned.is_err() {
                 // Degrade to fewer workers rather than dying: capacity
                 // shrinks, correctness does not.
-                live.fetch_sub(1, Ordering::SeqCst);
+                *lock(&live.0) -= 1;
                 obs::warn!("http: failed to spawn worker {i}; continuing with fewer");
             }
         }
@@ -285,18 +323,20 @@ impl Server {
             self.cfg.queue_depth
         );
 
-        while !self.shutdown.load(Ordering::SeqCst) {
+        while !self.shutdown.is_shutdown() {
             match self.listener.accept() {
+                // The wake connection, or a client that raced the
+                // shutdown: drop it as a listener closed a moment
+                // earlier would have, unanswered and uncounted.
+                Ok(_) if self.shutdown.is_shutdown() => break,
                 Ok((stream, _peer)) => {
                     metrics.accepted.inc();
+                    metrics.own_accepted.fetch_add(1, Ordering::Relaxed);
                     match tx.try_send(stream) {
                         Ok(()) => {}
                         Err(TrySendError::Full(stream)) => shed(stream, &self.cfg, &metrics),
                         Err(TrySendError::Disconnected(_)) => break,
                     }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(2));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
@@ -312,28 +352,26 @@ impl Server {
         *lock(&drain_started) = Some(Instant::now());
         drop(tx);
         let deadline = Duration::from_millis(self.cfg.drain_deadline_ms);
-        let started = Instant::now();
-        while live.load(Ordering::SeqCst) > 0 && started.elapsed() < deadline {
-            thread::sleep(Duration::from_millis(2));
-        }
-        let drained = live.load(Ordering::SeqCst) == 0;
-        if !drained {
-            obs::warn!(
-                "http: {} worker(s) still busy past the drain deadline; detaching",
-                live.load(Ordering::SeqCst)
-            );
+        let (count, exited) = &*live;
+        let busy = *exited
+            .wait_timeout_while(lock(count), deadline, |busy| *busy > 0)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+        if busy > 0 {
+            obs::warn!("http: {busy} worker(s) still busy past the drain deadline; detaching");
         }
         DrainReport {
-            drained,
-            accepted: metrics.accepted.get(),
-            served: metrics.served.get(),
-            shed: metrics.shed.get(),
+            drained: busy == 0,
+            accepted: metrics.own_accepted.load(Ordering::Relaxed),
+            served: metrics.own_served.load(Ordering::Relaxed),
+            shed: metrics.own_shed.load(Ordering::Relaxed),
         }
     }
 }
 
 /// Lock a mutex, surviving poison: the protected values here (a drain
-/// timestamp, a receiver) stay valid even if a holder panicked.
+/// timestamp, a receiver, a worker count) stay valid even if a holder
+/// panicked.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -366,6 +404,7 @@ fn worker_loop(
 /// the normal write deadline, and count it in `http.shed`.
 fn shed(stream: TcpStream, cfg: &ServeConfig, metrics: &Metrics) {
     metrics.shed.inc();
+    metrics.own_shed.fetch_add(1, Ordering::Relaxed);
     let resp = Response::text(503, "over capacity; retry shortly\n")
         .with_header("Retry-After", &cfg.retry_after_secs.to_string());
     write_response(stream, &resp, cfg);
@@ -406,6 +445,7 @@ fn handle_connection(
                 }
             };
             metrics.served.inc();
+            metrics.own_served.fetch_add(1, Ordering::Relaxed);
             metrics.count_status(resp.status);
             let ok = write_response(stream, &resp, cfg);
             if obs::enabled() {

@@ -6,12 +6,13 @@
 //!
 //! The `http.*` counters are process-global, so every assertion on
 //! them is a *delta* around the scenario — the test binary runs
-//! scenarios in parallel threads sharing one metrics registry.
+//! scenarios in parallel threads sharing one metrics registry. A
+//! `DrainReport` counts its own server only, so its counts are exact.
 
 use serve::{DrainReport, Handler, Request, Response, ServeConfig, Server, ServeError, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -105,8 +106,47 @@ fn serves_requests_and_drains_cleanly() {
     }
     shutdown.shutdown();
     let report = join.join().expect("server thread");
-    assert!(report.drained, "drain inside the deadline: {report:?}");
-    assert!(report.served >= 4, "report: {report:?}");
+    assert_eq!(
+        report,
+        DrainReport { drained: true, accepted: 4, served: 4, shed: 0 },
+        "drain inside the deadline, wake connection uncounted"
+    );
+}
+
+#[test]
+fn shutdown_wakes_an_idle_acceptor() {
+    let hello: Arc<dyn Handler> = Arc::new(|_req: &Request| Response::text(200, "hi\n"));
+    // (listen address, fire before run(), requests served first). A
+    // served request means the acceptor has looped back into accept(),
+    // so the handle fires at a parked acceptor; the wildcard bind needs
+    // the wake address mapped to loopback.
+    let cases = [("127.0.0.1:0", true, 0), ("127.0.0.1:0", false, 1), ("0.0.0.0:0", false, 1)];
+    for (listen, early, requests) in cases {
+        let cfg = ServeConfig { addr: listen.to_string(), ..quick_cfg() };
+        let server = Server::bind(cfg, hello.clone()).expect("bind");
+        let loopback = SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
+        let shutdown = server.shutdown_handle();
+        if early {
+            shutdown.shutdown();
+        }
+        let (done, report) = mpsc::channel();
+        thread::spawn(move || done.send(server.run()));
+        for _ in 0..requests {
+            let resp = roundtrip(loopback, b"GET /hi HTTP/1.1\r\n\r\n");
+            assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{listen}: {resp:?}");
+        }
+        if !early {
+            shutdown.shutdown();
+        }
+        let report = report
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|e| panic!("{listen} (early: {early}): acceptor never woke: {e}"));
+        assert_eq!(
+            report,
+            DrainReport { drained: true, accepted: requests, served: requests, shed: 0 },
+            "{listen} (early: {early})"
+        );
+    }
 }
 
 #[test]
