@@ -1,4 +1,4 @@
-.PHONY: build test lint bench check telemetry chaos scale trace store serve
+.PHONY: build test lint bench check telemetry chaos scale trace serve
 
 build:
 	cargo build --release
@@ -34,36 +34,6 @@ scale:
 	DDOS_SCALE_TARGET=10000000 \
 		cargo run --release --example scale_probe
 	cargo test -q --release --test scale_smoke -- --ignored
-
-# Cross-process warm smoke (DESIGN.md §11): two sequential CLI runs
-# share a stage store — the second process must serve every stage from
-# the disk tier (zero recomputation) and print byte-identical stdout —
-# then `store list` inspects the cells and `store gc --max-bytes 0`
-# empties them.
-store:
-	@rm -rf /tmp/ddoscovery-store-smoke && mkdir -p /tmp/ddoscovery-store-smoke
-	cargo run --release -p ddoscovery --bin ddoscovery -- \
-		trends --quick --workers 2 --store /tmp/ddoscovery-store-smoke/cells \
-		> /tmp/ddoscovery-store-smoke/cold.txt
-	cargo run --release -p ddoscovery --bin ddoscovery -- \
-		trends --quick --workers 2 --store /tmp/ddoscovery-store-smoke/cells \
-		--telemetry /tmp/ddoscovery-store-smoke/warm.json \
-		> /tmp/ddoscovery-store-smoke/warm.txt
-	cmp /tmp/ddoscovery-store-smoke/cold.txt /tmp/ddoscovery-store-smoke/warm.txt
-	@grep -q '"stage.plan.disk_hit": 1' /tmp/ddoscovery-store-smoke/warm.json || \
-		{ echo "store: warm run did not hit the plan cell" >&2; exit 1; }
-	@grep -q '"stage.attacks.disk_hit": 1' /tmp/ddoscovery-store-smoke/warm.json || \
-		{ echo "store: warm run did not hit the attacks cell" >&2; exit 1; }
-	@grep -q '"stage.observations.disk_hit": 12' /tmp/ddoscovery-store-smoke/warm.json || \
-		{ echo "store: warm run did not hit all observation cells" >&2; exit 1; }
-	@grep -q '"stage.plan.computed": 0' /tmp/ddoscovery-store-smoke/warm.json || \
-		{ echo "store: warm run recomputed the plan" >&2; exit 1; }
-	cargo run --release -p ddoscovery --bin ddoscovery -- \
-		store list --store /tmp/ddoscovery-store-smoke/cells
-	cargo run --release -p ddoscovery --bin ddoscovery -- \
-		store gc --max-bytes 0 --store /tmp/ddoscovery-store-smoke/cells
-	@rm -rf /tmp/ddoscovery-store-smoke
-	@echo "store: ok (cross-process warm hits, byte-identical stdout, gc)"
 
 # Query-service smoke (DESIGN.md §12): the end-to-end suite boots real
 # `ddoscovery serve` children, proves served bytes identical to CLI

@@ -19,11 +19,16 @@
 //! and answered with `None`: the caller recomputes and rewrites the
 //! cell. Corruption can cost time, never correctness.
 //!
-//! **Crash consistency:** cells are written to a same-directory
-//! temporary sibling and atomically renamed into place, so a reader
-//! never observes a torn cell — it sees the old bytes, the new bytes,
-//! or no file. The same discipline covers the run-history store
-//! (`obs::store`).
+//! **Crash consistency:** cells are published through
+//! [`obs::store::publish`], the same tmp-then-rename sequence the
+//! run-history store uses: written to a same-directory temporary
+//! sibling unique to the writer, then atomically renamed into place.
+//! A reader never observes a torn cell — it sees the old bytes, the
+//! new bytes, or no file — and concurrent writers of one cell, threads
+//! or processes, never share a temporary.
+//!
+//! One generic [`DiskStore::load`] / [`DiskStore::store`] pair serves
+//! all four stage output types through their [`StageOutput`] codec.
 //!
 //! Telemetry lands in the global `obs` registry as
 //! `stage.<plan|attacks|observations>.disk_{hit,miss,write,reject}`
@@ -32,7 +37,7 @@
 //! executions", and a disk load is precisely the absence of one.
 
 use crate::scenario::StudyConfig;
-use crate::stagecache::Stage;
+use crate::stagecache::{Stage, StageOutput};
 use attackgen::{AttackColumns, ObservationColumns};
 use flowmon::AlertColumns;
 use netmodel::InternetPlan;
@@ -89,15 +94,6 @@ fn cell_checksum(payload: &[u8]) -> u64 {
     h
 }
 
-/// Payload kind tags (header byte 6). Observation streams and the
-/// Netscout alert stream share a stage directory but carry distinct
-/// kinds, so a key collision across kinds can never type-confuse a
-/// load.
-const TAG_PLAN: u8 = 0;
-const TAG_ATTACKS: u8 = 1;
-const TAG_OBSERVATIONS: u8 = 2;
-const TAG_ALERTS: u8 = 3;
-
 /// Resolve the effective store directory for a config: the config
 /// knob wins, then [`STORE_ENV`], then off. An empty or `off` value
 /// disables the store at either level (so a config can force the
@@ -127,18 +123,9 @@ fn enabled_dir(dir: &str) -> Option<PathBuf> {
     }
 }
 
-const STAGES: [Stage; 3] = [Stage::Plan, Stage::Attacks, Stage::Observations];
-
-const fn idx(stage: Stage) -> usize {
-    match stage {
-        Stage::Plan => 0,
-        Stage::Attacks => 1,
-        Stage::Observations => 2,
-    }
-}
-
 /// Frame a payload into cell bytes: header (see [`CELL_HEADER_LEN`])
-/// followed by the payload verbatim.
+/// followed by the payload verbatim. `tag` is the payload kind,
+/// [`StageOutput::KIND`].
 fn encode_cell(tag: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(CELL_HEADER_LEN + payload.len());
     out.extend_from_slice(&CELL_MAGIC);
@@ -236,7 +223,7 @@ impl DiskStore {
     /// every manifest of a store-enabled run.
     pub fn open(dir: PathBuf) -> DiskStore {
         let handle = |kind: &str| {
-            STAGES.map(|s| obs::metrics::counter(&format!("stage.{}.disk_{kind}", s.name())))
+            Stage::ALL.map(|s| obs::metrics::counter(&format!("stage.{}.disk_{kind}", s.name())))
         };
         DiskStore {
             dir,
@@ -256,157 +243,90 @@ impl DiskStore {
         self.dir.join(stage.name()).join(format!("{key:016x}"))
     }
 
-    /// Read and header-validate one cell. `None` is either a clean
-    /// miss (no file, counted `disk_miss`) or a rejection (anything
-    /// else, counted `disk_reject` and warned).
-    fn load_cell(&self, stage: Stage, tag: u8, key: u64) -> Option<Vec<u8>> {
-        let path = self.cell_path(stage, key);
+    /// The stored output for `key`, if present and intact. `None` is
+    /// either a clean miss (no file, counted `disk_miss`) or a
+    /// rejection (anything else — unreadable file, failed header or
+    /// checksum check, payload the wire codec refuses — counted
+    /// `disk_reject` and warned).
+    pub fn load<T: StageOutput>(&self, key: u64) -> Option<Arc<T>> {
+        let i = T::STAGE.index();
+        let path = self.cell_path(T::STAGE, key);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.miss[idx(stage)].inc();
+                self.miss[i].inc();
                 return None;
             }
             Err(e) => {
                 obs::warn!("disk store: reading {} failed: {e}; recomputing", path.display());
-                self.reject[idx(stage)].inc();
+                self.reject[i].inc();
                 return None;
             }
         };
-        match check_cell(&bytes, tag) {
-            Ok(_) => Some(bytes),
+        let decoded = check_cell(&bytes, T::KIND)
+            .and_then(|payload| T::from_wire(payload).map_err(|why| format!("payload: {why}")));
+        match decoded {
+            Ok(v) => {
+                self.hit[i].inc();
+                Some(Arc::new(v))
+            }
             Err(why) => {
                 obs::warn!("disk store: rejecting {}: {why}; recomputing", path.display());
-                self.reject[idx(stage)].inc();
+                self.reject[i].inc();
                 None
             }
         }
     }
 
-    /// A checksum-valid cell whose payload fails wire decoding is a
-    /// rejection too (codec skew within one format version).
-    fn reject_payload(&self, stage: Stage, key: u64, why: &str) {
-        let path = self.cell_path(stage, key);
-        obs::warn!("disk store: rejecting {}: payload: {why}; recomputing", path.display());
-        self.reject[idx(stage)].inc();
-    }
-
-    /// Frame `payload` and write it as the cell for (`stage`, `key`):
-    /// to a same-directory temporary sibling first, then atomically
-    /// renamed into place, so concurrent readers and crashes never see
-    /// a torn cell. IO errors warn and drop the write — the store is a
-    /// cache, not a system of record.
-    fn store_cell(&self, stage: Stage, tag: u8, key: u64, payload: &[u8]) {
-        let path = self.cell_path(stage, key);
+    /// Persist `value` as the cell for `key` (see
+    /// [`obs::store::publish`]). IO errors warn and drop the write —
+    /// the store is a cache, not a system of record.
+    pub fn store<T: StageOutput>(&self, key: u64, value: &T) {
+        let path = self.cell_path(T::STAGE, key);
         let Some(parent) = path.parent() else { return };
         if let Err(e) = fs::create_dir_all(parent) {
             obs::warn!("disk store: creating {} failed: {e}", parent.display());
             return;
         }
-        let bytes = encode_cell(tag, payload);
-        let tmp = parent.join(format!(".{key:016x}.tmp.{}", std::process::id()));
-        // Transient faults (EINTR and friends) get a bounded retry; a
-        // persistent error still only warns and drops the write.
-        let wrote = obs::retry::with_backoff("disk-store write", 3, obs::retry::is_transient, |_| {
-            fs::write(&tmp, &bytes)
-        });
-        if let Err(e) = wrote {
-            obs::warn!("disk store: writing {} failed: {e}", tmp.display());
-            let _ = fs::remove_file(&tmp);
-            return;
-        }
-        let published =
-            obs::retry::with_backoff("disk-store publish", 3, obs::retry::is_transient, |_| {
-                fs::rename(&tmp, &path)
-            });
-        match published {
-            Ok(()) => self.write[idx(stage)].inc(),
-            Err(e) => {
-                obs::warn!("disk store: publishing {} failed: {e}", path.display());
-                let _ = fs::remove_file(&tmp);
-            }
+        match obs::store::publish(&path, &encode_cell(T::KIND, &value.to_wire())) {
+            Ok(()) => self.write[T::STAGE.index()].inc(),
+            Err(e) => obs::warn!("disk store: {e}"),
         }
     }
 
-    /// The stored Internet plan for `key`, if present and intact.
+    // Typed delegations kept for `benchmark/`, which drives the disk
+    // tier directly; everything else goes through `load` / `store`.
+
     pub fn load_plan(&self, key: u64) -> Option<Arc<InternetPlan>> {
-        let bytes = self.load_cell(Stage::Plan, TAG_PLAN, key)?;
-        match InternetPlan::from_wire_bytes(&bytes[CELL_HEADER_LEN..]) {
-            Ok(p) => {
-                self.hit[idx(Stage::Plan)].inc();
-                Some(Arc::new(p))
-            }
-            Err(why) => {
-                self.reject_payload(Stage::Plan, key, &why);
-                None
-            }
-        }
+        self.load(key)
     }
 
-    /// Persist a freshly built Internet plan.
-    pub fn store_plan(&self, key: u64, plan: &InternetPlan) {
-        self.store_cell(Stage::Plan, TAG_PLAN, key, &plan.to_wire_bytes());
+    pub fn store_plan(&self, key: u64, v: &InternetPlan) {
+        self.store(key, v)
     }
 
-    /// The stored attack stream for `key`, if present and intact.
     pub fn load_attacks(&self, key: u64) -> Option<Arc<AttackColumns>> {
-        let bytes = self.load_cell(Stage::Attacks, TAG_ATTACKS, key)?;
-        match AttackColumns::from_wire_bytes(&bytes[CELL_HEADER_LEN..]) {
-            Ok(a) => {
-                self.hit[idx(Stage::Attacks)].inc();
-                Some(Arc::new(a))
-            }
-            Err(why) => {
-                self.reject_payload(Stage::Attacks, key, &why);
-                None
-            }
-        }
+        self.load(key)
     }
 
-    /// Persist a freshly generated attack stream.
-    pub fn store_attacks(&self, key: u64, attacks: &AttackColumns) {
-        self.store_cell(Stage::Attacks, TAG_ATTACKS, key, &attacks.to_wire_bytes());
+    pub fn store_attacks(&self, key: u64, v: &AttackColumns) {
+        self.store(key, v)
     }
 
-    /// The stored observation stream for `key`, if present and intact.
     pub fn load_observations(&self, key: u64) -> Option<Arc<ObservationColumns>> {
-        let bytes = self.load_cell(Stage::Observations, TAG_OBSERVATIONS, key)?;
-        match ObservationColumns::from_wire_bytes(&bytes[CELL_HEADER_LEN..]) {
-            Ok(v) => {
-                self.hit[idx(Stage::Observations)].inc();
-                Some(Arc::new(v))
-            }
-            Err(why) => {
-                self.reject_payload(Stage::Observations, key, &why);
-                None
-            }
-        }
+        self.load(key)
     }
 
-    /// Persist a freshly observed stream.
     pub fn store_observations(&self, key: u64, v: &ObservationColumns) {
-        self.store_cell(Stage::Observations, TAG_OBSERVATIONS, key, &v.to_wire_bytes());
+        self.store(key, v)
     }
 
-    /// The stored Netscout alert stream for `key`, if present and
-    /// intact.
     pub fn load_alerts(&self, key: u64) -> Option<Arc<AlertColumns>> {
-        let bytes = self.load_cell(Stage::Observations, TAG_ALERTS, key)?;
-        match AlertColumns::from_wire_bytes(&bytes[CELL_HEADER_LEN..]) {
-            Ok(v) => {
-                self.hit[idx(Stage::Observations)].inc();
-                Some(Arc::new(v))
-            }
-            Err(why) => {
-                self.reject_payload(Stage::Observations, key, &why);
-                None
-            }
-        }
+        self.load(key)
     }
 
-    /// Persist a freshly computed Netscout alert stream.
     pub fn store_alerts(&self, key: u64, v: &AlertColumns) {
-        self.store_cell(Stage::Observations, TAG_ALERTS, key, &v.to_wire_bytes());
+        self.store(key, v)
     }
 
     /// Every cell currently on disk, sorted by stage then key.
@@ -415,7 +335,7 @@ impl DiskStore {
     /// store another process is writing to.
     pub fn list(&self) -> Vec<CellInfo> {
         let mut cells = Vec::new();
-        for stage in STAGES {
+        for stage in Stage::ALL {
             let dir = self.dir.join(stage.name());
             let Ok(entries) = fs::read_dir(&dir) else { continue };
             for entry in entries.flatten() {
@@ -508,11 +428,11 @@ mod tests {
     #[test]
     fn cell_round_trips_and_is_framed() {
         let payload = b"hello stage store".to_vec();
-        let bytes = encode_cell(TAG_PLAN, &payload);
+        let bytes = encode_cell(InternetPlan::KIND, &payload);
         assert_eq!(bytes.len(), CELL_HEADER_LEN + payload.len());
-        assert_eq!(check_cell(&bytes, TAG_PLAN).unwrap(), &payload[..]);
+        assert_eq!(check_cell(&bytes, InternetPlan::KIND).unwrap(), &payload[..]);
         // Wrong expected kind is a type confusion, rejected.
-        assert!(check_cell(&bytes, TAG_ATTACKS).is_err());
+        assert!(check_cell(&bytes, AttackColumns::KIND).is_err());
     }
 
     #[test]
@@ -528,10 +448,11 @@ mod tests {
 
     #[test]
     fn every_truncation_and_flip_is_rejected() {
-        let bytes = encode_cell(TAG_OBSERVATIONS, &sample_obs().to_wire_bytes());
+        let kind = ObservationColumns::KIND;
+        let bytes = encode_cell(kind, &sample_obs().to_wire_bytes());
         for cut in 0..bytes.len() {
             assert!(
-                check_cell(&bytes[..cut], TAG_OBSERVATIONS).is_err(),
+                check_cell(&bytes[..cut], kind).is_err(),
                 "truncation to {cut} bytes must be rejected"
             );
         }
@@ -539,7 +460,7 @@ mod tests {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
             assert!(
-                check_cell(&bad, TAG_OBSERVATIONS).is_err(),
+                check_cell(&bad, kind).is_err(),
                 "flip at byte {i} must be rejected"
             );
         }
@@ -551,16 +472,18 @@ mod tests {
         let store = DiskStore::open(dir.clone());
         let v = sample_obs();
 
-        // Cold: clean miss.
-        assert!(store.load_observations(0xAB).is_none());
+        let load = |key| store.load::<ObservationColumns>(key);
 
-        store.store_observations(0xAB, &v);
-        let back = store.load_observations(0xAB).expect("stored cell loads");
+        // Cold: clean miss.
+        assert!(load(0xAB).is_none());
+
+        store.store(0xAB, &v);
+        let back = load(0xAB).expect("stored cell loads");
         assert_eq!(back.to_wire_bytes(), v.to_wire_bytes());
 
         // The alert kind does not alias the observation kind even
         // under an (artificial) identical key.
-        assert!(store.load_alerts(0xAB).is_none());
+        assert!(store.load::<AlertColumns>(0xAB).is_none());
 
         // Corrupt the cell body: rejected, then rewritable.
         let path = store.cell_path(Stage::Observations, 0xAB);
@@ -568,9 +491,9 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        assert!(store.load_observations(0xAB).is_none());
-        store.store_observations(0xAB, &v);
-        assert!(store.load_observations(0xAB).is_some());
+        assert!(load(0xAB).is_none());
+        store.store(0xAB, &v);
+        assert!(load(0xAB).is_some());
 
         let _ = fs::remove_dir_all(&dir);
     }
@@ -580,9 +503,9 @@ mod tests {
         let dir = scratch_dir("gc");
         let store = DiskStore::open(dir.clone());
         let v = sample_obs();
-        store.store_observations(1, &v);
-        store.store_observations(2, &v);
-        store.store_observations(3, &v);
+        for key in 1..=3 {
+            store.store(key, &v);
+        }
         let cells = store.list();
         assert_eq!(cells.len(), 3);
         assert!(cells.iter().all(|c| c.stage == "observations" && c.bytes > 0));

@@ -23,10 +23,18 @@
 //! The cache is bounded (LRU over filled entries, default
 //! [`DEFAULT_BOUND`]), thread-safe, and coalescing: concurrent misses
 //! on the same key block on one compute instead of duplicating it.
+//! Its entry points are generic over [`StageOutput`], the trait the
+//! four stage output types implement (stage, kind tag, wire codec).
 //! Telemetry lands in the global `obs` registry as
 //! `stage.<plan|attacks|observations>.{hit,computed,evicted}` and
 //! therefore in every run manifest.
+//!
+//! `Tiers` puts this cache over the on-disk [`DiskStore`] for one
+//! execution and holds the tier order — memory, then disk, then
+//! compute, then write-through — in one place; the pipeline resolves
+//! every stage output through it.
 
+use crate::diskstore::DiskStore;
 use crate::pipeline::ObsId;
 use crate::scenario::StudyConfig;
 use attackgen::{AttackColumns, ObservationColumns};
@@ -35,6 +43,7 @@ use netmodel::InternetPlan;
 use obs::manifest::Fnv;
 use obs::metrics::Counter;
 use serde::Value;
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -216,7 +225,7 @@ pub enum Stage {
 }
 
 impl Stage {
-    const ALL: [Stage; 3] = [Stage::Plan, Stage::Attacks, Stage::Observations];
+    pub(crate) const ALL: [Stage; 3] = [Stage::Plan, Stage::Attacks, Stage::Observations];
 
     pub const fn name(self) -> &'static str {
         match self {
@@ -226,13 +235,45 @@ impl Stage {
         }
     }
 
-    const fn index(self) -> usize {
-        match self {
-            Stage::Plan => 0,
-            Stage::Attacks => 1,
-            Stage::Observations => 2,
-        }
+    pub(crate) const fn index(self) -> usize {
+        self as usize
     }
+}
+
+/// A stage output both tiers hold: the stage whose counters it moves,
+/// a kind tag unique to the type, and the wire codec the disk tier
+/// frames into cells. The observation streams and the Netscout alert
+/// stream share the observations stage; their kind tags keep them
+/// apart in the memory map and in cell headers, so a key collision
+/// across kinds can never type-confuse a lookup or a load.
+pub trait StageOutput: Send + Sync + Sized + 'static {
+    const STAGE: Stage;
+    /// Cell kind tag: header byte 6 on disk, half the memory map key.
+    const KIND: u8;
+    fn to_wire(&self) -> Vec<u8>;
+    fn from_wire(bytes: &[u8]) -> Result<Self, String>;
+}
+
+macro_rules! stage_outputs {
+    ($($ty:ty => $stage:ident, $kind:literal;)*) => {$(
+        impl StageOutput for $ty {
+            const STAGE: Stage = Stage::$stage;
+            const KIND: u8 = $kind;
+            fn to_wire(&self) -> Vec<u8> {
+                self.to_wire_bytes()
+            }
+            fn from_wire(bytes: &[u8]) -> Result<Self, String> {
+                <$ty>::from_wire_bytes(bytes)
+            }
+        }
+    )*};
+}
+
+stage_outputs! {
+    InternetPlan => Plan, 0;
+    AttackColumns => Attacks, 1;
+    ObservationColumns => Observations, 2;
+    AlertColumns => Observations, 3;
 }
 
 /// Cache actions the flight recorder distinguishes.
@@ -270,38 +311,32 @@ fn cache_trace(stage: Stage, event: CacheEvent, key: u64) {
     }
 }
 
-/// A cached stage output. Observation streams and the Netscout alert
-/// stream are separate variants of the same stage class.
-#[derive(Clone)]
-enum StageValue {
-    Plan(Arc<InternetPlan>),
-    Attacks(Arc<AttackColumns>),
-    Observations(Arc<ObservationColumns>),
-    Alerts(Arc<AlertColumns>),
+/// A cached stage output, type-erased. The slot's map key carries the
+/// output's [`StageOutput::KIND`], so a cell only ever holds that type.
+type Erased = Arc<dyn Any + Send + Sync>;
+
+/// Map key of a slot: (kind tag, stage fingerprint).
+type SlotKey = (u8, u64);
+
+fn typed<T: StageOutput>(value: &Erased) -> Arc<T> {
+    Arc::clone(value)
+        .downcast::<T>()
+        .expect("a slot keyed by T::KIND holds a T")
 }
 
-impl StageValue {
-    fn stage(&self) -> Stage {
-        match self {
-            StageValue::Plan(_) => Stage::Plan,
-            StageValue::Attacks(_) => Stage::Attacks,
-            StageValue::Observations(_) | StageValue::Alerts(_) => Stage::Observations,
-        }
-    }
-}
-
-/// One cache slot: the value cell plus its LRU stamp. The cell is
-/// shared out under `Arc` so a compute can run *outside* the map lock
-/// while concurrent same-key callers block on the `OnceLock` instead
-/// of duplicating the work.
+/// One cache slot: the value cell plus its stage and LRU stamp. The
+/// cell is shared out under `Arc` so a compute can run *outside* the
+/// map lock while concurrent same-key callers block on the `OnceLock`
+/// instead of duplicating the work.
 struct Slot {
-    cell: Arc<OnceLock<StageValue>>,
+    cell: Arc<OnceLock<Erased>>,
+    stage: Stage,
     last_used: u64,
 }
 
 #[derive(Default)]
 struct Inner {
-    map: HashMap<u64, Slot>,
+    map: HashMap<SlotKey, Slot>,
     tick: u64,
 }
 
@@ -395,12 +430,13 @@ impl StageCache {
 
     /// The slot for `key` (created empty if absent), plus whether it
     /// was already filled at lookup time. Bumps the LRU stamp.
-    fn slot(&self, key: u64) -> (Arc<OnceLock<StageValue>>, bool) {
+    fn slot<T: StageOutput>(&self, key: u64) -> (Arc<OnceLock<Erased>>, bool) {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let slot = inner.map.entry(key).or_insert_with(|| Slot {
+        let slot = inner.map.entry((T::KIND, key)).or_insert_with(|| Slot {
             cell: Arc::new(OnceLock::new()),
+            stage: T::STAGE,
             last_used: 0,
         });
         slot.last_used = tick;
@@ -409,13 +445,13 @@ impl StageCache {
 
     /// Evict least-recently-used *filled* entries (never `protect`,
     /// never in-flight empties) until at most `bound` remain.
-    fn enforce_bound(&self, bound: usize, protect: u64) {
+    fn enforce_bound(&self, bound: usize, protect: SlotKey) {
         let mut inner = self.lock();
         loop {
             let filled = inner
                 .map
-                .iter()
-                .filter(|(_, s)| s.cell.get().is_some())
+                .values()
+                .filter(|s| s.cell.get().is_some())
                 .count();
             if filled <= bound {
                 return;
@@ -425,70 +461,62 @@ impl StageCache {
                 .iter()
                 .filter(|(k, s)| **k != protect && s.cell.get().is_some())
                 .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { return };
-            if let Some(slot) = inner.map.remove(&victim) {
-                if let Some(v) = slot.cell.get() {
-                    self.evicted[v.stage().index()].inc();
-                    cache_trace(v.stage(), CacheEvent::Evict, victim);
-                }
-            }
+                .map(|(k, s)| (*k, s.stage));
+            let Some((victim, stage)) = victim else { return };
+            inner.map.remove(&victim);
+            self.evicted[stage.index()].inc();
+            cache_trace(stage, CacheEvent::Evict, victim.1);
         }
     }
 
-    /// Core memoization: return the cached value for `key`, computing
-    /// (and caching) it on a miss. Concurrent misses on the same key
-    /// coalesce onto one compute. `bound == 0` bypasses the cache
-    /// entirely (the compute still counts as a stage execution).
-    fn get_or_compute(
+    /// Core memoization: the cached output for `key`, else `compute()`d
+    /// and cached. Concurrent misses on the same key coalesce onto one
+    /// compute; the flag is true only for the caller that ran it (the
+    /// one that owns any write-through). `bound == 0` bypasses the
+    /// cache entirely (the compute still counts as a stage execution).
+    pub(crate) fn get_or_compute<T: StageOutput>(
         &self,
-        stage: Stage,
         bound: usize,
         key: u64,
-        compute: impl FnOnce() -> StageValue,
-    ) -> StageValue {
-        if bound == 0 {
+        compute: impl FnOnce() -> T,
+    ) -> (Arc<T>, bool) {
+        let stage = T::STAGE;
+        let run = || {
             self.computed[stage.index()].inc();
             let _t = obs::trace::Guard::new(
                 cache_trace_name(stage, CacheEvent::Compute),
                 Some(("key", key)),
             );
-            return compute();
+            Arc::new(compute())
+        };
+        if bound == 0 {
+            return (run(), true);
         }
-        let (cell, filled) = self.slot(key);
+        let (cell, filled) = self.slot::<T>(key);
         if filled {
             self.hit[stage.index()].inc();
             cache_trace(stage, CacheEvent::Hit, key);
-            return cell.get().expect("filled slot has a value").clone();
+            return (typed(cell.get().expect("filled slot has a value")), false);
         }
         let mut ran = false;
-        let value = cell
-            .get_or_init(|| {
-                ran = true;
-                self.computed[stage.index()].inc();
-                let _t = obs::trace::Guard::new(
-                    cache_trace_name(stage, CacheEvent::Compute),
-                    Some(("key", key)),
-                );
-                compute()
-            })
-            .clone();
+        let value = typed(cell.get_or_init(|| {
+            ran = true;
+            run() as Erased
+        }));
         if ran {
             cache_trace(stage, CacheEvent::Miss, key);
-            self.enforce_bound(bound, key);
+            self.enforce_bound(bound, (T::KIND, key));
         } else {
             // A concurrent computer filled the cell while we waited:
             // served from cache as far as this caller is concerned.
             self.hit[stage.index()].inc();
             cache_trace(stage, CacheEvent::Hit, key);
         }
-        value
+        (value, ran)
     }
 
-    /// Lookup-only: the cached value for `key`, if present and of the
-    /// expected kind. Used by the observation stage, which computes
-    /// many entries jointly in one fan-out.
-    fn get(&self, stage: Stage, bound: usize, key: u64) -> Option<StageValue> {
+    /// Lookup-only: the cached output for `key`, if present.
+    pub(crate) fn get<T: StageOutput>(&self, bound: usize, key: u64) -> Option<Arc<T>> {
         if bound == 0 {
             return None;
         }
@@ -496,143 +524,141 @@ impl StageCache {
             let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
-            inner.map.get_mut(&key).and_then(|slot| {
+            inner.map.get_mut(&(T::KIND, key)).and_then(|slot| {
                 slot.last_used = tick;
-                slot.cell.get().cloned()
+                slot.cell.get().map(typed::<T>)
             })
         };
-        match value {
-            Some(v) => {
-                self.hit[stage.index()].inc();
-                cache_trace(stage, CacheEvent::Hit, key);
-                Some(v)
-            }
-            None => {
-                cache_trace(stage, CacheEvent::Miss, key);
-                None
-            }
-        }
+        let event = if value.is_some() {
+            self.hit[T::STAGE.index()].inc();
+            CacheEvent::Hit
+        } else {
+            CacheEvent::Miss
+        };
+        cache_trace(T::STAGE, event, key);
+        value
     }
 
-    /// Insert a freshly computed value under `key` and enforce the
+    /// Insert a freshly computed output under `key` and enforce the
     /// bound. Counts one stage execution.
-    fn insert(&self, stage: Stage, bound: usize, key: u64, value: StageValue) {
-        self.computed[stage.index()].inc();
+    pub(crate) fn insert<T: StageOutput>(&self, bound: usize, key: u64, value: Arc<T>) {
+        self.computed[T::STAGE.index()].inc();
         // The execution itself ran (and was traced) in the caller's
         // fan-out; mark the result entering the cache.
-        cache_trace(stage, CacheEvent::Compute, key);
-        if bound == 0 {
-            return;
-        }
-        let (cell, _) = self.slot(key);
-        // A racer may have filled the slot with (identical) content
-        // already; the first value wins and ours is dropped.
-        let _ = cell.set(value);
-        self.enforce_bound(bound, key);
+        cache_trace(T::STAGE, CacheEvent::Compute, key);
+        self.adopt(bound, key, value);
     }
 
-    /// Insert a value that was *loaded*, not computed — a disk-store
+    /// Insert an output that was *loaded*, not computed — a disk-store
     /// hit entering the memory tier. Unlike [`StageCache::insert`]
     /// this does not advance `stage.<name>.computed` (that counter
     /// means stage executions; the disk tier counts its own
-    /// `disk_hit`), and it emits no compute trace event.
-    fn adopt(&self, bound: usize, key: u64, value: StageValue) {
+    /// `disk_hit`), and it emits no compute trace event. A racer may
+    /// have filled the slot with (identical) content already; the first
+    /// value wins.
+    pub(crate) fn adopt<T: StageOutput>(&self, bound: usize, key: u64, value: Arc<T>) {
         if bound == 0 {
             return;
         }
-        let (cell, _) = self.slot(key);
+        let (cell, _) = self.slot::<T>(key);
         let _ = cell.set(value);
-        self.enforce_bound(bound, key);
+        self.enforce_bound(bound, (T::KIND, key));
     }
 
-    /// Cached Internet plan for `key`, if any (lookup-only — the
-    /// disk-tier flow probes memory before touching the filesystem).
+    // Typed delegations kept for `benchmark/`, which drives the memory
+    // tier directly; everything else goes through the generic methods.
+
     pub fn get_plan(&self, bound: usize, key: u64) -> Option<Arc<InternetPlan>> {
-        match self.get(Stage::Plan, bound, key)? {
-            StageValue::Plan(p) => Some(p),
-            _ => None,
-        }
+        self.get(bound, key)
     }
 
-    /// Cached attack stream for `key`, if any (lookup-only).
     pub fn get_attacks(&self, bound: usize, key: u64) -> Option<Arc<AttackColumns>> {
-        match self.get(Stage::Attacks, bound, key)? {
-            StageValue::Attacks(a) => Some(a),
-            _ => None,
-        }
+        self.get(bound, key)
     }
 
-    /// Adopt a disk-loaded Internet plan into the memory tier.
     pub fn adopt_plan(&self, bound: usize, key: u64, v: Arc<InternetPlan>) {
-        self.adopt(bound, key, StageValue::Plan(v));
+        self.adopt(bound, key, v)
     }
 
-    /// Adopt a disk-loaded attack stream into the memory tier.
     pub fn adopt_attacks(&self, bound: usize, key: u64, v: Arc<AttackColumns>) {
-        self.adopt(bound, key, StageValue::Attacks(v));
+        self.adopt(bound, key, v)
     }
 
-    /// Adopt a disk-loaded observation stream into the memory tier.
     pub fn adopt_observations(&self, bound: usize, key: u64, v: Arc<ObservationColumns>) {
-        self.adopt(bound, key, StageValue::Observations(v));
+        self.adopt(bound, key, v)
     }
 
-    /// Adopt a disk-loaded Netscout alert stream into the memory tier.
     pub fn adopt_alerts(&self, bound: usize, key: u64, v: Arc<AlertColumns>) {
-        self.adopt(bound, key, StageValue::Alerts(v));
+        self.adopt(bound, key, v)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tier order.
+// ---------------------------------------------------------------------
+
+/// One execution's view of the two stage tiers: the process-wide
+/// memory cache, bounded as its config says, over the config's disk
+/// store, if any (DESIGN.md §11). The tier order lives here and
+/// nowhere else: memory, then disk, then compute, then write-through.
+pub(crate) struct Tiers {
+    cache: &'static StageCache,
+    bound: usize,
+    disk: Option<DiskStore>,
+}
+
+impl Tiers {
+    /// The tiers `config` resolves to ([`resolve_bound`],
+    /// [`crate::diskstore::resolve`]).
+    pub(crate) fn of(config: &StudyConfig) -> Tiers {
+        Tiers {
+            cache: StageCache::global(),
+            bound: resolve_bound(config),
+            disk: crate::diskstore::resolve(config),
+        }
     }
 
-    /// The Internet plan for `key`, built on a miss.
-    pub fn plan(
+    /// The output for `key` from memory, else from disk. A disk hit is
+    /// adopted into memory and does not count as a compute.
+    pub(crate) fn lookup<T: StageOutput>(&self, key: u64) -> Option<Arc<T>> {
+        self.cache.get(self.bound, key).or_else(|| {
+            let loaded = self.disk.as_ref()?.load::<T>(key)?;
+            self.cache.adopt(self.bound, key, Arc::clone(&loaded));
+            Some(loaded)
+        })
+    }
+
+    /// Cache a freshly computed output (one stage execution) and write
+    /// it through to disk.
+    pub(crate) fn publish<T: StageOutput>(&self, key: u64, value: T) -> Arc<T> {
+        let value = Arc::new(value);
+        self.cache.insert(self.bound, key, Arc::clone(&value));
+        self.write_through(key, value.as_ref());
+        value
+    }
+
+    /// [`Tiers::lookup`], else the cache's coalesced compute. Only the
+    /// thread that ran the compute writes through, so a burst of
+    /// concurrent misses on one key writes its cell once.
+    pub(crate) fn get_or_compute<T: StageOutput>(
         &self,
-        bound: usize,
         key: u64,
-        build: impl FnOnce() -> Arc<InternetPlan>,
-    ) -> Arc<InternetPlan> {
-        match self.get_or_compute(Stage::Plan, bound, key, || StageValue::Plan(build())) {
-            StageValue::Plan(p) => p,
-            _ => unreachable!("plan key resolved to a non-plan stage value"),
+        compute: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        if let Some(v) = self.lookup(key) {
+            return v;
         }
-    }
-
-    /// The attack stream for `key`, generated on a miss.
-    pub fn attacks(
-        &self,
-        bound: usize,
-        key: u64,
-        generate: impl FnOnce() -> Arc<AttackColumns>,
-    ) -> Arc<AttackColumns> {
-        match self.get_or_compute(Stage::Attacks, bound, key, || StageValue::Attacks(generate()))
-        {
-            StageValue::Attacks(a) => a,
-            _ => unreachable!("attacks key resolved to a non-attacks stage value"),
+        let (value, computed) = self.cache.get_or_compute(self.bound, key, compute);
+        if computed {
+            self.write_through(key, value.as_ref());
         }
+        value
     }
 
-    /// Cached observation stream for `key`, if any.
-    pub fn get_observations(&self, bound: usize, key: u64) -> Option<Arc<ObservationColumns>> {
-        match self.get(Stage::Observations, bound, key)? {
-            StageValue::Observations(v) => Some(v),
-            _ => None,
+    fn write_through<T: StageOutput>(&self, key: u64, value: &T) {
+        if let Some(disk) = &self.disk {
+            disk.store(key, value);
         }
-    }
-
-    /// Cached Netscout alert stream for `key`, if any.
-    pub fn get_alerts(&self, bound: usize, key: u64) -> Option<Arc<AlertColumns>> {
-        match self.get(Stage::Observations, bound, key)? {
-            StageValue::Alerts(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Store a freshly observed stream.
-    pub fn insert_observations(&self, bound: usize, key: u64, v: Arc<ObservationColumns>) {
-        self.insert(Stage::Observations, bound, key, StageValue::Observations(v));
-    }
-
-    /// Store a freshly computed Netscout alert stream.
-    pub fn insert_alerts(&self, bound: usize, key: u64, v: Arc<AlertColumns>) {
-        self.insert(Stage::Observations, bound, key, StageValue::Alerts(v));
     }
 }
 
@@ -790,37 +816,44 @@ mod tests {
         let cache = StageCache::isolated();
         let make = |n: u64| -> Arc<ObservationColumns> { Arc::new(ObservationColumns::with_capacity(n as usize)) };
 
+        let get = |bound, key| cache.get::<ObservationColumns>(bound, key);
+
         // Miss then hit.
-        assert!(cache.get_observations(4, 1).is_none());
-        cache.insert_observations(4, 1, make(1));
-        let got = cache.get_observations(4, 1).expect("hit after insert");
+        assert!(get(4, 1).is_none());
+        cache.insert(4, 1, make(1));
+        let got = get(4, 1).expect("hit after insert");
         assert_eq!(got.capacity(), 1);
         assert_eq!(cache.len(), 1);
 
         // LRU eviction at a tiny bound: key 1 is oldest once 2 and 3
         // land and 2 gets re-touched.
-        cache.insert_observations(2, 2, make(2));
-        let _ = cache.get_observations(2, 2);
-        cache.insert_observations(2, 3, make(3));
+        cache.insert(2, 2, make(2));
+        let _ = get(2, 2);
+        cache.insert(2, 3, make(3));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get_observations(2, 1).is_none(), "LRU entry must be evicted");
-        assert!(cache.get_observations(2, 2).is_some());
-        assert!(cache.get_observations(2, 3).is_some());
+        assert!(get(2, 1).is_none(), "LRU entry must be evicted");
+        assert!(get(2, 2).is_some());
+        assert!(get(2, 3).is_some());
         assert_eq!(cache.stats(Stage::Observations).evicted, 1);
 
         // bound == 0 bypasses entirely.
-        cache.insert_observations(0, 9, make(9));
-        assert!(cache.get_observations(0, 9).is_none());
-        assert!(cache.get_observations(4, 9).is_none());
+        cache.insert(0, 9, make(9));
+        assert!(get(0, 9).is_none());
+        assert!(get(4, 9).is_none());
+
+        // The kind tag is part of the key: an alert lookup never sees
+        // an observation stream stored under the same fingerprint.
+        assert!(cache.get::<AlertColumns>(2, 3).is_none());
 
         // get_or_compute: second call is a hit, compute runs once.
         let mut runs = 0;
-        for _ in 0..3 {
-            let plan_like = cache.attacks(4, 77, || {
+        for round in 0..3 {
+            let (plan_like, computed) = cache.get_or_compute(4, 77, || {
                 runs += 1;
-                Arc::new(AttackColumns::new())
+                AttackColumns::new()
             });
             assert_eq!(plan_like.len(), 0);
+            assert_eq!(computed, round == 0, "only the computing call reports it");
         }
         assert_eq!(runs, 1, "compute must run exactly once");
         assert_eq!(cache.stats(Stage::Attacks).computed, 1);
@@ -858,20 +891,24 @@ mod tests {
     fn concurrent_misses_coalesce() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let cache = StageCache::isolated();
-        let runs = AtomicUsize::new(0);
+        let (runs, computers) = (AtomicUsize::new(0), AtomicUsize::new(0));
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                let (cache, runs) = (&cache, &runs);
+                let (cache, runs, computers) = (&cache, &runs, &computers);
                 scope.spawn(move || {
-                    let v = cache.attacks(16, 42, || {
+                    let (v, computed) = cache.get_or_compute(16, 42, || {
                         runs.fetch_add(1, Ordering::SeqCst);
-                        Arc::new(AttackColumns::new())
+                        AttackColumns::new()
                     });
                     assert_eq!(v.len(), 0);
+                    if computed {
+                        computers.fetch_add(1, Ordering::SeqCst);
+                    }
                 });
             }
         });
         assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert_eq!(computers.load(Ordering::SeqCst), 1, "one caller owns the write-through");
         let stats = cache.stats(Stage::Attacks);
         assert_eq!(stats.computed, 1);
         assert_eq!(stats.hit, 7);
@@ -894,22 +931,24 @@ mod tests {
         let churned = Barrier::new(2);
         std::thread::scope(|scope| {
             let a = scope.spawn(|| {
-                cache.attacks(1, 7, || {
+                cache.get_or_compute(1, 7, || {
                     in_flight.wait();
                     churned.wait();
-                    Arc::new(AttackColumns::new())
+                    AttackColumns::new()
                 })
             });
             let c = scope.spawn(|| {
                 in_flight.wait();
-                cache.attacks(1, 7, || panic!("C must coalesce onto A's compute, not re-run it"))
+                cache.get_or_compute::<AttackColumns>(1, 7, || {
+                    panic!("C must coalesce onto A's compute, not re-run it")
+                })
             });
             in_flight.wait();
-            cache.insert_observations(1, 100, make(1));
-            cache.insert_observations(1, 101, make(2));
+            cache.insert(1, 100, make(1));
+            cache.insert(1, 101, make(2));
             churned.wait();
-            let a = a.join().expect("A must not deadlock or die");
-            let c = c.join().expect("C must not deadlock or die");
+            let a = a.join().expect("A must not deadlock or die").0;
+            let c = c.join().expect("C must not deadlock or die").0;
             assert_eq!(a.len(), 0);
             assert_eq!(c.len(), 0);
         });
@@ -922,7 +961,8 @@ mod tests {
         assert_eq!(observations.computed, 2);
         assert!(observations.evicted >= 1, "bound 1 churn must evict");
         // The cache stays usable afterwards: key 7 is now filled.
-        let again = cache.attacks(4, 7, || panic!("must be served from cache"));
+        let (again, _) =
+            cache.get_or_compute::<AttackColumns>(4, 7, || panic!("must be served from cache"));
         assert_eq!(again.len(), 0);
     }
 
@@ -939,7 +979,7 @@ mod tests {
                 let (cache, attempts) = (&cache, &attempts);
                 scope.spawn(move || {
                     let got = simcore::recover::capture("stagecache-test", || {
-                        cache.attacks(8, 55, || {
+                        cache.get_or_compute::<AttackColumns>(8, 55, || {
                             attempts.fetch_add(1, Ordering::SeqCst);
                             panic!("injected compute failure")
                         })
@@ -955,9 +995,10 @@ mod tests {
         );
         // The cell recovered: a healthy compute fills it and later
         // lookups hit.
-        let v = cache.attacks(8, 55, || Arc::new(AttackColumns::new()));
+        let (v, _) = cache.get_or_compute(8, 55, AttackColumns::new);
         assert_eq!(v.len(), 0);
-        let again = cache.attacks(8, 55, || panic!("must be a cache hit now"));
+        let (again, _) =
+            cache.get_or_compute::<AttackColumns>(8, 55, || panic!("must be a cache hit now"));
         assert_eq!(again.len(), 0);
     }
 }

@@ -33,13 +33,16 @@ fn uint(v: &Value) -> u64 {
     }
 }
 
+fn counters(manifest: &Value) -> &Value {
+    manifest.get("metrics").unwrap().get("counters").unwrap()
+}
+
 /// Sum a `stage.<stage>.<kind>` counter family from a telemetry
 /// manifest; absent counters (never registered) read as zero.
 fn stage_total(manifest: &Value, kind: &str) -> u64 {
-    let counters = manifest.get("metrics").unwrap().get("counters").unwrap();
     ["plan", "attacks", "observations"]
         .iter()
-        .filter_map(|stage| counters.get(&format!("stage.{stage}.{kind}")))
+        .filter_map(|stage| counters(manifest).get(&format!("stage.{stage}.{kind}")))
         .map(uint)
         .sum()
 }
@@ -87,6 +90,17 @@ fn warm_invocation_recomputes_nothing_and_matches_cold_stdout() {
     assert_eq!(stage_total(&warm_manifest, "computed"), 0, "warm run must recompute nothing");
     assert_eq!(stage_total(&warm_manifest, "disk_hit"), 14, "warm run must load all 14 cells");
     assert_eq!(stage_total(&warm_manifest, "disk_reject"), 0);
+    // Per stage: the plan cell, the attack cell and all 12 observation
+    // cells load, and the plan is never rebuilt.
+    for (name, want) in [
+        ("stage.plan.disk_hit", 1),
+        ("stage.attacks.disk_hit", 1),
+        ("stage.observations.disk_hit", 12),
+        ("stage.plan.computed", 0),
+    ] {
+        let got = counters(&warm_manifest).get(name).map(uint);
+        assert_eq!(got, Some(want), "warm run: {name}");
+    }
 
     // Corrupt every cell: the run degrades to a recompute, not a
     // failure — exit 0, identical bytes, every reject counted.

@@ -28,9 +28,10 @@
 //! machine-readable experiment output; [`trace`], the flight recorder
 //! (per-thread bounded event rings exported as Chrome trace-event
 //! JSON); [`store`], the persistent run-history store backing
-//! `ddoscovery runs list|show|diff`; and [`retry`], bounded
-//! retry-with-backoff for transient IO (EINTR, claim-by-create races)
-//! at the filesystem and socket boundary.
+//! `ddoscovery runs list|show|diff`, plus the atomic tmp-then-rename
+//! [`store::publish`] it shares with the stage store; and [`retry`],
+//! bounded retry-with-backoff for transient IO (EINTR, claim-by-create
+//! races) at the filesystem and socket boundary.
 
 pub mod log;
 pub mod manifest;

@@ -21,6 +21,7 @@
 
 use crate::manifest::{quantile, RunManifest};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable overriding the store directory (the CLI's
 /// `--runs-dir` flag wins over it).
@@ -106,8 +107,8 @@ impl RunStore {
     /// Claim-then-publish: the final name is claimed atomically with
     /// `create_new` (two processes scanning the same highest sequence
     /// race to *distinct* numbers instead of overwriting each other —
-    /// the loser of the claim retries one higher), the full JSON is
-    /// written to a temporary sibling, and a rename publishes it over
+    /// the loser of the claim retries one higher), and [`publish`]
+    /// writes the full JSON to a temporary sibling and renames it over
     /// the claim. A reader or a crash therefore never observes a torn
     /// manifest: the worst case is an empty claimed file, which lists
     /// as a corrupt `Err` entry rather than silently passing for data.
@@ -122,7 +123,7 @@ impl RunStore {
         // processes scanning the same highest sequence concurrently;
         // exhausting it means something is recreating files pathologically
         // and deserves an error, not a spin.
-        let (stem, path) = crate::retry::with_backoff(
+        let path = crate::retry::with_backoff(
             "run-store claim",
             64,
             |e| e.kind() == std::io::ErrorKind::AlreadyExists,
@@ -134,27 +135,15 @@ impl RunStore {
                     .write(true)
                     .create_new(true)
                     .open(&path)
-                    .map(|_| (stem, path))
+                    .map(|_| path)
             },
         )
         .map_err(|e| format!("run store: claim in {}: {e}", self.dir.display()))?;
-        let tmp = self.dir.join(format!(".{stem}.tmp.{}", std::process::id()));
-        let publish = crate::retry::with_backoff("run-store write", 3, crate::retry::is_transient, |_| {
-            std::fs::write(&tmp, &json)
-        })
-        .map_err(|e| format!("run store: write {}: {e}", tmp.display()))
-        .and_then(|()| {
-            crate::retry::with_backoff("run-store publish", 3, crate::retry::is_transient, |_| {
-                std::fs::rename(&tmp, &path)
-            })
-            .map_err(|e| format!("run store: publish {}: {e}", path.display()))
-        });
-        if let Err(e) = publish {
-            // Withdraw the empty claim and the orphaned temporary
-            // so a failed append leaves no debris behind.
+        if let Err(e) = publish(&path, json.as_bytes()) {
+            // Withdraw the empty claim so a failed append leaves no
+            // debris behind (`publish` already removed its temporary).
             let _ = std::fs::remove_file(&path);
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
+            return Err(format!("run store: {e}"));
         }
         Ok(path)
     }
@@ -227,6 +216,39 @@ impl RunStore {
             .map(|m| (resolved.clone(), m))
             .map_err(|e| format!("{resolved}: {e}"))
     }
+}
+
+/// Publish `bytes` as `path` atomically: write them to a temporary
+/// dotfile sibling in the same directory, then rename it over `path`,
+/// so a reader or a crash sees the old file, the new file, or none —
+/// never a torn one. Transient errors get a bounded retry; on failure
+/// the temporary is removed. The sibling's name is unique to this
+/// writer (pid plus a process-wide sequence), so concurrent publishes
+/// of one path, from threads or processes, never share a temporary:
+/// each rename installs one complete file and the last one wins.
+/// The run store and the stage store (`ddoscovery::diskstore`) both
+/// publish through here.
+pub fn publish(path: &Path, bytes: &[u8]) -> Result<(), String> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("publish");
+    let tmp = path.with_file_name(format!(
+        ".{name}.tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let transient = crate::retry::is_transient;
+    let published = crate::retry::with_backoff("publish write", 3, transient, |_| {
+        std::fs::write(&tmp, bytes)
+    })
+    .map_err(|e| format!("write {}: {e}", tmp.display()))
+    .and_then(|()| {
+        crate::retry::with_backoff("publish rename", 3, transient, |_| std::fs::rename(&tmp, path))
+            .map_err(|e| format!("publish {}: {e}", path.display()))
+    });
+    if published.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    published
 }
 
 /// Parse the sequence number out of a conforming store stem:

@@ -5,9 +5,11 @@
 //! forks its `SimRng` from immutable inputs (attack id, observatory
 //! name, week index) before work is distributed. `ExecPool` exploits
 //! that by splitting an input slice into index-tagged shards, letting
-//! workers claim shards in whatever order the scheduler likes, and then
-//! merging results back **in shard order** — so the output is bitwise
-//! identical for 1, 2, or N workers.
+//! workers claim shards in whatever order the scheduler likes, and
+//! folding their results on the calling thread **in shard order** — so
+//! the output is bitwise identical for 1, 2, or N workers. That ordered
+//! fold, [`ExecPool::par_chunks_fold`], is the pool's one engine;
+//! [`ExecPool::run_indexed`] is the fold pushing into a `Vec`.
 //!
 //! The pool is intentionally stateless (no resident worker threads):
 //! each call opens a `std::thread::scope`, which makes it trivially
@@ -58,9 +60,9 @@ pub const WORKERS_ENV: &str = "DDOSCOVERY_WORKERS";
 /// An optional [`ChaosSchedule`] injects deterministic panics into shard
 /// closures; each shard then runs under the bounded retry in
 /// [`recover`], and a shard whose failures outlast the retry budget
-/// surfaces as a panic on the **lowest failing shard index** after the
-/// deterministic merge — never on whichever worker thread lost the race
-/// — so even the failure mode is independent of the worker count.
+/// surfaces as a panic on the **lowest failing shard index** during the
+/// ordered drain — never on whichever worker thread lost the race —
+/// so even the failure mode is independent of the worker count.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecPool {
     workers: usize,
@@ -96,99 +98,20 @@ impl ExecPool {
         self.workers
     }
 
-    /// Split `items` into contiguous shards of `chunk_size`, apply
-    /// `f(shard_index, shard)` across workers, and return the results
-    /// **in shard order** — the defining determinism guarantee: the
-    /// output is a pure function of `(items, chunk_size, f)`, never of
-    /// the worker count or scheduling order.
-    pub fn par_chunks_indexed<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        let chunk_size = chunk_size.max(1);
-        let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        let metrics = PoolMetrics::get();
-        metrics.tasks.add(chunks.len() as u64);
-        if self.workers == 1 || chunks.len() <= 1 {
-            return chunks
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let _t = obs::trace::Guard::new("pool.shard", Some(("shard", i as u64)));
-                    unwrap_shard(i, self.call_shard(i, c, &f))
-                })
-                .collect();
-        }
-        metrics.calls.inc();
-
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Result<R, CaughtPanic>)>> =
-            Mutex::new(Vec::with_capacity(chunks.len()));
-        let threads = self.workers.min(chunks.len());
-        // Per-worker busy time, written once per worker after its loop
-        // drains (slot writes are disjoint, so Relaxed is enough).
-        let busy: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-        std::thread::scope(|scope| {
-            for slot in &busy {
-                let (next, collected, chunks, f) = (&next, &collected, &chunks, &f);
-                scope.spawn(move || {
-                    let watch = obs::Stopwatch::start();
-                    // Batch each worker's results locally; one lock
-                    // acquisition per worker, not per shard.
-                    let mut local: Vec<(usize, Result<R, CaughtPanic>)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = chunks.get(idx) else { break };
-                        let r = {
-                            let _t =
-                                obs::trace::Guard::new("pool.shard", Some(("shard", idx as u64)));
-                            self.call_shard(idx, chunk, &f)
-                        };
-                        local.push((idx, r));
-                    }
-                    collected
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .extend(local);
-                    slot.store(watch.elapsed_ns() as usize, Ordering::Relaxed);
-                });
-            }
-        });
-        if obs::enabled() {
-            let busy_ns: Vec<u64> = busy.iter().map(|b| b.load(Ordering::Relaxed) as u64).collect();
-            let max = busy_ns.iter().copied().max().unwrap_or(0);
-            let mean = busy_ns.iter().sum::<u64>() as f64 / busy_ns.len().max(1) as f64;
-            for ns in busy_ns {
-                metrics.busy_ns.record(ns);
-            }
-            if mean > 0.0 {
-                metrics.imbalance.set(max as f64 / mean);
-            }
-        }
-
-        let mut tagged = collected
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        tagged.sort_unstable_by_key(|(idx, _)| *idx);
-        debug_assert_eq!(tagged.len(), chunks.len());
-        tagged.into_iter().map(|(idx, r)| unwrap_shard(idx, r)).collect()
-    }
-
-    /// Like [`ExecPool::par_chunks_indexed`], but results are folded
-    /// into an accumulator **in shard order, as they become ready**,
-    /// instead of being collected whole: shard `k` is handed to `fold`
-    /// as soon as shards `0..=k` have all completed, and freed once
-    /// consumed. When shard results are large relative to what the fold
-    /// retains (e.g. columnar population shards merged into one column
-    /// set), this caps the high-water mark at "accumulator + in-flight
-    /// shards" instead of "accumulator + every shard". The fold runs on
-    /// the calling thread concurrently with the workers; the
+    /// The pool's one engine. Split `items` into contiguous shards of
+    /// `chunk_size`, apply `f(shard_index, shard)` across workers, and
+    /// fold the results into an accumulator **in shard order, as they
+    /// become ready**: shard `k` is handed to `fold` as soon as shards
+    /// `0..=k` have all completed, and freed once consumed. The
     /// accumulator is a pure function of `(items, chunk_size, f, fold)`
-    /// — never of worker count — and a shard whose chaos retries are
-    /// exhausted panics on the lowest failing shard index, exactly like
-    /// the collecting combinator.
+    /// — never of worker count or scheduling — which is the pool's
+    /// determinism guarantee. When shard results are large relative to
+    /// what the fold retains (e.g. columnar population shards merged
+    /// into one column set), the high-water mark stays at the
+    /// accumulator plus the in-flight shards, not plus every shard. The
+    /// fold runs on the calling thread concurrently with the workers;
+    /// a shard whose chaos retries are exhausted panics on the lowest
+    /// failing shard index.
     pub fn par_chunks_fold<T, R, A, F, G>(
         &self,
         items: &[T],
@@ -320,15 +243,21 @@ impl ExecPool {
         }
     }
 
-    /// Run `f(0..n)` across workers, returning results in index order.
+    /// Run `f(0..n)` across workers, returning results in index order:
+    /// one item per shard, folded into a `Vec`.
     pub fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
         let indices: Vec<usize> = (0..n).collect();
-        let out = self.par_chunks_indexed(&indices, 1, |_, shard| f(shard[0]));
-        out
+        self.par_chunks_fold(
+            &indices,
+            1,
+            |_, shard| f(shard[0]),
+            Vec::with_capacity(n),
+            |out, _, r| out.push(r),
+        )
     }
 }
 
@@ -352,10 +281,10 @@ impl Drop for SignalOnPanic<'_> {
 }
 
 /// Unwrap a shard result, surfacing an exhausted retry as a panic tagged
-/// with the shard index. Both the serial path (which visits shards in
-/// order and short-circuits) and the parallel path (which panics on the
-/// lowest index after the sorted merge) produce this message for the
-/// same shard, keeping the failure deterministic across worker counts.
+/// with the shard index. Both the serial path and the parallel drain
+/// visit shards in order and stop at the first failure, so they produce
+/// this message for the same shard, keeping the failure deterministic
+/// across worker counts.
 fn unwrap_shard<R>(idx: usize, r: Result<R, CaughtPanic>) -> R {
     match r {
         Ok(v) => v,
@@ -389,16 +318,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunk_results_in_shard_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let serial = ExecPool::serial().par_chunks_indexed(&items, 7, |i, c| (i, c.to_vec()));
-        for workers in [2, 3, 8] {
-            let par = ExecPool::new(workers).par_chunks_indexed(&items, 7, |i, c| (i, c.to_vec()));
-            assert_eq!(serial, par, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn run_indexed_in_order() {
         let serial = ExecPool::serial().run_indexed(64, |i| i * i);
         let par = ExecPool::new(5).run_indexed(64, |i| i * i);
@@ -409,46 +328,10 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let empty: Vec<u8> = Vec::new();
-        let out = ExecPool::new(4).par_chunks_indexed(&empty, 8, |_, c| c.len());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn transient_chaos_is_bitwise_invisible() {
-        let items: Vec<u64> = (0..512).collect();
-        let sum = |i: usize, c: &[u64]| (i as u64, c.iter().sum::<u64>());
-        let base = ExecPool::new(4).par_chunks_indexed(&items, 8, sum);
-        let cs = ChaosSchedule { seed: 5, probability: 0.4, failures_per_site: 2 };
-        for workers in [1, 3, 8] {
-            let out = ExecPool::new(workers).with_chaos(cs).par_chunks_indexed(&items, 8, sum);
-            assert_eq!(base, out, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn permanent_chaos_panics_on_lowest_failing_shard() {
-        let items: Vec<u64> = (0..256).collect();
-        let cs = ChaosSchedule {
-            seed: 5,
-            probability: 0.3,
-            failures_per_site: recover::MAX_ATTEMPTS,
-        };
-        let expected = (0..64u64)
-            .find(|&i| cs.failures_at("pool.shard", i) > 0)
-            .expect("p=0.3 over 64 shards must schedule a failure");
-        for workers in [1, 4] {
-            let err = recover::capture("test", || {
-                ExecPool::new(workers)
-                    .with_chaos(cs)
-                    .par_chunks_indexed(&items, 4, |_, c| c.len())
-            })
-            .expect_err("permanent chaos must fail the fan-out");
-            assert!(
-                err.message.contains(&format!("pool.shard[{expected}]")),
-                "workers={workers}: {}",
-                err.message
-            );
-        }
+        let folds =
+            ExecPool::new(4).par_chunks_fold(&empty, 8, |_, c| c.len(), 0usize, |n, _, _| *n += 1);
+        assert_eq!(folds, 0);
+        assert!(ExecPool::new(4).run_indexed(0, |i| i).is_empty());
     }
 
     #[test]

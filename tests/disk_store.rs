@@ -9,9 +9,12 @@
 //! so every test here serializes on one mutex, measures counter
 //! *deltas*, and runs under a test-unique seed and store directory.
 
+use attackgen::{AttackId, ObservationColumns};
 use ddoscovery::diskstore::CELL_HEADER_LEN;
 use ddoscovery::stagecache::StageCache;
-use ddoscovery::{ObsId, StudyConfig, StudyRun};
+use ddoscovery::{DiskStore, ObsId, StudyConfig, StudyRun};
+use netmodel::Ipv4;
+use simcore::SimTime;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -240,6 +243,52 @@ fn truncation_at_every_header_boundary_is_rejected() {
         let rewritten = fs::read(plan_cell).expect("read rewritten cell");
         assert_eq!(rewritten, original, "cut at {cut}: rewrite must converge");
     }
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Concurrent publishes of one cell inside one process — what two
+/// identical sweeps against one `--store` do. Every writer gets its own
+/// temporary sibling, so no writer truncates a file another has just
+/// renamed into place or loses its own rename: every publish lands and
+/// is counted, the cell loads intact, and no temporary is left behind.
+#[test]
+fn concurrent_same_key_publishes_all_land() {
+    const THREADS: u64 = 8;
+    const PUBLISHES: u64 = 20;
+    let _guard = serialize();
+    let dir = scratch_dir("same-key");
+    let store = DiskStore::open(dir.clone());
+    let mut cell = ObservationColumns::new();
+    for i in 0..20_000u32 {
+        cell.push_row(AttackId(u64::from(i)), SimTime(i64::from(i)), &[Ipv4(i)]);
+    }
+    let key = 0xD15C_0004;
+    let writes = obs::metrics::counter("stage.observations.disk_write");
+    let before = writes.get();
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                for _ in 0..PUBLISHES {
+                    store.store(key, &cell);
+                }
+            });
+        }
+    });
+    assert_eq!(
+        writes.get() - before,
+        THREADS * PUBLISHES,
+        "every publish must land and be counted"
+    );
+    let loaded = store.load::<ObservationColumns>(key).expect("the published cell loads");
+    assert!(loaded.to_wire_bytes() == cell.to_wire_bytes(), "the published cell is intact");
+    let leftovers: Vec<String> = fs::read_dir(dir.join("observations"))
+        .expect("stage directory")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.contains(".tmp."))
+        .collect();
+    assert!(leftovers.is_empty(), "temporaries left behind: {leftovers:?}");
 
     let _ = fs::remove_dir_all(&dir);
 }

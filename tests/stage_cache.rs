@@ -110,6 +110,44 @@ fn observation_sweep_generates_attacks_exactly_once() {
     assert_eq!(plan.hit + plan.computed, 3);
     assert_eq!(attacks.hit + attacks.computed, 3);
     assert_eq!(observations.computed, 3 * 12);
+
+    // The same sweep writing through a fresh disk store, under its own
+    // seed: only the point that computes a shared stage writes its
+    // cell, so the plan and attack cells are written exactly once
+    // however the points race, and every point writes its own 12
+    // streams. (A waiting point may load the cell the computing point
+    // has just written, so hit + computed is not pinned here.)
+    let dir = std::env::temp_dir().join(format!(
+        "ddoscovery-stage-cache-write-through-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut base = tiny_cfg(0xA11C_E006);
+    base.disk_store = Some(dir.display().to_string());
+    let disk_writes = || {
+        ["plan", "attacks", "observations"]
+            .map(|stage| obs::metrics::counter(&format!("stage.{stage}.disk_write")).get())
+    };
+    let (before, writes_before) = (snap(), disk_writes());
+    sweep(
+        &base,
+        &[1800.0, 5400.0, 7200.0],
+        &[ObsId::Hopscotch, ObsId::AmpPot],
+        |cfg, v| cfg.obs.carpet_gap_secs = v as u32,
+    )
+    .expect("base config is valid");
+    let [plan, attacks, _] = delta(before, snap());
+    let writes_after = disk_writes();
+    let [plan_writes, attack_writes, observation_writes]: [u64; 3] =
+        std::array::from_fn(|i| writes_after[i] - writes_before[i]);
+    assert_eq!((plan.computed, attacks.computed), (1, 1));
+    assert_eq!(
+        (plan_writes, attack_writes),
+        (1, 1),
+        "a shared stage is written through once, by the point that computed it"
+    );
+    assert_eq!(observation_writes, 3 * 12);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A generation-side sweep reuses the plan at every grid point.

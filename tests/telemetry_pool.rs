@@ -13,13 +13,19 @@ fn concurrent_pool_increments_sum_exactly() {
     let items: Vec<u32> = (0..25_000).collect();
     for workers in [1, 2, 8] {
         let before = counter.get();
-        let out = ExecPool::new(workers).par_chunks_indexed(&items, 7, |_, shard| {
-            for _ in shard {
-                counter.inc();
-            }
-            shard.len()
-        });
-        assert_eq!(out.iter().sum::<usize>(), items.len());
+        let total = ExecPool::new(workers).par_chunks_fold(
+            &items,
+            7,
+            |_, shard| {
+                for _ in shard {
+                    counter.inc();
+                }
+                shard.len()
+            },
+            0usize,
+            |total, _, n| *total += n,
+        );
+        assert_eq!(total, items.len());
         assert_eq!(
             counter.get() - before,
             items.len() as u64,
@@ -35,9 +41,10 @@ fn pool_fanout_records_utilization_metrics() {
     let busy = obs::metrics::histogram("pool.worker_busy_ns", &obs::metrics::LATENCY_NS);
     let (t0, c0, b0) = (tasks.get(), calls.get(), busy.count());
 
-    let items: Vec<u64> = (0..4096).collect();
-    let sums = ExecPool::new(4).par_chunks_indexed(&items, 64, |_, shard| {
-        shard.iter().map(|v| v.wrapping_mul(31)).sum::<u64>()
+    let sums = ExecPool::new(4).run_indexed(64, |shard| {
+        (shard as u64 * 64..(shard as u64 + 1) * 64)
+            .map(|v| v.wrapping_mul(31))
+            .sum::<u64>()
     });
     assert_eq!(sums.len(), 64);
 
@@ -60,6 +67,6 @@ fn serial_pool_skips_parallel_metrics_but_counts_tasks() {
     let tasks = obs::metrics::counter("pool.tasks");
     let before = tasks.get();
     let items: Vec<u8> = vec![0; 10];
-    ExecPool::serial().par_chunks_indexed(&items, 1, |_, s| s.len());
+    ExecPool::serial().par_chunks_fold(&items, 1, |_, s| s.len(), (), |_, _, _| {});
     assert!(tasks.get() >= before + 10);
 }
