@@ -44,14 +44,11 @@ serve:
 	cargo test -q --release -p ddoscovery-serve
 	@echo "serve: ok (byte-identical payloads, shedding, chaos 500s, drain)"
 
-# Fault-injection suite under several pool widths: the chaos tests
-# assert byte-identical output across worker counts internally, and
-# re-running the whole binary with different DDOSCOVERY_WORKERS
-# defaults exercises the global-pool path the in-test pools bypass.
+# Fault-injection suite: the chaos tests run every fault plan at 1, 4
+# and 8 workers (cfg.workers) and assert byte-identical output across
+# them, so one run covers every pool width.
 chaos:
-	DDOSCOVERY_WORKERS=1 cargo test -q --release --test chaos
-	DDOSCOVERY_WORKERS=4 cargo test -q --release --test chaos
-	DDOSCOVERY_WORKERS=8 cargo test -q --release --test chaos
+	cargo test -q --release --test chaos
 
 # Quick-scale instrumented run: emits telemetry.json (run manifest with
 # per-stage latency histograms, per-observatory counts, and pool

@@ -12,12 +12,17 @@
 //! Stream discipline: stdout carries machine-readable experiment
 //! output only; every status line goes to stderr through the `obs`
 //! logger (`DDOSCOVERY_LOG=error|warn|info|debug`). `--telemetry PATH`
-//! (or `DDOSCOVERY_TELEMETRY=PATH`) additionally writes a JSON run
-//! manifest, prints its summary table on stderr, and appends the
-//! manifest to the persistent run store (`.ddoscovery/runs/`, override
-//! with `--runs-dir`/`DDOSCOVERY_RUNS_DIR`) for later `runs diff`.
-//! `--trace PATH` (or `DDOSCOVERY_TRACE=PATH`) arms the flight
-//! recorder and writes a Chrome trace-event timeline of the run.
+//! additionally writes a JSON run manifest, prints its summary table
+//! on stderr, and appends the manifest to the persistent run store
+//! (`.ddoscovery/runs/`, override with `--runs-dir`) for later `runs
+//! diff`. `--trace PATH` arms the flight recorder and writes a Chrome
+//! trace-event timeline of the run.
+//!
+//! This binary is the one front door for settings: apart from the
+//! logger's `DDOSCOVERY_LOG`, it is the only code that reads
+//! `DDOSCOVERY_*` variables. Six flags fall back to one when absent
+//! ([`parse_options`]), through the flag's own parser; the library
+//! reads only the [`StudyConfig`] it is handed.
 //!
 //! Exit codes: 0 on success, 1 for runtime failures (I/O, analytics),
 //! 2 for usage and config errors — mirroring
@@ -43,8 +48,8 @@ fn usage() -> ExitCode {
          \u{20}                               unambiguous prefix, or path)\n\
          \u{20}  runs diff A B [--gate PCT]   compare two stored runs; with\n\
          \u{20}                               --gate, exit 1 when any\n\
-         \u{20}                               deterministic metric moves more\n\
-         \u{20}                               than PCT percent\n\
+         \u{20}                               counter moves more than PCT\n\
+         \u{20}                               percent\n\
          \u{20}  store list                   list persistent stage-store cells\n\
          \u{20}  store gc --max-bytes N       shrink the stage store to at most\n\
          \u{20}                               N bytes (oldest cells first)\n\
@@ -57,14 +62,14 @@ fn usage() -> ExitCode {
          \u{20}  --seed N           master seed: decimal, or hex with an\n\
          \u{20}                     explicit 0x prefix (default 0xDD05C0DE)\n\
          \u{20}  --out DIR          CSV output directory (default: results)\n\
-         \u{20}  --workers N        execution-pool worker count (wins over\n\
-         \u{20}                     DDOSCOVERY_WORKERS; output is identical\n\
-         \u{20}                     for every setting)\n\
+         \u{20}  --workers N        execution-pool worker count (default one\n\
+         \u{20}                     per core; env: DDOSCOVERY_WORKERS;\n\
+         \u{20}                     output is identical for every setting)\n\
          \u{20}  --telemetry PATH   write a JSON run manifest to PATH and\n\
          \u{20}                     print a summary table on stderr (env:\n\
          \u{20}                     DDOSCOVERY_TELEMETRY)\n\
          \u{20}  --stage-cache V    cross-run stage cache: `off` to bypass,\n\
-         \u{20}                     or an entry bound N (wins over\n\
+         \u{20}                     or an entry bound N (env:\n\
          \u{20}                     DDOSCOVERY_STAGE_CACHE; output is\n\
          \u{20}                     identical for every setting)\n\
          \u{20}  --faults PATH      JSON fault plan: per-source outage\n\
@@ -94,7 +99,11 @@ fn usage() -> ExitCode {
          \u{20}                     picks a free port)\n\
          \u{20}  --max-bytes N      with store gc: the size to shrink to\n\
          \u{20}  --gate PCT         with runs diff: fail (exit 1) when a\n\
-         \u{20}                     counter or gauge moves more than PCT%\n\n\
+         \u{20}                     counter moves more than PCT%\n\n\
+         environment:\n\
+         \u{20}  an absent flag marked `env:` falls back to that variable\n\
+         \u{20}  (blank = unset, malformed = usage error)\n\
+         \u{20}  DDOSCOVERY_LOG=error|warn|info|debug   log level (default info)\n\n\
          exit codes:\n\
          \u{20}  0  success\n\
          \u{20}  1  runtime failure (I/O, analytics)\n\
@@ -135,6 +144,14 @@ struct Options {
     ids: Vec<String>,
 }
 
+/// Parse a `--workers` value: a worker count of at least 1.
+fn parse_workers(v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(0) | Err(_) => Err(format!("bad worker count {v:?} (expected at least 1)")),
+        Ok(n) => Ok(n),
+    }
+}
+
 /// Parse a `--stage-cache` value: `off` (any case) or `0` bypasses the
 /// cache, an integer bounds it.
 fn parse_stage_cache(v: &str) -> Result<usize, String> {
@@ -145,7 +162,33 @@ fn parse_stage_cache(v: &str) -> Result<usize, String> {
         .map_err(|_| format!("bad stage-cache value {v:?} (expected `off` or an entry count)"))
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// A path-valued option takes its value as given.
+fn parse_path(v: &str) -> Result<String, String> {
+    Ok(v.to_string())
+}
+
+/// Fill `knob`, when its flag left it unset, from variable `name`
+/// through the flag's parser. A blank value counts as unset and
+/// surrounding blanks are ignored; a malformed value is a usage error
+/// that names the variable.
+fn env_fallback<T>(
+    knob: &mut Option<T>,
+    name: &str,
+    env: &impl Fn(&str) -> Option<String>,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<(), String> {
+    if knob.is_none() {
+        if let Some(v) = env(name).filter(|v| !v.trim().is_empty()) {
+            *knob = Some(parse(v.trim()).map_err(|e| format!("{name}: {e}"))?);
+        }
+    }
+    Ok(())
+}
+
+/// Parse the options after the command word. `env` looks a variable
+/// up (`main` passes the process environment): after the flags, each
+/// knob still unset falls back to its variable.
+fn parse_options(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Options, String> {
     let mut opts = Options {
         quick: false,
         seed: None,
@@ -174,11 +217,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--out" => opts.out = it.next().ok_or("--out needs a value")?.clone(),
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad worker count {v:?}"))?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                opts.workers = Some(n);
+                opts.workers = Some(parse_workers(v)?);
             }
             "--telemetry" => {
                 opts.telemetry = Some(it.next().ok_or("--telemetry needs a value")?.clone());
@@ -243,32 +282,29 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             id => opts.ids.push(id.to_string()),
         }
     }
-    // The flag wins over the environment; the env var still applies
-    // when the flag is absent.
-    if opts.telemetry.is_none() {
-        if let Ok(path) = std::env::var(obs::manifest::TELEMETRY_ENV) {
-            if !path.trim().is_empty() {
-                opts.telemetry = Some(path);
-            }
-        }
-    }
-    if opts.trace.is_none() {
-        if let Ok(path) = std::env::var(obs::trace::TRACE_ENV) {
-            if !path.trim().is_empty() {
-                opts.trace = Some(path);
-            }
-        }
-    }
+    env_fallback(&mut opts.workers, "DDOSCOVERY_WORKERS", &env, parse_workers)?;
+    env_fallback(
+        &mut opts.stage_cache,
+        "DDOSCOVERY_STAGE_CACHE",
+        &env,
+        parse_stage_cache,
+    )?;
+    env_fallback(&mut opts.store, "DDOSCOVERY_STORE", &env, parse_path)?;
+    env_fallback(
+        &mut opts.telemetry,
+        "DDOSCOVERY_TELEMETRY",
+        &env,
+        parse_path,
+    )?;
+    env_fallback(&mut opts.trace, "DDOSCOVERY_TRACE", &env, parse_path)?;
+    env_fallback(&mut opts.runs_dir, "DDOSCOVERY_RUNS_DIR", &env, parse_path)?;
     Ok(opts)
 }
 
-/// The run-history store: `--runs-dir` wins over `DDOSCOVERY_RUNS_DIR`,
-/// which wins over `.ddoscovery/runs`.
+/// The run-history store: `--runs-dir`, else `.ddoscovery/runs`.
 fn runs_store(opts: &Options) -> obs::store::RunStore {
-    match &opts.runs_dir {
-        Some(dir) => obs::store::RunStore::new(dir),
-        None => obs::store::RunStore::open_default(),
-    }
+    let dir = opts.runs_dir.as_deref();
+    obs::store::RunStore::new(dir.unwrap_or(obs::store::DEFAULT_RUNS_DIR))
 }
 
 /// Arm the flight recorder when a trace path was requested.
@@ -301,28 +337,9 @@ fn build_config(opts: &Options) -> Result<StudyConfig, Error> {
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
     }
-    // A pinned worker count bypasses the DDOSCOVERY_WORKERS default in
-    // `ExecPool::global`, so the flag wins over the env var.
-    if opts.workers.is_some() {
-        cfg.workers = opts.workers;
-    }
-    // Same precedence story as --workers: a pinned bound bypasses the
-    // DDOSCOVERY_STAGE_CACHE fallback in `stagecache::resolve_bound`.
-    if opts.stage_cache.is_some() {
-        cfg.stage_cache = opts.stage_cache;
-    } else if let Ok(v) = std::env::var(ddoscovery::stagecache::STAGE_CACHE_ENV) {
-        // The library only *warns* on a malformed env bound (it cannot
-        // abort a caller's run); the CLI is the place to be strict and
-        // turn it into a typed config error up front.
-        if let Err(message) = ddoscovery::stagecache::parse_env_bound(&v) {
-            return Err(Error::config("stage_cache", message));
-        }
-    }
-    // The flag wins over DDOSCOVERY_STORE, which `diskstore::resolve`
-    // consults when the config knob is None.
-    if opts.store.is_some() {
-        cfg.disk_store = opts.store.clone();
-    }
+    cfg.workers = opts.workers;
+    cfg.stage_cache = opts.stage_cache;
+    cfg.disk_store = opts.store.clone();
     if let Some(path) = &opts.faults {
         let text = fs::read_to_string(path).map_err(|e| Error::io(path.clone(), &e))?;
         let plan: FaultPlan = serde_json::from_str(&text)
@@ -531,13 +548,10 @@ fn cmd_serve(opts: &Options) -> ExitCode {
     drop(run_span);
     ddoscovery::pipeline::record_peak_rss("serve.warm");
     let service = Arc::new(ddoscovery::StudyService::new(run, &cfg, scenario_label(opts)));
-    let serve_cfg = serve::ServeConfig {
-        addr: opts
-            .addr
-            .clone()
-            .unwrap_or_else(|| "127.0.0.1:8080".to_string()),
-        ..serve::ServeConfig::default()
-    };
+    let mut serve_cfg = serve::ServeConfig::default();
+    if let Some(addr) = &opts.addr {
+        serve_cfg.addr = addr.clone();
+    }
     let server = match serve::Server::bind(serve_cfg, service.clone()) {
         Ok(server) => server,
         Err(e) => return fail(&serve_error(e)),
@@ -617,8 +631,9 @@ fn cmd_runs_show(store: &obs::store::RunStore, name: &str) -> ExitCode {
     }
 }
 
-/// Diff two stored runs; with `--gate PCT`, exit 1 when any counter or
-/// gauge moved more than PCT percent.
+/// Diff two stored runs; with `--gate PCT`, exit 1 when any counter
+/// moved more than PCT percent. Gauges and histogram quantiles are
+/// reported, never gated: they move between identical runs.
 fn cmd_runs_diff(store: &obs::store::RunStore, a: &str, b: &str, gate: Option<f64>) -> ExitCode {
     let load = |name: &str| match store.load(name) {
         Ok(loaded) => Ok(loaded),
@@ -645,10 +660,10 @@ fn cmd_runs_diff(store: &obs::store::RunStore, a: &str, b: &str, gate: Option<f6
                         .unwrap_or_else(|| "-".into()),
                 );
             }
-            obs::error!("{} metric(s) beyond the {pct}% gate", breaches.len());
+            obs::error!("{} counter(s) beyond the {pct}% gate", breaches.len());
             return ExitCode::FAILURE;
         }
-        obs::info!("gate ok: no counter or gauge moved more than {pct}%");
+        obs::info!("gate ok: no counter moved more than {pct}%");
     }
     ExitCode::SUCCESS
 }
@@ -673,20 +688,15 @@ fn cmd_runs(opts: &Options) -> ExitCode {
 // Persistent stage store: `ddoscovery store list|gc`
 // ---------------------------------------------------------------------
 
-/// The stage store the `store` subcommand operates on: `--store [DIR]`
-/// wins over `DDOSCOVERY_STORE`, which wins over the default
-/// directory. (Unlike a run, the subcommand needs *some* directory to
-/// inspect, so "unset" falls through to the default instead of off.)
+/// The stage store the `store` subcommand operates on: `--store [DIR]`,
+/// else the default directory. (Unlike a run, the subcommand needs
+/// *some* directory to inspect, so "unset" falls through to the
+/// default instead of off.)
 fn stage_store(opts: &Options) -> Result<ddoscovery::DiskStore, String> {
     let dir = opts
         .store
-        .clone()
-        .or_else(|| {
-            std::env::var(ddoscovery::diskstore::STORE_ENV)
-                .ok()
-                .filter(|v| !v.trim().is_empty())
-        })
-        .unwrap_or_else(|| ddoscovery::diskstore::DEFAULT_STORE_DIR.to_string());
+        .as_deref()
+        .unwrap_or(ddoscovery::diskstore::DEFAULT_STORE_DIR);
     if dir.trim().eq_ignore_ascii_case("off") {
         return Err("stage store is off (give --store DIR to pick one)".into());
     }
@@ -758,7 +768,7 @@ fn main() -> ExitCode {
         return usage();
     };
     let rest = &args[1..];
-    let opts = match parse_options(rest) {
+    let opts = match parse_options(rest, |name| std::env::var(name).ok()) {
         Ok(o) => o,
         Err(e) => {
             obs::error!("{e}");
@@ -781,9 +791,15 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Options, String> {
+    /// Parse `args` against an environment holding exactly `vars`.
+    fn parse_env(args: &[&str], vars: &[(&str, &str)]) -> Result<Options, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        parse_options(&owned)
+        let vars: std::collections::HashMap<&str, &str> = vars.iter().copied().collect();
+        parse_options(&owned, |name| vars.get(name).map(|v| v.to_string()))
+    }
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_env(args, &[])
     }
 
     #[test]
@@ -827,15 +843,56 @@ mod tests {
     }
 
     #[test]
-    fn workers_flag_wins_over_env_default() {
-        // The config only consults DDOSCOVERY_WORKERS when `workers`
-        // is None, so a parsed flag short-circuits the env var.
-        let opts = parse(&["--workers", "2"]).unwrap();
+    fn variables_fill_unset_knobs_through_the_flag_parsers() {
+        let vars = [
+            ("DDOSCOVERY_WORKERS", "3"),
+            ("DDOSCOVERY_STAGE_CACHE", "off"),
+            ("DDOSCOVERY_STORE", "warm"),
+            ("DDOSCOVERY_TELEMETRY", "m.json"),
+            ("DDOSCOVERY_TRACE", "t.json"),
+            ("DDOSCOVERY_RUNS_DIR", "history"),
+        ];
+        let args = |line: &'static str| line.split(' ').collect::<Vec<_>>();
+        // Each variable fills its unset knob exactly as its flag does,
+        // and the knobs reach the config.
+        let opts = parse_env(&["--quick"], &vars).unwrap();
+        let flags = args(
+            "--quick --workers 3 --stage-cache off --store warm --telemetry m.json \
+             --trace t.json --runs-dir history",
+        );
+        assert_eq!(opts, parse(&flags).unwrap());
         let cfg = build_config(&opts).unwrap();
-        assert_eq!(cfg.workers, Some(2));
-        let opts = parse(&[]).unwrap();
+        assert_eq!((cfg.workers, cfg.stage_cache), (Some(3), Some(0)));
+        assert_eq!(cfg.disk_store.as_deref(), Some("warm"));
+
+        // The flag wins over the variable.
+        let other = args(
+            "--workers 2 --stage-cache 64 --store cold --telemetry f.json \
+             --trace f.trace --runs-dir runs",
+        );
+        assert_eq!(parse_env(&other, &vars).unwrap(), parse(&other).unwrap());
+
+        // A malformed value is refused, naming the variable, where the
+        // flag refuses it too.
+        for (name, flag, bad) in [
+            ("DDOSCOVERY_WORKERS", "--workers", "0"),
+            ("DDOSCOVERY_WORKERS", "--workers", "lots"),
+            ("DDOSCOVERY_STAGE_CACHE", "--stage-cache", "some"),
+        ] {
+            let err = parse_env(&[], &[(name, bad)]).unwrap_err();
+            assert!(err.starts_with(name), "{name}={bad}: {err}");
+            assert!(parse(&[flag, bad]).is_err());
+        }
+
+        // A blank value counts as unset; with nothing set anywhere the
+        // config's `None`s stay.
+        let blank: Vec<(&str, &str)> = vars.iter().map(|&(name, _)| (name, " ")).collect();
+        let opts = parse_env(&["--quick"], &blank).unwrap();
+        assert_eq!(opts, parse(&["--quick"]).unwrap());
         let cfg = build_config(&opts).unwrap();
-        assert_eq!(cfg.workers, None);
+        assert_eq!(cfg.workers.or(cfg.stage_cache), None);
+        assert_eq!(cfg.disk_store, None);
+        assert_eq!(opts.telemetry.or(opts.trace).or(opts.runs_dir), None);
     }
 
     #[test]
@@ -845,7 +902,7 @@ mod tests {
         assert_eq!(parse(&["--stage-cache", "64"]).unwrap().stage_cache, Some(64));
         assert!(parse(&["--stage-cache", "some"]).is_err());
         assert!(parse(&["--stage-cache"]).is_err());
-        // The flag lands in the config, where it wins over the env var.
+        // The flag lands in the config.
         let cfg = build_config(&parse(&["--quick", "--stage-cache", "off"]).unwrap()).unwrap();
         assert_eq!(cfg.stage_cache, Some(0));
         assert_eq!(ddoscovery::stagecache::resolve_bound(&cfg), 0);

@@ -46,11 +46,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Environment variable enabling the disk store when
-/// [`StudyConfig::disk_store`] is `None`: a directory path enables it
-/// there; empty or `off` disables.
-pub const STORE_ENV: &str = "DDOSCOVERY_STORE";
-
 /// Default store directory the CLI's bare `--store` flag resolves to,
 /// relative to the working directory.
 pub const DEFAULT_STORE_DIR: &str = ".ddoscovery/store";
@@ -94,33 +89,21 @@ fn cell_checksum(payload: &[u8]) -> u64 {
     h
 }
 
-/// Resolve the effective store directory for a config: the config
-/// knob wins, then [`STORE_ENV`], then off. An empty or `off` value
-/// disables the store at either level (so a config can force the
-/// store off in a process whose environment enables it).
+/// The effective store directory for a config: the
+/// [`StudyConfig::disk_store`] directory, or no store when the knob is
+/// `None`, empty or `off`.
 pub fn resolve_dir(config: &StudyConfig) -> Option<PathBuf> {
-    if let Some(dir) = &config.disk_store {
-        return enabled_dir(dir);
-    }
-    if let Ok(dir) = std::env::var(STORE_ENV) {
-        return enabled_dir(&dir);
-    }
-    None
-}
-
-/// The disk store a run should use, if any. See [`resolve_dir`] for
-/// the precedence.
-pub fn resolve(config: &StudyConfig) -> Option<DiskStore> {
-    resolve_dir(config).map(DiskStore::open)
-}
-
-fn enabled_dir(dir: &str) -> Option<PathBuf> {
-    let dir = dir.trim();
+    let dir = config.disk_store.as_deref()?.trim();
     if dir.is_empty() || dir.eq_ignore_ascii_case("off") {
         None
     } else {
         Some(PathBuf::from(dir))
     }
+}
+
+/// The disk store a run should use, if any (see [`resolve_dir`]).
+pub fn resolve(config: &StudyConfig) -> Option<DiskStore> {
+    resolve_dir(config).map(DiskStore::open)
 }
 
 /// Frame a payload into cell bytes: header (see [`CELL_HEADER_LEN`])
@@ -531,9 +514,6 @@ mod tests {
 
     #[test]
     fn resolution_prefers_config_and_honors_off() {
-        // Config set: wins outright (this test never touches the
-        // process environment, so it is parallel-safe; env fallback is
-        // covered by the CLI subprocess tests).
         let mut cfg = StudyConfig::quick();
         cfg.disk_store = Some("/tmp/somewhere".into());
         assert_eq!(resolve_dir(&cfg), Some(PathBuf::from("/tmp/somewhere")));
@@ -542,8 +522,6 @@ mod tests {
         cfg.disk_store = Some("  ".into());
         assert_eq!(resolve_dir(&cfg), None);
         cfg.disk_store = None;
-        if std::env::var(STORE_ENV).is_err() {
-            assert_eq!(resolve_dir(&cfg), None);
-        }
+        assert_eq!(resolve_dir(&cfg), None);
     }
 }

@@ -539,9 +539,7 @@ impl StudyRun {
                         ShardOut::Alerts(out)
                     }
                 };
-                if obs::enabled() {
-                    shard_ns.record(watch.elapsed_ns());
-                }
+                shard_ns.record(watch.elapsed_ns());
                 out
             }, (), |(), idx, out| match out {
                 ShardOut::Plain(v) => plain_streams[tasks[idx].observatory].append(v),

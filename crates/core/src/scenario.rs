@@ -58,24 +58,22 @@ pub struct StudyConfig {
     /// invariant to this knob as long as failures stay within the
     /// retry budget.
     pub chaos: Option<ChaosPlan>,
-    /// Worker count for the execution pool. `None` uses the process
-    /// default (the `DDOSCOVERY_WORKERS` env var, else available
-    /// parallelism). Results are identical for every setting — the
-    /// pool merges shards in deterministic order.
+    /// Worker count for the execution pool. `None` runs on
+    /// [`simcore::ExecPool::global`], one worker per available core.
+    /// Results are identical for every setting — the pool merges
+    /// shards in deterministic order.
     pub workers: Option<usize>,
-    /// Stage-cache bound in entries. `None` uses the process default
-    /// (the `DDOSCOVERY_STAGE_CACHE` env var — `off` or an entry
-    /// count — else [`crate::stagecache::DEFAULT_BOUND`]); `Some(0)`
-    /// disables cross-run caching for this config. Results are
-    /// byte-identical either way — the cache stores exact stage
-    /// outputs keyed by fingerprints of exactly their inputs.
+    /// Stage-cache bound in entries. `None` means
+    /// [`crate::stagecache::DEFAULT_BOUND`]; `Some(0)` disables
+    /// cross-run caching for this config. Results are byte-identical
+    /// either way — the cache stores exact stage outputs keyed by
+    /// fingerprints of exactly their inputs.
     pub stage_cache: Option<usize>,
-    /// Persistent stage-store directory (DESIGN.md §11). `None` uses
-    /// the process default (the `DDOSCOVERY_STORE` env var — a
-    /// directory path — else off); `Some(dir)` enables the disk tier
-    /// there; an empty string or `off` forces it off. Results are
-    /// byte-identical either way: loads are integrity-checked and a
-    /// rejected cell falls back to recompute.
+    /// Persistent stage-store directory (DESIGN.md §11). `Some(dir)`
+    /// enables the disk tier there; `None`, an empty string or `off`
+    /// runs without it. Results are byte-identical either way: loads
+    /// are integrity-checked and a rejected cell falls back to
+    /// recompute.
     pub disk_store: Option<String>,
 }
 

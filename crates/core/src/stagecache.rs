@@ -53,40 +53,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// ~18-point sweep's working set.
 pub const DEFAULT_BOUND: usize = 256;
 
-/// Environment variable controlling the stage cache when
-/// [`StudyConfig::stage_cache`] is `None`: `off` (or `0`) disables it,
-/// an integer sets the entry bound.
-pub const STAGE_CACHE_ENV: &str = "DDOSCOVERY_STAGE_CACHE";
-
-/// Parse a [`STAGE_CACHE_ENV`] value: `off` (case-insensitive) means
-/// bypass, otherwise an entry count. The CLI surfaces the `Err` as a
-/// typed config error; library callers downgrade it to a warning.
-pub fn parse_env_bound(v: &str) -> std::result::Result<usize, String> {
-    let v = v.trim();
-    if v.eq_ignore_ascii_case("off") {
-        return Ok(0);
-    }
-    v.parse::<usize>()
-        .map_err(|_| format!("expected `off` or an entry count, got {v:?}"))
-}
-
-/// Resolve the effective cache bound for a config: the config knob
-/// wins, then [`STAGE_CACHE_ENV`], then [`DEFAULT_BOUND`]. `0` means
-/// "bypass the cache". A malformed env value is *not* silently
-/// ignored: it warns and falls back to the default bound.
+/// The effective cache bound for a config: the config knob, else
+/// [`DEFAULT_BOUND`]. `0` means "bypass the cache".
 pub fn resolve_bound(config: &StudyConfig) -> usize {
-    if let Some(n) = config.stage_cache {
-        return n;
-    }
-    if let Ok(v) = std::env::var(STAGE_CACHE_ENV) {
-        match parse_env_bound(&v) {
-            Ok(n) => return n,
-            Err(message) => obs::warn!(
-                "{STAGE_CACHE_ENV}: {message}; using the default bound {DEFAULT_BOUND}"
-            ),
-        }
-    }
-    DEFAULT_BOUND
+    config.stage_cache.unwrap_or(DEFAULT_BOUND)
 }
 
 // ---------------------------------------------------------------------
@@ -799,13 +769,8 @@ mod tests {
         assert_eq!(resolve_bound(&cfg), 5);
         cfg.stage_cache = Some(0);
         assert_eq!(resolve_bound(&cfg), 0);
-        // None falls back to env/default; with no env set in the test
-        // process this is the default. (Env-var behaviour is covered by
-        // the CLI subprocess tests, which control their environment.)
         cfg.stage_cache = None;
-        if std::env::var(STAGE_CACHE_ENV).is_err() {
-            assert_eq!(resolve_bound(&cfg), DEFAULT_BOUND);
-        }
+        assert_eq!(resolve_bound(&cfg), DEFAULT_BOUND);
     }
 
     /// A private cache exercising coalescing, LRU eviction, and the

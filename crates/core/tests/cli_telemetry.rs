@@ -125,7 +125,22 @@ fn telemetry_env_var_is_honored() {
     let text = std::fs::read_to_string(&path).expect("env-var manifest file");
     std::fs::remove_file(&path).ok();
     let v: Value = serde_json::from_str(&text).unwrap();
-    // No --workers flag: the run captures the env-driven default pool.
-    assert_eq!(v.get("run").unwrap().get("workers"), Some(&Value::Null));
+    // The variable reaches the config, as `--workers 3` does.
+    assert_eq!(uint(v.get("run").unwrap().get("workers").unwrap()), 3);
     assert!(v.get("metrics").unwrap().get("counters").unwrap().get("gen.attacks").is_some());
+}
+
+#[test]
+fn malformed_env_var_is_a_usage_error_naming_it() {
+    // The variable goes through the `--workers` parser, so `0` is
+    // refused before any work starts, exactly like `--workers 0`.
+    let out = Command::new(env!("CARGO_BIN_EXE_ddoscovery"))
+        .args(["trends", "--quick"])
+        .env("DDOSCOVERY_WORKERS", "0")
+        .output()
+        .expect("spawn ddoscovery");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no study output on a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("DDOSCOVERY_WORKERS"), "stderr: {stderr}");
 }

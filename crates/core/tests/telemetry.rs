@@ -1,7 +1,6 @@
 //! The telemetry layer's non-negotiable invariant: metrics, spans, and
 //! manifests are a pure side channel. Study output must be
-//! byte-identical with telemetry enabled, disabled, and at any worker
-//! count.
+//! byte-identical at any worker count and with tracing armed or not.
 
 use ddoscovery::{ObsId, StudyConfig, StudyRun};
 
@@ -38,7 +37,7 @@ fn output_fingerprint(run: &StudyRun) -> Vec<u8> {
 }
 
 #[test]
-fn output_is_byte_identical_across_telemetry_state_and_worker_counts() {
+fn output_is_byte_identical_across_worker_counts() {
     let mut cfg = StudyConfig::quick();
     cfg.workers = Some(1);
     // Bypass the stage cache: this test must compare actual
@@ -46,24 +45,13 @@ fn output_is_byte_identical_across_telemetry_state_and_worker_counts() {
     // test in tests/stage_cache.rs).
     cfg.stage_cache = Some(0);
 
-    obs::set_enabled(true);
     let baseline = output_fingerprint(&StudyRun::execute(&cfg));
     assert!(!baseline.is_empty());
 
-    // Telemetry off: same bytes.
-    obs::set_enabled(false);
-    let disabled = output_fingerprint(&StudyRun::execute(&cfg));
-    obs::set_enabled(true);
-    assert!(disabled == baseline, "telemetry off changed study output");
-
-    // Telemetry on, different worker counts: same bytes.
     for workers in [2, 5] {
         cfg.workers = Some(workers);
         let par = output_fingerprint(&StudyRun::execute(&cfg));
-        assert!(
-            par == baseline,
-            "study output diverged at {workers} workers with telemetry on"
-        );
+        assert!(par == baseline, "output diverged at {workers} workers");
     }
 }
 
@@ -75,7 +63,6 @@ fn output_is_byte_identical_with_tracing_armed() {
     let mut cfg = StudyConfig::quick();
     cfg.workers = Some(1);
     cfg.stage_cache = Some(0);
-    obs::set_enabled(true);
     let baseline = output_fingerprint(&StudyRun::execute(&cfg));
 
     for workers in [1usize, 4, 8] {

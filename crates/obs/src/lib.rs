@@ -1,9 +1,9 @@
 //! `obs` — the observability layer of the reproduction.
 //!
-//! Everything in this crate is a **pure side channel**: enabling,
-//! disabling, or reconfiguring telemetry must never change a single
-//! byte of study output. That invariant is what lets the layer stay on
-//! in release builds and in every test — the pipeline's determinism
+//! Everything in this crate is a **pure side channel**: recording,
+//! tracing, or logging must never change a single byte of study
+//! output. That invariant is what lets the layer stay always on, in
+//! release builds and in every test — the pipeline's determinism
 //! contract (DESIGN.md §4) is about *simulation* state, and nothing
 //! here feeds back into it.
 //!
@@ -32,6 +32,10 @@
 //! [`store::publish`] it shares with the stage store; and [`retry`],
 //! bounded retry-with-backoff for transient IO (EINTR, claim-by-create
 //! races) at the filesystem and socket boundary.
+//!
+//! The logger's `DDOSCOVERY_LOG` is the one environment variable the
+//! crate reads; every other setting (manifest and trace paths, the
+//! run-store directory) comes from its caller.
 
 pub mod log;
 pub mod manifest;
@@ -41,43 +45,20 @@ pub mod span;
 pub mod store;
 pub mod trace;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide telemetry switch. On by default: recording is cheap
-/// (relaxed atomics) and the output invariant makes it safe. Disabling
-/// skips wall-clock reads and histogram updates; counters keep
-/// counting (they cost one relaxed add and several are folded into
-/// library statistics).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Is telemetry recording enabled?
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enable or disable telemetry recording. Study output is byte-for-byte
-/// identical either way — enforced by `crates/core/tests/telemetry.rs`.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// A wall-clock stopwatch that degrades to a no-op when telemetry is
-/// disabled. The only way simulation crates may measure elapsed time.
+/// A wall-clock stopwatch. The only way simulation crates may measure
+/// elapsed time.
 #[derive(Debug)]
-pub struct Stopwatch(Option<std::time::Instant>);
+pub struct Stopwatch(std::time::Instant);
 
 impl Stopwatch {
-    /// Start timing now (or never, if telemetry is off).
+    /// Start timing now.
     pub fn start() -> Stopwatch {
-        Stopwatch(enabled().then(std::time::Instant::now))
+        Stopwatch(std::time::Instant::now())
     }
 
-    /// Nanoseconds since [`Stopwatch::start`]; 0 when disabled.
+    /// Nanoseconds since [`Stopwatch::start`].
     pub fn elapsed_ns(&self) -> u64 {
-        self.0
-            .map(|t| t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64)
-            .unwrap_or(0)
+        self.0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
     }
 }
 

@@ -8,7 +8,7 @@
 //! This file is the one allowlisted `eprintln!` site in library code.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// Environment variable selecting the maximum emitted level.
 pub const LOG_ENV: &str = "DDOSCOVERY_LOG";
@@ -23,15 +23,6 @@ pub enum Level {
 }
 
 impl Level {
-    fn from_u8(v: u8) -> Level {
-        match v {
-            0 => Level::Error,
-            1 => Level::Warn,
-            2 => Level::Info,
-            _ => Level::Debug,
-        }
-    }
-
     /// Parse a `DDOSCOVERY_LOG` value; `None` for unrecognized input.
     pub fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
@@ -59,26 +50,16 @@ impl fmt::Display for Level {
     }
 }
 
-/// 255 = not yet initialized from the environment.
-static MAX_LEVEL: AtomicU8 = AtomicU8::new(255);
-
-/// The maximum level currently emitted (default: `info`).
+/// The maximum level emitted: `DDOSCOVERY_LOG` as read on first use,
+/// else `info`.
 pub fn max_level() -> Level {
-    let raw = MAX_LEVEL.load(Ordering::Relaxed);
-    if raw != 255 {
-        return Level::from_u8(raw);
-    }
-    let level = std::env::var(LOG_ENV)
-        .ok()
-        .and_then(|v| Level::parse(&v))
-        .unwrap_or(Level::Info);
-    MAX_LEVEL.store(level as u8, Ordering::Relaxed);
-    level
-}
-
-/// Override the emitted level (wins over the environment).
-pub fn set_max_level(level: Level) {
-    MAX_LEVEL.store(level as u8, Ordering::Relaxed);
+    static MAX_LEVEL: OnceLock<Level> = OnceLock::new();
+    *MAX_LEVEL.get_or_init(|| {
+        std::env::var(LOG_ENV)
+            .ok()
+            .and_then(|v| Level::parse(&v))
+            .unwrap_or(Level::Info)
+    })
 }
 
 /// Emit one record to stderr if `level` is within the configured
@@ -132,13 +113,5 @@ mod tests {
     fn ordering_matches_severity() {
         assert!(Level::Error < Level::Warn);
         assert!(Level::Info < Level::Debug);
-    }
-
-    #[test]
-    fn set_max_level_wins() {
-        set_max_level(Level::Error);
-        assert_eq!(max_level(), Level::Error);
-        set_max_level(Level::Info);
-        assert_eq!(max_level(), Level::Info);
     }
 }

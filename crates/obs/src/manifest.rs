@@ -11,10 +11,6 @@
 use crate::metrics::{self, HistogramSnapshot, MetricsSnapshot};
 use serde::{Serialize, Value};
 
-/// Environment variable naming a manifest output path (the CLI's
-/// `--telemetry` flag wins over it).
-pub const TELEMETRY_ENV: &str = "DDOSCOVERY_TELEMETRY";
-
 /// Schema version of the manifest JSON document.
 pub const SCHEMA: u64 = 1;
 

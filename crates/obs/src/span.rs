@@ -46,15 +46,11 @@ thread_local! {
 /// An open span; records its latency histogram on drop.
 #[derive(Debug)]
 pub struct Span {
-    /// `None` when telemetry was disabled at entry — a pure no-op.
-    armed: Option<Instant>,
+    start: Instant,
 }
 
 /// Enter a span named `name`. Prefer the [`crate::span!`] macro.
 pub fn enter(name: &'static str) -> Span {
-    if !crate::enabled() {
-        return Span { armed: None };
-    }
     SPANS.with(|s| {
         let mut s = s.borrow_mut();
         let rewind = s.path.len();
@@ -68,16 +64,13 @@ pub fn enter(name: &'static str) -> Span {
         }
     });
     Span {
-        armed: Some(Instant::now()),
+        start: Instant::now(),
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(start) = self.armed.take() else {
-            return;
-        };
-        let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let ns = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         SPANS.with(|s| {
             let mut s = s.borrow_mut();
             let ThreadSpans {
@@ -117,16 +110,8 @@ macro_rules! span {
 mod tests {
     use super::*;
 
-    /// Serializes tests that poke the process-wide enabled switch.
-    fn switch_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap()
-    }
-
     #[test]
     fn spans_nest_into_dotted_paths() {
-        let _lock = switch_lock();
-        crate::set_enabled(true);
         {
             let _outer = enter("outer_span_test");
             let _inner = enter("inner");
@@ -139,8 +124,6 @@ mod tests {
 
     #[test]
     fn reentered_spans_reuse_interned_histogram_handles() {
-        let _lock = switch_lock();
-        crate::set_enabled(true);
         for _ in 0..3 {
             let _g = enter("interned_span_test");
         }
@@ -160,27 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_spans_record_nothing_and_keep_stack_clean() {
-        let _lock = switch_lock();
-        crate::set_enabled(false);
-        {
-            let _g = enter("disabled_span_test");
-        }
-        crate::set_enabled(true);
-        let snap = metrics::global().snapshot();
-        assert!(!snap.histograms.contains_key("span.disabled_span_test"));
-        // Stack must be balanced: a new span is top-level again.
-        {
-            let _g = enter("balanced_span_test");
-        }
-        let snap = metrics::global().snapshot();
-        assert!(snap.histograms.contains_key("span.balanced_span_test"));
-    }
-
-    #[test]
     fn armed_tracing_brackets_spans_with_counter_snapshots() {
-        let _lock = switch_lock();
-        crate::set_enabled(true);
         trace::clear();
         trace::enable(1024);
         {

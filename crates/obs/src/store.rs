@@ -14,18 +14,15 @@
 //! panic (the same discipline as the fault-injection layer).
 //!
 //! [`diff`] compares two manifests the way DESIGN.md says they should
-//! be compared: deterministic metrics (counters, gauges, stage
-//! fingerprints) exactly — these gate CI via `--gate <pct>` — and
-//! wall-clock histograms only as reported p50/p99 magnitudes, never
-//! gated, because latency varies run to run on shared hardware.
+//! be compared: counters and stage fingerprints exactly — counters
+//! alone gate CI via `--gate <pct>` — and gauges and wall-clock
+//! histogram p50/p99 only as reported magnitudes, never gated. The
+//! program's gauges (`pool.imbalance`, `run.peak_rss*`) move between
+//! identical runs, as latency does on shared hardware.
 
 use crate::manifest::{quantile, RunManifest};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Environment variable overriding the store directory (the CLI's
-/// `--runs-dir` flag wins over it).
-pub const RUNS_DIR_ENV: &str = "DDOSCOVERY_RUNS_DIR";
 
 /// Default store location, relative to the working directory.
 pub const DEFAULT_RUNS_DIR: &str = ".ddoscovery/runs";
@@ -52,14 +49,6 @@ pub struct StoreEntry {
 impl RunStore {
     pub fn new(dir: impl Into<PathBuf>) -> RunStore {
         RunStore { dir: dir.into() }
-    }
-
-    /// The store at `DDOSCOVERY_RUNS_DIR`, or `.ddoscovery/runs`.
-    pub fn open_default() -> RunStore {
-        match std::env::var(RUNS_DIR_ENV) {
-            Ok(dir) if !dir.is_empty() => RunStore::new(dir),
-            _ => RunStore::new(DEFAULT_RUNS_DIR),
-        }
     }
 
     pub fn dir(&self) -> &Path {
@@ -271,9 +260,9 @@ fn parse_seq(stem: &str) -> Option<u64> {
 // Diffing
 // ---------------------------------------------------------------------
 
-/// What kind of value a [`MetricDelta`] compares. Only deterministic
-/// kinds (counters and gauges) participate in `--gate`; histogram
-/// quantiles are wall-clock and report-only.
+/// What kind of value a [`MetricDelta`] compares. Only counters,
+/// which are deterministic in the seed, participate in `--gate`;
+/// gauges and histogram quantiles are report-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaKind {
     Counter,
@@ -327,13 +316,11 @@ impl MetricDelta {
         }
     }
 
-    /// May this delta trip `--gate`? Deterministic kinds only, and
-    /// only when the metric exists on both sides — a metric added or
-    /// removed by a code change is reported, not gated.
+    /// May this delta trip `--gate`? Counters only, and only when the
+    /// counter exists on both sides — a metric added or removed by a
+    /// code change is reported, not gated.
     pub fn gateable(&self) -> bool {
-        matches!(self.kind, DeltaKind::Counter | DeltaKind::Gauge)
-            && self.a.is_some()
-            && self.b.is_some()
+        self.kind == DeltaKind::Counter && self.a.is_some() && self.b.is_some()
     }
 }
 
@@ -434,7 +421,7 @@ pub fn diff(a_label: &str, a: &RunManifest, b_label: &str, b: &RunManifest) -> R
 
 impl RunDiff {
     /// Deltas whose absolute relative change exceeds `gate_pct`
-    /// percent, among the gateable (deterministic) ones.
+    /// percent, among the gateable ones (counters).
     pub fn breaches(&self, gate_pct: f64) -> Vec<&MetricDelta> {
         self.deltas
             .iter()
@@ -721,12 +708,13 @@ mod tests {
         let mut b = manifest(
             1,
             &[("gen.attacks", 1100), ("only_b", 9)],
-            &[("rss", 100.0)],
+            &[("rss", 130.0)],
         );
         b.run.stages[1].1 = 99;
         let d = diff("a", &a, "b", &b);
         assert!(!d.seed_changed && !d.config_changed);
-        // gen.attacks moved 10%; rss unchanged; only_a/only_b one-sided.
+        // gen.attacks moved 10%; the rss gauge 30%; only_a/only_b
+        // one-sided.
         let gen = d
             .deltas
             .iter()
@@ -737,6 +725,12 @@ mod tests {
         assert_eq!(breaches.len(), 1, "only the 10% counter move breaches");
         assert_eq!(breaches[0].name, "gen.attacks");
         assert!(d.breaches(15.0).is_empty());
+        // Gauges are reported, never gated: the 30% rss move stays
+        // under every gate.
+        let rss = d.deltas.iter().find(|x| x.name == "rss").expect("rss");
+        assert!(rss.changed() && !rss.gateable());
+        assert!(d.breaches(0.0).iter().all(|x| x.name != "rss"));
+        assert!(d.render().contains("+30.00%"));
         // One-sided metrics are reported but never gate.
         let one_sided = d.deltas.iter().find(|x| x.name == "only_a").expect("only_a");
         assert!(one_sided.changed() && !one_sided.gateable());

@@ -37,10 +37,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Environment variable naming a trace output path (the CLI's
-/// `--trace` flag wins over it).
-pub const TRACE_ENV: &str = "DDOSCOVERY_TRACE";
-
 /// Default per-lane ring capacity, in events.
 pub const DEFAULT_LANE_CAPACITY: usize = 1 << 16;
 

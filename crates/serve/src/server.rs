@@ -448,11 +448,9 @@ fn handle_connection(
             metrics.own_served.fetch_add(1, Ordering::Relaxed);
             metrics.count_status(resp.status);
             let ok = write_response(stream, &resp, cfg);
-            if obs::enabled() {
-                metrics
-                    .latency
-                    .record(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            }
+            metrics
+                .latency
+                .record(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
             // Access log on the leveled logger (DDOSCOVERY_LOG=debug).
             obs::debug!(
                 "http: {} {}{}{} -> {} ({} bytes{})",

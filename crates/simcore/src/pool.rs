@@ -52,9 +52,6 @@ impl PoolMetrics {
     }
 }
 
-/// Environment variable overriding the default worker count.
-pub const WORKERS_ENV: &str = "DDOSCOVERY_WORKERS";
-
 /// A stateless fork-join pool with a fixed worker budget.
 ///
 /// An optional [`ChaosSchedule`] injects deterministic panics into shard
@@ -87,11 +84,12 @@ impl ExecPool {
         ExecPool::new(1)
     }
 
-    /// The process-wide default pool: worker count from
-    /// [`WORKERS_ENV`] if set, otherwise `available_parallelism`.
+    /// The process-wide default pool: one worker per available core.
     pub fn global() -> ExecPool {
         static GLOBAL: OnceLock<ExecPool> = OnceLock::new();
-        *GLOBAL.get_or_init(|| ExecPool::new(default_workers()))
+        *GLOBAL.get_or_init(|| {
+            ExecPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        })
     }
 
     pub fn workers(&self) -> usize {
@@ -212,16 +210,17 @@ impl ExecPool {
                 fold(&mut acc, want, unwrap_shard(want, r));
             }
         });
-        if obs::enabled() {
-            let busy_ns: Vec<u64> = busy.iter().map(|b| b.load(Ordering::Relaxed) as u64).collect();
-            let max = busy_ns.iter().copied().max().unwrap_or(0);
-            let mean = busy_ns.iter().sum::<u64>() as f64 / busy_ns.len().max(1) as f64;
-            for ns in busy_ns {
-                metrics.busy_ns.record(ns);
-            }
-            if mean > 0.0 {
-                metrics.imbalance.set(max as f64 / mean);
-            }
+        let busy_ns: Vec<u64> = busy
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed) as u64)
+            .collect();
+        let max = busy_ns.iter().copied().max().unwrap_or(0);
+        let mean = busy_ns.iter().sum::<u64>() as f64 / busy_ns.len().max(1) as f64;
+        for ns in busy_ns {
+            metrics.busy_ns.record(ns);
+        }
+        if mean > 0.0 {
+            metrics.imbalance.set(max as f64 / mean);
         }
         acc
     }
@@ -300,17 +299,6 @@ fn unwrap_shard<R>(idx: usize, r: Result<R, CaughtPanic>) -> R {
 /// tiny inputs still produce at least one shard.
 pub fn shard_size(len: usize, workers: usize) -> usize {
     (len / (workers.max(1) * 4)).max(1)
-}
-
-fn default_workers() -> usize {
-    if let Ok(v) = std::env::var(WORKERS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

@@ -14,6 +14,9 @@
 //! each runs under a test-unique seed and counter assertions measure
 //! deltas.
 
+mod common;
+
+use common::output_fingerprint;
 use ddoscovery::{ChaosPlan, FaultPlan, ObsId, OutageSpec, StudyConfig, StudyRun};
 
 /// Silence the default panic printer for *injected* chaos panics (they
@@ -75,26 +78,6 @@ fn faulty_plan() -> FaultPlan {
         }),
         seed: 0xFA17,
     }
-}
-
-/// Every projection the paper consumes, flattened to bytes (bitwise:
-/// NaN masks compare exactly).
-fn output_fingerprint(run: &StudyRun) -> Vec<u8> {
-    let mut out = Vec::new();
-    for id in ObsId::ALL {
-        out.extend(id.slug().as_bytes());
-        for v in &run.weekly_series(id).values {
-            out.extend(v.to_bits().to_le_bytes());
-        }
-        for v in &run.normalized_series(id).values {
-            out.extend(v.to_bits().to_le_bytes());
-        }
-        for &(day, ip) in run.target_tuples(id) {
-            out.extend(day.to_le_bytes());
-            out.extend(ip.0.to_le_bytes());
-        }
-    }
-    out
 }
 
 /// The headline invariant: one fault plan, one seed ⇒ one output, no

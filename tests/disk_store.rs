@@ -9,10 +9,13 @@
 //! so every test here serializes on one mutex, measures counter
 //! *deltas*, and runs under a test-unique seed and store directory.
 
+mod common;
+
 use attackgen::{AttackId, ObservationColumns};
+use common::output_fingerprint;
 use ddoscovery::diskstore::CELL_HEADER_LEN;
 use ddoscovery::stagecache::StageCache;
-use ddoscovery::{DiskStore, ObsId, StudyConfig, StudyRun};
+use ddoscovery::{DiskStore, StudyConfig, StudyRun};
 use netmodel::Ipv4;
 use simcore::SimTime;
 use std::fs;
@@ -48,34 +51,6 @@ fn tiny_cfg(seed: u64, dir: &Path) -> StudyConfig {
     cfg.stage_cache = Some(64);
     cfg.disk_store = Some(dir.display().to_string());
     cfg
-}
-
-/// Every projection the paper consumes, flattened to bytes (bitwise:
-/// NaN masks compare exactly).
-fn output_fingerprint(run: &StudyRun) -> Vec<u8> {
-    let mut out = Vec::new();
-    for id in ObsId::ALL {
-        out.extend(id.slug().as_bytes());
-        for v in &run.weekly_series(id).values {
-            out.extend(v.to_bits().to_le_bytes());
-        }
-        for v in &run.normalized_series(id).values {
-            out.extend(v.to_bits().to_le_bytes());
-        }
-        for &(day, ip) in run.target_tuples(id) {
-            out.extend(day.to_le_bytes());
-            out.extend(ip.0.to_le_bytes());
-        }
-    }
-    for &(day, ip) in run.netscout_baseline_tuples() {
-        out.extend(day.to_le_bytes());
-        out.extend(ip.0.to_le_bytes());
-    }
-    for &(day, ip) in run.akamai_tuples() {
-        out.extend(day.to_le_bytes());
-        out.extend(ip.0.to_le_bytes());
-    }
-    out
 }
 
 /// Snapshot of the cumulative disk-tier and execution counters, summed

@@ -7,8 +7,11 @@
 //! frozen reference the columnar engine is checked against, across
 //! worker counts × stage-cache on/off × a non-empty `FaultPlan`.
 
+mod common;
+
+use common::output_fingerprint;
 use ddoscovery::faults::{ChurnSpec, DegradationSpec, FaultPlan, OutageSpec};
-use ddoscovery::{ObsId, StudyConfig, StudyRun};
+use ddoscovery::{StudyConfig, StudyRun};
 use obs::manifest::fnv1a;
 
 /// Small fast config with every masking path live: paper missing-data
@@ -47,34 +50,6 @@ fn golden_cfg(cache: usize, workers: usize) -> StudyConfig {
     cfg.stage_cache = Some(cache);
     cfg.workers = Some(workers);
     cfg
-}
-
-/// Every projection the paper consumes, flattened to bytes (bitwise:
-/// NaN masks compare exactly). Mirrors `tests/stage_cache.rs`.
-fn output_fingerprint(run: &StudyRun) -> Vec<u8> {
-    let mut out = Vec::new();
-    for id in ObsId::ALL {
-        out.extend(id.slug().as_bytes());
-        for v in &run.weekly_series(id).values {
-            out.extend(v.to_bits().to_le_bytes());
-        }
-        for v in &run.normalized_series(id).values {
-            out.extend(v.to_bits().to_le_bytes());
-        }
-        for &(day, ip) in run.target_tuples(id) {
-            out.extend(day.to_le_bytes());
-            out.extend(ip.0.to_le_bytes());
-        }
-    }
-    for &(day, ip) in run.netscout_baseline_tuples() {
-        out.extend(day.to_le_bytes());
-        out.extend(ip.0.to_le_bytes());
-    }
-    for &(day, ip) in run.akamai_tuples() {
-        out.extend(day.to_le_bytes());
-        out.extend(ip.0.to_le_bytes());
-    }
-    out
 }
 
 /// The frozen pre-refactor hash: identical for every (workers, cache)

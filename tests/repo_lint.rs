@@ -1,5 +1,5 @@
 //! The repo's source lint (`make lint`; the workspace test run includes
-//! it), eight rules:
+//! it), nine rules:
 //!
 //! 1. No wall-clock or OS-entropy primitives anywhere in simulation
 //!    code: every stochastic draw must fork from the study seed and
@@ -43,6 +43,11 @@
 //!    one crate owns accept loops, deadlines, and load shedding, so a
 //!    socket anywhere else would dodge the admission control and the
 //!    `http.*` counters. Tests and benches may open client sockets.
+//! 9. Environment variables become settings only in the CLI binary
+//!    (`crates/core/src/bin/ddoscovery.rs`), plus the logger's
+//!    `DDOSCOVERY_LOG` in `crates/obs/src/log.rs`: library code reads
+//!    the `StudyConfig` it is handed, so a run is decided by its
+//!    config. Test modules, tests and examples may read variables.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -216,6 +221,19 @@ fn repo_lint_rules_hold() {
                     || rel.starts_with("crates/serve/src/")
             },
             library_lines_only: false,
+        },
+        Rule {
+            name: "environment read outside the CLI front door",
+            patterns: vec![["env::", "var("].concat()],
+            dirs: &["crates", "src"],
+            // Same library scope as the print rule; inline test modules
+            // (e.g. the two-process race helper in obs::store) are out.
+            allow: |rel| {
+                !(rel.starts_with("src/") || rel.contains("/src/"))
+                    || rel == "crates/core/src/bin/ddoscovery.rs"
+                    || rel == "crates/obs/src/log.rs"
+            },
+            library_lines_only: true,
         },
     ];
 

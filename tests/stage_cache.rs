@@ -9,6 +9,9 @@
 //! and runs under a test-unique seed (a seed change re-keys every
 //! stage, so no entries are shared across tests).
 
+mod common;
+
+use common::output_fingerprint;
 use ddoscovery::stagecache::{Stage, StageCache, StageStats};
 use ddoscovery::sweep::sweep;
 use ddoscovery::{ObsId, StudyConfig, StudyRun};
@@ -51,34 +54,6 @@ fn tiny_cfg(seed: u64) -> StudyConfig {
     cfg.workers = Some(2);
     cfg.stage_cache = Some(64);
     cfg
-}
-
-/// Every projection the paper consumes, flattened to bytes (bitwise:
-/// NaN masks compare exactly).
-fn output_fingerprint(run: &StudyRun) -> Vec<u8> {
-    let mut out = Vec::new();
-    for id in ObsId::ALL {
-        out.extend(id.slug().as_bytes());
-        for v in &run.weekly_series(id).values {
-            out.extend(v.to_bits().to_le_bytes());
-        }
-        for v in &run.normalized_series(id).values {
-            out.extend(v.to_bits().to_le_bytes());
-        }
-        for &(day, ip) in run.target_tuples(id) {
-            out.extend(day.to_le_bytes());
-            out.extend(ip.0.to_le_bytes());
-        }
-    }
-    for &(day, ip) in run.netscout_baseline_tuples() {
-        out.extend(day.to_le_bytes());
-        out.extend(ip.0.to_le_bytes());
-    }
-    for &(day, ip) in run.akamai_tuples() {
-        out.extend(day.to_le_bytes());
-        out.extend(ip.0.to_le_bytes());
-    }
-    out
 }
 
 /// The headline reuse guarantee: an observation-parameter sweep of G
