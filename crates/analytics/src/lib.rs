@@ -4,8 +4,8 @@
 //!   weeks), 12-week EWMA, OLS trend lines and Table-1 trend classes;
 //! * [`corr`]: Spearman/Pearson with t-test p-values (Fig. 6),
 //!   quarterly correlation boxes (Fig. 14 / App. F);
-//! * [`upset`]: exclusive set intersections of (date, IP) targets
-//!   (Fig. 7);
+//! * [`upset`]: the sorted membership column of (date, IP) target
+//!   sets and its exclusive intersections (Fig. 7);
 //! * [`overlap`]: overlap time series, new-vs-recurring decomposition,
 //!   industry confirmation joins (Fig. 8, 9, 10, 13);
 //! * [`heatmap`]: the Fig.-4 matrix;
@@ -32,9 +32,9 @@ pub use corr::{
 pub use heatmap::Heatmap;
 pub use lag::{best_lag, durable_crossing, lagged_spearman, share_series, LagResult};
 pub use overlap::{
-    confirmation_shares, ip_overlap_share, new_vs_recurring, weekly_overlap,
+    confirmation_shares, intersect_sorted, ip_overlap_share, new_vs_recurring, weekly_overlap,
     weekly_target_counts, ConfirmationShares, NewRecurring, OverlapSeries,
 };
 pub use seasonal::{monthly_profile, seasonal_summary, SeasonalSummary};
 pub use series::{median, relative_change_4y, Regression, Trend, WeekMask, WeeklySeries};
-pub use upset::{upset, TargetTuple, UpsetAnalysis};
+pub use upset::{mask_label, membership, upset, Member, TargetTuple, UpsetAnalysis};

@@ -1,18 +1,39 @@
 //! Target-overlap time series and industry confirmation joins
 //! (Fig. 8, 9, 10, 13 and the §7 scalar statistics).
+//!
+//! Like [`crate::upset`], every join here is a merge of sorted,
+//! duplicate-free slices; unsorted input is sorted once on entry.
 
-use crate::upset::TargetTuple;
+use crate::upset::{distinct_ips, membership, sorted_distinct, Member, TargetTuple};
+use netmodel::Ipv4;
 use serde::{Deserialize, Serialize};
 use simcore::STUDY_WEEKS;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::HashSet;
+
+/// The elements common to two sorted, duplicate-free slices, by merge.
+pub fn intersect_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
+    let (mut i, mut j) = (0, 0);
+    let mut out = Vec::new();
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        match x.cmp(&y) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                out.push(x);
+                (i, j) = (i + 1, j + 1);
+            }
+        }
+    }
+    out
+}
 
 /// Weekly counts of distinct (day, IP) targets: tuples are daily-
 /// distinct by construction; the weekly series sums days (§5: "time
 /// series count daily tuples and sum them up to weekly totals").
 pub fn weekly_target_counts(tuples: &[TargetTuple]) -> Vec<f64> {
-    let distinct: HashSet<TargetTuple> = tuples.iter().copied().collect();
     let mut out = vec![0.0; STUDY_WEEKS];
-    for (day, _) in distinct {
+    for &(day, _) in sorted_distinct(tuples).iter() {
         let w = day.div_euclid(7);
         if (0..STUDY_WEEKS as i64).contains(&w) {
             out[w as usize] += 1.0;
@@ -31,13 +52,11 @@ pub struct OverlapSeries {
 }
 
 pub fn weekly_overlap(a: &[TargetTuple], b: &[TargetTuple]) -> OverlapSeries {
-    let sa: HashSet<TargetTuple> = a.iter().copied().collect();
-    let sb: HashSet<TargetTuple> = b.iter().copied().collect();
-    let shared: Vec<TargetTuple> = sa.intersection(&sb).copied().collect();
+    let (a, b) = (sorted_distinct(a), sorted_distinct(b));
     OverlapSeries {
-        a: weekly_target_counts(a),
-        b: weekly_target_counts(b),
-        shared: weekly_target_counts(&shared),
+        a: weekly_target_counts(&a),
+        b: weekly_target_counts(&b),
+        shared: weekly_target_counts(&intersect_sorted(&a, &b)),
     }
 }
 
@@ -53,15 +72,11 @@ pub struct NewRecurring {
 }
 
 pub fn new_vs_recurring(tuples: &[TargetTuple]) -> NewRecurring {
-    let mut distinct: Vec<TargetTuple> = tuples.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    // Process in day order; track first appearance of each IP.
-    distinct.sort_by_key(|&(day, ip)| (day, ip));
-    let mut seen: HashSet<netmodel::Ipv4> = HashSet::new();
+    // Process in (day, ip) order; track first appearance of each IP.
+    let mut seen: HashSet<Ipv4> = HashSet::new();
     let mut new_targets = vec![0.0; STUDY_WEEKS];
     let mut recurring = vec![0.0; STUDY_WEEKS];
-    for (day, ip) in distinct {
+    for &(day, ip) in sorted_distinct(tuples).iter() {
         let w = day.div_euclid(7);
         if !(0..STUDY_WEEKS as i64).contains(&w) {
             continue;
@@ -106,53 +121,55 @@ pub struct ConfirmationShares {
     pub industry_seen_by_union: f64,
 }
 
+/// Fig. 9 / 13 over raw sets: tuples may be unsorted and contain
+/// duplicates. See [`ConfirmationShares::of`].
 pub fn confirmation_shares(
     academic: &[(String, Vec<TargetTuple>)],
     industry: &[TargetTuple],
 ) -> ConfirmationShares {
-    let industry_set: HashSet<TargetTuple> = industry.iter().copied().collect();
-    // Membership masks over academic sets.
-    let mut membership: HashMap<TargetTuple, u16> = HashMap::new();
-    for (i, (_, tuples)) in academic.iter().enumerate() {
-        for &t in tuples {
-            *membership.entry(t).or_insert(0) |= 1 << i;
-        }
-    }
-    // Exclusive-subset confirmation.
-    let mut subset_total: HashMap<u16, usize> = HashMap::new();
-    let mut subset_confirmed: HashMap<u16, usize> = HashMap::new();
-    for (&t, &mask) in &membership {
-        *subset_total.entry(mask).or_insert(0) += 1;
-        if industry_set.contains(&t) {
-            *subset_confirmed.entry(mask).or_insert(0) += 1;
-        }
-    }
-    let mut rows: Vec<(u16, usize, f64)> = subset_total
-        .iter()
-        .map(|(&mask, &total)| {
-            let confirmed = *subset_confirmed.get(&mask).unwrap_or(&0);
-            (mask, total, confirmed as f64 / total as f64)
-        })
-        .collect();
-    rows.sort_by_key(|(mask, _, _)| *mask);
+    let slices: Vec<&[TargetTuple]> = academic.iter().map(|(_, t)| t.as_slice()).collect();
+    ConfirmationShares::of(&membership(&slices), academic.len(), industry)
+}
 
-    // Reverse direction.
-    let industry_n = industry_set.len().max(1);
-    let industry_seen_by = academic
-        .iter()
-        .map(|(_, tuples)| {
-            let s: HashSet<TargetTuple> = tuples.iter().copied().collect();
-            industry_set.intersection(&s).count() as f64 / industry_n as f64
-        })
-        .collect();
-    let union: HashSet<TargetTuple> = membership.keys().copied().collect();
-    let industry_seen_by_union =
-        industry_set.intersection(&union).count() as f64 / industry_n as f64;
-
-    ConfirmationShares {
-        rows,
-        industry_seen_by,
-        industry_seen_by_union,
+impl ConfirmationShares {
+    /// The confirmation join of a [`membership`] column over `n_sets`
+    /// academic sets against an industry set, in one merge pass.
+    pub fn of(column: &[Member], n_sets: usize, industry: &[TargetTuple]) -> ConfirmationShares {
+        // (targets, confirmed targets) per exclusive subset mask.
+        let mut per_mask = vec![(0usize, 0usize); 1 << n_sets];
+        for &(_, mask) in column {
+            per_mask[mask as usize].0 += 1;
+        }
+        // Walk the industry set; the cursor into the column only moves
+        // forward.
+        let industry = sorted_distinct(industry);
+        let mut i = 0;
+        for &t in industry.iter() {
+            while column.get(i).is_some_and(|&(c, _)| c < t) {
+                i += 1;
+            }
+            if let Some(&(_, mask)) = column.get(i).filter(|&&(c, _)| c == t) {
+                per_mask[mask as usize].1 += 1;
+            }
+        }
+        // Share of the industry set confirmed by every set in `bits`
+        // (mask 0 holds no targets, so `bits == 0` is the union).
+        let industry_n = industry.len().max(1) as f64;
+        let seen_by = |bits: usize| {
+            let confirmed: usize = (0..per_mask.len())
+                .filter(|&m| m & bits == bits)
+                .map(|m| per_mask[m].1)
+                .sum();
+            confirmed as f64 / industry_n
+        };
+        let subsets = per_mask.iter().enumerate().filter(|(_, &(n, _))| n > 0);
+        ConfirmationShares {
+            rows: subsets
+                .map(|(m, &(n, confirmed))| (m as u16, n, confirmed as f64 / n as f64))
+                .collect(),
+            industry_seen_by: (0..n_sets).map(|i| seen_by(1 << i)).collect(),
+            industry_seen_by_union: seen_by(0),
+        }
     }
 }
 
@@ -160,13 +177,13 @@ pub fn confirmation_shares(
 /// relative to the smaller set — the Jonker-et-al.-style comparison of
 /// §7.1 ("this overlap is lower, i.e., 1.18%–2.9% of the IP addresses").
 pub fn ip_overlap_share(a: &[TargetTuple], b: &[TargetTuple]) -> f64 {
-    let ips_a: HashSet<netmodel::Ipv4> = a.iter().map(|&(_, ip)| ip).collect();
-    let ips_b: HashSet<netmodel::Ipv4> = b.iter().map(|&(_, ip)| ip).collect();
+    let ips_a = distinct_ips(a.iter().copied());
+    let ips_b = distinct_ips(b.iter().copied());
     let smaller = ips_a.len().min(ips_b.len());
     if smaller == 0 {
         return 0.0;
     }
-    ips_a.intersection(&ips_b).count() as f64 / smaller as f64
+    intersect_sorted(&ips_a, &ips_b).len() as f64 / smaller as f64
 }
 
 #[cfg(test)]

@@ -5,14 +5,81 @@
 //! number of targets seen by *exactly* that combination — the exclusive
 //! intersections of the figure's top bar plot — alongside per-set totals
 //! (the left bar plot).
+//!
+//! The sets are merged once into a sorted [`membership`] column (each
+//! distinct tuple with the mask of sets holding it); the UpSet and
+//! confirmation analyses are linear passes over it.
 
 use netmodel::Ipv4;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 /// A `(day index, target IP)` tuple.
 pub type TargetTuple = (i64, Ipv4);
+
+/// One distinct tuple and its membership mask (bit `i` set ⇔ member of
+/// set `i`).
+pub type Member = (TargetTuple, u16);
+
+/// `items` as a sorted, duplicate-free slice: borrowed when it already
+/// is one (every per-observatory projection is), otherwise a sorted and
+/// deduplicated copy.
+pub(crate) fn sorted_distinct<T: Ord + Copy>(items: &[T]) -> Cow<'_, [T]> {
+    if items.windows(2).all(|w| w[0] < w[1]) {
+        return Cow::Borrowed(items);
+    }
+    let mut owned = items.to_vec();
+    owned.sort_unstable();
+    owned.dedup();
+    Cow::Owned(owned)
+}
+
+/// The distinct IP addresses of a tuple stream, ascending.
+pub(crate) fn distinct_ips(tuples: impl Iterator<Item = TargetTuple>) -> Vec<Ipv4> {
+    let mut ips: Vec<Ipv4> = tuples.map(|(_, ip)| ip).collect();
+    ips.sort_unstable();
+    ips.dedup();
+    ips
+}
+
+/// Human-readable name of a membership mask over the sets `names`,
+/// e.g. "UCSD+AmpPot".
+pub fn mask_label(names: &[impl AsRef<str>], mask: u16) -> String {
+    let parts: Vec<&str> = names
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, n)| n.as_ref())
+        .collect();
+    parts.join("+")
+}
+
+/// The membership column of up to 16 tuple sets: every distinct tuple
+/// exactly once, ascending, with its membership mask. A k-way merge of
+/// the sets, so inputs that are already sorted and duplicate-free cost
+/// one linear pass; any other input is normalized first.
+pub fn membership(sets: &[&[TargetTuple]]) -> Vec<Member> {
+    assert!(sets.len() <= 16, "membership supports at most 16 sets");
+    let sets: Vec<Cow<'_, [TargetTuple]>> = sets.iter().map(|s| sorted_distinct(s)).collect();
+    let mut heads = vec![0usize; sets.len()];
+    let mut column = Vec::with_capacity(sets.iter().map(|s| s.len()).max().unwrap_or(0));
+    loop {
+        let fronts = sets.iter().zip(&heads).filter_map(|(s, &h)| s.get(h));
+        let Some(&next) = fronts.min() else {
+            break;
+        };
+        let mut mask = 0u16;
+        for (i, (set, head)) in sets.iter().zip(heads.iter_mut()).enumerate() {
+            if set.get(*head) == Some(&next) {
+                mask |= 1 << i;
+                *head += 1;
+            }
+        }
+        column.push((next, mask));
+    }
+    column
+}
 
 /// Result of an UpSet decomposition over up to 16 sets.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,6 +97,27 @@ pub struct UpsetAnalysis {
 }
 
 impl UpsetAnalysis {
+    /// The UpSet decomposition of a [`membership`] column over the sets
+    /// `names` (bit `i` of each mask ⇔ `names[i]`).
+    pub fn of(names: Vec<String>, column: &[Member]) -> UpsetAnalysis {
+        let mut per_mask = vec![0usize; 1 << names.len()];
+        for &(_, mask) in column {
+            per_mask[mask as usize] += 1;
+        }
+        let mut u = UpsetAnalysis {
+            set_sizes: Vec::new(),
+            exclusive: (0..per_mask.len())
+                .filter(|&m| per_mask[m] > 0)
+                .map(|m| (m as u16, per_mask[m]))
+                .collect(),
+            names,
+            total_distinct: column.len(),
+            distinct_ips: distinct_ips(column.iter().map(|&(t, _)| t)).len(),
+        };
+        u.set_sizes = (0..u.names.len()).map(|i| u.at_least(1 << i)).collect();
+        u
+    }
+
     /// Share of all distinct targets in the exclusive intersection.
     pub fn share(&self, mask: u16) -> f64 {
         if self.total_distinct == 0 {
@@ -61,49 +149,14 @@ impl UpsetAnalysis {
     pub fn full_mask(&self) -> u16 {
         (1u16 << self.names.len()) - 1
     }
-
-    /// Human-readable name of a mask, e.g. "UCSD+AmpPot".
-    pub fn mask_label(&self, mask: u16) -> String {
-        let parts: Vec<&str> = self
-            .names
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, n)| n.as_str())
-            .collect();
-        parts.join("+")
-    }
 }
 
-/// Compute the UpSet decomposition. Tuples may contain duplicates; they
-/// are deduplicated per set.
+/// Compute the UpSet decomposition. Tuples may be unsorted and contain
+/// duplicates; they are deduplicated per set.
 pub fn upset(sets: &[(String, Vec<TargetTuple>)]) -> UpsetAnalysis {
-    assert!(sets.len() <= 16, "upset supports at most 16 sets");
-    let mut membership: HashMap<TargetTuple, u16> = HashMap::new();
-    for (i, (_, tuples)) in sets.iter().enumerate() {
-        for &t in tuples {
-            *membership.entry(t).or_insert(0) |= 1 << i;
-        }
-    }
-    let mut set_sizes = vec![0usize; sets.len()];
-    let mut exclusive: BTreeMap<u16, usize> = BTreeMap::new();
-    let mut ips: HashMap<Ipv4, ()> = HashMap::new();
-    for (&(_, ip), &mask) in &membership {
-        *exclusive.entry(mask).or_insert(0) += 1;
-        ips.insert(ip, ());
-        for (i, size) in set_sizes.iter_mut().enumerate() {
-            if mask & (1 << i) != 0 {
-                *size += 1;
-            }
-        }
-    }
-    UpsetAnalysis {
-        names: sets.iter().map(|(n, _)| n.clone()).collect(),
-        set_sizes,
-        exclusive,
-        total_distinct: membership.len(),
-        distinct_ips: ips.len(),
-    }
+    let names = sets.iter().map(|(n, _)| n.clone()).collect();
+    let slices: Vec<&[TargetTuple]> = sets.iter().map(|(_, t)| t.as_slice()).collect();
+    UpsetAnalysis::of(names, &membership(&slices))
 }
 
 #[cfg(test)]
@@ -187,9 +240,9 @@ mod tests {
     #[test]
     fn mask_labels() {
         let u = upset(&sets());
-        assert_eq!(u.mask_label(0b101), "A+C");
-        assert_eq!(u.mask_label(0b111), "A+B+C");
-        assert_eq!(u.mask_label(0), "");
+        assert_eq!(mask_label(&u.names, 0b101), "A+C");
+        assert_eq!(mask_label(&u.names, 0b111), "A+B+C");
+        assert_eq!(mask_label(&u.names, 0), "");
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property-based tests for the statistical machinery.
 
 use analytics::{
-    box_stats, median, pearson, spearman, upset, weekly_target_counts, WeeklySeries,
+    box_stats, confirmation_shares, ip_overlap_share, median, membership, new_vs_recurring,
+    pearson, spearman, upset, weekly_overlap, weekly_target_counts, TargetTuple, WeeklySeries,
 };
 use analytics::corr::average_ranks;
 use netmodel::Ipv4;
 use proptest::prelude::*;
+use simcore::STUDY_WEEKS;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1.0e6f64..1.0e6, len)
@@ -189,5 +192,131 @@ proptest! {
         let counts = weekly_target_counts(&tuples);
         let distinct: std::collections::HashSet<_> = tuples.iter().collect();
         prop_assert_eq!(counts.iter().sum::<f64>() as usize, distinct.len());
+    }
+}
+
+/// Up to four unsorted tuple sets with duplicates, plus an industry set,
+/// over day and IP ranges small enough that sets collide often (and a
+/// few days fall before the study window).
+fn target_sets() -> impl Strategy<Value = (Vec<Vec<TargetTuple>>, Vec<TargetTuple>)> {
+    let tuples = || {
+        proptest::collection::vec(
+            (-7i64..40, 0u32..12).prop_map(|(d, ip)| (d, Ipv4(ip))),
+            0..60,
+        )
+    };
+    (proptest::collection::vec(tuples(), 1..=4), tuples())
+}
+
+/// Brute-force oracle: the weekly counts of a distinct tuple set.
+fn oracle_weekly(set: &BTreeSet<TargetTuple>) -> Vec<f64> {
+    let mut out = vec![0.0; STUDY_WEEKS];
+    for &(day, _) in set {
+        let w = day.div_euclid(7);
+        if (0..STUDY_WEEKS as i64).contains(&w) {
+            out[w as usize] += 1.0;
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sorted-merge set operations equal a `BTreeSet`/`BTreeMap`
+    /// oracle on arbitrary unsorted input with duplicates.
+    #[test]
+    fn set_operations_match_btree_oracle((raw, industry) in target_sets()) {
+        let sets: Vec<(String, Vec<TargetTuple>)> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (format!("S{i}"), t.clone()))
+            .collect();
+        let distinct: Vec<BTreeSet<TargetTuple>> =
+            raw.iter().map(|t| t.iter().copied().collect()).collect();
+        let mut masks: BTreeMap<TargetTuple, u16> = BTreeMap::new();
+        for (i, set) in distinct.iter().enumerate() {
+            for &t in set {
+                *masks.entry(t).or_insert(0) |= 1 << i;
+            }
+        }
+        let slices: Vec<&[TargetTuple]> = raw.iter().map(Vec::as_slice).collect();
+        let column = membership(&slices);
+        prop_assert_eq!(&column, &masks.iter().map(|(&t, &m)| (t, m)).collect::<Vec<_>>());
+
+        // upset
+        let u = upset(&sets);
+        let mut exclusive: BTreeMap<u16, usize> = BTreeMap::new();
+        for &m in masks.values() {
+            *exclusive.entry(m).or_insert(0) += 1;
+        }
+        let ips: BTreeSet<Ipv4> = masks.keys().map(|&(_, ip)| ip).collect();
+        prop_assert_eq!(&u.exclusive, &exclusive);
+        prop_assert_eq!(u.total_distinct, masks.len());
+        prop_assert_eq!(u.distinct_ips, ips.len());
+        prop_assert_eq!(u.set_sizes, distinct.iter().map(BTreeSet::len).collect::<Vec<_>>());
+
+        // confirmation_shares
+        let industry_set: BTreeSet<TargetTuple> = industry.iter().copied().collect();
+        let mut by_mask: BTreeMap<u16, (usize, usize)> = BTreeMap::new();
+        for (t, &m) in &masks {
+            let e = by_mask.entry(m).or_insert((0, 0));
+            e.0 += 1;
+            e.1 += industry_set.contains(t) as usize;
+        }
+        let rows: Vec<(u16, usize, f64)> = by_mask
+            .iter()
+            .map(|(&m, &(total, confirmed))| (m, total, confirmed as f64 / total as f64))
+            .collect();
+        let industry_n = industry_set.len().max(1) as f64;
+        let seen_by: Vec<f64> = distinct
+            .iter()
+            .map(|s| s.intersection(&industry_set).count() as f64 / industry_n)
+            .collect();
+        let union = industry_set.iter().filter(|t| masks.contains_key(t)).count() as f64 / industry_n;
+        let c = confirmation_shares(&sets, &industry);
+        prop_assert_eq!(c.rows, rows);
+        prop_assert_eq!(c.industry_seen_by, seen_by);
+        prop_assert_eq!(c.industry_seen_by_union, union);
+
+        // weekly_overlap, against the first set and the industry set
+        let o = weekly_overlap(&raw[0], &industry);
+        let shared: BTreeSet<TargetTuple> =
+            distinct[0].intersection(&industry_set).copied().collect();
+        prop_assert_eq!(o.a, oracle_weekly(&distinct[0]));
+        prop_assert_eq!(o.b, oracle_weekly(&industry_set));
+        prop_assert_eq!(o.shared, oracle_weekly(&shared));
+
+        // ip_overlap_share
+        let ips_a: BTreeSet<Ipv4> = raw[0].iter().map(|&(_, ip)| ip).collect();
+        let ips_b: BTreeSet<Ipv4> = industry.iter().map(|&(_, ip)| ip).collect();
+        let smaller = ips_a.len().min(ips_b.len());
+        let want = if smaller == 0 {
+            0.0
+        } else {
+            ips_a.intersection(&ips_b).count() as f64 / smaller as f64
+        };
+        prop_assert_eq!(ip_overlap_share(&raw[0], &industry), want);
+
+        // new_vs_recurring: (day, ip) order, first in-window sighting new
+        let mut new_targets = vec![0.0; STUDY_WEEKS];
+        let mut recurring = vec![0.0; STUDY_WEEKS];
+        let mut seen: BTreeSet<Ipv4> = BTreeSet::new();
+        for &(day, ip) in &industry_set {
+            let w = day.div_euclid(7);
+            if !(0..STUDY_WEEKS as i64).contains(&w) {
+                continue;
+            }
+            if seen.insert(ip) {
+                new_targets[w as usize] += 1.0;
+            } else {
+                recurring[w as usize] += 1.0;
+            }
+        }
+        let nr = new_vs_recurring(&industry);
+        prop_assert_eq!(nr.new_targets, new_targets);
+        prop_assert_eq!(nr.recurring_targets, recurring);
+        let last = nr.cdf.last().copied().unwrap_or(0.0);
+        prop_assert!(seen.is_empty() && last == 0.0 || (last - 1.0).abs() < 1e-12);
     }
 }

@@ -354,6 +354,28 @@ impl AttackColumns {
         self.append_range_rebased(src, i, i + 1, id_base);
     }
 
+    /// The inverse of the `id` column: `rows_by_id()[id]` is the row of
+    /// attack `id`. Generated ids are a permutation of `0..len()`, so
+    /// the index is a dense array. Panics, naming the id, on a
+    /// duplicate or out-of-range id — in release builds too, since a
+    /// silently wrong join would corrupt every experiment reading it.
+    pub fn rows_by_id(&self) -> Vec<u32> {
+        let n = self.len();
+        let mut rows = vec![u32::MAX; n];
+        for (row, &id) in self.id.iter().enumerate() {
+            let slot = rows.get_mut(id as usize).unwrap_or_else(|| {
+                panic!("attack id {id} out of range 0..{n}: ids must be a permutation")
+            });
+            assert!(
+                *slot == u32::MAX,
+                "duplicate attack id {id} (rows {} and {row}): ids must be a permutation",
+                *slot
+            );
+            *slot = row as u32;
+        }
+        rows
+    }
+
     /// Are the rows in canonical `(start, id)` order?
     pub fn is_sorted_by_start_id(&self) -> bool {
         let key =
@@ -612,6 +634,14 @@ impl ObservationColumns {
 
     pub fn len(&self) -> usize {
         self.attack_id.len()
+    }
+
+    /// Drop every row, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.attack_id.clear();
+        self.start.clear();
+        self.target_offsets.truncate(1);
+        self.target_arena.clear();
     }
 
     pub fn is_empty(&self) -> bool {
@@ -1138,6 +1168,10 @@ mod tests {
         assert_eq!(cols.get(1).attack_id, AttackId(3));
         assert_eq!(cols.targets(1), &[Ipv4(4)]);
         assert_eq!(cols.target_arena.len(), 3, "rolled-back targets evicted");
+        cols.clear();
+        assert_eq!(cols, ObservationColumns::new());
+        cols.push_row(AttackId(4), SimTime(40), &[Ipv4(5)]);
+        assert_eq!(cols.targets(0), &[Ipv4(5)]);
     }
 
     #[test]

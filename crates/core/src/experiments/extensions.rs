@@ -12,12 +12,13 @@
 use super::ExperimentResult;
 use crate::pipeline::{ObsId, StudyRun};
 use crate::render::text_table;
-use analytics::best_lag;
-use attackgen::ObservationColumns;
-use flowmon::{MitigationModel, MitigationParams};
+use analytics::{best_lag, intersect_sorted, TargetTuple};
+use attackgen::{AttackClass, AttackRef, ObservationColumns};
+use flowmon::MitigationParams;
+use netmodel::AmpVector;
 use reports::{period_sensitivity, synthesize, table1_industry_counts, TrendClaim};
 use simcore::SimRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 use telescope::Telescope;
 
 /// Lead/lag matrix over the ten main series.
@@ -154,23 +155,19 @@ pub fn vendor_reports(run: &StudyRun) -> ExperimentResult {
 /// Hopscotch saw more targets attacked via CLDAP ... for QOTD, RPC and
 /// NTP both had largely overlapping target sets").
 pub fn protocols(run: &StudyRun) -> ExperimentResult {
-    // Join observations back to ground-truth vectors.
-    let vector_of: HashMap<u64, netmodel::AmpVector> = run
-        .attacks
-        .iter()
-        .filter_map(|a| a.vector.amp_vector().map(|v| (a.id.0, v)))
-        .collect();
-    let per_vector_targets = |id: ObsId| -> HashMap<netmodel::AmpVector, HashSet<(i64, netmodel::Ipv4)>> {
-        let mut out: HashMap<netmodel::AmpVector, HashSet<(i64, netmodel::Ipv4)>> = HashMap::new();
+    // Join observations back to ground-truth vectors through the
+    // attack-row index; per vector, the sorted distinct targets.
+    let per_vector_targets = |id: ObsId| -> BTreeMap<AmpVector, Vec<TargetTuple>> {
+        let mut out: BTreeMap<AmpVector, Vec<TargetTuple>> = BTreeMap::new();
         for o in run.observations(id).iter() {
-            let Some(&v) = vector_of.get(&o.attack_id.0) else {
-                continue;
-            };
-            let day = o.start.day_index();
-            let set = out.entry(v).or_default();
-            for &t in o.targets {
-                set.insert((day, t));
+            let row = run.attack_row(o.attack_id);
+            if let Some(v) = row.and_then(|r| run.attacks.vector[r].amp_vector()) {
+                out.entry(v).or_default().extend(o.target_tuples());
             }
+        }
+        for tuples in out.values_mut() {
+            tuples.sort_unstable();
+            tuples.dedup();
         }
         out
     };
@@ -178,13 +175,11 @@ pub fn protocols(run: &StudyRun) -> ExperimentResult {
     let amp = per_vector_targets(ObsId::AmpPot);
     let mut rows = Vec::new();
     let mut csv = String::from("vector,amppot_targets,hopscotch_targets,shared,shared_of_smaller\n");
-    for v in netmodel::AmpVector::ALL {
-        let a = amp.get(&v).map(|s| s.len()).unwrap_or(0);
-        let h = hop.get(&v).map(|s| s.len()).unwrap_or(0);
-        let shared = match (amp.get(&v), hop.get(&v)) {
-            (Some(sa), Some(sh)) => sa.intersection(sh).count(),
-            _ => 0,
-        };
+    for v in AmpVector::ALL {
+        let sa = amp.get(&v).map_or(&[][..], Vec::as_slice);
+        let sh = hop.get(&v).map_or(&[][..], Vec::as_slice);
+        let (a, h) = (sa.len(), sh.len());
+        let shared = intersect_sorted(sa, sh).len();
         let denom = a.min(h);
         let share = if denom > 0 {
             shared as f64 / denom as f64
@@ -223,6 +218,11 @@ pub fn protocols(run: &StudyRun) -> ExperimentResult {
 /// industry mitigation remove? Re-observes the spoofed direct-path
 /// stream with mitigation-truncated durations and compares detection
 /// counts.
+///
+/// One pass over the spoofed direct-path rows: `observe_into` is pure
+/// in (row, root) and mitigation only rewrites `duration_secs`, so each
+/// telescope's baseline verdict is computed once per row and reused by
+/// every scenario that leaves the duration unchanged.
 pub fn interference(run: &StudyRun) -> ExperimentResult {
     let root = SimRng::new(run.config.seed).fork_named("observatories");
     // Today's landscape vs a counterfactual where every alerting
@@ -238,31 +238,47 @@ pub fn interference(run: &StudyRun) -> ExperimentResult {
             },
         ),
     ];
+    let telescopes = [
+        ("UCSD", Telescope::ucsd(&run.plan)),
+        ("ORION", Telescope::orion(&run.plan)),
+    ];
+    // Only the verdict counts: the scratch sink is emptied after every
+    // call, so it never holds more than one row and, once grown, never
+    // allocates again.
+    let mut sink = ObservationColumns::new();
+    let mut seen = |tele: &Telescope, a: AttackRef<'_>| {
+        let hit = tele.observe_into(a, &root, &mut sink);
+        sink.clear();
+        hit
+    };
+    let mut baseline = [0usize; 2];
+    let mut mitigated = [[0usize; 2]; 2];
+    for a in run
+        .attacks
+        .iter()
+        .filter(|a| a.class == AttackClass::DirectPathSpoofed)
+    {
+        let durations = scenarios
+            .each_ref()
+            .map(|(_, p)| p.effective_duration_secs(a, &run.plan, &root));
+        for (t, (_, tele)) in telescopes.iter().enumerate() {
+            let verdict = seen(tele, a);
+            baseline[t] += verdict as usize;
+            for (s, &duration_secs) in durations.iter().enumerate() {
+                let v = if duration_secs == a.duration_secs {
+                    verdict
+                } else {
+                    seen(tele, AttackRef { duration_secs, ..a })
+                };
+                mitigated[s][t] += v as usize;
+            }
+        }
+    }
     let mut rows = Vec::new();
     let mut csv = String::from("scenario,telescope,baseline,with_mitigation,lost_share\n");
-    for (scenario, params) in scenarios {
-        let model = MitigationModel::new(params);
-        for (name, tele) in [
-            ("UCSD", Telescope::ucsd(&run.plan)),
-            ("ORION", Telescope::orion(&run.plan)),
-        ] {
-            // Only the verdict counts: each call gets a fresh sink.
-            let seen = |a: &attackgen::Attack| {
-                tele.observe_into(a.view(), &root, &mut ObservationColumns::new()) as usize
-            };
-            let mut baseline = 0usize;
-            let mut mitigated = 0usize;
-            for a in run.attacks.iter() {
-                if a.class != attackgen::AttackClass::DirectPathSpoofed {
-                    continue;
-                }
-                // The mitigation model rewrites attack fields, so this
-                // cold path materializes the row once per DPS attack.
-                let a = a.to_attack();
-                baseline += seen(&a);
-                let truncated = model.apply(&a, &run.plan, &root);
-                mitigated += seen(&truncated);
-            }
+    for (s, (scenario, _)) in scenarios.iter().enumerate() {
+        for (t, (name, _)) in telescopes.iter().enumerate() {
+            let (baseline, mitigated) = (baseline[t], mitigated[s][t]);
             let lost = 1.0 - mitigated as f64 / baseline.max(1) as f64;
             csv.push_str(&format!(
                 "{scenario},{name},{baseline},{mitigated},{lost:.4}\n"
@@ -305,18 +321,18 @@ pub fn interference(run: &StudyRun) -> ExperimentResult {
 /// protect single addresses).
 pub fn rtbh(run: &StudyRun) -> ExperimentResult {
     use flowmon::{blackhole_events, rtbh_stats, RtbhParams};
-    // The blackholed population: attacks the IXP actually observed.
-    let observed_ids: HashSet<u64> = run
+    // The blackholed population: attacks the IXP actually observed, in
+    // population order.
+    let ixp = run
         .observations(ObsId::IxpDp)
         .iter()
-        .chain(run.observations(ObsId::IxpRa).iter())
-        .map(|o| o.attack_id.0)
-        .collect();
-    let blackholed_rows: Vec<attackgen::Attack> = run
-        .attacks
+        .chain(run.observations(ObsId::IxpRa).iter());
+    let mut rows: Vec<usize> = ixp.filter_map(|o| run.attack_row(o.attack_id)).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let blackholed_rows: Vec<attackgen::Attack> = rows
         .iter()
-        .filter(|a| observed_ids.contains(&a.id.0))
-        .map(|a| a.to_attack())
+        .map(|&row| run.attacks.get(row).to_attack())
         .collect();
     let blackholed: Vec<&attackgen::Attack> = blackholed_rows.iter().collect();
     let root = SimRng::new(run.config.seed).fork_named("observatories");
@@ -424,11 +440,10 @@ pub fn seasonality(run: &StudyRun) -> ExperimentResult {
 /// Netscout's direct-path alerts over the study.
 pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
     use attackgen::attack::AttackVector;
-    let is_l7: HashMap<u64, bool> = run
-        .attacks
-        .iter()
-        .map(|a| (a.id.0, a.vector == AttackVector::HttpFlood))
-        .collect();
+    let is_l7 = |id| {
+        run.attack_row(id)
+            .is_some_and(|row| run.attacks.vector[row] == AttackVector::HttpFlood)
+    };
     let mut l7 = vec![0.0; simcore::STUDY_WEEKS];
     let mut other = vec![0.0; simcore::STUDY_WEEKS];
     for o in run.observations(ObsId::NetscoutDp).iter() {
@@ -436,7 +451,7 @@ pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
         if !(0..simcore::STUDY_WEEKS as i64).contains(&w) {
             continue;
         }
-        if is_l7.get(&o.attack_id.0).copied().unwrap_or(false) {
+        if is_l7(o.attack_id) {
             l7[w as usize] += 1.0;
         } else {
             other[w as usize] += 1.0;
@@ -477,7 +492,6 @@ pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
 /// size, duration, vectors, methods): what an omniscient industry
 /// report would have published about the simulated 4.5 years.
 pub fn population(run: &StudyRun) -> ExperimentResult {
-    use attackgen::AttackClass;
     let percentile = |sorted: &[f64], p: f64| -> f64 {
         if sorted.is_empty() {
             return f64::NAN;

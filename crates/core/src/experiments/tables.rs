@@ -4,12 +4,10 @@
 use super::ExperimentResult;
 use crate::pipeline::{ObsId, StudyRun};
 use crate::render::text_table;
-use analytics::upset;
 use flowmon::{IxpConfig, NetscoutConfig};
 use honeypot::HoneypotConfig;
 use netmodel::Asn;
 use reports::table1_industry_counts;
-use std::collections::HashMap;
 use telescope::RsdosConfig;
 
 /// Table 1: trend symbols per observatory per attack type, plus the
@@ -276,30 +274,16 @@ pub fn table3(_run: &StudyRun) -> ExperimentResult {
 /// Table 4: top-10 ASes by number of highly-visible targets (tuples
 /// seen by all four academic observatories).
 pub fn table4(run: &StudyRun) -> ExperimentResult {
-    let sets: Vec<(String, Vec<analytics::TargetTuple>)> = ObsId::ACADEMIC
-        .iter()
-        .map(|&id| (id.name().to_string(), run.target_tuples(id).to_vec()))
+    // Attribute the all-four tuples to ASes: sort, then count runs.
+    let mut asns: Vec<Asn> = super::targets::all_four_tuples(run)
+        .filter_map(|(_, ip)| run.plan.asn_of(ip))
         .collect();
-    let analysis = upset(&sets);
-    // Recover the all-four tuples and attribute them to ASes.
-    let mut membership: HashMap<analytics::TargetTuple, u16> = HashMap::new();
-    for (i, (_, tuples)) in sets.iter().enumerate() {
-        for &t in tuples {
-            *membership.entry(t).or_insert(0) |= 1 << i;
-        }
-    }
-    let full = analysis.full_mask();
-    let mut per_asn: HashMap<Asn, usize> = HashMap::new();
-    let mut total = 0usize;
-    for (&(_, ip), &mask) in &membership {
-        if mask == full {
-            if let Some(asn) = run.plan.asn_of(ip) {
-                *per_asn.entry(asn).or_insert(0) += 1;
-                total += 1;
-            }
-        }
-    }
-    let mut ranked: Vec<(Asn, usize)> = per_asn.into_iter().collect();
+    let total = asns.len();
+    asns.sort_unstable();
+    let mut ranked: Vec<(Asn, usize)> = asns
+        .chunk_by(|a, b| a == b)
+        .map(|r| (r[0], r.len()))
+        .collect();
     ranked.sort_by_key(|&(asn, n)| (std::cmp::Reverse(n), asn));
     let rows: Vec<Vec<String>> = ranked
         .iter()

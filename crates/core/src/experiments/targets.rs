@@ -1,28 +1,45 @@
 //! Target-analysis experiments (§7): Fig. 7 (UpSet), Fig. 8
 //! (highly-visible targets over time), Fig. 9/13 (industry confirmation
 //! joins), Fig. 10 (overlap time series), and the §7 scalar statistics.
+//! They (and Table 4) read [`StudyRun::academic_membership`] with
+//! linear passes or merge sorted tuple projections.
 
 use super::ExperimentResult;
 use crate::pipeline::{ObsId, StudyRun};
 use crate::render::{series_csv, sparkline, text_table};
 use analytics::{
-    confirmation_shares, ip_overlap_share, new_vs_recurring, upset, weekly_overlap,
+    ip_overlap_share, mask_label, new_vs_recurring, weekly_overlap, ConfirmationShares,
     TargetTuple, UpsetAnalysis, WeeklySeries,
 };
-use std::collections::HashMap;
 
-fn academic_sets(run: &StudyRun) -> Vec<(String, Vec<TargetTuple>)> {
+/// Position of an academic observatory in [`ObsId::ACADEMIC`], i.e. its
+/// bit in the membership masks.
+fn idx(id: ObsId) -> usize {
     ObsId::ACADEMIC
         .iter()
-        .map(|&id| (id.name().to_string(), run.target_tuples(id).to_vec()))
-        .collect()
+        .position(|&a| a == id)
+        .expect("academic observatory")
+}
+
+/// The UpSet decomposition of the run's academic membership column.
+fn academic_upset(run: &StudyRun) -> UpsetAnalysis {
+    let names = ObsId::ACADEMIC.map(|id| id.name().to_string());
+    UpsetAnalysis::of(names.into(), run.academic_membership())
+}
+
+/// The (day, ip) tuples seen by every academic observatory, ascending.
+pub(super) fn all_four_tuples(run: &StudyRun) -> impl Iterator<Item = TargetTuple> + '_ {
+    let full = (1u16 << ObsId::ACADEMIC.len()) - 1;
+    run.academic_membership()
+        .iter()
+        .filter(move |&&(_, mask)| mask == full)
+        .map(|&(t, _)| t)
 }
 
 /// Fig. 7: UpSet decomposition of (date, IP) targets across the four
 /// academic observatories.
 pub fn fig7(run: &StudyRun) -> ExperimentResult {
-    let sets = academic_sets(run);
-    let u = upset(&sets);
+    let u = academic_upset(run);
     let mut body = format!(
         "Distinct targets: {} tuples over {} IP addresses\n\nSet sizes (non-exclusive):\n",
         u.total_distinct, u.distinct_ips
@@ -40,7 +57,7 @@ pub fn fig7(run: &StudyRun) -> ExperimentResult {
     masks.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
     let mut csv = String::from("combination,mask,count,share\n");
     for (mask, count) in masks {
-        let label = u.mask_label(mask);
+        let label = mask_label(&u.names, mask);
         body.push_str(&format!(
             "  {:30} {:8} ({:.2}%)\n",
             label,
@@ -58,8 +75,8 @@ pub fn fig7(run: &StudyRun) -> ExperimentResult {
     body.push_str(&format!(
         "\nSeen by all four observatories: {:.2}% | ORION targets also in UCSD: {:.1}% | AmpPot targets shared with Hopscotch: {:.1}%\n",
         100.0 * u.at_least(u.full_mask()) as f64 / u.total_distinct.max(1) as f64,
-        100.0 * u.overlap_share(orion_idx(&u), ucsd_idx(&u)),
-        100.0 * u.overlap_share(amppot_idx(&u), hopscotch_idx(&u)),
+        100.0 * u.overlap_share(idx(ObsId::Orion), idx(ObsId::Ucsd)),
+        100.0 * u.overlap_share(idx(ObsId::AmpPot), idx(ObsId::Hopscotch)),
     ));
     ExperimentResult {
         id: "fig7",
@@ -69,43 +86,10 @@ pub fn fig7(run: &StudyRun) -> ExperimentResult {
     }
 }
 
-fn idx_of(u: &UpsetAnalysis, name: &str) -> usize {
-    u.names.iter().position(|n| n == name).expect("set present")
-}
-fn orion_idx(u: &UpsetAnalysis) -> usize {
-    idx_of(u, "ORION")
-}
-fn ucsd_idx(u: &UpsetAnalysis) -> usize {
-    idx_of(u, "UCSD")
-}
-fn amppot_idx(u: &UpsetAnalysis) -> usize {
-    idx_of(u, "AmpPot")
-}
-fn hopscotch_idx(u: &UpsetAnalysis) -> usize {
-    idx_of(u, "Hopscotch")
-}
-
-/// The (day, ip) tuples seen by every academic observatory.
-fn all_four_tuples(run: &StudyRun) -> Vec<TargetTuple> {
-    let sets = academic_sets(run);
-    let mut membership: HashMap<TargetTuple, u16> = HashMap::new();
-    for (i, (_, tuples)) in sets.iter().enumerate() {
-        for &t in tuples {
-            *membership.entry(t).or_insert(0) |= 1 << i;
-        }
-    }
-    let full = (1u16 << sets.len()) - 1;
-    membership
-        .into_iter()
-        .filter(|&(_, m)| m == full)
-        .map(|(t, _)| t)
-        .collect()
-}
-
 /// Fig. 8: weekly highly-visible targets split into new vs recurring
 /// IPs, plus the cumulative-new-target CDF.
 pub fn fig8(run: &StudyRun) -> ExperimentResult {
-    let tuples = all_four_tuples(run);
+    let tuples: Vec<TargetTuple> = all_four_tuples(run).collect();
     let nr = new_vs_recurring(&tuples);
     let new_s = WeeklySeries::new("new targets", nr.new_targets.clone());
     let rec_s = WeeklySeries::new("recurring targets", nr.recurring_targets.clone());
@@ -129,42 +113,32 @@ pub fn fig8(run: &StudyRun) -> ExperimentResult {
 }
 
 fn confirmation_body(
-    sets: &[(String, Vec<TargetTuple>)],
+    run: &StudyRun,
     industry: &[TargetTuple],
     industry_name: &str,
 ) -> (String, String) {
-    let c = confirmation_shares(sets, industry);
+    let c = ConfirmationShares::of(run.academic_membership(), ObsId::ACADEMIC.len(), industry);
     let mut rows = Vec::new();
     let mut csv = String::from("subset,size,confirmed_share\n");
-    let label = |mask: u16| -> String {
-        sets.iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, (n, _))| n.as_str())
-            .collect::<Vec<_>>()
-            .join("+")
-    };
+    let names = ObsId::ACADEMIC.map(ObsId::name);
     let mut sorted = c.rows.clone();
     sorted.sort_by_key(|&(mask, _, _)| (mask.count_ones(), mask));
     for (mask, size, share) in sorted {
+        let label = mask_label(&names, mask);
+        csv.push_str(&format!("{label},{size},{share:.6}\n"));
         rows.push(vec![
-            label(mask),
+            label,
             format!("{size}"),
             format!("{:.2}%", 100.0 * share),
         ]);
-        csv.push_str(&format!("{},{},{:.6}\n", label(mask), size, share));
     }
     let mut body = format!("Share of academic targets confirmed by {industry_name}:\n");
     body.push_str(&text_table(&["Subset (exclusive)", "Targets", "Confirmed"], &rows));
     body.push_str(&format!(
         "\nReverse view — {industry_name} targets seen by academia:\n"
     ));
-    for (i, (name, _)) in sets.iter().enumerate() {
-        body.push_str(&format!(
-            "  {:10} {:.1}%\n",
-            name,
-            100.0 * c.industry_seen_by[i]
-        ));
+    for (name, seen) in names.iter().zip(&c.industry_seen_by) {
+        body.push_str(&format!("  {:10} {:.1}%\n", name, 100.0 * seen));
     }
     body.push_str(&format!(
         "  union      {:.1}%\n",
@@ -175,9 +149,8 @@ fn confirmation_body(
 
 /// Fig. 9: Netscout baseline confirmation of academic target subsets.
 pub fn fig9(run: &StudyRun) -> ExperimentResult {
-    let sets = academic_sets(run);
     let baseline = run.netscout_baseline_tuples();
-    let (body, csv) = confirmation_body(&sets, &baseline, "Netscout (baseline sample)");
+    let (body, csv) = confirmation_body(run, baseline, "Netscout (baseline sample)");
     ExperimentResult {
         id: "fig9",
         title: "Figure 9: Netscout confirmation of academic targets".into(),
@@ -188,9 +161,7 @@ pub fn fig9(run: &StudyRun) -> ExperimentResult {
 
 /// Fig. 13 (Appendix G): the same join against the Akamai target set.
 pub fn fig13(run: &StudyRun) -> ExperimentResult {
-    let sets = academic_sets(run);
-    let akamai = run.akamai_tuples();
-    let (body, csv) = confirmation_body(&sets, &akamai, "Akamai");
+    let (body, csv) = confirmation_body(run, run.akamai_tuples(), "Akamai");
     ExperimentResult {
         id: "fig13",
         title: "Figure 13 (App. G): Akamai confirmation of academic targets".into(),
@@ -201,12 +172,9 @@ pub fn fig13(run: &StudyRun) -> ExperimentResult {
 
 /// Fig. 10: weekly target overlap within observatory types.
 pub fn fig10(run: &StudyRun) -> ExperimentResult {
-    let orion = run.target_tuples(ObsId::Orion);
-    let ucsd = run.target_tuples(ObsId::Ucsd);
-    let hops = run.target_tuples(ObsId::Hopscotch);
-    let amppot = run.target_tuples(ObsId::AmpPot);
-    let tel = weekly_overlap(&ucsd, &orion);
-    let hp = weekly_overlap(&hops, &amppot);
+    let tuples = |id| run.target_tuples(id);
+    let tel = weekly_overlap(tuples(ObsId::Ucsd), tuples(ObsId::Orion));
+    let hp = weekly_overlap(tuples(ObsId::Hopscotch), tuples(ObsId::AmpPot));
     let body = format!(
         "(a) Telescopes — weekly targets\n  UCSD:    {}\n  ORION:   {}\n  shared:  {}\n\n(b) Honeypots — weekly targets\n  Hopscotch: {}\n  AmpPot:    {}\n  shared:    {}\n",
         sparkline(&tel.a, 47),
@@ -240,26 +208,21 @@ pub fn fig10(run: &StudyRun) -> ExperimentResult {
 /// §7 scalar statistics: distinct targets / IPs, multi-type share,
 /// all-four share, and the Jonker-style AmpPot↔UCSD IP overlap.
 pub fn stats7(run: &StudyRun) -> ExperimentResult {
-    let sets = academic_sets(run);
-    let u = upset(&sets);
+    let u = academic_upset(run);
     // Multi-type targets: tuples seen by at least one telescope AND at
     // least one honeypot (the two attack classes).
-    let mut membership: HashMap<TargetTuple, u16> = HashMap::new();
-    for (i, (_, tuples)) in sets.iter().enumerate() {
-        for &t in tuples {
-            *membership.entry(t).or_insert(0) |= 1 << i;
-        }
-    }
-    let tel_mask: u16 = (1 << orion_idx(&u)) | (1 << ucsd_idx(&u));
-    let hp_mask: u16 = (1 << hopscotch_idx(&u)) | (1 << amppot_idx(&u));
-    let multi_type = membership
-        .values()
-        .filter(|&&m| m & tel_mask != 0 && m & hp_mask != 0)
+    let tel_mask: u16 = (1 << idx(ObsId::Orion)) | (1 << idx(ObsId::Ucsd));
+    let hp_mask: u16 = (1 << idx(ObsId::Hopscotch)) | (1 << idx(ObsId::AmpPot));
+    let multi_type = run
+        .academic_membership()
+        .iter()
+        .filter(|&&(_, m)| m & tel_mask != 0 && m & hp_mask != 0)
         .count();
     let all_four = u.at_least(u.full_mask());
-    let amppot_tuples = &sets[amppot_idx(&u)].1;
-    let ucsd_tuples = &sets[ucsd_idx(&u)].1;
-    let jonker = ip_overlap_share(amppot_tuples, ucsd_tuples);
+    let jonker = ip_overlap_share(
+        run.target_tuples(ObsId::AmpPot),
+        run.target_tuples(ObsId::Ucsd),
+    );
 
     let total = u.total_distinct.max(1);
     let body = format!(

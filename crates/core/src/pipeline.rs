@@ -12,8 +12,8 @@
 
 use crate::scenario::StudyConfig;
 use crate::stagecache::{StageFingerprints, Tiers};
-use analytics::{TargetTuple, WeeklySeries};
-use attackgen::{AttackColumns, AttackGenerator, AttackRef, ObservationColumns};
+use analytics::{Member, TargetTuple, WeeklySeries};
+use attackgen::{AttackColumns, AttackGenerator, AttackId, AttackRef, ObservationColumns};
 use flowmon::{
     split_by_class_columns, Akamai, AlertColumns, IxpBlackholing, IxpDetection, Netscout,
 };
@@ -142,6 +142,8 @@ pub struct ProjectionStats {
     pub tuples_computed: usize,
     pub baseline_computed: usize,
     pub akamai_computed: usize,
+    pub membership_computed: usize,
+    pub attack_rows_computed: usize,
 }
 
 /// The counters of one projection kind: a per-run compute count
@@ -181,11 +183,15 @@ struct ProjectionCache {
     tuples: [OnceLock<Vec<TargetTuple>>; 11],
     baseline: OnceLock<Vec<TargetTuple>>,
     akamai: OnceLock<Vec<TargetTuple>>,
+    membership: OnceLock<Vec<Member>>,
+    attack_rows: OnceLock<Vec<u32>>,
     weekly_counters: KindCounters,
     normalized_counters: KindCounters,
     tuples_counters: KindCounters,
     baseline_counters: KindCounters,
     akamai_counters: KindCounters,
+    membership_counters: KindCounters,
+    attack_rows_counters: KindCounters,
 }
 
 impl ProjectionCache {
@@ -196,11 +202,15 @@ impl ProjectionCache {
             tuples: std::array::from_fn(|_| OnceLock::new()),
             baseline: OnceLock::new(),
             akamai: OnceLock::new(),
+            membership: OnceLock::new(),
+            attack_rows: OnceLock::new(),
             weekly_counters: KindCounters::new("weekly"),
             normalized_counters: KindCounters::new("normalized"),
             tuples_counters: KindCounters::new("tuples"),
             baseline_counters: KindCounters::new("baseline"),
             akamai_counters: KindCounters::new("akamai"),
+            membership_counters: KindCounters::new("membership"),
+            attack_rows_counters: KindCounters::new("attack_rows"),
         }
     }
 }
@@ -692,6 +702,34 @@ impl StudyRun {
         v
     }
 
+    /// The §7 membership column: every distinct (day, IP) tuple of the
+    /// academic observatories, ascending, with its mask over
+    /// [`ObsId::ACADEMIC`]. Memoized; one merge of their tuple streams.
+    pub fn academic_membership(&self) -> &[Member] {
+        let v: &Vec<Member> =
+            memo(&self.cache.membership, &self.cache.membership_counters, || {
+                analytics::membership(&ObsId::ACADEMIC.map(|id| self.target_tuples(id)))
+            });
+        v
+    }
+
+    /// Row of every attack id in [`StudyRun::attacks`] (see
+    /// [`AttackColumns::rows_by_id`], which panics unless the ids are a
+    /// permutation of `0..n`). Memoized.
+    pub fn attack_rows(&self) -> &[u32] {
+        let v: &Vec<u32> =
+            memo(&self.cache.attack_rows, &self.cache.attack_rows_counters, || {
+                self.attacks.rows_by_id()
+            });
+        v
+    }
+
+    /// The ground-truth row an observation joins to (`None` outside
+    /// the population).
+    pub fn attack_row(&self, id: AttackId) -> Option<usize> {
+        self.attack_rows().get(id.0 as usize).map(|&row| row as usize)
+    }
+
     /// Target tuples of the Netscout §7.2 baseline sample (~28 % of
     /// alerts). Memoized; reuses the run's own `Netscout` instance and
     /// observatory RNG root, and borrows the sampled observations
@@ -722,6 +760,8 @@ impl StudyRun {
             tuples_computed: self.cache.tuples_counters.run_computed.get() as usize,
             baseline_computed: self.cache.baseline_counters.run_computed.get() as usize,
             akamai_computed: self.cache.akamai_counters.run_computed.get() as usize,
+            membership_computed: self.cache.membership_counters.run_computed.get() as usize,
+            attack_rows_computed: self.cache.attack_rows_counters.run_computed.get() as usize,
         }
     }
 
@@ -797,13 +837,11 @@ mod tests {
     #[test]
     fn telescopes_only_see_spoofed_dp() {
         let run = quick_run();
-        use std::collections::HashMap;
-        let by_id: HashMap<u64, attackgen::AttackClass> =
-            run.attacks.iter().map(|a| (a.id.0, a.class)).collect();
+        let class_of = |id| run.attacks.class[run.attack_row(id).expect("observed id exists")];
         for id in [ObsId::Ucsd, ObsId::Orion] {
             for o in run.observations(id).iter() {
                 assert_eq!(
-                    by_id[&o.attack_id.0],
+                    class_of(o.attack_id),
                     attackgen::AttackClass::DirectPathSpoofed
                 );
             }
@@ -813,16 +851,14 @@ mod tests {
     #[test]
     fn honeypots_only_see_ra() {
         let run = quick_run();
-        use std::collections::HashMap;
-        let by_id: HashMap<u64, attackgen::AttackClass> =
-            run.attacks.iter().map(|a| (a.id.0, a.class)).collect();
+        let class_of = |id| run.attacks.class[run.attack_row(id).expect("observed id exists")];
         for id in [ObsId::Hopscotch, ObsId::AmpPot] {
             for o in run.observations(id).iter() {
                 // Reconstructed events keep the id of their first
                 // member; synthetic ids (u64::MAX range) never appear in
                 // the event-level path.
                 assert!(
-                    by_id[&o.attack_id.0].is_reflection(),
+                    class_of(o.attack_id).is_reflection(),
                     "{} saw a DP attack",
                     id.name()
                 );

@@ -104,7 +104,14 @@ fn telemetry_flag_emits_full_manifest() {
     // when nothing re-read a projection, so diffs stay schema-stable.
     assert_eq!(uint(counters.get("project.weekly.computed").unwrap()), 10);
     assert_eq!(uint(counters.get("project.normalized.computed").unwrap()), 10);
-    for kind in ["weekly", "normalized", "tuples", "baseline"] {
+    for kind in [
+        "weekly",
+        "normalized",
+        "tuples",
+        "baseline",
+        "membership",
+        "attack_rows",
+    ] {
         assert!(
             counters.get(&format!("project.{kind}.hit")).is_some(),
             "project.{kind}.hit missing from manifest"

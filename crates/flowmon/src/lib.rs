@@ -13,7 +13,7 @@ pub mod netscout;
 pub mod rtbh;
 
 pub use akamai::{Akamai, AkamaiConfig};
-pub use mitigation::{MitigationModel, MitigationParams};
+pub use mitigation::MitigationParams;
 pub use ixp::{classify_blackholed_traffic, IxpBlackholing, IxpConfig, IxpDetection};
 pub use rtbh::{accepted_by_ixp, blackhole_events, rtbh_stats, BlackholeEvent, RtbhParams, RtbhStats};
 pub use netscout::{

@@ -10,7 +10,7 @@
 //! `interference` experiment quantifies how much telescope visibility
 //! this removes.
 
-use attackgen::Attack;
+use attackgen::AttackRef;
 use netmodel::InternetPlan;
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
@@ -43,38 +43,29 @@ impl Default for MitigationParams {
     }
 }
 
-/// The mitigation landscape over the plan's protection scopes.
-#[derive(Debug, Clone)]
-pub struct MitigationModel {
-    pub params: MitigationParams,
-}
-
-impl MitigationModel {
-    pub fn new(params: MitigationParams) -> Self {
-        MitigationModel { params }
-    }
-
+impl MitigationParams {
     /// The effective duration of an attack's un-mitigated traffic, as a
-    /// passive observer would experience it. Deterministic per attack
-    /// (forked from the attack id).
+    /// passive observer would experience it under this mitigation
+    /// landscape (the plan's protection scopes). Deterministic per
+    /// attack (forked from the attack id).
     pub fn effective_duration_secs(
         &self,
-        attack: &Attack,
+        attack: AttackRef<'_>,
         plan: &InternetPlan,
         root: &SimRng,
     ) -> u32 {
         let target = attack.primary_target();
         let delay = if plan.akamai_protects(target) {
-            Some(self.params.dps_delay_secs)
+            Some(self.dps_delay_secs)
         } else if plan.netscout_customers.contains(&attack.target_asn) {
-            Some(self.params.alerting_delay_secs)
+            Some(self.alerting_delay_secs)
         } else {
             None
         };
         match delay {
             Some(d) if d < attack.duration_secs => {
                 let mut rng = root.fork(attack.id.0).fork_named("mitigation");
-                if rng.chance(self.params.suppression_probability) {
+                if rng.chance(self.suppression_probability) {
                     d
                 } else {
                     attack.duration_secs
@@ -83,21 +74,12 @@ impl MitigationModel {
             _ => attack.duration_secs,
         }
     }
-
-    /// Convenience: a clone of the attack with its duration truncated to
-    /// the effective value (what the telescope's visibility math should
-    /// consume under interference).
-    pub fn apply(&self, attack: &Attack, plan: &InternetPlan, root: &SimRng) -> Attack {
-        let mut truncated = attack.clone();
-        truncated.duration_secs = self.effective_duration_secs(attack, plan, root);
-        truncated
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{AttackClass, AttackId, AttackVector};
+    use attackgen::attack::{Attack, AttackClass, AttackId, AttackVector};
     use netmodel::{Asn, Ipv4, NetScale};
 
     fn plan() -> InternetPlan {
@@ -125,7 +107,7 @@ mod tests {
     #[test]
     fn unprotected_targets_untouched() {
         let plan = plan();
-        let m = MitigationModel::new(MitigationParams::default());
+        let m = MitigationParams::default();
         let root = SimRng::new(1);
         let outsider = plan
             .registry
@@ -137,84 +119,66 @@ mod tests {
             })
             .unwrap();
         let a = rsdos(1, outsider.prefixes[0].nth(1), outsider.asn, 3600);
-        assert_eq!(m.effective_duration_secs(&a, &plan, &root), 3600);
+        assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), 3600);
     }
 
     #[test]
     fn dps_truncates_fast() {
         let plan = plan();
-        let m = MitigationModel::new(MitigationParams {
+        let m = MitigationParams {
             suppression_probability: 1.0,
             ..MitigationParams::default()
-        });
+        };
         let root = SimRng::new(1);
         let target = plan.akamai_prefix_list[0].nth(1);
         let asn = plan.asn_of(target).unwrap();
         let a = rsdos(1, target, asn, 3600);
-        assert_eq!(m.effective_duration_secs(&a, &plan, &root), 45);
+        assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), 45);
     }
 
     #[test]
     fn short_attacks_finish_before_mitigation() {
         let plan = plan();
-        let m = MitigationModel::new(MitigationParams {
+        let m = MitigationParams {
             suppression_probability: 1.0,
             ..MitigationParams::default()
-        });
+        };
         let root = SimRng::new(1);
         let target = plan.akamai_prefix_list[0].nth(1);
         let asn = plan.asn_of(target).unwrap();
         let a = rsdos(1, target, asn, 30); // finishes before the delay
-        assert_eq!(m.effective_duration_secs(&a, &plan, &root), 30);
+        assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), 30);
     }
 
     #[test]
     fn suppression_probability_respected() {
         let plan = plan();
-        let m = MitigationModel::new(MitigationParams {
+        let m = MitigationParams {
             suppression_probability: 0.5,
             ..MitigationParams::default()
-        });
+        };
         let root = SimRng::new(2);
         let target = plan.akamai_prefix_list[0].nth(1);
         let asn = plan.asn_of(target).unwrap();
         let truncated = (0..400)
             .filter(|&id| {
-                m.effective_duration_secs(&rsdos(id, target, asn, 3600), &plan, &root) == 45
+                m.effective_duration_secs(rsdos(id, target, asn, 3600).view(), &plan, &root) == 45
             })
             .count();
         assert!((140..=260).contains(&truncated), "truncated {truncated}/400");
     }
 
     #[test]
-    fn apply_only_changes_duration() {
-        let plan = plan();
-        let m = MitigationModel::new(MitigationParams {
-            suppression_probability: 1.0,
-            ..MitigationParams::default()
-        });
-        let root = SimRng::new(1);
-        let target = plan.akamai_prefix_list[0].nth(1);
-        let asn = plan.asn_of(target).unwrap();
-        let a = rsdos(1, target, asn, 3600);
-        let t = m.apply(&a, &plan, &root);
-        assert_eq!(t.duration_secs, 45);
-        assert_eq!(t.id, a.id);
-        assert_eq!(t.targets, a.targets);
-        assert_eq!(t.pps, a.pps);
-    }
-
-    #[test]
     fn deterministic_per_attack() {
         let plan = plan();
-        let m = MitigationModel::new(MitigationParams::default());
+        let m = MitigationParams::default();
         let root = SimRng::new(3);
         let target = plan.akamai_prefix_list[0].nth(1);
         let asn = plan.asn_of(target).unwrap();
         let a = rsdos(42, target, asn, 3600);
-        let first = m.effective_duration_secs(&a, &plan, &root);
+        let first = m.effective_duration_secs(a.view(), &plan, &root);
         for _ in 0..10 {
-            assert_eq!(m.effective_duration_secs(&a, &plan, &root), first);
+            assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), first);
         }
     }
 }

@@ -138,6 +138,38 @@ fn warm_process_loads_every_stage_from_disk() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The attack-row index the experiments join through needs the
+/// generated ids to be a permutation of `0..n`: check it for a cold run
+/// at 1 and 4 workers and for the warm run that loads that population
+/// back from the store.
+#[test]
+fn attack_ids_are_a_permutation_cold_and_warm() {
+    let _guard = serialize();
+    let check = |run: &StudyRun, label: &str| {
+        let rows = run.attack_rows();
+        assert_eq!(rows.len(), run.attacks.len(), "{label}: index length");
+        for (row, &id) in run.attacks.id.iter().enumerate() {
+            assert_eq!(rows[id as usize] as usize, row, "{label}: id {id}");
+        }
+    };
+    for workers in [1, 4] {
+        let dir = scratch_dir(&format!("ids-w{workers}"));
+        let mut cfg = tiny_cfg(0xD15C_0005, &dir);
+        cfg.workers = Some(workers);
+        // Cold: every stage computes; then a fresh process loads all
+        // of them back from the store.
+        for (label, computed) in [("cold", CELLS_PER_RUN), ("warm", 0)] {
+            StageCache::global().clear();
+            let before = snap();
+            let run = StudyRun::execute(&cfg);
+            let label = format!("{label}, {workers} workers");
+            assert_eq!(delta(before, snap())[4], computed, "{label}: computed");
+            check(&run, &label);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 /// Flip one payload byte in *every* stored cell: every load rejects,
 /// the run recomputes everything, emits byte-identical output, and
 /// rewrites every cell — so the next fresh process loads clean again.

@@ -9,48 +9,9 @@
 
 mod common;
 
-use common::output_fingerprint;
-use ddoscovery::faults::{ChurnSpec, DegradationSpec, FaultPlan, OutageSpec};
-use ddoscovery::{StudyConfig, StudyRun};
+use common::{golden_cfg, output_fingerprint};
+use ddoscovery::StudyRun;
 use obs::manifest::fnv1a;
-
-/// Small fast config with every masking path live: paper missing-data
-/// gaps on, plus a fault plan that exercises outages, honeypot churn
-/// and flow degradation.
-fn golden_cfg(cache: usize, workers: usize) -> StudyConfig {
-    let mut cfg = StudyConfig::quick();
-    cfg.seed = 0x60_1DE2;
-    cfg.gen.timeline.dp_base_per_week = 20.0;
-    cfg.gen.timeline.ra_base_per_week = 30.0;
-    cfg.gen.random_campaign_count = 1;
-    cfg.missing_data = true;
-    cfg.faults = FaultPlan {
-        outages: vec![
-            OutageSpec {
-                source: "ucsd".into(),
-                start_week: 5,
-                end_week: 9,
-            },
-            OutageSpec {
-                source: "ixp".into(),
-                start_week: 100,
-                end_week: 104,
-            },
-        ],
-        honeypot_churn: Some(ChurnSpec {
-            decline_per_year: 0.1,
-            offline_weekly: 0.05,
-        }),
-        flow_degradation: Some(DegradationSpec {
-            drop_fraction: 0.2,
-            start_week: 120,
-        }),
-        seed: 7,
-    };
-    cfg.stage_cache = Some(cache);
-    cfg.workers = Some(workers);
-    cfg
-}
 
 /// The frozen pre-refactor hash: identical for every (workers, cache)
 /// combination by the worker-invariance contract, so one constant

@@ -1,7 +1,8 @@
 //! Memoization contract of the study projections: every experiment in
 //! the suite reads the same handful of weekly / normalized / tuple
-//! projections, and the run must compute each of them at most once no
-//! matter how many experiments (or repeat renders) consume them.
+//! projections, the academic membership column and the attack-row
+//! index, and the run must compute each of them at most once no matter
+//! how many experiments (or repeat renders) consume them.
 
 use ddoscovery::{run_all, ObsId, StudyConfig, StudyRun};
 
@@ -44,6 +45,16 @@ fn run_all_computes_each_projection_at_most_once() {
         "netscout baseline recomputed: {}",
         stats.baseline_computed
     );
+    assert!(
+        stats.membership_computed <= 1,
+        "academic membership column recomputed: {}",
+        stats.membership_computed
+    );
+    assert!(
+        stats.attack_rows_computed <= 1,
+        "attack-row index recomputed: {}",
+        stats.attack_rows_computed
+    );
 
     // A second full pass must be served entirely from the cache.
     let second = run_all(&run);
@@ -69,4 +80,9 @@ fn cached_projections_are_stable() {
         run.netscout_baseline_tuples(),
         run.netscout_baseline_tuples()
     ));
+    assert!(std::ptr::eq(
+        run.academic_membership(),
+        run.academic_membership()
+    ));
+    assert!(std::ptr::eq(run.attack_rows(), run.attack_rows()));
 }

@@ -1,5 +1,5 @@
 //! The repo's source lint (`make lint`; the workspace test run includes
-//! it), nine rules:
+//! it), ten rules:
 //!
 //! 1. No wall-clock or OS-entropy primitives anywhere in simulation
 //!    code: every stochastic draw must fork from the study seed and
@@ -48,6 +48,13 @@
 //!    `DDOSCOVERY_LOG` in `crates/obs/src/log.rs`: library code reads
 //!    the `StudyConfig` it is handed, so a run is decided by its
 //!    config. Test modules, tests and examples may read variables.
+//! 10. Target and attack joins are sorted merges or dense indexes, not
+//!     hash tables: no `HashMap`/`HashSet` keyed by a `TargetTuple`, an
+//!     `(i64, …)` tuple or a `u64` attack id in the experiments
+//!     (`crates/core/src/experiments/`) or in `analytics`' `upset` and
+//!     `overlap` modules (DESIGN.md §4). They read the run's memoized
+//!     membership column and attack-row index instead. Test modules
+//!     are out of scope.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -133,6 +140,16 @@ fn repo_lint_rules_hold() {
         "lint scanned only {} files — directory layout changed?",
         all.len()
     );
+
+    // Rule 10's patterns: each hashed container × each banned key type.
+    let hashed_joins: Vec<String> = ["HashMap<", "HashSet<"]
+        .iter()
+        .flat_map(|container| {
+            ["TargetTuple", "analytics::TargetTuple", "(i64", "u64"]
+                .iter()
+                .map(move |key| [container, *key].concat())
+        })
+        .collect();
 
     let rules = [
         Rule {
@@ -232,6 +249,17 @@ fn repo_lint_rules_hold() {
                 !(rel.starts_with("src/") || rel.contains("/src/"))
                     || rel == "crates/core/src/bin/ddoscovery.rs"
                     || rel == "crates/obs/src/log.rs"
+            },
+            library_lines_only: true,
+        },
+        Rule {
+            name: "hashed target/attack join (use the sorted index)",
+            patterns: hashed_joins,
+            dirs: &["crates/core/src/experiments", "crates/analytics/src"],
+            allow: |rel| {
+                !(rel.starts_with("crates/core/src/experiments/")
+                    || rel == "crates/analytics/src/upset.rs"
+                    || rel == "crates/analytics/src/overlap.rs")
             },
             library_lines_only: true,
         },
