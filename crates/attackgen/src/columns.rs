@@ -290,34 +290,6 @@ impl AttackColumns {
         self.iter().map(|a| a.to_attack()).collect()
     }
 
-    /// Append a generation shard whose ids are shard-local (dense from
-    /// 0), rebasing them by `id_base`. Consumes the shard so its
-    /// buffers free progressively during a multi-shard merge.
-    pub fn append_rebased(&mut self, shard: AttackColumns, id_base: u64) {
-        let base = self.target_arena.len() as u64;
-        assert!(
-            base + shard.target_arena.len() as u64 <= u32::MAX as u64,
-            "target arena exceeds u32 offsets"
-        );
-        self.id.extend(shard.id.iter().map(|&i| {
-            u32::try_from(id_base + i as u64).expect("rebased attack id exceeds the u32 column")
-        }));
-        self.class.extend_from_slice(&shard.class);
-        self.vector.extend_from_slice(&shard.vector);
-        self.start_secs.extend_from_slice(&shard.start_secs);
-        self.duration_secs.extend_from_slice(&shard.duration_secs);
-        self.target_asn.extend_from_slice(&shard.target_asn);
-        self.pps.extend_from_slice(&shard.pps);
-        self.bps.extend_from_slice(&shard.bps);
-        self.reflector_count.extend_from_slice(&shard.reflector_count);
-        self.spoof_space_fraction
-            .extend_from_slice(&shard.spoof_space_fraction);
-        self.campaign.extend_from_slice(&shard.campaign);
-        self.target_offsets
-            .extend(shard.target_offsets[1..].iter().map(|&o| o + base as u32));
-        self.target_arena.extend_from_slice(&shard.target_arena);
-    }
-
     /// Append rows `lo..hi` of `src`, rebasing ids by `id_base` —
     /// column-wise `memcpy`s plus one arena range copy.
     fn append_range_rebased(&mut self, src: &AttackColumns, lo: usize, hi: usize, id_base: u64) {
@@ -1046,22 +1018,6 @@ mod tests {
         assert!(carry.is_empty(), "carry rows below the bound drain");
         out.merge_sorted_shard(AttackColumns::new(), 3, &mut carry, None);
         assert_eq!(out, sorted);
-    }
-
-    #[test]
-    fn append_rebased_matches_concat() {
-        let attacks = sample_attacks();
-        let shard_a = AttackColumns::from_attacks(&attacks[..2]);
-        // Shard-local ids restart at 0.
-        let mut local: Vec<Attack> = attacks[2..].to_vec();
-        for (i, a) in local.iter_mut().enumerate() {
-            a.id = AttackId(i as u64);
-        }
-        let shard_b = AttackColumns::from_attacks(&local);
-        let mut merged = AttackColumns::new();
-        merged.append_rebased(shard_a, 0);
-        merged.append_rebased(shard_b, 2);
-        assert_eq!(merged.to_vec(), attacks);
     }
 
     #[test]

@@ -130,10 +130,6 @@ impl SavModel {
         }
     }
 
-    pub fn as_count(&self) -> usize {
-        self.states.len()
-    }
-
     pub fn states(&self) -> &[SavState] {
         &self.states
     }

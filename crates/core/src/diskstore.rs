@@ -2,7 +2,8 @@
 //!
 //! A disk tier under the in-memory [`crate::StageCache`]: each stage
 //! output — the Internet plan, the columnar attack stream, the eleven
-//! observation streams, and the raw Netscout alert stream — is
+//! observation streams, the raw Netscout alert stream, and the three
+//! honeypots' detections the carpet pass reads — is
 //! serialized through the hand-rolled wire codecs (`netmodel::wire`,
 //! `attackgen::wire`) into one *cell* file at
 //! `<dir>/<stage>/<fingerprint>`, keyed by the same chained

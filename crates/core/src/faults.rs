@@ -5,8 +5,10 @@
 //! platforms that produce raw observation streams — and is resolved into
 //! the per-observatory [`simcore::ObsFaults`] the observe stage consults.
 //! It is validated like every other knob and classified `observations`
-//! in the stage-cache field inventory: changing it re-keys (only) the
-//! observation stage, so cached plans and attack streams are reused.
+//! in the stage-cache field inventory. Each observation stream's key
+//! folds only its own source's [`FaultPlan::for_source`] slice, so a
+//! change re-keys only the outputs of the sources whose slice changed;
+//! cached plans and attack streams are always reused.
 //!
 //! A `ChaosPlan` seeds control-plane failure injection (panicking pool
 //! shards and stage computes). It is classified `execution`: under the

@@ -7,8 +7,9 @@
 //! `Arc` and resolved through `stagecache::Tiers`: the content-addressed
 //! in-memory stage cache (DESIGN.md §7) over the optional disk store
 //! (§11). A sweep that only moves an observation-side knob re-observes
-//! without rebuilding the plan or regenerating attacks; a `gen` sweep
-//! reuses the plan at every grid point.
+//! without rebuilding the plan or regenerating attacks (a carpet-gap
+//! sweep reruns only the honeypot carpet pass); a `gen` sweep reuses
+//! the plan at every grid point.
 
 use crate::scenario::StudyConfig;
 use crate::stagecache::{StageFingerprints, Tiers};
@@ -58,6 +59,10 @@ impl ObsId {
 
     /// The four academic observatories of the §7 target analysis.
     pub const ACADEMIC: [ObsId; 4] = [ObsId::Orion, ObsId::Ucsd, ObsId::Hopscotch, ObsId::AmpPot];
+
+    /// The honeypot series: each is the carpet pass over its
+    /// honeypot's detections.
+    pub const HONEYPOTS: [ObsId; 3] = [ObsId::Hopscotch, ObsId::AmpPot, ObsId::NewKid];
 
     /// Every series the pipeline maintains: the main ten plus NewKid.
     pub const ALL: [ObsId; 11] = [
@@ -348,13 +353,15 @@ impl StudyRun {
     /// inputs: stochastic units fork their RNG from immutable data —
     /// week index for generation, (attack id, observatory name) for
     /// observation — and the pool merges shard results in deterministic
-    /// order regardless of worker count. Carpet reconstruction and the
-    /// flow-monitor class splits remain ordered post-passes inside the
-    /// observation stage.
+    /// order regardless of worker count. The flow-monitor class splits
+    /// and the honeypot carpet pass remain ordered post-passes inside
+    /// the observation stage; the carpet pass reads cached or fresh
+    /// detections, so a carpet-gap change re-observes nothing.
     ///
-    /// Stage spans (`plan`, `generate`, `observe`, `merge`) nest under
-    /// whatever span the caller holds and are only opened when the
-    /// stage actually computes — a fully warm run emits no stage spans.
+    /// Stage spans (`plan`, `generate`, `observe`, `merge`, one
+    /// `carpet` per carpet pass) nest under whatever span the caller
+    /// holds and are only opened when the stage actually computes — a
+    /// fully warm run emits no stage spans.
     fn execute_on(config: &StudyConfig, pool: &ExecPool) -> StudyRun {
         // Disk loads are integrity-checked and a rejected cell falls
         // back to recompute, so neither tier can change an output byte.
@@ -411,32 +418,55 @@ impl StudyRun {
             obs::metrics::counter("fault.degraded_weeks").add(masked);
         }
 
-        // Stage 3 — observations (inputs: plan + attacks + config.obs).
+        // Stage 3 — observations (inputs: plan + attacks + each
+        // source's fault slice; the carpet pass also reads config.obs).
         // Each of the eleven final streams plus the raw Netscout alert
         // stream has its own content key; a source observatory
-        // re-observes only if at least one of its output streams
-        // missed both tiers.
+        // re-observes only if at least one of its outputs missed both
+        // tiers. A honeypot stream is the carpet pass over that
+        // honeypot's detections, which have their own key and do not
+        // read the merge gap, so a missed honeypot stream first looks
+        // its detections up.
         let mut streams: Vec<Option<Arc<ObservationColumns>>> = ObsId::ALL
             .iter()
             .map(|&id| tiers.lookup(fp.observation(id)))
             .collect();
         let mut alerts = tiers.lookup(fp.netscout_alerts);
+        let mut detections: [Option<Arc<ObservationColumns>>; 3] = std::array::from_fn(|i| {
+            if streams[ObsId::HONEYPOTS[i].index()].is_none() {
+                tiers.lookup(fp.detections[i])
+            } else {
+                None
+            }
+        });
 
-        // Source indices of the fan-out; sources 5–7 each produce two
+        // Source indices of the fan-out; sources 2–4 are the honeypots
+        // (in `ObsId::HONEYPOTS` order), sources 5–7 each produce two
         // final streams (their RA/DP splits), source 7 also the raw
         // alert stream.
         const N_OBSERVATORIES: usize = 8;
         let need = |id: ObsId| streams[id.index()].is_none();
+        let need_detections = |i: usize| need(ObsId::HONEYPOTS[i]) && detections[i].is_none();
         let needed: [bool; N_OBSERVATORIES] = [
             need(ObsId::Ucsd),
             need(ObsId::Orion),
-            need(ObsId::Hopscotch),
-            need(ObsId::AmpPot),
-            need(ObsId::NewKid),
+            need_detections(0),
+            need_detections(1),
+            need_detections(2),
             need(ObsId::IxpDp) || need(ObsId::IxpRa),
             need(ObsId::AkamaiDp) || need(ObsId::AkamaiRa),
             need(ObsId::NetscoutDp) || need(ObsId::NetscoutRa) || alerts.is_none(),
         ];
+
+        // Publish a freshly computed output into both tiers for the next
+        // run. Already-resolved slots keep their cached Arc (a source can
+        // re-run because its *sibling* stream missed).
+        let publish = |slot: &mut Option<Arc<ObservationColumns>>, key, mut v: ObservationColumns| {
+            if slot.is_none() {
+                v.shrink_to_fit();
+                *slot = Some(tiers.publish(key, v));
+            }
+        };
 
         if needed.iter().any(|&n| n) {
             let observe_span = obs::span!("observe");
@@ -564,47 +594,50 @@ impl StudyRun {
                 ShardOut::Alerts(v) => alerts_raw.append(v),
             });
             drop(observe_span);
-            let _merge_span = obs::span!("merge");
             let [ucsd_raw, orion_raw, hopscotch_raw, amppot_raw, newkid_raw]: [ObservationColumns;
                 5] = plain_streams.try_into().expect("five plain streams");
-
-            // Ordered post-passes: CCC / Appendix-I carpet
-            // reconstruction merges concurrent same-prefix honeypot
-            // events; the Netscout alert stream splits into its
-            // published (RA, DP) series. A source that did not run
-            // contributes empty columns here and its `store` below is a
-            // no-op (its streams are already resolved from cache).
-            let gap = i64::from(config.obs.carpet_gap_secs);
-            let hopscotch_obs = reconstruct_carpet_columns(&plan, &hopscotch_raw, gap);
-            let amppot_obs = reconstruct_carpet_columns(&plan, &amppot_raw, gap);
-            let newkid_obs = reconstruct_carpet_columns(&plan, &newkid_raw, gap);
-
-            let (netscout_ra, netscout_dp) = split_by_class_columns(&alerts_raw);
-
-            // Publish every freshly observed stream: into both tiers
-            // for the next run, into `streams` for this one.
-            // Already-resolved slots keep their cached Arc (a source
-            // can re-run because its *sibling* stream missed).
-            let mut store = |id: ObsId, mut v: ObservationColumns| {
-                if streams[id.index()].is_none() {
-                    v.shrink_to_fit();
-                    streams[id.index()] = Some(tiers.publish(fp.observation(id), v));
-                }
+            // The Netscout alert stream splits into its published (RA,
+            // DP) series. A source that did not run contributes empty
+            // columns here and its `publish` below is a no-op (its
+            // outputs are already resolved from cache); only a honeypot
+            // that ran publishes detections.
+            let (netscout_ra, netscout_dp) = {
+                let _merge_span = obs::span!("merge");
+                split_by_class_columns(&alerts_raw)
             };
-            store(ObsId::Ucsd, ucsd_raw);
-            store(ObsId::Orion, orion_raw);
-            store(ObsId::Hopscotch, hopscotch_obs);
-            store(ObsId::AmpPot, amppot_obs);
-            store(ObsId::NewKid, newkid_obs);
-            store(ObsId::IxpDp, ixp_dp);
-            store(ObsId::IxpRa, ixp_ra);
-            store(ObsId::AkamaiDp, akamai_dp);
-            store(ObsId::AkamaiRa, akamai_ra);
-            store(ObsId::NetscoutDp, netscout_dp);
-            store(ObsId::NetscoutRa, netscout_ra);
+
+            for (id, v) in [
+                (ObsId::Ucsd, ucsd_raw),
+                (ObsId::Orion, orion_raw),
+                (ObsId::IxpDp, ixp_dp),
+                (ObsId::IxpRa, ixp_ra),
+                (ObsId::AkamaiDp, akamai_dp),
+                (ObsId::AkamaiRa, akamai_ra),
+                (ObsId::NetscoutDp, netscout_dp),
+                (ObsId::NetscoutRa, netscout_ra),
+            ] {
+                publish(&mut streams[id.index()], fp.observation(id), v);
+            }
+            for (i, v) in [hopscotch_raw, amppot_raw, newkid_raw].into_iter().enumerate() {
+                if needed[2 + i] {
+                    publish(&mut detections[i], fp.detections[i], v);
+                }
+            }
             if alerts.is_none() {
                 alerts_raw.shrink_to_fit();
                 alerts = Some(tiers.publish(fp.netscout_alerts, alerts_raw));
+            }
+        }
+
+        // The CCC / Appendix-I carpet pass, the one reader of the merge
+        // gap: merge concurrent same-prefix honeypot events, over cached
+        // or fresh detections, for each honeypot stream that missed.
+        let gap = i64::from(config.obs.carpet_gap_secs);
+        for (i, id) in ObsId::HONEYPOTS.into_iter().enumerate() {
+            if let Some(raw) = detections[i].take() {
+                let _carpet_span = obs::span!("carpet");
+                let merged = reconstruct_carpet_columns(&plan, &raw, gap);
+                publish(&mut streams[id.index()], fp.observation(id), merged);
             }
         }
 

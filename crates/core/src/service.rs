@@ -245,8 +245,9 @@ impl StudyService {
             }
         };
         // Grid points run on the shared pool and reuse warm plan/attack
-        // stages through the stage cache; a corrupt disk store degrades
-        // each point to recompute, never to an error here.
+        // stages through the stage cache (a carpet-gap point reruns only
+        // the three carpet passes); a corrupt disk store degrades each
+        // point to recompute, never to an error here.
         let report = match crate::sweep::sweep(&self.cfg, &values, &ObsId::MAIN_TEN, apply) {
             Ok(report) => report,
             Err(e) => return Response::bad_request(&e.to_string()),

@@ -8,7 +8,8 @@
 //! and memoizes the outputs process-wide, so a parameter sweep (or any
 //! repeated `try_execute`) recomputes only the stages whose inputs
 //! actually changed: an observation-side sweep skips plan building and
-//! attack generation entirely, and a `gen.timeline` sweep reuses the
+//! attack generation entirely, a carpet-gap sweep reruns only the
+//! three honeypot carpet passes, and a `gen.timeline` sweep reuses the
 //! Internet plan at every grid point.
 //!
 //! **Correctness invariant:** cached output is byte-identical to
@@ -19,6 +20,12 @@
 //! `StudyConfig` field to exactly one stage class, and a unit test
 //! fails if a field is added without being classified — a new knob can
 //! never silently alias two different scenarios onto one cache key.
+//! The plan and attack classes fold whole serialized fields. The
+//! observations class is keyed per stream, by the slice of it each
+//! stream reads (see [`StageFingerprints`]); `tests/stage_keys.rs`
+//! guards that finer split down to nested fields, by perturbing every
+//! leaf of the class and requiring that each stream whose bytes change
+//! gets a new key.
 //!
 //! The cache is bounded (LRU over filled entries, default
 //! [`DEFAULT_BOUND`]), thread-safe, and coalescing: concurrent misses
@@ -35,6 +42,7 @@
 //! every stage output through it.
 
 use crate::diskstore::DiskStore;
+use crate::faults::FaultPlan;
 use crate::pipeline::ObsId;
 use crate::scenario::StudyConfig;
 use attackgen::{AttackColumns, ObservationColumns};
@@ -48,9 +56,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default stage-cache bound, in entries. One full study run occupies
-/// 14 entries (1 plan + 1 attack stream + 11 observation streams + the
-/// Netscout alert stream), so the default comfortably covers a
-/// ~18-point sweep's working set.
+/// 17 entries (1 plan + 1 attack stream + 11 observation streams + the
+/// Netscout alert stream + 3 honeypot detections), and each further
+/// carpet-gap point adds 3 (its carpet outputs), so the default
+/// comfortably covers a long gap sweep's working set.
 pub const DEFAULT_BOUND: usize = 256;
 
 /// The effective cache bound for a config: the config knob, else
@@ -64,18 +73,24 @@ pub fn resolve_bound(config: &StudyConfig) -> usize {
 // ---------------------------------------------------------------------
 
 /// Stage classes a config field can feed. `plan`/`attacks`/
-/// `observations` fields enter the corresponding fingerprint (and,
-/// transitively, every downstream one); `projection` fields only shape
-/// per-run projections computed *after* the cached stages (weekly-gap
-/// masking); `execution` fields cannot change any output byte (worker
-/// count, the cache bound itself).
+/// `observations` fields enter the corresponding fingerprints (and,
+/// transitively, every downstream one; an `observations` field enters
+/// only the keys of the streams that read it); `projection` fields only
+/// shape per-run projections computed *after* the cached stages
+/// (weekly-gap masking); `execution` fields cannot change any output
+/// byte (worker count, the cache bound itself).
 pub const STAGE_CLASSES: [&str; 5] =
     ["plan", "attacks", "observations", "projection", "execution"];
 
 /// The classification: `(serialized field name, stage class)`. Must
 /// list every top-level [`StudyConfig`] field exactly once —
 /// `field_inventory_is_exhaustive` fails otherwise, which is the
-/// guard against silent cache poisoning when a field is added.
+/// guard against silent cache poisoning when a field is added. The
+/// `observations` fields are not folded whole: [`StageFingerprints::of`]
+/// keys each stream by its own slice of them, so a new field of this
+/// class must also be keyed there (`field_inventory_is_exhaustive`
+/// pins the class to `obs` and `faults`), and `tests/stage_keys.rs`
+/// perturbs every nested leaf of the class.
 pub const FIELD_STAGES: &[(&str, &str)] = &[
     ("seed", "plan"),
     ("net", "plan"),
@@ -105,11 +120,22 @@ fn fold_class(h: &mut Fnv, config_value: &Value, class: &str) {
     }
 }
 
-/// Per-stage scenario fingerprints of one [`StudyConfig`]. Each stage
-/// hash chains its upstream stage's hash, so invalidation flows down
-/// the dataflow: a `net` change re-keys everything, a `gen` change
-/// re-keys attacks + observations but leaves the plan key intact, an
-/// `obs` change re-keys only the observation streams.
+/// Per-stage scenario fingerprints of one [`StudyConfig`]. Each key
+/// chains the key of the stage output it reads, so invalidation flows
+/// down the dataflow: a `net` change re-keys everything, a `gen` change
+/// re-keys attacks and every observation output but leaves the plan key
+/// intact.
+///
+/// The observations class is keyed per stream, by exactly what each
+/// stream reads. A *source key* folds the attacks key, a
+/// [`FAULT_SOURCES`] slug and the serialized fault slice that source's
+/// observer receives ([`FaultPlan::for_source`]). Every stream chains
+/// its source's key, and only the three honeypot streams — the carpet
+/// pass over their gap-free detections — also fold the serialized
+/// `obs`. A carpet-gap change therefore re-keys three outputs, and an
+/// outage on one source re-keys only that source's outputs.
+///
+/// [`FAULT_SOURCES`]: crate::faults::FAULT_SOURCES
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageFingerprints {
     /// Key of the Internet plan: `seed` + `net`.
@@ -117,10 +143,17 @@ pub struct StageFingerprints {
     /// Key of the ground-truth attack stream: plan key + `gen`.
     pub attacks: u64,
     /// Keys of the eleven final observation streams, indexed by
-    /// [`ObsId::index`]: attacks key + `obs` + the observatory slug.
+    /// [`ObsId::index`]: each chains its source key (a honeypot stream,
+    /// its detections key) and its slug; a honeypot stream also folds
+    /// `obs`.
     pub observations: [u64; 11],
-    /// Key of the raw Netscout alert stream (the §7.2 baseline input).
+    /// Key of the raw Netscout alert stream (the §7.2 baseline input):
+    /// chains the `netscout` source key.
     pub netscout_alerts: u64,
+    /// Keys of the gap-free honeypot detections the carpet pass reads,
+    /// in [`ObsId::HONEYPOTS`] order: each chains its honeypot's source
+    /// key, under a key domain of its own.
+    pub detections: [u64; 3],
 }
 
 impl StageFingerprints {
@@ -139,24 +172,43 @@ impl StageFingerprints {
         fold_class(&mut h, &value, "attacks");
         let attacks = h.finish();
 
-        let obs_key = |slug: &str| {
+        let source_key = |source: &str| {
+            let faults = serde_json::to_string(&config.faults.for_source(source))
+                .expect("ObsFaults serialization is infallible");
             let mut h = Fnv::new();
-            h.write(b"stage.observations\0").write_u64(attacks);
-            fold_class(&mut h, &value, "observations");
-            h.write(slug.as_bytes());
+            h.write(b"stage.source\0").write_u64(attacks).write(source.as_bytes());
+            h.write(b"\0").write(faults.as_bytes());
             h.finish()
         };
+        // `reads` is what the stream's own pass reads beyond its
+        // upstream output: the serialized `obs` for a carpet pass.
+        let stream_key = |upstream: u64, slug: &str, reads: &str| {
+            let mut h = Fnv::new();
+            h.write(b"stage.observations\0").write_u64(upstream).write(slug.as_bytes());
+            h.write(b"\0").write(reads.as_bytes());
+            h.finish()
+        };
+        let detections = ObsId::HONEYPOTS.map(|id| {
+            let mut h = Fnv::new();
+            h.write(b"stage.detections\0").write_u64(source_key(id.slug()));
+            h.finish()
+        });
+        let obs = serde_json::to_string(&config.obs).expect("ObsParams serialization is infallible");
         let mut observations = [0u64; 11];
         for id in ObsId::ALL {
-            observations[id.index()] = obs_key(id.slug());
+            observations[id.index()] = match ObsId::HONEYPOTS.iter().position(|&h| h == id) {
+                Some(i) => stream_key(detections[i], id.slug(), &obs),
+                None => stream_key(source_key(FaultPlan::source_of(id)), id.slug(), ""),
+            };
         }
-        let netscout_alerts = obs_key("netscout_alerts");
+        let netscout_alerts = stream_key(source_key("netscout"), "netscout_alerts", "");
 
         StageFingerprints {
             plan,
             attacks,
             observations,
             netscout_alerts,
+            detections,
         }
     }
 
@@ -667,6 +719,17 @@ mod tests {
             phantom.is_empty(),
             "FIELD_STAGES classifies field(s) {phantom:?} that StudyConfig no longer has"
         );
+        let per_stream: Vec<&str> = FIELD_STAGES
+            .iter()
+            .filter(|(_, stage)| *stage == "observations")
+            .map(|(f, _)| *f)
+            .collect();
+        assert_eq!(
+            per_stream,
+            ["obs", "faults"],
+            "StageFingerprints::of keys the observations class per stream: \
+             key a new field there, by the streams that read it"
+        );
         for (_, stage) in FIELD_STAGES {
             assert!(
                 STAGE_CLASSES.contains(stage),
@@ -749,6 +812,10 @@ mod tests {
             assert!(seen.insert(key), "two observation streams share a key");
         }
         assert!(seen.insert(fp.netscout_alerts));
+        for key in fp.detections {
+            assert!(seen.insert(key), "a detections key collides with another output");
+        }
+        assert!(!seen.contains(&fp.plan) && !seen.contains(&fp.attacks));
         assert_ne!(fp.plan, fp.attacks);
     }
 

@@ -76,22 +76,24 @@ fn warm_invocation_recomputes_nothing_and_matches_cold_stdout() {
     let cold = run_cli(&trends, &store, Some(&m1));
     assert!(cold.status.success(), "cold run failed: {}", String::from_utf8_lossy(&cold.stderr));
     let cold_manifest = read_manifest(&m1);
-    assert!(stage_total(&cold_manifest, "computed") >= 14, "cold run computes every stage");
-    assert!(stage_total(&cold_manifest, "disk_write") >= 14, "cold run persists every stage");
-    assert_eq!(cell_files(&store).len(), 14, "one cell per stage output");
+    // 14 stage outputs plus the 3 honeypot detections.
+    assert!(stage_total(&cold_manifest, "computed") >= 17, "cold run computes every stage");
+    assert!(stage_total(&cold_manifest, "disk_write") >= 17, "cold run persists every stage");
+    assert_eq!(cell_files(&store).len(), 17, "one cell per stage output");
 
     // Second process: zero plan/attack/observation recomputation,
-    // byte-identical stdout.
+    // byte-identical stdout. Every final stream loads, so the
+    // detections behind the honeypot streams stay unread.
     let m2 = std::env::temp_dir().join(format!("ddoscovery-cli-store-m2-{}.json", std::process::id()));
     let warm = run_cli(&trends, &store, Some(&m2));
     assert!(warm.status.success(), "warm run failed: {}", String::from_utf8_lossy(&warm.stderr));
     assert_eq!(warm.stdout, cold.stdout, "warm stdout diverged from cold stdout");
     let warm_manifest = read_manifest(&m2);
     assert_eq!(stage_total(&warm_manifest, "computed"), 0, "warm run must recompute nothing");
-    assert_eq!(stage_total(&warm_manifest, "disk_hit"), 14, "warm run must load all 14 cells");
+    assert_eq!(stage_total(&warm_manifest, "disk_hit"), 14, "warm run must load the 14 cells it reads");
     assert_eq!(stage_total(&warm_manifest, "disk_reject"), 0);
-    // Per stage: the plan cell, the attack cell and all 12 observation
-    // cells load, and the plan is never rebuilt.
+    // Per stage: the plan cell, the attack cell and the 12 final
+    // observation cells load, and the plan is never rebuilt.
     for (name, want) in [
         ("stage.plan.disk_hit", 1),
         ("stage.attacks.disk_hit", 1),
@@ -115,7 +117,7 @@ fn warm_invocation_recomputes_nothing_and_matches_cold_stdout() {
     assert!(hurt.status.success(), "corrupted store must not fail the run");
     assert_eq!(hurt.stdout, cold.stdout, "recovery stdout diverged from cold stdout");
     let hurt_manifest = read_manifest(&m3);
-    assert_eq!(stage_total(&hurt_manifest, "disk_reject"), 14, "every corrupt cell rejects");
+    assert_eq!(stage_total(&hurt_manifest, "disk_reject"), 17, "every corrupt cell rejects");
     assert_eq!(stage_total(&hurt_manifest, "computed"), stage_total(&cold_manifest, "computed"));
 
     let _ = std::fs::remove_dir_all(&store);
@@ -133,13 +135,13 @@ fn store_subcommand_lists_and_collects_garbage() {
     for stage in ["plan", "attacks", "observations"] {
         assert!(listing.contains(stage), "listing missing stage {stage}:\n{listing}");
     }
-    assert!(listing.contains("total 14 cell(s)"), "listing missing totals:\n{listing}");
+    assert!(listing.contains("total 17 cell(s)"), "listing missing totals:\n{listing}");
 
     // gc to zero bytes evicts everything; a fresh list reports empty.
     let gc = run_cli(&["store", "gc", "--max-bytes", "0"], &store, None);
     assert!(gc.status.success(), "store gc failed: {}", String::from_utf8_lossy(&gc.stderr));
     let report = String::from_utf8(gc.stdout).unwrap();
-    assert!(report.contains("removed 14 cell(s)"), "gc report wrong:\n{report}");
+    assert!(report.contains("removed 17 cell(s)"), "gc report wrong:\n{report}");
     assert!(cell_files(&store).is_empty(), "gc left cells behind");
 
     let relist = run_cli(&["store", "list"], &store, None);

@@ -80,10 +80,6 @@ impl IxpBlackholing {
         Self::new(plan, IxpConfig::default())
     }
 
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Event-level detection verdict for one attack row. The IXP's
     /// observation tuple is just the attack's (id, start, targets), so
     /// columnar callers append it to their own sink without cloning.

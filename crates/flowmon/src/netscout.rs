@@ -73,10 +73,6 @@ impl Netscout {
         Self::new(plan, NetscoutConfig::default())
     }
 
-    pub fn customer_count(&self) -> usize {
-        self.customers.len()
-    }
-
     fn severity(&self, pps: f64) -> Option<Severity> {
         if pps >= self.cfg.high_pps {
             Some(Severity::High)

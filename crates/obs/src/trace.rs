@@ -179,10 +179,13 @@ struct LaneHandle {
 
 impl Drop for LaneHandle {
     fn drop(&mut self) {
+        // Shared lock first, as `snapshot` takes it: a snapshot then
+        // sees the events either still live or already retired, never
+        // in flight between the two.
+        let mut s = lock_shared();
         let events = std::mem::take(
             &mut *self.buf.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
         );
-        let mut s = lock_shared();
         s.live.retain(|(lane, _)| *lane != self.lane);
         if !events.is_empty() {
             s.retired.push((self.lane, events));

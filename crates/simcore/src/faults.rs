@@ -74,7 +74,9 @@ pub struct FlowDegradation {
 }
 
 /// The resolved fault set one observatory consults while observing.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Serializable so the stage cache can key each observation stream by
+/// exactly the slice its observer reads.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ObsFaults {
     pub outages: Vec<OutageWindow>,
     pub churn: Option<SensorChurn>,

@@ -58,11 +58,19 @@ fn tiny_cfg(seed: u64) -> StudyConfig {
 
 /// The headline reuse guarantee: an observation-parameter sweep of G
 /// grid points performs exactly one plan build and one attack
-/// generation — generation is skipped entirely at every warm point.
+/// generation — generation is skipped entirely at every warm point —
+/// and a carpet-gap point reruns only the three carpet passes.
 #[test]
 fn observation_sweep_generates_attacks_exactly_once() {
     let _guard = serialize();
     let base = tiny_cfg(0xA11C_E001);
+    // Prime the base study: concurrent cold points could each compute
+    // the streams they share, so only a primed grid pins its counts.
+    let before = snap();
+    let _ = StudyRun::execute(&base);
+    let [plan, attacks, observations] = delta(before, snap());
+    assert_eq!((plan.computed, attacks.computed, observations.computed), (1, 1, 15));
+
     let before = snap();
     let report = sweep(
         &base,
@@ -74,24 +82,24 @@ fn observation_sweep_generates_attacks_exactly_once() {
     let [plan, attacks, observations] = delta(before, snap());
     assert_eq!(report.outcomes.len(), 6);
     assert!(report.skipped.is_empty());
-    assert_eq!(plan.computed, 1, "plan must be built exactly once across the grid");
-    assert_eq!(
-        attacks.computed, 1,
-        "attacks must be generated exactly once across the grid"
-    );
-    // Concurrent grid points coalesce on the shared stages and count
-    // the waits as hits; every point's observation streams are fresh
-    // (12 streams each: 11 observatories + the raw alert stream).
-    assert_eq!(plan.hit + plan.computed, 3);
-    assert_eq!(attacks.hit + attacks.computed, 3);
-    assert_eq!(observations.computed, 3 * 12);
+    assert_eq!(plan.computed, 0, "a primed grid must never rebuild the plan");
+    assert_eq!(attacks.computed, 0, "a primed grid must never regenerate attacks");
+    assert_eq!((plan.hit, attacks.hit), (3, 3));
+    // Each point computes its three carpet outputs and hits the other
+    // 12 outputs: 8 series, the raw alert stream and the 3 honeypots'
+    // detections.
+    assert_eq!(observations.computed, 3 * 3);
+    assert_eq!(observations.hit, 3 * 12);
 
-    // The same sweep writing through a fresh disk store, under its own
+    // A cold sweep writing through a fresh disk store, under its own
     // seed: only the point that computes a shared stage writes its
     // cell, so the plan and attack cells are written exactly once
-    // however the points race, and every point writes its own 12
-    // streams. (A waiting point may load the cell the computing point
-    // has just written, so hit + computed is not pinned here.)
+    // however the points race. The observation outputs the points
+    // share are not coalesced, so a racing point may compute one again;
+    // every compute still writes exactly one cell, and the store ends
+    // with one cell per distinct output. (A waiting point may load the
+    // cell the computing point has just written, so hit + computed is
+    // not pinned here.)
     let dir = std::env::temp_dir().join(format!(
         "ddoscovery-stage-cache-write-through-{}",
         std::process::id()
@@ -111,7 +119,7 @@ fn observation_sweep_generates_attacks_exactly_once() {
         |cfg, v| cfg.obs.carpet_gap_secs = v as u32,
     )
     .expect("base config is valid");
-    let [plan, attacks, _] = delta(before, snap());
+    let [plan, attacks, observations] = delta(before, snap());
     let writes_after = disk_writes();
     let [plan_writes, attack_writes, observation_writes]: [u64; 3] =
         std::array::from_fn(|i| writes_after[i] - writes_before[i]);
@@ -121,7 +129,14 @@ fn observation_sweep_generates_attacks_exactly_once() {
         (1, 1),
         "a shared stage is written through once, by the point that computed it"
     );
-    assert_eq!(observation_writes, 3 * 12);
+    assert_eq!(observation_writes, observations.computed);
+    // 12 shared outputs plus 3 carpet outputs per point.
+    let cells = std::fs::read_dir(dir.join("observations"))
+        .expect("observation cells")
+        .flatten()
+        .filter(|e| !e.file_name().to_string_lossy().starts_with('.'))
+        .count();
+    assert_eq!(cells, 12 + 3 * 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -142,8 +157,9 @@ fn generation_sweep_builds_plan_exactly_once() {
     // Every point's generator inputs differ, so no attack reuse …
     assert_eq!(attacks.computed, 3);
     assert_eq!(attacks.hit, 0);
-    // … and downstream observation streams are all fresh too.
-    assert_eq!(observations.computed, 3 * 12);
+    // … and downstream observation outputs are all fresh too (12
+    // streams and 3 detections each).
+    assert_eq!(observations.computed, 3 * 15);
     assert_eq!(observations.hit, 0);
 }
 
@@ -157,7 +173,7 @@ fn single_field_changes_invalidate_their_stage_only() {
     let before = snap();
     let _ = StudyRun::execute(&cfg);
     let [plan, attacks, observations] = delta(before, snap());
-    assert_eq!((plan.computed, attacks.computed, observations.computed), (1, 1, 12));
+    assert_eq!((plan.computed, attacks.computed, observations.computed), (1, 1, 15));
 
     // Identical config: every stage is a hit.
     let before = snap();
@@ -172,7 +188,7 @@ fn single_field_changes_invalidate_their_stage_only() {
     let before = snap();
     let _ = StudyRun::execute(&poked);
     let [plan, attacks, observations] = delta(before, snap());
-    assert_eq!((plan.computed, attacks.computed, observations.computed), (1, 1, 12));
+    assert_eq!((plan.computed, attacks.computed, observations.computed), (1, 1, 15));
 
     // An attacks-class field (`gen`) reuses the plan.
     let mut poked = cfg.clone();
@@ -181,16 +197,18 @@ fn single_field_changes_invalidate_their_stage_only() {
     let _ = StudyRun::execute(&poked);
     let [plan, attacks, observations] = delta(before, snap());
     assert_eq!((plan.computed, plan.hit), (0, 1));
-    assert_eq!((plan.computed, attacks.computed, observations.computed), (0, 1, 12));
+    assert_eq!((plan.computed, attacks.computed, observations.computed), (0, 1, 15));
 
-    // An observation-class field (`obs`) reuses plan and attacks.
+    // An observation-class field (`obs`) reuses plan and attacks, and
+    // the gap re-keys only the three carpet outputs: the 8 other series,
+    // the alert stream and the 3 detections hit.
     let mut poked = cfg.clone();
     poked.obs.carpet_gap_secs += 60;
     let before = snap();
     let _ = StudyRun::execute(&poked);
     let [plan, attacks, observations] = delta(before, snap());
-    assert_eq!((plan.hit, attacks.hit), (1, 1));
-    assert_eq!((plan.computed, attacks.computed, observations.computed), (0, 0, 12));
+    assert_eq!((plan.hit, attacks.hit, observations.hit), (1, 1, 12));
+    assert_eq!((plan.computed, attacks.computed, observations.computed), (0, 0, 3));
 
     // Execution-class fields (`workers`, `stage_cache` bound) change no
     // fingerprint: full hit, byte-identical output.
@@ -204,7 +222,7 @@ fn single_field_changes_invalidate_their_stage_only() {
     assert_eq!((plan.hit, attacks.hit, observations.hit), (1, 1, 12));
 }
 
-/// A tiny bound evicts (one full run needs 14 entries) but never
+/// A tiny bound evicts (one full run needs 17 entries) but never
 /// corrupts: the re-run under the same tiny bound recomputes evicted
 /// stages and reproduces the exact same bytes.
 #[test]
@@ -216,11 +234,11 @@ fn tiny_bound_evicts_without_changing_output() {
     let before = snap();
     let a = output_fingerprint(&StudyRun::execute(&cfg));
     let [plan, attacks, observations] = delta(before, snap());
-    assert_eq!((plan.computed, attacks.computed, observations.computed), (1, 1, 12));
+    assert_eq!((plan.computed, attacks.computed, observations.computed), (1, 1, 15));
     let evictions = plan.evicted + attacks.evicted + observations.evicted;
     assert!(
-        evictions >= 12,
-        "a 14-entry run at bound 2 must evict (saw {evictions})"
+        evictions >= 15,
+        "a 17-entry run at bound 2 must evict (saw {evictions})"
     );
     let b = output_fingerprint(&StudyRun::execute(&cfg));
     assert!(a == b, "post-eviction re-run diverged");
