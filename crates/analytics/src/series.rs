@@ -51,16 +51,6 @@ impl WeeklySeries {
         }
     }
 
-    /// Mark individual weeks as missing data (outage windows arrive as
-    /// week lists from the fault plan). Out-of-range weeks are ignored.
-    pub fn mask_weeks(&mut self, weeks: &[usize]) {
-        for &w in weeks {
-            if let Some(v) = self.values.get_mut(w) {
-                *v = f64::NAN;
-            }
-        }
-    }
-
     /// The explicit missing-week mask of this series: which week
     /// indices hold no observed value. Every statistic in this module
     /// treats masked weeks as *absent*, never as zero counts.
@@ -211,16 +201,6 @@ impl WeekMask {
     pub fn observed(&self) -> usize {
         self.total - self.missing.len()
     }
-
-    /// Weeks observed in *both* masks — the pairwise-complete domain
-    /// every cross-series statistic (Spearman, Pearson, lag scans)
-    /// effectively operates on.
-    pub fn intersect_observed(&self, other: &WeekMask) -> usize {
-        let total = self.total.min(other.total);
-        (0..total)
-            .filter(|&w| !self.is_missing(w) && !other.is_missing(w))
-            .count()
-    }
 }
 
 /// The Table-1 statistic: relative change of the fitted line over four
@@ -369,16 +349,15 @@ mod tests {
     #[test]
     fn week_mask_reports_gap_structure() {
         let mut a = WeeklySeries::new("a", vec![1.0; 10]);
-        a.mask_weeks(&[2, 3, 7]);
+        a.mask_range(2, 4);
+        a.mask_range(7, 8);
+        // Out-of-range bounds clamp to the series.
+        a.mask_range(12, 20);
         let ma = a.week_mask();
         assert_eq!(ma.missing, vec![2, 3, 7]);
+        assert_eq!(ma.total, 10);
         assert_eq!(ma.observed(), 7);
         assert!(ma.is_missing(3) && !ma.is_missing(4));
-        let mut b = WeeklySeries::new("b", vec![1.0; 10]);
-        b.mask_range(6, 9);
-        let mb = b.week_mask();
-        // Pairwise-complete domain: all weeks minus the union {2,3,6,7,8}.
-        assert_eq!(ma.intersect_observed(&mb), 5);
     }
 
     #[test]

@@ -517,12 +517,6 @@ impl<'a> AttackGenerator<'a> {
     }
 }
 
-/// Convenience: generate a full study with default configuration.
-pub fn generate_default_study(plan: &InternetPlan, seed: u64) -> AttackColumns {
-    let rng = SimRng::new(seed);
-    AttackGenerator::new(plan, GenConfig::default(), &rng).generate_study()
-}
-
 /// Weekly ground-truth attack counts per class (handy for calibration
 /// tests and ablations). Accepts any row-view iterator, so it works on
 /// [`AttackColumns::iter`] and on `&[Attack]` via

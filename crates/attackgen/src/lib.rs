@@ -24,7 +24,7 @@ pub use attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
 pub use booters::{Booter, BooterMarket, BooterMarketParams};
 pub use campaigns::{Campaign, CampaignScope};
 pub use columns::{AttackColumns, AttackRef, ObservationColumns, ObservedRef};
-pub use generator::{generate_default_study, weekly_class_counts, AttackGenerator, GenConfig};
+pub use generator::{weekly_class_counts, AttackGenerator, GenConfig};
 pub use observed::{
     distinct_target_tuples, distinct_target_tuples_of, weekly_counts, ObservedAttack,
 };

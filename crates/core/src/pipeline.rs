@@ -3,21 +3,26 @@
 //! projections (weekly attack counts and daily target tuples).
 //!
 //! Execution is an explicit three-stage dataflow — `plan` → `attacks`
-//! → per-observatory `observations` — with every stage output owned by
-//! `Arc` and resolved through `stagecache::Tiers`: the content-addressed
+//! → `observations` — with every stage output owned by `Arc` and
+//! resolved through `stagecache::Tiers`: the content-addressed
 //! in-memory stage cache (DESIGN.md §7) over the optional disk store
-//! (§11). A sweep that only moves an observation-side knob re-observes
-//! without rebuilding the plan or regenerating attacks (a carpet-gap
-//! sweep reruns only the honeypot carpet pass); a `gen` sweep reuses
-//! the plan at every grid point.
+//! (§11). The observation stage is a list of passes: ten observer
+//! passes (a detector over the attack rows: UCSD, ORION, each
+//! honeypot's gap-free detections, IXP and Akamai once per class, the
+//! raw Netscout alerts), fanned out as (pass × attack shard) over the
+//! pool, and five post-passes over their outputs (each honeypot's
+//! carpet pass, the Netscout class split). Each of the fifteen outputs
+//! has its own key, and a miss recomputes only that output. A sweep
+//! that only moves an observation-side knob therefore re-runs only the
+//! passes that read it (a carpet-gap sweep reruns only the honeypot
+//! carpet passes), without rebuilding the plan or regenerating
+//! attacks; a `gen` sweep reuses the plan at every grid point.
 
 use crate::scenario::StudyConfig;
 use crate::stagecache::{StageFingerprints, Tiers};
 use analytics::{Member, TargetTuple, WeeklySeries};
 use attackgen::{AttackColumns, AttackGenerator, AttackId, AttackRef, ObservationColumns};
-use flowmon::{
-    split_by_class_columns, Akamai, AlertColumns, IxpBlackholing, IxpDetection, Netscout,
-};
+use flowmon::{Akamai, AlertColumns, IxpBlackholing, Netscout};
 use honeypot::{reconstruct_carpet_columns, Honeypot};
 use netmodel::InternetPlan;
 use obs::metrics::Counter;
@@ -120,20 +125,10 @@ impl ObsId {
         )
     }
 
+    /// Position in [`ObsId::ALL`], which lists the variants in
+    /// declaration order.
     pub(crate) const fn index(self) -> usize {
-        match self {
-            ObsId::Orion => 0,
-            ObsId::Ucsd => 1,
-            ObsId::NetscoutDp => 2,
-            ObsId::AkamaiDp => 3,
-            ObsId::IxpDp => 4,
-            ObsId::Hopscotch => 5,
-            ObsId::AmpPot => 6,
-            ObsId::NetscoutRa => 7,
-            ObsId::AkamaiRa => 8,
-            ObsId::IxpRa => 9,
-            ObsId::NewKid => 10,
-        }
+        self as usize
     }
 }
 
@@ -239,31 +234,64 @@ fn memo<'a, T>(
     })
 }
 
-/// One unit of observatory work: `(which observatory, which attack
-/// shard)`. The execute fan-out flattens the cross product of the
-/// *sources that need re-observing* onto the pool so a slow
-/// observatory cannot serialize the others.
+/// An observer pass: one detector over the attack rows, producing one
+/// stage output. IXP and Akamai run once per published class, over
+/// that class's rows only: their verdict class is the attack class.
+/// The honeypot and Netscout passes produce the inputs of the
+/// post-passes (each honeypot's carpet pass, the Netscout class split).
 #[derive(Debug, Clone, Copy)]
-struct ObsTask {
-    observatory: usize,
-    shard: usize,
+enum Pass {
+    /// The UCSD or ORION stream.
+    Telescope(ObsId),
+    /// The gap-free detections of honeypot `i` of [`ObsId::HONEYPOTS`].
+    Honeypot(usize),
+    /// The IXP stream of one class.
+    Ixp(ObsId),
+    /// The Akamai stream of one class.
+    Akamai(ObsId),
+    /// The raw Netscout alert stream.
+    Netscout,
 }
 
-/// Heterogeneous per-shard observatory output, already columnar. The
-/// flow monitors split their two published series *per shard*; since
-/// shards are input-ordered and merged in task order, per-class
-/// concatenation reproduces the merge-then-split row order exactly.
+impl Pass {
+    const ALL: [Pass; 10] = [
+        Pass::Telescope(ObsId::Ucsd),
+        Pass::Telescope(ObsId::Orion),
+        Pass::Honeypot(0),
+        Pass::Honeypot(1),
+        Pass::Honeypot(2),
+        Pass::Ixp(ObsId::IxpRa),
+        Pass::Ixp(ObsId::IxpDp),
+        Pass::Akamai(ObsId::AkamaiRa),
+        Pass::Akamai(ObsId::AkamaiDp),
+        Pass::Netscout,
+    ];
+}
+
+/// One shard of a pass's output, already columnar.
 enum ShardOut {
-    Plain(ObservationColumns),
-    Ixp {
-        ra: ObservationColumns,
-        dp: ObservationColumns,
-    },
-    Akamai {
-        ra: ObservationColumns,
-        dp: ObservationColumns,
-    },
+    Rows(ObservationColumns),
     Alerts(AlertColumns),
+}
+
+/// One shard of a plain observer pass over the rows `keep` selects.
+/// Monomorphic, one instantiation per call site, so the per-attack
+/// observe call is direct (and inlinable) instead of an opaque
+/// `dyn Fn` vtable dispatch in the hottest loop of the fan-out. The
+/// row filter reads the columns before any `AttackRef` is built, and
+/// the observer appends detections straight into a columnar sink: no
+/// per-observation `Vec<Ipv4>` ever exists.
+fn observe_rows<R>(
+    attacks: &AttackColumns,
+    rows: std::ops::Range<usize>,
+    keep: impl Fn(usize) -> bool,
+    observe: impl Fn(AttackRef<'_>, &mut ObservationColumns) -> R,
+) -> ShardOut {
+    let mut out = ObservationColumns::new();
+    for i in rows.filter(|&i| keep(i)) {
+        observe(attacks.get(i), &mut out);
+    }
+    ShardOut::Rows(out)
 }
 
 /// Record the process peak RSS (`VmHWM`) after a pipeline stage: once
@@ -279,24 +307,6 @@ pub fn record_peak_rss(stage: &str) {
     }
 }
 
-/// Monomorphic plain-observer shard: one instantiation per call site,
-/// so the per-attack observe call is direct (and inlinable) instead of
-/// an opaque `dyn Fn` vtable dispatch in the hottest loop of the
-/// fan-out. The observer appends detections straight into a columnar
-/// sink — no per-observation `Vec<Ipv4>` ever exists.
-fn observe_plain<F: Fn(AttackRef<'_>, &mut ObservationColumns) -> bool>(
-    attacks: &AttackColumns,
-    lo: usize,
-    hi: usize,
-    observe: F,
-) -> ShardOut {
-    let mut out = ObservationColumns::new();
-    for i in lo..hi {
-        observe(attacks.get(i), &mut out);
-    }
-    ShardOut::Plain(out)
-}
-
 /// A completed study run. The stage outputs (`plan`, `attacks`, the
 /// observation streams) are `Arc`-owned: cache hits share one
 /// allocation across runs, and the projections layer on top per run.
@@ -308,7 +318,7 @@ pub struct StudyRun {
     /// shared target arena instead of a `Vec<Ipv4>` per attack).
     pub attacks: Arc<AttackColumns>,
     /// Stage-3 outputs: observation streams indexed by [`ObsId::index`].
-    observations: Vec<Arc<ObservationColumns>>,
+    observations: [Arc<ObservationColumns>; 11],
     /// All Netscout alerts (needed for the §7.2 baseline sample).
     pub netscout_alerts: Arc<AlertColumns>,
     /// The Netscout instance of this plan, kept for the baseline
@@ -353,15 +363,18 @@ impl StudyRun {
     /// inputs: stochastic units fork their RNG from immutable data —
     /// week index for generation, (attack id, observatory name) for
     /// observation — and the pool merges shard results in deterministic
-    /// order regardless of worker count. The flow-monitor class splits
-    /// and the honeypot carpet pass remain ordered post-passes inside
-    /// the observation stage; the carpet pass reads cached or fresh
-    /// detections, so a carpet-gap change re-observes nothing.
+    /// order regardless of worker count. The observation stage is ten
+    /// observer passes (one detector over the attack rows, into one
+    /// output each) and five post-passes over their outputs (each
+    /// honeypot's carpet pass, the Netscout class split); a post-pass
+    /// reads its cached or fresh input, so a carpet-gap change or a
+    /// lost Netscout series re-observes nothing.
     ///
-    /// Stage spans (`plan`, `generate`, `observe`, `merge`, one
-    /// `carpet` per carpet pass) nest under whatever span the caller
-    /// holds and are only opened when the stage actually computes — a
-    /// fully warm run emits no stage spans.
+    /// Stage spans (`plan`, `generate`, one `observe` around the
+    /// observer passes that run, one `carpet` or `merge` per post-pass
+    /// that runs) nest under whatever span the caller holds and are
+    /// only opened when the stage actually computes — a fully warm run
+    /// emits no stage spans.
     fn execute_on(config: &StudyConfig, pool: &ExecPool) -> StudyRun {
         // Disk loads are integrity-checked and a rejected cell falls
         // back to recompute, so neither tier can change an output byte.
@@ -419,18 +432,15 @@ impl StudyRun {
         }
 
         // Stage 3 — observations (inputs: plan + attacks + each
-        // source's fault slice; the carpet pass also reads config.obs).
-        // Each of the eleven final streams plus the raw Netscout alert
-        // stream has its own content key; a source observatory
-        // re-observes only if at least one of its outputs missed both
-        // tiers. A honeypot stream is the carpet pass over that
-        // honeypot's detections, which have their own key and do not
-        // read the merge gap, so a missed honeypot stream first looks
-        // its detections up.
-        let mut streams: Vec<Option<Arc<ObservationColumns>>> = ObsId::ALL
-            .iter()
-            .map(|&id| tiers.lookup(fp.observation(id)))
-            .collect();
+        // source's fault slice; the carpet pass also reads config.obs):
+        // ten observer passes over the attack rows, then five
+        // post-passes over their outputs. Each of the fifteen outputs
+        // resolves through the tiers under its own key, and a miss
+        // computes only that output, from its input, which is looked
+        // up the same way: a missed honeypot stream looks up its
+        // detections, a missed Netscout stream the alert stream.
+        let mut streams: [Option<Arc<ObservationColumns>>; 11] =
+            ObsId::ALL.map(|id| tiers.lookup(fp.observation(id)));
         let mut alerts = tiers.lookup(fp.netscout_alerts);
         let mut detections: [Option<Arc<ObservationColumns>>; 3] = std::array::from_fn(|i| {
             if streams[ObsId::HONEYPOTS[i].index()].is_none() {
@@ -439,36 +449,20 @@ impl StudyRun {
                 None
             }
         });
+        let passes: Vec<Pass> = Pass::ALL
+            .into_iter()
+            .filter(|&pass| match pass {
+                Pass::Telescope(id) | Pass::Ixp(id) | Pass::Akamai(id) => {
+                    streams[id.index()].is_none()
+                }
+                Pass::Honeypot(i) => {
+                    streams[ObsId::HONEYPOTS[i].index()].is_none() && detections[i].is_none()
+                }
+                Pass::Netscout => alerts.is_none(),
+            })
+            .collect();
 
-        // Source indices of the fan-out; sources 2–4 are the honeypots
-        // (in `ObsId::HONEYPOTS` order), sources 5–7 each produce two
-        // final streams (their RA/DP splits), source 7 also the raw
-        // alert stream.
-        const N_OBSERVATORIES: usize = 8;
-        let need = |id: ObsId| streams[id.index()].is_none();
-        let need_detections = |i: usize| need(ObsId::HONEYPOTS[i]) && detections[i].is_none();
-        let needed: [bool; N_OBSERVATORIES] = [
-            need(ObsId::Ucsd),
-            need(ObsId::Orion),
-            need_detections(0),
-            need_detections(1),
-            need_detections(2),
-            need(ObsId::IxpDp) || need(ObsId::IxpRa),
-            need(ObsId::AkamaiDp) || need(ObsId::AkamaiRa),
-            need(ObsId::NetscoutDp) || need(ObsId::NetscoutRa) || alerts.is_none(),
-        ];
-
-        // Publish a freshly computed output into both tiers for the next
-        // run. Already-resolved slots keep their cached Arc (a source can
-        // re-run because its *sibling* stream missed).
-        let publish = |slot: &mut Option<Arc<ObservationColumns>>, key, mut v: ObservationColumns| {
-            if slot.is_none() {
-                v.shrink_to_fit();
-                *slot = Some(tiers.publish(key, v));
-            }
-        };
-
-        if needed.iter().any(|&n| n) {
+        if !passes.is_empty() {
             let observe_span = obs::span!("observe");
             // Each observatory consults its slice of the fault plan
             // while observing (empty slices are bit-for-bit inert).
@@ -483,94 +477,57 @@ impl StudyRun {
             amppot.faults = faults_for("amppot");
             let mut newkid = Honeypot::newkid(&plan);
             newkid.faults = faults_for("newkid");
+            let honeypots = [hopscotch, amppot, newkid];
             let mut ixp = IxpBlackholing::with_defaults(&plan);
             ixp.faults = faults_for("ixp");
             let mut akamai = Akamai::with_defaults(&plan);
             akamai.faults = faults_for("akamai");
 
-            // Flatten (needed source × attack-shard) onto the pool.
-            // Tasks are ordered source-major / shard-minor and the pool
-            // returns results in task order, so per-source
-            // concatenation below reproduces a serial loop over every
-            // attack row exactly.
+            // Flatten (pass × attack shard) onto the pool, pass-major.
+            // The fold consumes results in task order, so each pass's
+            // output is the concatenation of its shards in attack-row
+            // order, exactly a serial loop over every row, while each
+            // shard's buffers free as soon as they are spliced in.
             let chunk = simcore::pool::shard_size(attacks.len(), pool.workers());
             let n_shards = attacks.len().div_ceil(chunk).max(1);
-            let tasks: Vec<ObsTask> = (0..N_OBSERVATORIES)
-                .filter(|&source| needed[source])
-                .flat_map(|observatory| {
-                    (0..n_shards).map(move |shard| ObsTask { observatory, shard })
-                })
+            let tasks: Vec<(usize, usize)> = (0..passes.len())
+                .flat_map(|pass| (0..n_shards).map(move |shard| (pass, shard)))
                 .collect();
             let shard_ns =
                 obs::metrics::histogram("observe.shard_ns", &obs::metrics::LATENCY_NS);
+            let all = |_: usize| true;
+            let classes = attacks.class.as_slice();
+            let class_rows =
+                move |id: ObsId| move |i: usize| classes[i].is_reflection() != id.is_direct_path();
 
-            // Per-source accumulators the ordered fold below appends
-            // into. Tasks are source-major / shard-minor and the fold
-            // consumes results in task order, so each source's stream
-            // is the concatenation of its shards in attack order —
-            // exactly a serial loop over every attack row — while every
-            // shard's buffers free as soon as they are spliced in.
-            let mut plain_streams: Vec<ObservationColumns> =
-                (0..5).map(|_| ObservationColumns::new()).collect();
-            let mut ixp_ra = ObservationColumns::new();
-            let mut ixp_dp = ObservationColumns::new();
-            let mut akamai_ra = ObservationColumns::new();
-            let mut akamai_dp = ObservationColumns::new();
+            let mut outs: Vec<ObservationColumns> =
+                passes.iter().map(|_| ObservationColumns::new()).collect();
             let mut alerts_raw = AlertColumns::new();
             pool.par_chunks_fold(&tasks, 1, |_, task| {
                 let watch = obs::Stopwatch::start();
-                let ObsTask { observatory, shard } = task[0];
-                let lo = shard * chunk;
-                let hi = (lo + chunk).min(attacks.len());
-                let out = match observatory {
-                    0 => observe_plain(&attacks, lo, hi, |a, out| {
-                        ucsd.observe_into(a, &obs_root, out)
-                    }),
-                    1 => observe_plain(&attacks, lo, hi, |a, out| {
-                        orion.observe_into(a, &obs_root, out)
-                    }),
-                    2 => observe_plain(&attacks, lo, hi, |a, out| {
-                        hopscotch.observe_into(a, &obs_root, out)
-                    }),
-                    3 => observe_plain(&attacks, lo, hi, |a, out| {
-                        amppot.observe_into(a, &obs_root, out)
-                    }),
-                    4 => observe_plain(&attacks, lo, hi, |a, out| {
-                        newkid.observe_into(a, &obs_root, out)
-                    }),
-                    5 => {
-                        let mut ra = ObservationColumns::new();
-                        let mut dp = ObservationColumns::new();
-                        for i in lo..hi {
-                            let a = attacks.get(i);
-                            match ixp.observe_view(a, &obs_root) {
-                                Some(IxpDetection::ReflectionAmplification) => {
-                                    ra.push_row(a.id, a.start, a.targets)
-                                }
-                                Some(IxpDetection::DirectPath) => {
-                                    dp.push_row(a.id, a.start, a.targets)
-                                }
-                                None => {}
-                            }
-                        }
-                        ShardOut::Ixp { ra, dp }
+                let (pass, shard) = task[0];
+                let rows = shard * chunk..((shard + 1) * chunk).min(attacks.len());
+                let out = match passes[pass] {
+                    Pass::Telescope(id) => {
+                        let telescope = if id == ObsId::Ucsd { &ucsd } else { &orion };
+                        observe_rows(&attacks, rows, all, |a, out| {
+                            telescope.observe_into(a, &obs_root, out)
+                        })
                     }
-                    6 => {
-                        let mut ra = ObservationColumns::new();
-                        let mut dp = ObservationColumns::new();
-                        for i in lo..hi {
-                            let a = attacks.get(i);
-                            // The alert class is the attack class, so the
-                            // RA/DP routing is known before observing.
-                            let out = if a.class.is_reflection() { &mut ra } else { &mut dp };
-                            akamai.observe_into(a, &obs_root, out);
+                    Pass::Honeypot(i) => observe_rows(&attacks, rows, all, |a, out| {
+                        honeypots[i].observe_into(a, &obs_root, out)
+                    }),
+                    Pass::Ixp(id) => observe_rows(&attacks, rows, class_rows(id), |a, out| {
+                        if ixp.observe_view(a, &obs_root).is_some() {
+                            out.push_row(a.id, a.start, a.targets);
                         }
-                        ShardOut::Akamai { ra, dp }
-                    }
-                    _ => {
+                    }),
+                    Pass::Akamai(id) => observe_rows(&attacks, rows, class_rows(id), |a, out| {
+                        akamai.observe_into(a, &obs_root, out)
+                    }),
+                    Pass::Netscout => {
                         let mut out = AlertColumns::new();
-                        for i in lo..hi {
-                            let a = attacks.get(i);
+                        for a in rows.map(|i| attacks.get(i)) {
                             if let Some((class, severity)) = netscout.observe_view(a, &obs_root)
                             {
                                 out.push(a, class, severity);
@@ -582,72 +539,57 @@ impl StudyRun {
                 shard_ns.record(watch.elapsed_ns());
                 out
             }, (), |(), idx, out| match out {
-                ShardOut::Plain(v) => plain_streams[tasks[idx].observatory].append(v),
-                ShardOut::Ixp { ra, dp } => {
-                    ixp_ra.append(ra);
-                    ixp_dp.append(dp);
-                }
-                ShardOut::Akamai { ra, dp } => {
-                    akamai_ra.append(ra);
-                    akamai_dp.append(dp);
-                }
+                ShardOut::Rows(v) => outs[tasks[idx].0].append(v),
                 ShardOut::Alerts(v) => alerts_raw.append(v),
             });
             drop(observe_span);
-            let [ucsd_raw, orion_raw, hopscotch_raw, amppot_raw, newkid_raw]: [ObservationColumns;
-                5] = plain_streams.try_into().expect("five plain streams");
-            // The Netscout alert stream splits into its published (RA,
-            // DP) series. A source that did not run contributes empty
-            // columns here and its `publish` below is a no-op (its
-            // outputs are already resolved from cache); only a honeypot
-            // that ran publishes detections.
-            let (netscout_ra, netscout_dp) = {
-                let _merge_span = obs::span!("merge");
-                split_by_class_columns(&alerts_raw)
-            };
 
-            for (id, v) in [
-                (ObsId::Ucsd, ucsd_raw),
-                (ObsId::Orion, orion_raw),
-                (ObsId::IxpDp, ixp_dp),
-                (ObsId::IxpRa, ixp_ra),
-                (ObsId::AkamaiDp, akamai_dp),
-                (ObsId::AkamaiRa, akamai_ra),
-                (ObsId::NetscoutDp, netscout_dp),
-                (ObsId::NetscoutRa, netscout_ra),
-            ] {
-                publish(&mut streams[id.index()], fp.observation(id), v);
-            }
-            for (i, v) in [hopscotch_raw, amppot_raw, newkid_raw].into_iter().enumerate() {
-                if needed[2 + i] {
-                    publish(&mut detections[i], fp.detections[i], v);
+            for (pass, mut out) in passes.into_iter().zip(outs) {
+                out.shrink_to_fit();
+                match pass {
+                    Pass::Telescope(id) | Pass::Ixp(id) | Pass::Akamai(id) => {
+                        streams[id.index()] = Some(tiers.publish(fp.observation(id), out));
+                    }
+                    Pass::Honeypot(i) => {
+                        detections[i] = Some(tiers.publish(fp.detections[i], out));
+                    }
+                    Pass::Netscout => {
+                        alerts_raw.shrink_to_fit();
+                        let raw = std::mem::take(&mut alerts_raw);
+                        alerts = Some(tiers.publish(fp.netscout_alerts, raw));
+                    }
                 }
-            }
-            if alerts.is_none() {
-                alerts_raw.shrink_to_fit();
-                alerts = Some(tiers.publish(fp.netscout_alerts, alerts_raw));
             }
         }
 
-        // The CCC / Appendix-I carpet pass, the one reader of the merge
-        // gap: merge concurrent same-prefix honeypot events, over cached
-        // or fresh detections, for each honeypot stream that missed.
+        // The post-passes. The CCC / Appendix-I carpet pass, the one
+        // reader of the merge gap, merges concurrent same-prefix events
+        // of each honeypot whose stream missed, over cached or fresh
+        // detections.
         let gap = i64::from(config.obs.carpet_gap_secs);
         for (i, id) in ObsId::HONEYPOTS.into_iter().enumerate() {
             if let Some(raw) = detections[i].take() {
                 let _carpet_span = obs::span!("carpet");
-                let merged = reconstruct_carpet_columns(&plan, &raw, gap);
-                publish(&mut streams[id.index()], fp.observation(id), merged);
+                let mut merged = reconstruct_carpet_columns(&plan, &raw, gap);
+                merged.shrink_to_fit();
+                streams[id.index()] = Some(tiers.publish(fp.observation(id), merged));
+            }
+        }
+        // The class split: each missed Netscout series is its class of
+        // the alert stream.
+        let netscout_alerts = alerts.expect("netscout alert stream resolved");
+        for id in [ObsId::NetscoutRa, ObsId::NetscoutDp] {
+            if streams[id.index()].is_none() {
+                let _merge_span = obs::span!("merge");
+                let mut series = netscout_alerts.series(!id.is_direct_path());
+                series.shrink_to_fit();
+                streams[id.index()] = Some(tiers.publish(fp.observation(id), series));
             }
         }
 
         record_peak_rss("observe");
 
-        let observations: Vec<Arc<ObservationColumns>> = streams
-            .into_iter()
-            .map(|s| s.expect("every observation stream resolved"))
-            .collect();
-        let netscout_alerts = alerts.expect("netscout alert stream resolved");
+        let observations = streams.map(|s| s.expect("every observation stream resolved"));
 
         // Per-observatory kept-observation counts: together with
         // `gen.attacks` these answer "what did each stage actually do"
@@ -826,6 +768,13 @@ mod tests {
     pub(crate) fn quick_run() -> &'static StudyRun {
         static RUN: OnceLock<StudyRun> = OnceLock::new();
         RUN.get_or_init(|| StudyRun::execute(&StudyConfig::quick()))
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, id) in ObsId::ALL.into_iter().enumerate() {
+            assert_eq!(id.index(), i, "{}", id.name());
+        }
     }
 
     #[test]

@@ -276,14 +276,6 @@ impl StudyConfig {
 
         Ok(())
     }
-
-    /// Consuming variant of [`StudyConfig::validate`]: returns the
-    /// config itself when every invariant holds, for builder-style
-    /// call chains.
-    pub fn validated(self) -> Result<StudyConfig> {
-        self.validate()?;
-        Ok(self)
-    }
 }
 
 #[cfg(test)]
@@ -338,7 +330,6 @@ mod tests {
         assert!(StudyConfig::paper().validate().is_ok());
         assert!(StudyConfig::quick().validate().is_ok());
         assert!(StudyConfig::quick_complete().validate().is_ok());
-        assert!(StudyConfig::quick().validated().is_ok());
     }
 
     /// Every corruption the fuzz harness applies must surface with the
@@ -416,14 +407,5 @@ mod tests {
                 other => panic!("{field}: expected Config error, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn validated_passes_through_valid_configs() {
-        let cfg = StudyConfig::quick().validated().expect("quick is valid");
-        assert_eq!(cfg.seed, StudyConfig::quick().seed);
-        let mut bad = StudyConfig::quick();
-        bad.workers = Some(0);
-        assert!(bad.validated().is_err());
     }
 }

@@ -1,16 +1,20 @@
 //! Content-addressed cross-run stage cache (DESIGN.md §7).
 //!
 //! [`crate::StudyRun::try_execute`] runs an explicit three-stage
-//! dataflow — `plan` → `attacks` → per-observatory `observations` —
-//! and each stage output is a pure function of a *subset* of the
-//! [`StudyConfig`] plus the outputs of earlier stages. This module
-//! keys each stage by an FNV-1a fingerprint of exactly those inputs
-//! and memoizes the outputs process-wide, so a parameter sweep (or any
-//! repeated `try_execute`) recomputes only the stages whose inputs
-//! actually changed: an observation-side sweep skips plan building and
-//! attack generation entirely, a carpet-gap sweep reruns only the
-//! three honeypot carpet passes, and a `gen.timeline` sweep reuses the
-//! Internet plan at every grid point.
+//! dataflow — `plan` → `attacks` → `observations` — and each stage
+//! output is a pure function of a *subset* of the [`StudyConfig`] plus
+//! the outputs of earlier stages. The observation stage has fifteen
+//! outputs: ten from observer passes over the attack rows (UCSD,
+//! ORION, each honeypot's gap-free detections, IXP and Akamai per
+//! class, the raw Netscout alerts) and five from post-passes over
+//! those (each honeypot's carpet pass, the two Netscout series). This
+//! module keys each output by an FNV-1a fingerprint of exactly its
+//! inputs and memoizes the outputs process-wide, so a parameter sweep
+//! (or any repeated `try_execute`) recomputes only the outputs whose
+//! inputs actually changed: an observation-side sweep skips plan
+//! building and attack generation entirely, a carpet-gap sweep reruns
+//! only the three honeypot carpet passes, and a `gen.timeline` sweep
+//! reuses the Internet plan at every grid point.
 //!
 //! **Correctness invariant:** cached output is byte-identical to
 //! recomputed output. That holds because (a) every stage is

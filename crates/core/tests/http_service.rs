@@ -223,22 +223,32 @@ fn soak_mixed_adversarial_load() {
     serve_cfg_study.chaos = Some(ChaosPlan::recoverable(0.25, 1234));
     let service = Arc::new(StudyService::new(run, &serve_cfg_study, "quick"));
 
-    let server = serve::Server::bind(
-        serve::ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 3,
-            queue_depth: 2,
-            read_timeout_ms: 400,
-            write_timeout_ms: 1_000,
-            drain_deadline_ms: 5_000,
-            ..serve::ServeConfig::default()
-        },
-        service.clone(),
-    )
-    .expect("bind soak server");
+    let bind = |read_timeout_ms| {
+        serve::Server::bind(
+            serve::ServeConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 3,
+                queue_depth: 2,
+                read_timeout_ms,
+                write_timeout_ms: 1_000,
+                drain_deadline_ms: 5_000,
+                ..serve::ServeConfig::default()
+            },
+            service.clone(),
+        )
+        .expect("bind soak server")
+    };
+    let server = bind(400);
     let addr = server.local_addr();
     service.attach_shutdown(server.shutdown_handle());
     let join = thread::spawn(move || server.run());
+    // Phase 2 parks its workers on a second server, whose read timeout
+    // outlasts the phase; started now, so its workers wait in `recv`
+    // long before the stalled heads arrive.
+    let parked = bind(10_000);
+    let parked_addr = parked.local_addr();
+    let parked_shutdown = parked.shutdown_handle();
+    let parked_join = thread::spawn(move || parked.run());
 
     let shed_before = obs::metrics::counter("http.shed").get();
     let panics_before = obs::metrics::counter("http.panic").get();
@@ -304,17 +314,23 @@ fn soak_mixed_adversarial_load() {
     }
 
     // Phase 2: deterministic shedding. Park every worker and fill the
-    // queue with stalled heads, then burst past capacity.
+    // queue with stalled heads, then burst past capacity. The heads
+    // stall on the parked server: on the soak server, a scheduling
+    // stall longer than its 400 ms read timeout would release them and
+    // let the burst be served. One head at a time, so the three
+    // workers each take one before the last two fill the queue.
     let stalled: Vec<TcpStream> = (0..5)
         .map(|_| {
-            let mut stream = TcpStream::connect(addr).expect("connect staller");
+            let mut stream = TcpStream::connect(parked_addr).expect("connect staller");
             stream.write_all(b"GET /stall HT").expect("partial head");
+            thread::sleep(Duration::from_millis(20)); // let a worker park on it
             stream
         })
         .collect();
-    thread::sleep(Duration::from_millis(100)); // let workers park on them
     let burst: Vec<_> = (0..6)
-        .map(|_| thread::spawn(move || roundtrip(addr, b"GET /healthz HTTP/1.1\r\n\r\n")))
+        .map(|_| {
+            thread::spawn(move || roundtrip(parked_addr, b"GET /healthz HTTP/1.1\r\n\r\n"))
+        })
         .collect();
     let burst: Vec<String> = burst.into_iter().map(|b| b.join().expect("burst client")).collect();
     let shed_count = burst.iter().filter(|r| r.starts_with("HTTP/1.1 503 ")).count();
@@ -327,6 +343,9 @@ fn soak_mixed_adversarial_load() {
         "sheds must be counted in http.shed"
     );
     drop(stalled);
+    parked_shutdown.shutdown();
+    let parked_report = parked_join.join().expect("parked server thread");
+    assert!(parked_report.drained, "parked server drains: {parked_report:?}");
 
     // Phase 3: the chaos schedule is deterministic per request sequence
     // number; within a bounded probe some request must draw a panic and

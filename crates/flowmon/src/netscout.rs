@@ -164,6 +164,17 @@ impl AlertColumns {
         (self.obs.get(i), self.class[i], self.severity[i])
     }
 
+    /// The observations of one published series, in alert order: the
+    /// reflection-amplification alerts, or all the others (DP).
+    pub fn series(&self, reflection: bool) -> ObservationColumns {
+        let mut out = ObservationColumns::new();
+        for i in (0..self.len()).filter(|&i| self.class[i].is_reflection() == reflection) {
+            let row = self.obs.get(i);
+            out.push_row(row.attack_id, row.start, row.targets);
+        }
+        out
+    }
+
     /// Consume `shard`, appending its rows after ours.
     pub fn append(&mut self, shard: AlertColumns) {
         self.obs.append(shard.obs);
@@ -243,17 +254,7 @@ impl AlertColumns {
 /// Split alerts into the two published series (RA and DP
 /// observations), keeping row order.
 pub fn split_by_class_columns(alerts: &AlertColumns) -> (ObservationColumns, ObservationColumns) {
-    let mut ra = ObservationColumns::new();
-    let mut dp = ObservationColumns::new();
-    for i in 0..alerts.len() {
-        let row = alerts.obs.get(i);
-        let out = match alerts.class[i] {
-            AttackClass::ReflectionAmplification => &mut ra,
-            _ => &mut dp,
-        };
-        out.push_row(row.attack_id, row.start, row.targets);
-    }
-    (ra, dp)
+    (alerts.series(true), alerts.series(false))
 }
 
 /// Split DP alerts into spoofed / non-spoofed series (the extra split

@@ -72,3 +72,16 @@ pub fn golden_cfg(cache: usize, workers: usize) -> StudyConfig {
     cfg.workers = Some(workers);
     cfg
 }
+
+/// Completed spans named `name` at any nesting depth, process-wide:
+/// the count of every `span.…name` latency histogram.
+#[allow(dead_code)] // only the stage-count suites count spans
+pub fn spans_closed(name: &str) -> u64 {
+    obs::metrics::global()
+        .snapshot()
+        .histograms
+        .iter()
+        .filter(|(path, _)| *path == &format!("span.{name}") || path.ends_with(&format!(".{name}")))
+        .map(|(_, h)| h.count)
+        .sum()
+}

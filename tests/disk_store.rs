@@ -12,10 +12,10 @@
 mod common;
 
 use attackgen::{AttackId, ObservationColumns};
-use common::output_fingerprint;
+use common::{output_fingerprint, spans_closed};
 use ddoscovery::diskstore::CELL_HEADER_LEN;
-use ddoscovery::stagecache::StageCache;
-use ddoscovery::{DiskStore, StudyConfig, StudyRun};
+use ddoscovery::stagecache::{Stage, StageCache};
+use ddoscovery::{DiskStore, ObsId, StageFingerprints, StudyConfig, StudyRun};
 use netmodel::Ipv4;
 use simcore::SimTime;
 use std::fs;
@@ -173,6 +173,43 @@ fn attack_ids_are_a_permutation_cold_and_warm() {
         }
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// A miss recomputes only what missed: with one Netscout series' cell
+/// gone, a fresh process loads the alert stream and splits that one
+/// series out of it again; it observes nothing.
+#[test]
+fn a_lost_netscout_series_is_split_again_not_observed() {
+    let _guard = serialize();
+    let dir = scratch_dir("split");
+    let cfg = tiny_cfg(0xD15C_0006, &dir);
+    let streams = |run: &StudyRun| ObsId::ALL.map(|id| run.observations(id).to_wire_bytes());
+    let cold = streams(&StudyRun::execute(&cfg));
+
+    let key = StageFingerprints::of(&cfg).observation(ObsId::NetscoutDp);
+    fs::remove_file(dir.join("observations").join(format!("{key:016x}")))
+        .expect("the netscout_dp cell was written");
+    StageCache::global().clear();
+    let counts = || {
+        [
+            StageCache::global().stats(Stage::Observations).computed,
+            spans_closed("merge"),
+            spans_closed("observe"),
+        ]
+    };
+    let before = counts();
+    let warm = streams(&StudyRun::execute(&cfg));
+    let after = counts();
+    for (id, (warm, cold)) in ObsId::ALL.iter().zip(warm.iter().zip(&cold)) {
+        assert!(warm == cold, "{} differs from the cold run", id.slug());
+    }
+    assert_eq!(
+        std::array::from_fn::<u64, 3, _>(|i| after[i] - before[i]),
+        [1, 1, 0],
+        "stage.observations.computed, merge and observe spans"
+    );
+
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Flip one payload byte in *every* stored cell: every load rejects,

@@ -13,13 +13,15 @@
 //!   outputs.
 //! * **The served what-if route.** A carpet-gap sweep over a warm study
 //!   reruns three carpet passes per point and nothing else.
+//! * **Stability.** The 17 keys of `golden_cfg` are pinned, so a store
+//!   written by an earlier build stays warm.
 //!
 //! The `stage.*` counters and the span histograms are process-global,
 //! so every test here serializes on one mutex and measures deltas.
 
 mod common;
 
-use common::{golden_cfg, output_fingerprint};
+use common::{golden_cfg, output_fingerprint, spans_closed};
 use ddoscovery::faults::{OutageSpec, FAULT_SOURCES};
 use ddoscovery::stagecache::{Stage, StageCache, FIELD_STAGES};
 use ddoscovery::{FaultPlan, ObsId, StageFingerprints, StudyConfig, StudyRun, StudyService};
@@ -296,18 +298,6 @@ fn keys_move_only_for_the_streams_that_read_the_change() {
     );
 }
 
-/// Completed spans named `name` at any nesting depth, process-wide:
-/// the count of every `span.…name` latency histogram.
-fn spans_closed(name: &str) -> u64 {
-    obs::metrics::global()
-        .snapshot()
-        .histograms
-        .iter()
-        .filter(|(path, _)| *path == &format!("span.{name}") || path.ends_with(&format!(".{name}")))
-        .map(|(_, h)| h.count)
-        .sum()
-}
-
 /// The user-facing what-if route: over a warm quick study, a two-point
 /// carpet-gap sweep computes exactly the six carpet outputs, in one
 /// `carpet` span each, and observes nothing.
@@ -345,4 +335,38 @@ fn served_gap_sweep_reruns_only_the_carpet_passes() {
         [0, 0, 6, 6, 0],
         "stage.{{plan,attacks,observations}}.computed, carpet and observe spans"
     );
+}
+
+/// The 17 stage keys of `golden_cfg`. A store's cells are named by
+/// these keys, so a store written by an earlier build stays warm only
+/// while they hold; a change here orphans every cell under the old
+/// value (and needs a deliberate re-pin).
+const GOLDEN_KEYS: [(&str, u64); 17] = [
+    ("akamai_dp", 0x012b_f673_89e6_f7f4),
+    ("akamai_ra", 0x788a_b673_ccfa_0167),
+    ("amppot", 0x1971_bd3e_bff8_f8cf),
+    ("amppot.detections", 0x6f26_b747_3281_8246),
+    ("attacks", 0xfdba_2cad_b607_9fa5),
+    ("hopscotch", 0x12dd_7423_b508_9217),
+    ("hopscotch.detections", 0x9f74_2dc0_7973_e2ba),
+    ("ixp_dp", 0x6e71_0988_3678_0589),
+    ("ixp_ra", 0x09b5_2988_8e3a_72b6),
+    ("netscout_alerts", 0x79f7_95f8_fc0a_f8f7),
+    ("netscout_dp", 0x8af9_dd50_b54d_e1ae),
+    ("netscout_ra", 0x0fcf_2950_6f01_106d),
+    ("newkid", 0x99de_5d3f_b5bf_f0a2),
+    ("newkid.detections", 0xb571_c6f9_32f7_d2d8),
+    ("orion", 0x584a_0fb4_7642_305b),
+    ("plan", 0x3baa_6682_07a9_f203),
+    ("ucsd", 0x410d_c3a8_f469_c2fa),
+];
+
+#[test]
+fn golden_stage_keys_are_pinned() {
+    let got = keys(&golden_cfg(ddoscovery::stagecache::DEFAULT_BOUND, 2));
+    let want: BTreeMap<String, u64> = GOLDEN_KEYS
+        .iter()
+        .map(|&(label, key)| (label.to_string(), key))
+        .collect();
+    assert_eq!(got, want, "a stage key moved: stores written before it go cold");
 }
