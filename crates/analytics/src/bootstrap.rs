@@ -6,7 +6,7 @@
 //! blocks of weeks (moving-block bootstrap) and refit the trend on each
 //! replicate.
 
-use crate::series::WeeklySeries;
+use crate::series::{linear_regression_range, relative_change_4y, WeeklySeries};
 use simcore::SimRng;
 
 /// A bootstrap interval for the 4-year relative change.
@@ -28,13 +28,6 @@ impl TrendInterval {
     }
 }
 
-fn change_4y_of(series: &WeeklySeries) -> Option<f64> {
-    series
-        .linear_regression()
-        .as_ref()
-        .and_then(crate::series::relative_change_4y)
-}
-
 /// Moving-block bootstrap of the 4-year relative change.
 ///
 /// Blocks of `block_len` consecutive weeks are drawn with replacement
@@ -52,11 +45,11 @@ pub fn trend_interval(
     if n < block_len.max(2) || replicates == 0 {
         return None;
     }
-    let point = change_4y_of(series)?;
+    let reg = series.linear_regression()?;
+    let point = relative_change_4y(&reg)?;
     // Residual-based resampling: fit once, bootstrap the residual
     // blocks, re-add the fitted line. This keeps the trend identified
     // while resampling the noise structure.
-    let reg = series.linear_regression()?;
     let fitted: Vec<f64> = (0..n).map(|i| reg.intercept + reg.slope * i as f64).collect();
     let residuals: Vec<f64> = series
         .values
@@ -66,19 +59,25 @@ pub fn trend_interval(
         .collect();
     let max_start = n - block_len;
     let mut changes = Vec::with_capacity(replicates);
+    // One replicate buffer, refilled in place and fitted as a slice.
+    let mut values = Vec::with_capacity(n);
     for _ in 0..replicates {
-        let mut resampled = Vec::with_capacity(n);
-        while resampled.len() < n {
+        values.clear();
+        while values.len() < n {
             let start = rng.usize_below(max_start + 1);
-            let take = block_len.min(n - resampled.len());
-            resampled.extend_from_slice(&residuals[start..start + take]);
+            let at = values.len();
+            let take = block_len.min(n - at);
+            values.extend(
+                residuals[start..start + take]
+                    .iter()
+                    .zip(&fitted[at..at + take])
+                    .map(|(&r, &f)| if r.is_nan() { f64::NAN } else { f + r }),
+            );
         }
-        let values: Vec<f64> = resampled
-            .iter()
-            .zip(&fitted)
-            .map(|(&r, &f)| if r.is_nan() { f64::NAN } else { f + r })
-            .collect();
-        if let Some(c) = change_4y_of(&WeeklySeries::new("replicate", values)) {
+        if let Some(c) = linear_regression_range(&values, 0, n)
+            .as_ref()
+            .and_then(relative_change_4y)
+        {
             changes.push(c);
         }
     }
@@ -160,6 +159,43 @@ mod tests {
         assert!(trend_interval(&WeeklySeries::new("x", vec![1.0]), 8, 100, &mut rng).is_none());
         let s = noisy_line(0.01, 100, 1.0, 12);
         assert!(trend_interval(&s, 8, 0, &mut rng).is_none());
+    }
+
+    /// `table1_trends.csv` prints the interval to 4 decimals, so only
+    /// exact bits catch last-bit drift in the replicate loop or the
+    /// regression. Captured before either reused its buffers.
+    #[test]
+    fn interval_and_regression_bits_are_pinned() {
+        let mut s = noisy_line(0.04, 235, 3.0, 21);
+        s.mask_range(40, 66);
+        let iv = trend_interval(&s, 8, 400, &mut SimRng::new(22)).unwrap();
+        let full = s.linear_regression().unwrap();
+        let window = s.regression_in(30, 180).unwrap();
+        let got = [
+            iv.change_4y.to_bits(),
+            iv.lo.to_bits(),
+            iv.hi.to_bits(),
+            iv.replicates as u64,
+            full.slope.to_bits(),
+            full.intercept.to_bits(),
+            full.r2.to_bits(),
+            window.slope.to_bits(),
+            window.intercept.to_bits(),
+            window.r2.to_bits(),
+        ];
+        let pinned = [
+            0x3feb_58f4_6758_1b28,
+            0x3fe9_85cc_1c81_a296,
+            0x3fec_fa7e_3c41_ba1f,
+            400,
+            0x3fa4_e224_4457_7ff7,
+            0x4023_dab9_4999_1ff4,
+            0x3fed_46ba_0bd7_0676,
+            0x3fa5_58eb_9d59_028b,
+            0x4023_970c_b30c_d6a0,
+            0x3fe9_4ca7_258e_2f47,
+        ];
+        assert_eq!(got, pinned, "got {got:#018x?}");
     }
 
     #[test]

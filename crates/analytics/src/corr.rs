@@ -24,48 +24,57 @@ impl Correlation {
     pub fn significant(&self) -> bool {
         self.p_value <= 0.05
     }
+
+    /// The estimate `rho` over `n` pairs, with its two-tailed t-test
+    /// p-value.
+    pub(crate) fn with_p_value(rho: f64, n: usize) -> Correlation {
+        let df = n as f64 - 2.0;
+        let p_value = if rho.abs() >= 1.0 {
+            0.0
+        } else {
+            let t = rho * (df / (1.0 - rho * rho)).sqrt();
+            t_two_tailed_p(t, df)
+        };
+        Correlation { rho, p_value, n }
+    }
 }
 
 /// Pearson product-moment correlation over pairwise-complete values.
 pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<Correlation> {
-    let pairs: Vec<(f64, f64)> = xs
-        .iter()
-        .zip(ys)
-        .filter(|(x, y)| !x.is_nan() && !y.is_nan())
-        .map(|(&x, &y)| (x, y))
-        .collect();
-    correlation_of_pairs(&pairs)
+    let (xs, ys) = complete_pairs(xs, ys);
+    Some(Correlation::with_p_value(rho(&xs, &ys)?, xs.len()))
 }
 
 /// Spearman rank correlation: Pearson over average ranks.
 pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<Correlation> {
-    let pairs: Vec<(f64, f64)> = xs
-        .iter()
-        .zip(ys)
-        .filter(|(x, y)| !x.is_nan() && !y.is_nan())
-        .map(|(&x, &y)| (x, y))
-        .collect();
-    if pairs.len() < 3 {
-        return None;
-    }
-    let rx = average_ranks(&pairs.iter().map(|(x, _)| *x).collect::<Vec<_>>());
-    let ry = average_ranks(&pairs.iter().map(|(_, y)| *y).collect::<Vec<_>>());
-    let ranked: Vec<(f64, f64)> = rx.into_iter().zip(ry).collect();
-    correlation_of_pairs(&ranked)
+    let (xs, ys) = complete_pairs(xs, ys);
+    let rho = rho(&average_ranks(&xs), &average_ranks(&ys))?;
+    Some(Correlation::with_p_value(rho, xs.len()))
 }
 
-fn correlation_of_pairs(pairs: &[(f64, f64)]) -> Option<Correlation> {
-    let n = pairs.len();
+/// The pairs where neither side is NaN, split into two columns.
+fn complete_pairs(xs: &[f64], ys: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    xs.iter()
+        .zip(ys)
+        .filter(|(x, y)| !x.is_nan() && !y.is_nan())
+        .unzip()
+}
+
+/// Pearson's r of two equal-length columns: `None` below three pairs
+/// or when either column is constant. Swapping the columns gives the
+/// same bits.
+pub(crate) fn rho(xs: &[f64], ys: &[f64]) -> Option<f64> {
+    let n = xs.len();
     if n < 3 {
         return None;
     }
     let nf = n as f64;
-    let mx = pairs.iter().map(|(x, _)| x).sum::<f64>() / nf;
-    let my = pairs.iter().map(|(_, y)| y).sum::<f64>() / nf;
+    let mx = xs.iter().sum::<f64>() / nf;
+    let my = ys.iter().sum::<f64>() / nf;
     let mut sxx = 0.0;
     let mut syy = 0.0;
     let mut sxy = 0.0;
-    for (x, y) in pairs {
+    for (x, y) in xs.iter().zip(ys) {
         sxx += (x - mx).powi(2);
         syy += (y - my).powi(2);
         sxy += (x - mx) * (y - my);
@@ -73,15 +82,7 @@ fn correlation_of_pairs(pairs: &[(f64, f64)]) -> Option<Correlation> {
     if sxx == 0.0 || syy == 0.0 {
         return None;
     }
-    let rho = (sxy / (sxx * syy).sqrt()).clamp(-1.0, 1.0);
-    let df = nf - 2.0;
-    let p_value = if rho.abs() >= 1.0 {
-        0.0
-    } else {
-        let t = rho * (df / (1.0 - rho * rho)).sqrt();
-        t_two_tailed_p(t, df)
-    };
-    Some(Correlation { rho, p_value, n })
+    Some((sxy / (sxx * syy).sqrt()).clamp(-1.0, 1.0))
 }
 
 /// Average (fractional) ranks with tie handling, 1-based.
@@ -93,25 +94,37 @@ fn correlation_of_pairs(pairs: &[(f64, f64)]) -> Option<Correlation> {
 /// callers pre-filter NaN pairs; direct callers get a deterministic
 /// ranking of whatever they pass in.
 pub fn average_ranks(values: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
     let mut ranks = vec![0.0; values.len()];
+    rank_in_order(values, &order, &mut ranks, |i| i);
+    ranks
+}
+
+/// Average ranks of `values[order[k]]`, where `order` lists indices
+/// ascending under total order: index `i` gets its rank in
+/// `ranks[slot(i)]`, and each tied block gets its mean position.
+pub(crate) fn rank_in_order(
+    values: &[f64],
+    order: &[usize],
+    ranks: &mut [f64],
+    slot: impl Fn(usize) -> usize,
+) {
     let mut i = 0;
-    while i < idx.len() {
+    while i < order.len() {
         let mut j = i;
-        while j + 1 < idx.len()
-            && values[idx[j + 1]].total_cmp(&values[idx[i]]) == std::cmp::Ordering::Equal
+        while j + 1 < order.len()
+            && values[order[j + 1]].total_cmp(&values[order[i]]) == std::cmp::Ordering::Equal
         {
             j += 1;
         }
         // Tied block [i, j]: average rank.
         let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            ranks[k] = avg;
+        for &k in &order[i..=j] {
+            ranks[slot(k)] = avg;
         }
         i = j + 1;
     }
-    ranks
 }
 
 /// A full pairwise correlation matrix over named series.
@@ -135,24 +148,24 @@ pub enum Method {
     Pearson,
 }
 
-/// Compute the pairwise matrix over a set of series.
+/// Compute the pairwise matrix over a set of series. Both estimators
+/// are bit-symmetric, so each unordered pair is computed once.
 pub fn correlation_matrix(series: &[WeeklySeries], method: Method) -> CorrelationMatrix {
     let n = series.len();
     let mut cells = vec![None; n * n];
     for i in 0..n {
-        for j in 0..n {
-            cells[i * n + j] = if i == j {
-                Some(Correlation {
-                    rho: 1.0,
-                    p_value: 0.0,
-                    n: series[i].present().count(),
-                })
-            } else {
-                match method {
-                    Method::Spearman => spearman(&series[i].values, &series[j].values),
-                    Method::Pearson => pearson(&series[i].values, &series[j].values),
-                }
+        cells[i * n + i] = Some(Correlation {
+            rho: 1.0,
+            p_value: 0.0,
+            n: series[i].present().count(),
+        });
+        for j in (i + 1)..n {
+            let c = match method {
+                Method::Spearman => spearman(&series[i].values, &series[j].values),
+                Method::Pearson => pearson(&series[i].values, &series[j].values),
             };
+            cells[i * n + j] = c;
+            cells[j * n + i] = c;
         }
     }
     CorrelationMatrix {

@@ -75,23 +75,62 @@ pub struct LagResult {
     pub correlation: Correlation,
 }
 
+/// Equal to the first maximum of [`lagged_spearman`] over the lags,
+/// bit for bit, but each series is sorted once: a lag window's ranks
+/// come from walking that order and keeping the indices that form a
+/// complete pair inside the window, and only the winning lag pays for
+/// a p-value.
 pub fn best_lag(a: &WeeklySeries, b: &WeeklySeries, max_lag: i64) -> Option<LagResult> {
-    let mut best: Option<LagResult> = None;
+    let n = a.values.len().min(b.values.len());
+    let (a, b) = (&a.values[..n], &b.values[..n]);
+    let sorted = |v: &[f64]| {
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&i, &j| v[i].total_cmp(&v[j]));
+        order
+    };
+    let (order_a, order_b) = (sorted(a), sorted(b));
+    // slot[i]: the position of the pair (a[i], b[i + lag]) among the
+    // window's complete pairs, `usize::MAX` when either side is NaN.
+    let mut slot = vec![usize::MAX; n];
+    let mut walk = Vec::with_capacity(n);
+    let (mut rx, mut ry) = (vec![0.0; n], vec![0.0; n]);
+    let mut best: Option<(i64, f64, usize)> = None;
     for lag in -max_lag..=max_lag {
-        if let Some(c) = lagged_spearman(a, b, lag) {
-            let better = match best {
-                None => true,
-                Some(prev) => c.rho > prev.correlation.rho,
-            };
-            if better {
-                best = Some(LagResult {
-                    lag,
-                    correlation: c,
-                });
+        // The window: a[i] pairs with b[i + lag] for i in [lo, hi).
+        let lo = (-lag).clamp(0, n as i64);
+        let hi = (n as i64 - lag).clamp(lo, n as i64);
+        let mut pairs = 0;
+        for i in lo..hi {
+            let (i, j) = (i as usize, (i + lag) as usize);
+            if a[i].is_nan() || b[j].is_nan() {
+                slot[i] = usize::MAX;
+            } else {
+                slot[i] = pairs;
+                pairs += 1;
             }
         }
+        if pairs < 3 {
+            continue;
+        }
+        // Does a[i] (and b[i + lag]) form a complete pair in the window?
+        let paired = |i: i64| lo <= i && i < hi && slot[i as usize] != usize::MAX;
+        walk.clear();
+        walk.extend(order_a.iter().copied().filter(|&i| paired(i as i64)));
+        crate::corr::rank_in_order(a, &walk, &mut rx, |i| slot[i]);
+        walk.clear();
+        walk.extend(order_b.iter().copied().filter(|&j| paired(j as i64 - lag)));
+        crate::corr::rank_in_order(b, &walk, &mut ry, |j| slot[(j as i64 - lag) as usize]);
+        let Some(rho) = crate::corr::rho(&rx[..pairs], &ry[..pairs]) else {
+            continue;
+        };
+        if best.is_none_or(|(_, top, _)| rho > top) {
+            best = Some((lag, rho, pairs));
+        }
     }
-    best
+    best.map(|(lag, rho, pairs)| LagResult {
+        lag,
+        correlation: Correlation::with_p_value(rho, pairs),
+    })
 }
 
 #[cfg(test)]

@@ -150,12 +150,12 @@ impl WeeklySeries {
     /// OLS regression over (week index, value), skipping NaNs.
     /// Returns `None` with fewer than two present points.
     pub fn linear_regression(&self) -> Option<Regression> {
-        linear_regression_range(self, 0, self.values.len())
+        linear_regression_range(&self.values, 0, self.values.len())
     }
 
     /// Regression restricted to weeks [lo, hi).
     pub fn regression_in(&self, lo: usize, hi: usize) -> Option<Regression> {
-        linear_regression_range(self, lo, hi)
+        linear_regression_range(&self.values, lo, hi)
     }
 
     /// Table-1 trend classification: relative change over four years
@@ -227,31 +227,47 @@ pub struct Regression {
     pub n: usize,
 }
 
-fn linear_regression_range(s: &WeeklySeries, lo: usize, hi: usize) -> Option<Regression> {
-    let pts: Vec<(f64, f64)> = s
-        .present()
-        .filter(|(i, _)| (lo..hi).contains(i))
-        .map(|(i, v)| (i as f64, v))
-        .collect();
-    let n = pts.len();
+/// OLS over the present (week index, value) points of weeks [lo, hi)
+/// of `values`, in three passes that allocate nothing. Each sum adds
+/// its terms in week order from -0.0, `Sum`'s neutral element, so it
+/// has the bits of the iterator sum of the same terms.
+pub(crate) fn linear_regression_range(values: &[f64], lo: usize, hi: usize) -> Option<Regression> {
+    let hi = hi.min(values.len());
+    let lo = lo.min(hi);
+    let pts = || {
+        values[lo..hi]
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| !v.is_nan())
+            .map(|(k, &y)| ((lo + k) as f64, y))
+    };
+    let (mut n, mut sum_x, mut sum_y) = (0usize, -0.0, -0.0);
+    for (x, y) in pts() {
+        n += 1;
+        sum_x += x;
+        sum_y += y;
+    }
     if n < 2 {
         return None;
     }
     let nf = n as f64;
-    let mean_x = pts.iter().map(|(x, _)| x).sum::<f64>() / nf;
-    let mean_y = pts.iter().map(|(_, y)| y).sum::<f64>() / nf;
-    let sxx: f64 = pts.iter().map(|(x, _)| (x - mean_x).powi(2)).sum();
-    let sxy: f64 = pts.iter().map(|(x, y)| (x - mean_x) * (y - mean_y)).sum();
+    let mean_x = sum_x / nf;
+    let mean_y = sum_y / nf;
+    let (mut sxx, mut sxy, mut ss_tot) = (-0.0, -0.0, -0.0);
+    for (x, y) in pts() {
+        sxx += (x - mean_x).powi(2);
+        sxy += (x - mean_x) * (y - mean_y);
+        ss_tot += (y - mean_y).powi(2);
+    }
     if sxx == 0.0 {
         return None;
     }
     let slope = sxy / sxx;
     let intercept = mean_y - slope * mean_x;
-    let ss_tot: f64 = pts.iter().map(|(_, y)| (y - mean_y).powi(2)).sum();
-    let ss_res: f64 = pts
-        .iter()
-        .map(|(x, y)| (y - (intercept + slope * x)).powi(2))
-        .sum();
+    let mut ss_res = -0.0;
+    for (x, y) in pts() {
+        ss_res += (y - (intercept + slope * x)).powi(2);
+    }
     let r2 = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 };
     Some(Regression {
         slope,

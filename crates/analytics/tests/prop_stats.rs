@@ -1,8 +1,10 @@
 //! Property-based tests for the statistical machinery.
 
 use analytics::{
-    box_stats, confirmation_shares, ip_overlap_share, median, membership, new_vs_recurring,
-    pearson, spearman, upset, weekly_overlap, weekly_target_counts, TargetTuple, WeeklySeries,
+    best_lag, box_stats, confirmation_shares, correlation_matrix, ip_overlap_share,
+    lagged_spearman, median, membership, new_vs_recurring, pearson, spearman, upset,
+    weekly_overlap, weekly_target_counts, Correlation, LagResult, Method, TargetTuple,
+    WeeklySeries,
 };
 use analytics::corr::average_ranks;
 use netmodel::Ipv4;
@@ -318,5 +320,83 @@ proptest! {
         prop_assert_eq!(nr.recurring_targets, recurring);
         let last = nr.cdf.last().copied().unwrap_or(0.0);
         prop_assert!(seen.is_empty() && last == 0.0 || (last - 1.0).abs() < 1e-12);
+    }
+}
+
+/// A series of up to 59 weeks built to stress rank and pair handling:
+/// scattered NaNs, ties (a small set of repeated values), continuous
+/// values, and one NaN run.
+fn gappy_series() -> impl Strategy<Value = WeeklySeries> {
+    (
+        collection::vec((0u8..16, -1.0f64..1.0), 0..60),
+        0usize..60,
+        0usize..12,
+    )
+        .prop_map(|(cells, run_start, run_len)| {
+            let values = cells
+                .into_iter()
+                .map(|(code, x)| match code {
+                    0 => f64::NAN,
+                    1..=7 => f64::from(code % 4),
+                    _ => x,
+                })
+                .collect();
+            let mut s = WeeklySeries::new("s", values);
+            s.mask_range(run_start, run_start + run_len);
+            s
+        })
+}
+
+/// The comparable bits of a correlation.
+fn bits(c: Option<Correlation>) -> Option<(u64, u64, usize)> {
+    c.map(|c| (c.rho.to_bits(), c.p_value.to_bits(), c.n))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `best_lag` ranks each series once, yet returns exactly the first
+    /// maximum of the reference `lagged_spearman` over every lag.
+    #[test]
+    fn best_lag_matches_lagged_spearman(
+        a in gappy_series(),
+        b in gappy_series(),
+        max_lag in 0i64..70,
+    ) {
+        let mut want: Option<LagResult> = None;
+        for lag in -max_lag..=max_lag {
+            if let Some(c) = lagged_spearman(&a, &b, lag) {
+                if want.is_none_or(|w| c.rho > w.correlation.rho) {
+                    want = Some(LagResult { lag, correlation: c });
+                }
+            }
+        }
+        let got = best_lag(&a, &b, max_lag);
+        prop_assert_eq!(got.map(|r| r.lag), want.map(|r| r.lag));
+        prop_assert_eq!(
+            bits(got.map(|r| r.correlation)),
+            bits(want.map(|r| r.correlation))
+        );
+    }
+
+    /// Each off-diagonal matrix cell is the estimator of that ordered
+    /// pair, bit for bit, though the matrix computes one per unordered
+    /// pair.
+    #[test]
+    fn correlation_matrix_cells_match_their_pair(
+        series in collection::vec(gappy_series(), 2..6),
+    ) {
+        for (method, f) in [
+            (Method::Spearman, spearman as fn(&[f64], &[f64]) -> Option<Correlation>),
+            (Method::Pearson, pearson),
+        ] {
+            let m = correlation_matrix(&series, method);
+            for i in 0..series.len() {
+                for j in (0..series.len()).filter(|&j| j != i) {
+                    let want = f(&series[i].values, &series[j].values);
+                    prop_assert_eq!(bits(m.get(i, j)), bits(want), "cell ({}, {})", i, j);
+                }
+            }
+        }
     }
 }

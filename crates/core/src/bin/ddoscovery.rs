@@ -723,7 +723,8 @@ fn cmd_store_list(store: &ddoscovery::DiskStore) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Shrink the store to `--max-bytes`, oldest cells first.
+/// Shrink the store to `--max-bytes`, oldest cells first, and remove
+/// crashed writers' temporaries.
 fn cmd_store_gc(store: &ddoscovery::DiskStore, opts: &Options) -> ExitCode {
     let Some(max_bytes) = opts.max_bytes else {
         obs::error!("store gc needs --max-bytes N");
@@ -731,9 +732,10 @@ fn cmd_store_gc(store: &ddoscovery::DiskStore, opts: &Options) -> ExitCode {
     };
     let report = store.gc(max_bytes);
     println!(
-        "removed {} cell(s) ({} bytes); {} cell(s) ({} bytes) remain in {}",
+        "removed {} cell(s) ({} bytes) and {} stale temporary file(s); {} cell(s) ({} bytes) remain in {}",
         report.removed,
         report.freed_bytes,
+        report.stale_tmp,
         report.kept,
         report.kept_bytes,
         store.dir().display()

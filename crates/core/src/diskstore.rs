@@ -26,7 +26,9 @@
 //! sibling unique to the writer, then atomically renamed into place.
 //! A reader never observes a torn cell — it sees the old bytes, the
 //! new bytes, or no file — and concurrent writers of one cell, threads
-//! or processes, never share a temporary.
+//! or processes, never share a temporary. A writer that dies between
+//! the write and the rename leaves its temporary behind; [`DiskStore::gc`]
+//! removes temporaries older than an hour.
 //!
 //! One generic [`DiskStore::load`] / [`DiskStore::store`] pair serves
 //! all four stage output types through their [`StageOutput`] codec.
@@ -188,6 +190,12 @@ pub struct CellInfo {
     pub path: PathBuf,
 }
 
+/// Age past which [`DiskStore::gc`] removes a publish temporary. A
+/// live publish holds its temporary only for the milliseconds between
+/// its write and its rename, so an older one belongs to a writer that
+/// died in between.
+const STALE_TMP_SECS: u64 = 3600;
+
 /// What [`DiskStore::gc`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcReport {
@@ -199,6 +207,8 @@ pub struct GcReport {
     pub kept: usize,
     /// Bytes they occupy.
     pub kept_bytes: u64,
+    /// Crashed writers' temporaries removed (older than an hour).
+    pub stale_tmp: usize,
 }
 
 impl DiskStore {
@@ -353,12 +363,21 @@ impl DiskStore {
 
     /// Shrink the store to at most `max_bytes` by removing
     /// least-recently-modified cells first (path order breaks mtime
-    /// ties so the victim sequence is deterministic).
+    /// ties so the victim sequence is deterministic). Also removes
+    /// publish temporaries older than an hour, which [`DiskStore::list`]
+    /// never shows.
     pub fn gc(&self, max_bytes: u64) -> GcReport {
+        let stale_tmp = self.remove_stale_temporaries();
         let mut cells = self.list();
         cells.sort_by(|a, b| (a.mtime_secs, &a.path).cmp(&(b.mtime_secs, &b.path)));
         let mut remaining: u64 = cells.iter().map(|c| c.bytes).sum();
-        let mut report = GcReport { removed: 0, freed_bytes: 0, kept: cells.len(), kept_bytes: remaining };
+        let mut report = GcReport {
+            removed: 0,
+            freed_bytes: 0,
+            kept: cells.len(),
+            kept_bytes: remaining,
+            stale_tmp,
+        };
         for cell in &cells {
             if remaining <= max_bytes {
                 break;
@@ -377,6 +396,40 @@ impl DiskStore {
             }
         }
         report
+    }
+
+    /// Remove the `.<key>.tmp.<pid>.<seq>` siblings that
+    /// [`obs::store::publish`] left more than [`STALE_TMP_SECS`] ago.
+    /// The age is the one wall-clock reading in the store; it decides
+    /// only which leftovers to delete and never feeds a run.
+    fn remove_stale_temporaries(&self) -> usize {
+        let mut removed = 0;
+        for stage in Stage::ALL {
+            let Ok(entries) = fs::read_dir(self.dir.join(stage.name())) else {
+                continue;
+            };
+            for entry in entries.flatten() {
+                let name = entry.file_name();
+                let is_tmp = name
+                    .to_str()
+                    .is_some_and(|n| n.starts_with('.') && n.contains(".tmp."));
+                let stale = || {
+                    let modified = entry.metadata().and_then(|m| m.modified()).ok()?;
+                    Some(modified.elapsed().ok()?.as_secs() >= STALE_TMP_SECS)
+                };
+                if !is_tmp || stale() != Some(true) {
+                    continue;
+                }
+                match fs::remove_file(entry.path()) {
+                    Ok(()) => removed += 1,
+                    Err(e) => obs::warn!(
+                        "disk store: gc removing {} failed: {e}",
+                        entry.path().display()
+                    ),
+                }
+            }
+        }
+        removed
     }
 }
 
@@ -510,6 +563,35 @@ mod tests {
         let report = store.gc(0);
         assert_eq!(report.kept, 0);
         assert!(store.list().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_removes_only_stale_temporaries() {
+        let dir = scratch_dir("tmp");
+        let store = DiskStore::open(dir.clone());
+        store.store(1, &sample_obs());
+        let stage_dir = dir.join(Stage::Observations.name());
+        let plant = |name: &str| {
+            let path = stage_dir.join(name);
+            fs::write(&path, b"half a cell").unwrap();
+            path
+        };
+        let crashed = plant(".0000000000000001.tmp.4242.0");
+        let live = plant(".0000000000000001.tmp.4242.1");
+        // Age the crashed writer's temporary to two hours before it
+        // was written.
+        let written = fs::metadata(&crashed).unwrap().modified().unwrap();
+        let aged = written - std::time::Duration::from_secs(2 * STALE_TMP_SECS);
+        let file = fs::File::options().write(true).open(&crashed).unwrap();
+        file.set_modified(aged).unwrap();
+
+        let report = store.gc(u64::MAX);
+        assert_eq!(report.stale_tmp, 1);
+        assert_eq!((report.removed, report.kept), (0, 1));
+        assert!(!crashed.exists(), "the stale temporary survived");
+        assert!(live.exists(), "a fresh temporary was removed");
+        assert_eq!(store.list().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

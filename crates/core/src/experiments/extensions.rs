@@ -57,7 +57,11 @@ pub fn lags(run: &StudyRun) -> ExperimentResult {
             }
         }
     }
-    rows.sort_by(|a, b| b[3].cmp(&a[3]));
+    // Strongest printed rho first, compared as numbers (as text, "-"
+    // sorts above "+"); the sort is stable, so printed ties keep pair
+    // order.
+    let printed = |row: &Vec<String>| row[3].parse::<f64>().expect("rho prints as a number");
+    rows.sort_by(|a, b| printed(b).total_cmp(&printed(a)));
     let mut body = String::from(
         "Pairs where one observatory leads another by >= 2 weeks (EWMA, best lag in +-16 wk):\n",
     );
@@ -492,54 +496,62 @@ pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
 /// size, duration, vectors, methods): what an omniscient industry
 /// report would have published about the simulated 4.5 years.
 pub fn population(run: &StudyRun) -> ExperimentResult {
-    let percentile = |sorted: &[f64], p: f64| -> f64 {
-        if sorted.is_empty() {
-            return f64::NAN;
+    /// One (year, class) cell of the table.
+    #[derive(Default)]
+    struct Cell {
+        durations: Vec<u32>,
+        pps: Vec<f64>,
+        carpet: usize,
+    }
+    // One pass over the attack columns buckets each row by year (year
+    // k covers [bounds[k], bounds[k + 1]) from 2019) and by class
+    // (direct path, then reflection: every class is one of the two).
+    let bounds: [i64; 6] =
+        std::array::from_fn(|k| simcore::Date::new(2019 + k as i32, 1, 1).to_sim_time().0);
+    let mut cells: [[Cell; 2]; 5] = Default::default();
+    let attacks = &run.attacks;
+    let mut short = 0usize;
+    for r in 0..attacks.len() {
+        let duration = attacks.duration_secs[r];
+        // "Most attacks under 10 min" (§3), over the whole population.
+        short += (duration < 600) as usize;
+        let start = attacks.start_secs[r] as i64;
+        let year = bounds.partition_point(|&b| b <= start);
+        if year == 0 || year == bounds.len() {
+            continue;
         }
-        sorted[((sorted.len() - 1) as f64 * p).round() as usize]
-    };
+        let cell = &mut cells[year - 1][attacks.class[r].is_reflection() as usize];
+        cell.durations.push(duration);
+        cell.pps.push(attacks.pps[r]);
+        cell.carpet += (attacks.targets(r).len() > 1) as usize;
+    }
+    let at = |len: usize, p: f64| ((len - 1) as f64 * p).round() as usize;
     let mut body = String::new();
     let mut csv = String::from(
         "year,class,count,duration_p50_s,duration_p90_s,pps_p50,pps_p99,carpet_share\n",
     );
     let mut rows = Vec::new();
-    for year in 2019..=2023 {
-        let lo = simcore::Date::new(year, 1, 1).to_sim_time();
-        let hi = simcore::Date::new(year + 1, 1, 1).to_sim_time();
-        for (label, pred) in [
-            ("DP", AttackClass::is_direct_path as fn(AttackClass) -> bool),
-            ("RA", AttackClass::is_reflection as fn(AttackClass) -> bool),
-        ] {
-            let subset: Vec<attackgen::AttackRef<'_>> = run
-                .attacks
-                .iter()
-                .filter(|a| a.start >= lo && a.start < hi && pred(a.class))
-                .collect();
-            if subset.is_empty() {
+    for (year, year_cells) in (2019..).zip(&mut cells) {
+        for (label, cell) in ["DP", "RA"].into_iter().zip(year_cells) {
+            let count = cell.durations.len();
+            if count == 0 {
                 continue;
             }
-            let mut durations: Vec<f64> =
-                subset.iter().map(|a| a.duration_secs as f64).collect();
-            durations.sort_by(|a, b| a.total_cmp(b));
-            let mut pps: Vec<f64> = subset.iter().map(|a| a.pps).collect();
-            pps.sort_by(|a, b| a.total_cmp(b));
-            let carpet = subset.iter().filter(|a| a.is_carpet_bombing()).count();
-            let carpet_share = carpet as f64 / subset.len() as f64;
+            cell.durations.sort_unstable();
+            cell.pps.sort_unstable_by(f64::total_cmp);
+            let d50 = cell.durations[at(count, 0.5)] as f64;
+            let d90 = cell.durations[at(count, 0.9)] as f64;
+            let (p50, p99) = (cell.pps[at(count, 0.5)], cell.pps[at(count, 0.99)]);
+            let carpet_share = cell.carpet as f64 / count as f64;
             csv.push_str(&format!(
-                "{year},{label},{},{:.0},{:.0},{:.0},{:.0},{:.4}\n",
-                subset.len(),
-                percentile(&durations, 0.5),
-                percentile(&durations, 0.9),
-                percentile(&pps, 0.5),
-                percentile(&pps, 0.99),
-                carpet_share,
+                "{year},{label},{count},{d50:.0},{d90:.0},{p50:.0},{p99:.0},{carpet_share:.4}\n"
             ));
             rows.push(vec![
                 format!("{year}"),
                 label.to_string(),
-                format!("{}", subset.len()),
-                format!("{:.0}s / {:.0}s", percentile(&durations, 0.5), percentile(&durations, 0.9)),
-                format!("{:.0} / {:.0}", percentile(&pps, 0.5), percentile(&pps, 0.99)),
+                format!("{count}"),
+                format!("{d50:.0}s / {d90:.0}s"),
+                format!("{p50:.0} / {p99:.0}"),
                 format!("{:.1}%", 100.0 * carpet_share),
             ]);
         }
@@ -548,12 +560,6 @@ pub fn population(run: &StudyRun) -> ExperimentResult {
         &["Year", "Class", "Count", "Duration p50/p90", "pps p50/p99", "Carpet"],
         &rows,
     ));
-    // "Most attacks under 10 min" (§3): verify against the population.
-    let short = run
-        .attacks
-        .iter()
-        .filter(|a| a.duration_secs < 600)
-        .count();
     body.push_str(&format!(
         "\nAttacks under 10 minutes: {:.1}% (the §3 \"most attacks under 10 min\" claim)\n",
         100.0 * short as f64 / run.attacks.len().max(1) as f64

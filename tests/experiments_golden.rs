@@ -5,14 +5,17 @@
 //! read; this pins what they write, so a faster experiment that changes
 //! a single rendered byte fails here.
 //!
-//! `GOLDEN` was captured on commit
+//! `GOLDEN` was first captured on commit
 //! 02189c1cdbee7da01722d2da43e24caa4fda47f6, before the experiments
-//! moved onto the sorted membership column and the attack-row index.
+//! moved onto the sorted membership column and the attack-row index
+//! (0x49f2_bd63_05ba_8866). It was re-pinned once, when the `lags`
+//! table started ordering rows by printed rho as numbers, not text:
+//! only that table's body moved.
 
 mod common;
 
 use common::golden_cfg;
-use ddoscovery::{run_all, ExperimentResult, StudyRun};
+use ddoscovery::{run_all, run_experiment, ExperimentResult, StudyRun};
 use obs::manifest::Fnv;
 
 /// Fold every result into one hash; each field is length-prefixed so
@@ -35,7 +38,7 @@ fn experiments_hash(results: &[ExperimentResult]) -> u64 {
     h.finish()
 }
 
-const GOLDEN: u64 = 0x49f2_bd63_05ba_8866;
+const GOLDEN: u64 = 0x4d13_d829_e51b_bfe6;
 
 #[test]
 fn experiment_output_matches_golden() {
@@ -47,6 +50,35 @@ fn experiment_output_matches_golden() {
             "experiment output diverged from the golden at workers={workers} (got {got:#018x})"
         );
     }
+}
+
+/// The `lags` table lists the strongest printed rho first. Compared as
+/// text, "-" sorts above "+", so this config once listed -0.18 and
+/// -0.17 above +0.70.
+#[test]
+fn lags_table_rho_never_increases() {
+    let run = StudyRun::execute(&golden_cfg(0, 1));
+    let lags = run_experiment(&run, "lags").expect("lags is registered");
+    // Table rows follow the dashed rule under the header.
+    let rows = lags
+        .body
+        .lines()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1);
+    let rho: Vec<f64> = rows
+        .map(|row| {
+            let cell = row.split_whitespace().last().expect("row has a rho cell");
+            cell.parse()
+                .unwrap_or_else(|_| panic!("rho cell {cell:?} in {row:?}"))
+        })
+        .collect();
+    let table = &lags.body;
+    assert!(rho.len() >= 2, "too few rows to check an order:\n{table}");
+    assert!(rho.iter().any(|&r| r < 0.0), "no negative row:\n{table}");
+    assert!(
+        rho.windows(2).all(|w| w[0] >= w[1]),
+        "rho column increases:\n{table}"
+    );
 }
 
 /// Capture helper: prints the hash so a new golden can be pinned after
