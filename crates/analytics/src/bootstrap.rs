@@ -42,7 +42,8 @@ pub fn trend_interval(
     rng: &mut SimRng,
 ) -> Option<TrendInterval> {
     let n = series.values.len();
-    if n < block_len.max(2) || replicates == 0 {
+    // A zero block length would never fill a replicate.
+    if block_len == 0 || n < block_len.max(2) || replicates == 0 {
         return None;
     }
     let reg = series.linear_regression()?;
@@ -159,6 +160,7 @@ mod tests {
         assert!(trend_interval(&WeeklySeries::new("x", vec![1.0]), 8, 100, &mut rng).is_none());
         let s = noisy_line(0.01, 100, 1.0, 12);
         assert!(trend_interval(&s, 8, 0, &mut rng).is_none());
+        assert!(trend_interval(&s, 0, 100, &mut rng).is_none());
     }
 
     /// `table1_trends.csv` prints the interval to 4 decimals, so only

@@ -30,7 +30,6 @@
 //! always the attack vector's amplification protocol.
 
 use crate::attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
-use crate::observed::ObservedAttack;
 use netmodel::{Asn, Ipv4};
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
@@ -110,33 +109,13 @@ impl AttackRef<'_> {
     pub fn total_packets(&self) -> f64 {
         self.pps * self.duration_secs as f64
     }
-
-    /// Materialize an owned [`Attack`] (clones the target slice). Meant
-    /// for small sampled subsets handed to packet-level APIs, not for
-    /// bulk conversion.
-    pub fn to_attack(&self) -> Attack {
-        Attack {
-            id: self.id,
-            class: self.class,
-            vector: self.vector,
-            start: self.start,
-            duration_secs: self.duration_secs,
-            targets: self.targets.to_vec(),
-            target_asn: self.target_asn,
-            pps: self.pps,
-            bps: self.bps,
-            reflectors: self.reflectors,
-            spoof_space_fraction: self.spoof_space_fraction,
-            campaign: self.campaign,
-        }
-    }
 }
 
 impl Attack {
     /// View this owned attack through the columnar record interface, so
-    /// code written against [`AttackRef`] also accepts hand-built
-    /// struct attacks (every observer keeps its `&Attack` entry point
-    /// as a one-line wrapper over this).
+    /// hand-built struct attacks (test fixtures, generator rows) reach
+    /// code that reads [`AttackRef`], the only row type observers and
+    /// packet synthesizers take.
     pub fn view(&self) -> AttackRef<'_> {
         AttackRef {
             id: self.id,
@@ -281,13 +260,6 @@ impl AttackColumns {
             out.push(a);
         }
         out
-    }
-
-    /// Materialize every row as an owned [`Attack`]. Test/debug helper —
-    /// reintroduces the per-record allocations the columns exist to
-    /// avoid.
-    pub fn to_vec(&self) -> Vec<Attack> {
-        self.iter().map(|a| a.to_attack()).collect()
     }
 
     /// Append rows `lo..hi` of `src`, rebasing ids by `id_base` —
@@ -533,12 +505,13 @@ impl<'a> DoubleEndedIterator for ColumnsIter<'a> {
     }
 }
 
-/// One observatory's output stream in struct-of-arrays layout: the
-/// columnar sibling of `Vec<ObservedAttack>`, again with a shared
-/// target arena. Observation counts track the attack population
-/// (~0.8 rows/attack at default coverage), so keeping these columnar is
-/// what lets the observe stage fit inside the generation stage's
-/// high-water mark at 10 M+ attacks.
+/// One observatory's output stream in struct-of-arrays layout: what
+/// one vantage point believes it saw, one row per inferred attack
+/// (ground-truth id, first-seen instant, attributed targets), again
+/// with a shared target arena. Observation counts track the attack
+/// population (~0.8 rows/attack at default coverage), so keeping these
+/// columnar is what lets the observe stage fit inside the generation
+/// stage's high-water mark at 10 M+ attacks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObservationColumns {
     pub attack_id: Vec<u64>,
@@ -562,9 +535,11 @@ pub struct ObservedRef<'a> {
     pub targets: &'a [Ipv4],
 }
 
-impl ObservedRef<'_> {
-    /// The (day, target) tuples this observation contributes (§7).
-    pub fn target_tuples(&self) -> impl Iterator<Item = (i64, Ipv4)> + '_ {
+impl<'a> ObservedRef<'a> {
+    /// The (day, target) tuples this observation contributes (§7). The
+    /// iterator borrows the arena, not the view, so
+    /// `cols.iter().flat_map(ObservedRef::target_tuples)` compiles.
+    pub fn target_tuples(self) -> impl Iterator<Item = (i64, Ipv4)> + 'a {
         let day = self.start.day_index();
         self.targets.iter().map(move |&ip| (day, ip))
     }
@@ -572,14 +547,6 @@ impl ObservedRef<'_> {
     /// Study week of the observation.
     pub fn week(&self) -> i64 {
         self.start.week_index()
-    }
-
-    pub fn to_observed(&self) -> ObservedAttack {
-        ObservedAttack {
-            attack_id: self.attack_id,
-            start: self.start,
-            targets: self.targets.to_vec(),
-        }
     }
 }
 
@@ -702,19 +669,6 @@ impl ObservationColumns {
         self.target_offsets
             .extend(other.target_offsets[1..].iter().map(|&o| o + base as u32));
         self.target_arena.extend_from_slice(&other.target_arena);
-    }
-
-    pub fn from_observed(observations: &[ObservedAttack]) -> ObservationColumns {
-        let mut out = ObservationColumns::with_capacity(observations.len());
-        for o in observations {
-            out.push_row(o.attack_id, o.start, &o.targets);
-        }
-        out
-    }
-
-    /// Materialize owned records (test/debug helper).
-    pub fn to_vec(&self) -> Vec<ObservedAttack> {
-        self.iter().map(|o| o.to_observed()).collect()
     }
 
     /// Sort rows by `(start, attack_id)` — the canonical observation
@@ -900,14 +854,22 @@ mod tests {
         ]
     }
 
+    /// Every row of `cols` as a view, for whole-population comparisons.
+    fn rows(cols: &AttackColumns) -> Vec<AttackRef<'_>> {
+        cols.iter().collect()
+    }
+
+    fn views(attacks: &[Attack]) -> Vec<AttackRef<'_>> {
+        attacks.iter().map(Attack::view).collect()
+    }
+
     #[test]
     fn round_trips_attacks_exactly() {
         let attacks = sample_attacks();
         let cols = AttackColumns::from_attacks(&attacks);
         assert_eq!(cols.len(), 3);
-        assert_eq!(cols.to_vec(), attacks);
+        assert_eq!(rows(&cols), views(&attacks));
         for (a, r) in attacks.iter().zip(cols.iter()) {
-            assert_eq!(a.view(), r);
             assert_eq!(a.end(), r.end());
             assert_eq!(a.is_carpet_bombing(), r.is_carpet_bombing());
             assert_eq!(a.pps_per_target(), r.pps_per_target());
@@ -930,7 +892,7 @@ mod tests {
         let mut cols = AttackColumns::from_attacks(&attacks);
         attacks.sort_by_key(|a| (a.start, a.id));
         cols.sort_by_start_id();
-        assert_eq!(cols.to_vec(), attacks);
+        assert_eq!(rows(&cols), views(&attacks));
         // Idempotent (hits the already-sorted fast path).
         let before = cols.clone();
         cols.sort_by_start_id();
@@ -1039,11 +1001,7 @@ mod tests {
         let back: AttackColumns = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, cols);
 
-        let obs = ObservationColumns::from_observed(&[ObservedAttack {
-            attack_id: AttackId(7),
-            start: SimTime(-3),
-            targets: vec![Ipv4(1), Ipv4(2)],
-        }]);
+        let obs = observed(&[(7, -3, vec![1, 2])]);
         let json = serde_json::to_string(&obs).expect("serialize");
         let back: ObservationColumns = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, obs);
@@ -1066,46 +1024,74 @@ mod tests {
         assert!(AttackColumns::new().resident_bytes() >= 4);
     }
 
-    fn sample_observed() -> Vec<ObservedAttack> {
+    /// One observation record as `(attack id, start secs, target ips)`.
+    type Row = (u64, i64, Vec<u32>);
+
+    fn observed(rows: &[Row]) -> ObservationColumns {
+        let mut cols = ObservationColumns::new();
+        for (id, start, ips) in rows {
+            let ips: Vec<Ipv4> = ips.iter().map(|&i| Ipv4(i)).collect();
+            cols.push_row(AttackId(*id), SimTime(*start), &ips);
+        }
+        cols
+    }
+
+    fn read_back(cols: &ObservationColumns) -> Vec<Row> {
+        let ips = |o: ObservedRef<'_>| o.targets.iter().map(|ip| ip.0).collect();
+        cols.iter()
+            .map(|o| (o.attack_id.0, o.start.0, ips(o)))
+            .collect()
+    }
+
+    /// A start tie, a pre-study start and an empty target list.
+    fn sample_observed() -> Vec<Row> {
         vec![
-            ObservedAttack {
-                attack_id: AttackId(11),
-                start: SimTime(604_800 * 3 + 17),
-                targets: vec![Ipv4(9), Ipv4(8)],
-            },
-            ObservedAttack {
-                attack_id: AttackId(5),
-                start: SimTime(-50),
-                targets: vec![Ipv4(9)],
-            },
-            ObservedAttack {
-                attack_id: AttackId(u64::MAX - 4),
-                start: SimTime(604_800 * 3 + 17),
-                targets: vec![],
-            },
+            (11, 604_800 * 3 + 17, vec![9, 8]),
+            (5, -50, vec![9]),
+            (u64::MAX - 4, 604_800 * 3 + 17, vec![]),
         ]
     }
 
     #[test]
     fn observations_round_trip_and_project() {
-        let observed = sample_observed();
-        let cols = ObservationColumns::from_observed(&observed);
-        assert_eq!(cols.to_vec(), observed);
-        assert_eq!(
-            cols.weekly_counts(),
-            crate::observed::weekly_counts(&observed)
-        );
+        let cols = observed(&sample_observed());
+        assert_eq!(read_back(&cols), sample_observed());
+        let counts = cols.weekly_counts();
+        assert_eq!(counts.len(), simcore::STUDY_WEEKS);
+        assert_eq!(counts[3], 2.0);
+        assert_eq!(counts.iter().sum::<f64>(), 2.0, "pre-study row dropped");
         assert_eq!(
             cols.distinct_target_tuples(),
-            crate::observed::distinct_target_tuples(&observed)
+            vec![(-1, Ipv4(9)), (21, Ipv4(8)), (21, Ipv4(9))]
         );
-        for (o, r) in observed.iter().zip(cols.iter()) {
-            assert_eq!(o.week(), r.week());
-            assert_eq!(
-                o.target_tuples().collect::<Vec<_>>(),
-                r.target_tuples().collect::<Vec<_>>()
-            );
-        }
+        let weeks: Vec<i64> = cols.iter().map(|o| o.week()).collect();
+        assert_eq!(weeks, vec![3, -1, 3]);
+        let tuples: Vec<(i64, Ipv4)> = cols.iter().flat_map(ObservedRef::target_tuples).collect();
+        assert_eq!(tuples, vec![(21, Ipv4(9)), (21, Ipv4(8)), (-1, Ipv4(9))]);
+    }
+
+    #[test]
+    fn observation_projections_bucket_and_dedupe() {
+        let day = |d: i64| d * 86_400;
+        let cols = observed(&[
+            (0, day(0), vec![1]),
+            (1, day(6), vec![1]),
+            (2, day(7), vec![1]),
+            (3, day(14), vec![1]),
+            (4, day(-5), vec![1]),
+        ]);
+        assert_eq!(cols.weekly_counts()[..4], [2.0, 1.0, 1.0, 0.0]);
+        assert_eq!(cols.weekly_counts().iter().sum::<f64>(), 4.0);
+
+        let cols = observed(&[
+            (0, day(1), vec![9, 9, 8]),
+            (1, day(1), vec![9]),
+            (2, day(2), vec![9]),
+        ]);
+        assert_eq!(
+            cols.distinct_target_tuples(),
+            vec![(1, Ipv4(8)), (1, Ipv4(9)), (2, Ipv4(9))]
+        );
     }
 
     #[test]
@@ -1132,15 +1118,14 @@ mod tests {
 
     #[test]
     fn observation_append_and_sort() {
-        let observed = sample_observed();
-        let mut a = ObservationColumns::from_observed(&observed[..1]);
-        let b = ObservationColumns::from_observed(&observed[1..]);
-        a.append(b);
-        assert_eq!(a.to_vec(), observed);
-        let mut sorted = observed.clone();
-        sorted.sort_by_key(|o| (o.start, o.attack_id));
+        let sample = sample_observed();
+        let mut a = observed(&sample[..1]);
+        a.append(observed(&sample[1..]));
+        assert_eq!(read_back(&a), sample);
+        let mut sorted = sample.clone();
+        sorted.sort_by_key(|&(id, start, _)| (start, id));
         a.sort_by_start_id();
-        assert_eq!(a.to_vec(), sorted);
+        assert_eq!(read_back(&a), sorted);
     }
 
     #[test]
@@ -1168,6 +1153,6 @@ mod tests {
         a.reflectors = None;
         let cols = AttackColumns::from_attacks(std::slice::from_ref(&a));
         assert_eq!(cols.get(0).reflectors, None);
-        assert_eq!(cols.to_vec(), vec![a]);
+        assert_eq!(cols.get(0), a.view());
     }
 }

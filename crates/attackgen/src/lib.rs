@@ -12,7 +12,6 @@ pub mod booters;
 pub mod campaigns;
 pub mod columns;
 pub mod generator;
-pub mod observed;
 pub mod packets;
 pub mod sav;
 pub mod scans;
@@ -25,9 +24,6 @@ pub use booters::{Booter, BooterMarket, BooterMarketParams};
 pub use campaigns::{Campaign, CampaignScope};
 pub use columns::{AttackColumns, AttackRef, ObservationColumns, ObservedRef};
 pub use generator::{weekly_class_counts, AttackGenerator, GenConfig};
-pub use observed::{
-    distinct_target_tuples, distinct_target_tuples_of, weekly_counts, ObservedAttack,
-};
 pub use packets::PacketEvent;
 pub use sav::{SavModel, SavParams, SpooferEstimate, SpooferPanel};
 pub use scans::{generate_scans, scan_probe_packets, ScanCampaign, ScanParams};

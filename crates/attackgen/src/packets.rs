@@ -1,5 +1,5 @@
-//! Packet-level synthesis: turn an [`Attack`] into the concrete packet
-//! streams each observatory type would capture.
+//! Packet-level synthesis: turn an attack row ([`AttackRef`]) into the
+//! concrete packet streams each observatory type would capture.
 //!
 //! This is the *packet-level fidelity* path (DESIGN.md §1): it exists so
 //! the detector implementations (Corsaro RSDoS, honeypot flow
@@ -8,7 +8,8 @@
 //! models. Macro runs over the full 4.5 years use the event-level path;
 //! generating every packet of every attack would be pointless work.
 
-use crate::attack::{Attack, AttackClass, AttackVector};
+use crate::attack::{AttackClass, AttackVector};
+use crate::columns::AttackRef;
 use netmodel::{Ipv4, TelescopePlan, Transport};
 use serde::{Deserialize, Serialize};
 use simcore::dist::{binomial, poisson};
@@ -34,7 +35,7 @@ pub const BACKSCATTER_RESPONSE_RATE: f64 = 0.8;
 
 /// Derive a stable ephemeral source port for an attack (booters commonly
 /// fix the spoofed source port per attack run).
-pub fn attack_ephemeral_port(attack: &Attack) -> u16 {
+pub fn attack_ephemeral_port(attack: AttackRef<'_>) -> u16 {
     49_152 + (attack.id.0 % 16_384) as u16
 }
 
@@ -54,7 +55,7 @@ pub const MAX_SYNTH_PACKETS: u64 = 2_000_000;
 /// rotated range with probability `f`, and — if inside — receives a
 /// correspondingly denser share `c / f`.
 pub fn backscatter_packets(
-    attack: &Attack,
+    attack: AttackRef<'_>,
     telescope: &TelescopePlan,
     rng: &mut SimRng,
 ) -> Vec<PacketEvent> {
@@ -111,7 +112,7 @@ pub fn backscatter_packets(
 /// (each request elicits roughly one amplified response packet; the
 /// amplification is in bytes).
 pub fn sensor_request_packets(
-    attack: &Attack,
+    attack: AttackRef<'_>,
     sensor: Ipv4,
     rng: &mut SimRng,
 ) -> Vec<PacketEvent> {
@@ -147,7 +148,7 @@ pub fn sensor_request_packets(
 /// (what an on-path flow monitor sees). Returns at most `max_packets`
 /// packets, sampled uniformly over the attack.
 pub fn victim_traffic_sample(
-    attack: &Attack,
+    attack: AttackRef<'_>,
     max_packets: usize,
     rng: &mut SimRng,
 ) -> Vec<PacketEvent> {
@@ -197,7 +198,7 @@ pub fn victim_traffic_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{AttackId, ReflectorUse};
+    use crate::attack::{Attack, AttackId, ReflectorUse};
     use netmodel::{AmpVector, Asn};
 
     fn telescope() -> TelescopePlan {
@@ -250,7 +251,7 @@ mod tests {
         let tele = telescope();
         let attack = rsdos_attack(100_000.0, 300);
         let mut rng = SimRng::new(1);
-        let pkts = backscatter_packets(&attack, &tele, &mut rng);
+        let pkts = backscatter_packets(attack.view(), &tele, &mut rng);
         let expected = attack.total_packets()
             * BACKSCATTER_RESPONSE_RATE
             * tele.coverage();
@@ -266,7 +267,7 @@ mod tests {
         let tele = telescope();
         let attack = rsdos_attack(50_000.0, 120);
         let mut rng = SimRng::new(2);
-        let pkts = backscatter_packets(&attack, &tele, &mut rng);
+        let pkts = backscatter_packets(attack.view(), &tele, &mut rng);
         assert!(!pkts.is_empty());
         for p in &pkts {
             assert_eq!(p.src, attack.primary_target());
@@ -284,12 +285,12 @@ mod tests {
     fn backscatter_only_for_spoofed_dp() {
         let tele = telescope();
         let mut rng = SimRng::new(3);
-        let pkts = backscatter_packets(&ra_attack(), &tele, &mut rng);
+        let pkts = backscatter_packets(ra_attack().view(), &tele, &mut rng);
         assert!(pkts.is_empty());
         let mut nonspoofed = rsdos_attack(50_000.0, 120);
         nonspoofed.class = AttackClass::DirectPathNonSpoofed;
         nonspoofed.spoof_space_fraction = 0.0;
-        assert!(backscatter_packets(&nonspoofed, &tele, &mut rng).is_empty());
+        assert!(backscatter_packets(nonspoofed.view(), &tele, &mut rng).is_empty());
     }
 
     #[test]
@@ -301,7 +302,7 @@ mod tests {
         let mut missed = 0;
         let mut hit_counts = Vec::new();
         for _ in 0..200 {
-            let pkts = backscatter_packets(&attack, &tele, &mut rng);
+            let pkts = backscatter_packets(attack.view(), &tele, &mut rng);
             if pkts.is_empty() {
                 missed += 1;
             } else {
@@ -326,7 +327,7 @@ mod tests {
         let attack = ra_attack();
         let sensor = Ipv4::new(9, 9, 9, 9);
         let mut rng = SimRng::new(5);
-        let pkts = sensor_request_packets(&attack, sensor, &mut rng);
+        let pkts = sensor_request_packets(attack.view(), sensor, &mut rng);
         // 60k pps / 600 reflectors * 600 s = 60000 expected.
         let expected = 60_000.0;
         let got = pkts.len() as f64;
@@ -343,7 +344,7 @@ mod tests {
     fn sensor_requests_empty_for_dp() {
         let mut rng = SimRng::new(6);
         let pkts = sensor_request_packets(
-            &rsdos_attack(10_000.0, 60),
+            rsdos_attack(10_000.0, 60).view(),
             Ipv4::new(9, 9, 9, 9),
             &mut rng,
         );
@@ -355,7 +356,7 @@ mod tests {
         let mut attack = ra_attack();
         attack.targets = (0..16).map(|i| Ipv4::new(203, 0, 8, i)).collect();
         let mut rng = SimRng::new(7);
-        let pkts = sensor_request_packets(&attack, Ipv4::new(9, 9, 9, 9), &mut rng);
+        let pkts = sensor_request_packets(attack.view(), Ipv4::new(9, 9, 9, 9), &mut rng);
         let distinct: std::collections::HashSet<Ipv4> = pkts.iter().map(|p| p.src).collect();
         assert!(distinct.len() > 8, "only {} distinct sources", distinct.len());
     }
@@ -364,7 +365,7 @@ mod tests {
     fn victim_sample_caps_and_targets() {
         let attack = ra_attack();
         let mut rng = SimRng::new(8);
-        let pkts = victim_traffic_sample(&attack, 500, &mut rng);
+        let pkts = victim_traffic_sample(attack.view(), 500, &mut rng);
         assert_eq!(pkts.len(), 500);
         for p in &pkts {
             assert_eq!(p.dst, attack.primary_target());
@@ -377,7 +378,7 @@ mod tests {
     fn victim_sample_spoofed_sources_diverse() {
         let attack = rsdos_attack(100_000.0, 300);
         let mut rng = SimRng::new(9);
-        let pkts = victim_traffic_sample(&attack, 1000, &mut rng);
+        let pkts = victim_traffic_sample(attack.view(), 1000, &mut rng);
         let distinct: std::collections::HashSet<Ipv4> = pkts.iter().map(|p| p.src).collect();
         assert!(distinct.len() > 990, "spoofed sources should be ~unique");
     }
@@ -385,7 +386,7 @@ mod tests {
     #[test]
     fn ephemeral_port_stable_and_in_range() {
         let a = ra_attack();
-        assert_eq!(attack_ephemeral_port(&a), attack_ephemeral_port(&a));
-        assert!(attack_ephemeral_port(&a) >= 49_152);
+        assert_eq!(attack_ephemeral_port(a.view()), attack_ephemeral_port(a.view()));
+        assert!(attack_ephemeral_port(a.view()) >= 49_152);
     }
 }

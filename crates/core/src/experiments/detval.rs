@@ -20,20 +20,16 @@ pub fn detval(run: &StudyRun) -> ExperimentResult {
 
     // --- Telescope: event verdict vs Corsaro over synthesized
     // backscatter.
-    // This cold validation path materializes its ~120-row samples from
-    // the columnar population (the packet synthesizers take &Attack).
-    let rsdos: Vec<attackgen::Attack> = run
+    let rsdos = run
         .attacks
         .iter()
         .filter(|a| a.class == AttackClass::DirectPathSpoofed)
         .step_by((run.attacks.len() / (SAMPLE * 4)).max(1))
-        .take(SAMPLE)
-        .map(|a| a.to_attack())
-        .collect();
+        .take(SAMPLE);
     let mut tel_agree = 0usize;
     let mut tel_total = 0usize;
-    for a in &rsdos {
-        let event = ucsd.observe_into(a.view(), &root, &mut ObservationColumns::new());
+    for a in rsdos {
+        let event = ucsd.observe_into(a, &root, &mut ObservationColumns::new());
         let mut pkt_rng = root.fork(a.id.0).fork_named("detval-packets");
         let pkts = backscatter_packets(a, &ucsd.spec, &mut pkt_rng);
         let mut det = RsdosDetector::new(RsdosConfig::default());
@@ -54,7 +50,7 @@ pub fn detval(run: &StudyRun) -> ExperimentResult {
     // with selection forced (m = 1) vs the detector.
     let hp_cfg = HoneypotConfig::hopscotch(&run.plan);
     let sensor = hp_cfg.sensors[0];
-    let ra: Vec<attackgen::Attack> = run
+    let ra = run
         .attacks
         .iter()
         .filter(|a| {
@@ -63,12 +59,10 @@ pub fn detval(run: &StudyRun) -> ExperimentResult {
                 && !a.is_carpet_bombing()
         })
         .step_by((run.attacks.len() / (SAMPLE * 4)).max(1))
-        .take(SAMPLE)
-        .map(|a| a.to_attack())
-        .collect();
+        .take(SAMPLE);
     let mut hp_agree = 0usize;
     let mut hp_total = 0usize;
-    for a in &ra {
+    for a in ra {
         let mut pkt_rng = root.fork(a.id.0).fork_named("detval-hp-packets");
         let pkts = sensor_request_packets(a, sensor, &mut pkt_rng);
         let mut det = HoneypotDetector::new(hp_cfg.clone());

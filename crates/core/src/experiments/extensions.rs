@@ -334,22 +334,17 @@ pub fn rtbh(run: &StudyRun) -> ExperimentResult {
     let mut rows: Vec<usize> = ixp.filter_map(|o| run.attack_row(o.attack_id)).collect();
     rows.sort_unstable();
     rows.dedup();
-    let blackholed_rows: Vec<attackgen::Attack> = rows
-        .iter()
-        .map(|&row| run.attacks.get(row).to_attack())
-        .collect();
-    let blackholed: Vec<&attackgen::Attack> = blackholed_rows.iter().collect();
     let root = SimRng::new(run.config.seed).fork_named("observatories");
-    let events = blackhole_events(&blackholed, &RtbhParams::default(), &root);
+    let blackholed = rows.iter().map(|&row| run.attacks.get(row));
+    let events = blackhole_events(blackholed, &RtbhParams::default(), &root);
     let accepted = events
         .iter()
         .filter(|e| flowmon::accepted_by_ixp(e, &run.plan))
         .count();
     let mut body;
     let csv;
-    // Every event's attack id is in the blackholed subset, so the
-    // stats join needs only those rows (missing ids are skipped).
-    match rtbh_stats(&events, &blackholed_rows) {
+    let attack = |id| run.attack_row(id).map(|row| run.attacks.get(row));
+    match rtbh_stats(&events, attack) {
         Some(s) => {
             body = format!(
                 "Blackhole events derived from the {} IXP-observed attacks: {}\n\
@@ -357,7 +352,7 @@ pub fn rtbh(run: &StudyRun) -> ExperimentResult {
                  mean blackhole duration: {:.0} s\n\
                  overshoot (blackholed time after the attack ended): {:.1}%\n\
                  mean addresses dropped per event: {:.0} (vs {:.1} actually attacked)\n",
-                blackholed.len(),
+                rows.len(),
                 s.events,
                 accepted,
                 s.blackholed_secs as f64 / s.events as f64,

@@ -10,7 +10,7 @@
 //! the phenomena of refs [77]/[113] that the paper's IXP counts sit on
 //! top of.
 
-use attackgen::{Attack, AttackId};
+use attackgen::{AttackId, AttackRef};
 use netmodel::{InternetPlan, Prefix};
 use serde::{Deserialize, Serialize};
 use simcore::dist::log_normal;
@@ -62,8 +62,8 @@ impl BlackholeEvent {
 
 /// Derive the blackhole events a set of *IXP-observed* attacks would
 /// trigger. Deterministic per attack id.
-pub fn blackhole_events(
-    attacks: &[&Attack],
+pub fn blackhole_events<'a>(
+    attacks: impl IntoIterator<Item = AttackRef<'a>>,
     params: &RtbhParams,
     root: &SimRng,
 ) -> Vec<BlackholeEvent> {
@@ -112,13 +112,16 @@ pub struct RtbhStats {
     pub mean_addresses_attacked: f64,
 }
 
-/// Compute the cost statistics against the ground-truth attacks.
-pub fn rtbh_stats(events: &[BlackholeEvent], attacks: &[Attack]) -> Option<RtbhStats> {
+/// Compute the cost statistics against the ground-truth attacks, which
+/// `attack` looks up by id (events whose attack it does not find add
+/// no overlap and no attacked addresses).
+pub fn rtbh_stats<'a>(
+    events: &[BlackholeEvent],
+    attack: impl Fn(AttackId) -> Option<AttackRef<'a>>,
+) -> Option<RtbhStats> {
     if events.is_empty() {
         return None;
     }
-    use std::collections::HashMap;
-    let by_id: HashMap<u64, &Attack> = attacks.iter().map(|a| (a.id.0, a)).collect();
     let mut blackholed = 0i64;
     let mut overlap = 0i64;
     let mut dropped = 0.0f64;
@@ -126,7 +129,7 @@ pub fn rtbh_stats(events: &[BlackholeEvent], attacks: &[Attack]) -> Option<RtbhS
     for e in events {
         let span = e.duration_secs();
         blackholed += span;
-        if let Some(a) = by_id.get(&e.attack_id.0) {
+        if let Some(a) = attack(e.attack_id) {
             let start = e.announced_at.0.max(a.start.0);
             let end = e.withdrawn_at.0.min(a.end().0);
             overlap += (end - start).max(0);
@@ -157,7 +160,7 @@ pub fn accepted_by_ixp(event: &BlackholeEvent, plan: &InternetPlan) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{AttackClass, AttackVector};
+    use attackgen::attack::{Attack, AttackClass, AttackVector};
     use netmodel::{Asn, Ipv4, NetScale};
 
     fn attack(id: u64, target: Ipv4, start: i64, duration: u32) -> Attack {
@@ -182,8 +185,11 @@ mod tests {
         let attacks: Vec<Attack> = (0..50)
             .map(|i| attack(i, Ipv4(0x0A00_0000 + i as u32), i as i64 * 10_000, 7200))
             .collect();
-        let refs: Vec<&Attack> = attacks.iter().collect();
-        let events = blackhole_events(&refs, &RtbhParams::default(), &SimRng::new(1));
+        let events = blackhole_events(
+            attacks.iter().map(Attack::view),
+            &RtbhParams::default(),
+            &SimRng::new(1),
+        );
         assert!(!events.is_empty());
         for e in &events {
             let a = &attacks[e.attack_id.0 as usize];
@@ -201,8 +207,11 @@ mod tests {
         let attacks: Vec<Attack> = (0..100)
             .map(|i| attack(i, Ipv4(1 + i as u32), 0, 30))
             .collect();
-        let refs: Vec<&Attack> = attacks.iter().collect();
-        let events = blackhole_events(&refs, &RtbhParams::default(), &SimRng::new(1));
+        let events = blackhole_events(
+            attacks.iter().map(Attack::view),
+            &RtbhParams::default(),
+            &SimRng::new(1),
+        );
         // Median reaction is 300 s; a 30 s attack is essentially never
         // caught in time.
         assert!(
@@ -221,7 +230,7 @@ mod tests {
             announced_at: SimTime(600),
             withdrawn_at: SimTime(3600 + 7200), // 2 h overstay
         }];
-        let s = rtbh_stats(&events, &[a]).unwrap();
+        let s = rtbh_stats(&events, |id| (id == a.id).then(|| a.view())).unwrap();
         assert_eq!(s.events, 1);
         assert_eq!(s.blackholed_secs, 10_200);
         assert_eq!(s.attack_overlap_secs, 3_000);
@@ -232,7 +241,7 @@ mod tests {
 
     #[test]
     fn stats_none_on_empty() {
-        assert!(rtbh_stats(&[], &[]).is_none());
+        assert!(rtbh_stats(&[], |_| None).is_none());
     }
 
     #[test]
@@ -240,9 +249,9 @@ mod tests {
         let attacks: Vec<Attack> = (0..20)
             .map(|i| attack(i, Ipv4(100 + i as u32), 0, 7200))
             .collect();
-        let refs: Vec<&Attack> = attacks.iter().collect();
-        let a = blackhole_events(&refs, &RtbhParams::default(), &SimRng::new(9));
-        let b = blackhole_events(&refs, &RtbhParams::default(), &SimRng::new(9));
+        let views = || attacks.iter().map(Attack::view);
+        let a = blackhole_events(views(), &RtbhParams::default(), &SimRng::new(9));
+        let b = blackhole_events(views(), &RtbhParams::default(), &SimRng::new(9));
         assert_eq!(a, b);
     }
 

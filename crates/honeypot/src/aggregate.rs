@@ -12,7 +12,7 @@
 //!   (deliberately, as in the paper) recorded as many attacks.
 
 use crate::detector::HoneypotFlow;
-use attackgen::{AttackId, ObservationColumns, ObservedAttack};
+use attackgen::{AttackId, ObservationColumns};
 use netmodel::{InternetPlan, Ipv4, Prefix};
 use simcore::SimTime;
 use std::collections::BTreeMap;
@@ -95,62 +95,17 @@ pub fn carpet_prefix(plan: &InternetPlan, ip: Ipv4) -> Option<Prefix> {
     Some(Prefix::new(ip, len))
 }
 
-/// Appendix-I reconstruction over *observed* attacks: merge events that
-/// (a) start within `merge_gap_secs` of each other and (b) whose targets
-/// fall in the same carpet prefix (same routed block, same allocation).
-/// Targets of merged events are unioned.
-pub fn reconstruct_carpet_attacks(
-    plan: &InternetPlan,
-    observed: &[ObservedAttack],
-    merge_gap_secs: i64,
-) -> Vec<ObservedAttack> {
-    // Group key: the carpet prefix of the first target; events whose
-    // targets have no routed prefix stay singletons.
-    let mut keyed: Vec<(Option<Prefix>, &ObservedAttack)> = observed
-        .iter()
-        .map(|o| (carpet_prefix(plan, o.targets[0]), o))
-        .collect();
-    keyed.sort_by_key(|(p, o)| (*p, o.start));
-
-    let mut out: Vec<ObservedAttack> = Vec::new();
-    let mut i = 0;
-    while i < keyed.len() {
-        let (prefix, first) = keyed[i];
-        let mut merged = first.clone();
-        let mut last_start = first.start;
-        let mut j = i + 1;
-        while j < keyed.len() {
-            let (p2, next) = keyed[j];
-            let mergeable = prefix.is_some()
-                && p2 == prefix
-                && next.start.0 - last_start.0 <= merge_gap_secs;
-            if !mergeable {
-                break;
-            }
-            for &t in &next.targets {
-                if !merged.targets.contains(&t) {
-                    merged.targets.push(t);
-                }
-            }
-            // Keep the earliest id/start as the event identity.
-            last_start = next.start;
-            j += 1;
-        }
-        out.push(merged);
-        i = j;
-    }
-    out.sort_by_key(|o| (o.start, o.attack_id));
-    out
-}
-
-/// Appendix-I reconstruction over a columnar observation stream — the
-/// same algorithm as [`reconstruct_carpet_attacks`], scanning column
-/// data and writing merged rows straight into a fresh column set.
+/// Appendix-I reconstruction over an observation stream: events whose
+/// first targets share a carpet prefix ([`carpet_prefix`]: same routed
+/// block, same allocation) merge while each starts within
+/// `merge_gap_secs` of the latest event merged before it. Events whose
+/// first target has no routed prefix stay singletons.
 ///
-/// Equivalence with the struct path is exact: the struct version's
-/// stable `(prefix, start)` sort is reproduced by sorting row indices
-/// by `(prefix, start, index)`, target unions preserve first-seen
-/// order, and the merged event keeps the earliest row's id and start.
+/// Row indices are sorted by `(prefix, start, index)` and each prefix's
+/// run is walked in that order. A merged event starts as its earliest
+/// row (id, start and targets) and appends each later row's targets
+/// that it does not hold yet, in first-seen order. The output is sorted
+/// by `(start, attack id)`, ties kept in merge order.
 pub fn reconstruct_carpet_columns(
     plan: &InternetPlan,
     observed: &ObservationColumns,
@@ -206,19 +161,15 @@ pub fn reconstruct_carpet_columns(
     out
 }
 
-/// Convert merged per-victim events into [`ObservedAttack`] records
-/// (packet-level path). The event id is synthetic (packet streams do not
-/// carry ground-truth ids).
-pub fn events_to_observed(events: &[HoneypotEvent]) -> Vec<ObservedAttack> {
-    events
-        .iter()
-        .enumerate()
-        .map(|(i, e)| ObservedAttack {
-            attack_id: AttackId(u64::MAX - i as u64),
-            start: e.first_seen,
-            targets: vec![e.victim],
-        })
-        .collect()
+/// Convert merged per-victim events into observation rows, one target
+/// each (packet-level path). The event id is synthetic (packet streams
+/// do not carry ground-truth ids).
+pub fn events_to_observations(events: &[HoneypotEvent]) -> ObservationColumns {
+    let mut out = ObservationColumns::with_capacity(events.len());
+    for (i, e) in events.iter().enumerate() {
+        out.push_row(AttackId(u64::MAX - i as u64), e.first_seen, &[e.victim]);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -231,6 +182,22 @@ mod tests {
     fn plan() -> InternetPlan {
         let mut rng = SimRng::new(100);
         InternetPlan::build(&NetScale::tiny(), &mut rng)
+    }
+
+    /// Per-victim observation rows `(id, target, start)`.
+    fn observed(rows: &[(u64, Ipv4, i64)]) -> ObservationColumns {
+        let mut cols = ObservationColumns::new();
+        for &(id, ip, t) in rows {
+            cols.push_row(AttackId(id), SimTime(t), &[ip]);
+        }
+        cols
+    }
+
+    /// `(id, start, targets)` of every row, in order.
+    fn read_back(cols: &ObservationColumns) -> Vec<(u64, i64, Vec<Ipv4>)> {
+        cols.iter()
+            .map(|o| (o.attack_id.0, o.start.0, o.targets.to_vec()))
+            .collect()
     }
 
     fn flow(victim: u32, sensor: u32, first: i64, last: i64, packets: u64) -> HoneypotFlow {
@@ -313,15 +280,14 @@ mod tests {
         let plan = plan();
         let rec = plan.registry.get(netmodel::Asn(16276)).unwrap();
         let base = rec.prefixes[0].base();
-        let mk = |id: u64, off: u32, t: i64| ObservedAttack {
-            attack_id: AttackId(id),
-            start: SimTime(t),
-            targets: vec![Ipv4(base.0 + off)],
-        };
-        let observed = vec![mk(1, 1, 0), mk(2, 2, 60), mk(3, 3, 120)];
-        let merged = reconstruct_carpet_attacks(&plan, &observed, 600);
+        let rows = observed(&[
+            (1, Ipv4(base.0 + 1), 0),
+            (2, Ipv4(base.0 + 2), 60),
+            (3, Ipv4(base.0 + 3), 120),
+        ]);
+        let merged = reconstruct_carpet_columns(&plan, &rows, 600);
         assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].targets.len(), 3);
+        assert_eq!(merged.targets(0).len(), 3);
     }
 
     #[test]
@@ -331,19 +297,7 @@ mod tests {
         // same time: never merged, even if close in address space.
         let a = plan.registry.get(netmodel::Asn(16276)).unwrap().prefixes[0].nth(0);
         let b = plan.registry.get(netmodel::Asn(24940)).unwrap().prefixes[0].nth(0);
-        let observed = vec![
-            ObservedAttack {
-                attack_id: AttackId(1),
-                start: SimTime(0),
-                targets: vec![a],
-            },
-            ObservedAttack {
-                attack_id: AttackId(2),
-                start: SimTime(30),
-                targets: vec![b],
-            },
-        ];
-        let merged = reconstruct_carpet_attacks(&plan, &observed, 600);
+        let merged = reconstruct_carpet_columns(&plan, &observed(&[(1, a, 0), (2, b, 30)]), 600);
         assert_eq!(merged.len(), 2);
     }
 
@@ -352,54 +306,40 @@ mod tests {
         let plan = plan();
         let rec = plan.registry.get(netmodel::Asn(16276)).unwrap();
         let base = rec.prefixes[0].base();
-        let observed = vec![
-            ObservedAttack {
-                attack_id: AttackId(1),
-                start: SimTime(0),
-                targets: vec![Ipv4(base.0 + 1)],
-            },
-            ObservedAttack {
-                attack_id: AttackId(2),
-                start: SimTime(10_000),
-                targets: vec![Ipv4(base.0 + 2)],
-            },
-        ];
-        let merged = reconstruct_carpet_attacks(&plan, &observed, 600);
+        let rows = observed(&[(1, Ipv4(base.0 + 1), 0), (2, Ipv4(base.0 + 2), 10_000)]);
+        let merged = reconstruct_carpet_columns(&plan, &rows, 600);
         assert_eq!(merged.len(), 2);
     }
 
     #[test]
-    fn columnar_reconstruction_matches_struct_path() {
+    fn reconstruction_keeps_earliest_identity_and_unions_targets() {
         let plan = plan();
         let base = plan.registry.get(netmodel::Asn(16276)).unwrap().prefixes[0].base();
+        let b = |off: u32| Ipv4(base.0 + off);
         let other = plan.registry.get(netmodel::Asn(24940)).unwrap().prefixes[0].nth(0);
-        let mk = |id: u64, ip: Ipv4, t: i64| ObservedAttack {
-            attack_id: AttackId(id),
-            start: SimTime(t),
-            targets: vec![ip],
-        };
         // Same-prefix chains, a tie on (prefix, start) to exercise sort
         // stability, a foreign allocation, a time-gapped straggler, and
         // a duplicate target to exercise the union.
-        let observed = vec![
-            mk(4, Ipv4(base.0 + 2), 60),
-            mk(1, Ipv4(base.0 + 1), 0),
-            mk(2, Ipv4(base.0 + 2), 60),
-            mk(3, Ipv4(base.0 + 3), 120),
-            mk(5, other, 30),
-            mk(6, Ipv4(base.0 + 9), 50_000),
-        ];
-        let struct_path = reconstruct_carpet_attacks(&plan, &observed, 600);
-        let columnar = reconstruct_carpet_columns(
-            &plan,
-            &ObservationColumns::from_observed(&observed),
-            600,
+        let rows = observed(&[
+            (4, b(2), 60),
+            (1, b(1), 0),
+            (2, b(2), 60),
+            (3, b(3), 120),
+            (5, other, 30),
+            (6, b(9), 50_000),
+        ]);
+        assert_eq!(
+            read_back(&reconstruct_carpet_columns(&plan, &rows, 600)),
+            vec![
+                (1, 0, vec![b(1), b(2), b(3)]),
+                (5, 30, vec![other]),
+                (6, 50_000, vec![b(9)]),
+            ]
         );
-        assert_eq!(columnar.to_vec(), struct_path);
     }
 
     #[test]
-    fn events_to_observed_roundtrip() {
+    fn events_to_observations_roundtrip() {
         let events = vec![HoneypotEvent {
             victim: Ipv4(7),
             first_seen: SimTime(100),
@@ -407,9 +347,7 @@ mod tests {
             packets: 50,
             sensor_count: 2,
         }];
-        let obs = events_to_observed(&events);
-        assert_eq!(obs.len(), 1);
-        assert_eq!(obs[0].targets, vec![Ipv4(7)]);
-        assert_eq!(obs[0].start, SimTime(100));
+        let obs = events_to_observations(&events);
+        assert_eq!(read_back(&obs), vec![(u64::MAX, 100, vec![Ipv4(7)])]);
     }
 }

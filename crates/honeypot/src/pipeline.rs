@@ -9,11 +9,11 @@
 //! sensor logs).
 
 use crate::aggregate::{
-    events_to_observed, merge_sensor_flows, reconstruct_carpet_attacks, HoneypotEvent,
+    events_to_observations, merge_sensor_flows, reconstruct_carpet_columns, HoneypotEvent,
 };
 use crate::detector::HoneypotDetector;
 use crate::platform::HoneypotConfig;
-use attackgen::{ObservedAttack, PacketEvent};
+use attackgen::{ObservationColumns, PacketEvent};
 use netmodel::InternetPlan;
 
 /// Pipeline statistics, reported alongside the results.
@@ -56,14 +56,14 @@ impl HoneypotPipeline {
     /// Flush and run the full aggregation chain. The `plan` supplies
     /// the routed-prefix and allocation tables that the Appendix-I
     /// reconstruction consults.
-    pub fn finish(self, plan: &InternetPlan) -> (Vec<ObservedAttack>, PipelineStats) {
+    pub fn finish(self, plan: &InternetPlan) -> (ObservationColumns, PipelineStats) {
         let flows = self.detector.finish();
         let flows_detected = flows.len();
         // CCC merge window: the platform's own flow timeout.
         let events: Vec<HoneypotEvent> = merge_sensor_flows(&flows, self.cfg.timeout_secs);
         let events_after_sensor_merge = events.len();
-        let observed = events_to_observed(&events);
-        let attacks = reconstruct_carpet_attacks(plan, &observed, self.cfg.timeout_secs);
+        let observed = events_to_observations(&events);
+        let attacks = reconstruct_carpet_columns(plan, &observed, self.cfg.timeout_secs);
         let stats = PipelineStats {
             packets_ingested: self.packets,
             flows_detected,
@@ -115,7 +115,7 @@ mod tests {
         assert_eq!(stats.flows_detected, 2, "one flow per sensor");
         assert_eq!(stats.events_after_sensor_merge, 1, "CCC merges sensors");
         assert_eq!(attacks.len(), 1);
-        assert_eq!(attacks[0].targets, vec![victim]);
+        assert_eq!(attacks.targets(0), &[victim]);
     }
 
     #[test]
@@ -142,7 +142,7 @@ mod tests {
             1,
             "Appendix-I reconstruction should collapse the carpet"
         );
-        assert_eq!(attacks[0].targets.len(), 8);
+        assert_eq!(attacks.targets(0).len(), 8);
     }
 
     #[test]

@@ -1,17 +1,68 @@
 //! Property-based tests for the honeypot detector and aggregation
 //! chain.
 
-use attackgen::{AttackId, ObservedAttack, PacketEvent};
+use attackgen::{AttackId, ObservationColumns, PacketEvent};
 use honeypot::{
-    merge_sensor_flows, reconstruct_carpet_attacks, HoneypotConfig, HoneypotDetector,
+    carpet_prefix, merge_sensor_flows, reconstruct_carpet_columns, HoneypotConfig, HoneypotDetector,
 };
-use netmodel::{AmpVector, InternetPlan, Ipv4, NetScale, Transport};
+use netmodel::{AmpVector, Asn, InternetPlan, Ipv4, NetScale, Transport};
 use proptest::prelude::*;
 use simcore::{SimRng, SimTime};
 
 fn plan() -> InternetPlan {
     let mut rng = SimRng::new(100);
     InternetPlan::build(&NetScale::tiny(), &mut rng)
+}
+
+/// Three allocations of distinct ASes in the tiny plan.
+const ASNS: [Asn; 3] = [Asn(16276), Asn(24940), Asn(16509)];
+
+/// One observation row: `(attack id, start secs, targets)`.
+type Row = (u64, i64, Vec<Ipv4>);
+
+fn columns(rows: &[Row]) -> ObservationColumns {
+    let mut cols = ObservationColumns::new();
+    for (id, start, targets) in rows {
+        cols.push_row(AttackId(*id), SimTime(*start), targets);
+    }
+    cols
+}
+
+fn read_back(cols: &ObservationColumns) -> Vec<Row> {
+    cols.iter()
+        .map(|o| (o.attack_id.0, o.start.0, o.targets.to_vec()))
+        .collect()
+}
+
+/// Naive Appendix-I reference. Rows are taken in (carpet prefix of the
+/// first target, start, input position) order; a row joins the event
+/// before it when both share a routed carpet prefix and it starts at
+/// most `gap` after the row before it. An event starts as its first
+/// row and appends each joining row's targets that it does not hold
+/// yet; events are listed by (start, id).
+fn reference_carpet(plan: &InternetPlan, rows: &[Row], gap: i64) -> Vec<Row> {
+    let prefix = |r: &Row| carpet_prefix(plan, r.2[0]);
+    let mut order: Vec<&Row> = rows.iter().collect();
+    order.sort_by_key(|r| (prefix(r), r.1)); // stable: input position breaks ties
+    let mut events: Vec<Row> = Vec::new();
+    for (k, r) in order.iter().enumerate() {
+        let joins = k > 0
+            && prefix(r).is_some()
+            && prefix(order[k - 1]) == prefix(r)
+            && r.1 - order[k - 1].1 <= gap;
+        if !joins {
+            events.push((*r).clone());
+            continue;
+        }
+        let event = events.last_mut().expect("the first row opens an event");
+        for t in &r.2 {
+            if !event.2.contains(t) {
+                event.2.push(*t);
+            }
+        }
+    }
+    events.sort_by_key(|e| (e.1, e.0));
+    events
 }
 
 fn request(t: i64, victim: u32, sensor: Ipv4, port: u16, src_port: u16) -> PacketEvent {
@@ -119,35 +170,58 @@ proptest! {
         gap in 60i64..7_200,
     ) {
         let plan = plan();
-        let asns = [
-            netmodel::Asn(16276),
-            netmodel::Asn(24940),
-            netmodel::Asn(16509),
-        ];
-        let observed: Vec<ObservedAttack> = raw
+        let rows: Vec<Row> = raw
             .iter()
             .enumerate()
             .map(|(i, &(as_pick, offset, start))| {
-                let base = plan.registry.get(asns[as_pick]).unwrap().prefixes[0];
-                ObservedAttack {
-                    attack_id: AttackId(i as u64),
-                    start: SimTime(start),
-                    targets: vec![base.nth((offset as u64) % base.size())],
-                }
+                let base = plan.registry.get(ASNS[as_pick]).unwrap().prefixes[0];
+                (i as u64, start, vec![base.nth((offset as u64) % base.size())])
             })
             .collect();
-        let merged = reconstruct_carpet_attacks(&plan, &observed, gap);
+        let observed = columns(&rows);
+        let merged = reconstruct_carpet_columns(&plan, &observed, gap);
         prop_assert!(merged.len() <= observed.len());
         prop_assert!(!merged.is_empty());
-        let in_targets: std::collections::HashSet<Ipv4> = observed
-            .iter()
-            .flat_map(|o| o.targets.iter().copied())
-            .collect();
-        let out_targets: std::collections::HashSet<Ipv4> = merged
-            .iter()
-            .flat_map(|o| o.targets.iter().copied())
-            .collect();
+        let in_targets: std::collections::HashSet<Ipv4> =
+            observed.target_arena.iter().copied().collect();
+        let out_targets: std::collections::HashSet<Ipv4> =
+            merged.target_arena.iter().copied().collect();
         prop_assert_eq!(in_targets, out_targets);
+    }
+
+    /// The Appendix-I pass matches the naive reference row for row: ids,
+    /// starts, target order and event order. Starts sit on a grid of
+    /// `gap` steps jittered by -1, 0, +1 or half a gap, so draws hold
+    /// start ties, chains longer than one gap, and neighbours exactly at,
+    /// just inside and just past the merge window. Targets repeat within
+    /// and across rows, and one pick of four is unrouted.
+    #[test]
+    fn reconstruction_matches_naive_reference(
+        raw in proptest::collection::vec(
+            // (allocation pick or 3 = unrouted, target offsets, grid step, jitter)
+            (0usize..4, proptest::collection::vec(0u32..6, 1..4), 0i64..8, 0usize..4),
+            1..24,
+        ),
+        gap in 2i64..3_600,
+    ) {
+        let plan = plan();
+        let n = raw.len();
+        let rows: Vec<Row> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, (pick, offsets, step, jitter))| {
+                let ip = |off: u32| match ASNS.get(*pick) {
+                    Some(&asn) => plan.registry.get(asn).unwrap().prefixes[0].nth(off as u64),
+                    None => Ipv4::new(223, 255, 255, off as u8),
+                };
+                let start = step * gap + [-1, 0, 1, gap / 2][*jitter];
+                // Ids run against input order, so a start tie is broken
+                // by position, not by id.
+                ((n - i) as u64, start, offsets.iter().map(|&o| ip(o)).collect())
+            })
+            .collect();
+        let merged = reconstruct_carpet_columns(&plan, &columns(&rows), gap);
+        prop_assert_eq!(read_back(&merged), reference_carpet(&plan, &rows, gap));
     }
 
     /// AmpPot's flow identifier includes the source port: streams that

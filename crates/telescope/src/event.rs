@@ -288,7 +288,7 @@ mod tests {
                 let a = rsdos(1000 + (i * 5 + rep) as u64, pps, 600, 1.0);
                 let event_verdict = seen(&ucsd, &a, &root);
                 let mut pkt_rng = root.fork(a.id.0).fork_named("packets");
-                let pkts = backscatter_packets(&a, &ucsd.spec, &mut pkt_rng);
+                let pkts = backscatter_packets(a.view(), &ucsd.spec, &mut pkt_rng);
                 let mut det = RsdosDetector::new(RsdosConfig::default());
                 for p in &pkts {
                     det.ingest(p);

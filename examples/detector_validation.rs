@@ -74,7 +74,7 @@ fn main() {
         let attack = rsdos(i as u64, pps, dur);
         let verdict = |tele: &Telescope| -> &'static str {
             let mut prng = rng.fork(attack.id.0).fork_named(&tele.spec.name);
-            let pkts = backscatter_packets(&attack, &tele.spec, &mut prng);
+            let pkts = backscatter_packets(attack.view(), &tele.spec, &mut prng);
             let mut det = RsdosDetector::new(RsdosConfig::default());
             for p in &pkts {
                 det.ingest(p);
@@ -114,7 +114,7 @@ fn main() {
         let verdict = |cfg: &HoneypotConfig| -> &'static str {
             let sensor = cfg.sensors[0];
             let mut prng = rng.fork(attack.id.0).fork_named(&cfg.name);
-            let pkts = sensor_request_packets(&attack, sensor, &mut prng);
+            let pkts = sensor_request_packets(attack.view(), sensor, &mut prng);
             let mut det = HoneypotDetector::new(cfg.clone());
             for p in &pkts {
                 det.ingest(p);
@@ -149,7 +149,7 @@ fn main() {
     ] {
         attack.duration_secs = 1;
         let mut prng = rng.fork(attack.id.0).fork_named("ixp");
-        let pkts = victim_traffic_sample(&attack, usize::MAX, &mut prng);
+        let pkts = victim_traffic_sample(attack.view(), usize::MAX, &mut prng);
         let verdict = classify_blackholed_traffic(&pkts, &ixp_cfg);
         println!("{:>24} {:>10.2e}  {:?}", name, attack.bps, verdict);
     }

@@ -1,8 +1,6 @@
-//! Property tests pinning the §5 aggregation seams (ISSUE 6 satellite):
-//! `weekly_counts` and `distinct_target_tuples` behavior is frozen
-//! *before* the columnar refactor, so the SoA equivalents are checked
-//! against these invariants rather than against whatever the new code
-//! happens to do.
+//! Property tests pinning the §5/§7 column projections of an
+//! observation stream (`ObservationColumns`) against first-principles
+//! recounts of the records pushed into it.
 //!
 //! Pinned contracts:
 //!
@@ -11,14 +9,12 @@
 //!   out-of-range weeks (negative starts, past study end) are silently
 //!   dropped, never a panic or an out-of-bounds write.
 //! * `distinct_target_tuples` — sorted ascending, strictly deduplicated,
-//!   and exactly the set of `(start day, target ip)` pairs; the borrowed
-//!   `distinct_target_tuples_of` path agrees with the owned path on any
-//!   subset without cloning records.
+//!   and exactly the set of `(start day, target ip)` pairs.
+//! * Row views (`get`, `iter`, `ObservedRef::target_tuples`) read back
+//!   every pushed record, including negative starts and empty target
+//!   lists.
 
-use attackgen::{
-    distinct_target_tuples, distinct_target_tuples_of, weekly_counts, AttackId,
-    ObservationColumns, ObservedAttack,
-};
+use attackgen::{AttackId, ObservationColumns, ObservedRef};
 use netmodel::Ipv4;
 use proptest::prelude::*;
 use simcore::{SimTime, STUDY_WEEKS};
@@ -29,12 +25,18 @@ use std::collections::BTreeSet;
 /// boundary instants the bucketing must get right).
 const WILD_SECS: std::ops::Range<i64> = -200_000_000i64..400_000_000i64;
 
-fn obs(start_secs: i64, ips: &[u32]) -> ObservedAttack {
-    ObservedAttack {
-        attack_id: AttackId(start_secs.unsigned_abs()),
-        start: SimTime(start_secs),
-        targets: ips.iter().map(|&i| Ipv4(i)).collect(),
+/// One column set holding `(start secs, target ips)` records in order.
+fn columns(records: &[(i64, Vec<u32>)]) -> ObservationColumns {
+    let mut cols = ObservationColumns::new();
+    for (start, ips) in records {
+        let ips: Vec<Ipv4> = ips.iter().map(|&i| Ipv4(i)).collect();
+        cols.push_row(AttackId(start.unsigned_abs()), SimTime(*start), &ips);
     }
+    cols
+}
+
+fn week(start_secs: i64) -> i64 {
+    SimTime(start_secs).week_index()
 }
 
 proptest! {
@@ -47,24 +49,20 @@ proptest! {
     fn weekly_counts_bucket_or_drop(
         starts in proptest::collection::vec(WILD_SECS, 0..40),
     ) {
-        let observations: Vec<ObservedAttack> =
-            starts.iter().map(|&s| obs(s, &[1])).collect();
-        let counts = weekly_counts(&observations);
+        let records: Vec<(i64, Vec<u32>)> = starts.iter().map(|&s| (s, vec![1])).collect();
+        let counts = columns(&records).weekly_counts();
         prop_assert_eq!(counts.len(), STUDY_WEEKS);
 
-        let in_range = observations
+        let in_range = starts
             .iter()
-            .filter(|o| (0..STUDY_WEEKS as i64).contains(&o.week()))
+            .filter(|&&s| (0..STUDY_WEEKS as i64).contains(&week(s)))
             .count();
         let total: f64 = counts.iter().sum();
         prop_assert_eq!(total as usize, in_range, "counts must equal in-study observations");
 
         // Per-bucket recount from first principles.
         for (w, &c) in counts.iter().enumerate() {
-            let expect = observations
-                .iter()
-                .filter(|o| o.week() == w as i64)
-                .count();
+            let expect = starts.iter().filter(|&&s| week(s) == w as i64).count();
             prop_assert_eq!(c as usize, expect, "week {} miscounted", w);
         }
     }
@@ -74,13 +72,13 @@ proptest! {
     #[test]
     fn weekly_counts_boundaries(off in 0i64..604_800) {
         let last_week_start = (STUDY_WEEKS as i64 - 1) * 604_800;
-        let observations = vec![
-            obs(off, &[1]),                    // inside week 0
-            obs(-1 - off, &[1]),               // just before the study
-            obs(last_week_start + off % 604_800, &[1]), // inside last week
-            obs(STUDY_WEEKS as i64 * 604_800 + off, &[1]), // past the end
-        ];
-        let counts = weekly_counts(&observations);
+        let counts = columns(&[
+            (off, vec![1]),                                   // inside week 0
+            (-1 - off, vec![1]),                              // just before the study
+            (last_week_start + off % 604_800, vec![1]),       // inside last week
+            (STUDY_WEEKS as i64 * 604_800 + off, vec![1]),    // past the end
+        ])
+        .weekly_counts();
         prop_assert_eq!(counts[0], 1.0);
         prop_assert_eq!(counts[STUDY_WEEKS - 1], 1.0);
         let total: f64 = counts.iter().sum();
@@ -96,18 +94,16 @@ proptest! {
             0..30,
         ),
     ) {
-        let observations: Vec<ObservedAttack> =
-            records.iter().map(|(s, ips)| obs(*s, ips)).collect();
-        let tuples = distinct_target_tuples(&observations);
+        let tuples = columns(&records).distinct_target_tuples();
 
         // Strictly increasing ⇒ both sorted and deduplicated.
         for pair in tuples.windows(2) {
             prop_assert!(pair[0] < pair[1], "tuples not strictly sorted: {:?}", pair);
         }
 
-        let expect: BTreeSet<(i64, Ipv4)> = observations
+        let expect: BTreeSet<(i64, Ipv4)> = records
             .iter()
-            .flat_map(|o| o.target_tuples())
+            .flat_map(|(s, ips)| ips.iter().map(move |&ip| (SimTime(*s).day_index(), Ipv4(ip))))
             .collect();
         prop_assert_eq!(tuples.len(), expect.len());
         for (got, want) in tuples.iter().zip(expect.iter()) {
@@ -115,67 +111,32 @@ proptest! {
         }
     }
 
-    /// Columnar equivalence (DESIGN.md §9): the SoA projections over
-    /// an `ObservationColumns` arena agree bit-for-bit with the AoS
-    /// reference paths on the same records — including negative
-    /// starts, out-of-study weeks, and empty target lists — and the
-    /// round trip through the columns loses nothing.
+    /// Row views read back every pushed record — id, start, targets and
+    /// the (day, ip) tuples — including negative starts, out-of-study
+    /// weeks and empty target lists.
     #[test]
-    fn columnar_projections_match_aos(
+    fn row_views_read_back_every_record(
         records in proptest::collection::vec(
             (WILD_SECS, proptest::collection::vec(0u32..50, 0..5)),
             0..30,
         ),
     ) {
-        let observations: Vec<ObservedAttack> =
-            records.iter().map(|(s, ips)| obs(*s, ips)).collect();
-        let columns = ObservationColumns::from_observed(&observations);
-        prop_assert_eq!(columns.len(), observations.len());
-
-        prop_assert_eq!(
-            columns.weekly_counts(),
-            weekly_counts(&observations),
-            "columnar weekly_counts diverged from the AoS reference"
-        );
-        prop_assert_eq!(
-            columns.distinct_target_tuples(),
-            distinct_target_tuples(&observations),
-            "columnar distinct_target_tuples diverged from the AoS reference"
-        );
-
-        // Row views and the full round trip preserve every record.
-        for (i, o) in observations.iter().enumerate() {
-            let row = columns.get(i);
-            prop_assert_eq!(row.attack_id, o.attack_id);
-            prop_assert_eq!(row.start, o.start);
-            prop_assert_eq!(row.targets, o.targets.as_slice());
+        let cols = columns(&records);
+        prop_assert_eq!(cols.len(), records.len());
+        prop_assert_eq!(cols.iter().len(), records.len());
+        for (i, ((start, ips), row)) in records.iter().zip(cols.iter()).enumerate() {
+            let targets: Vec<Ipv4> = ips.iter().map(|&ip| Ipv4(ip)).collect();
+            prop_assert_eq!(row, cols.get(i));
+            prop_assert_eq!(row.attack_id, AttackId(start.unsigned_abs()));
+            prop_assert_eq!(row.start, SimTime(*start));
+            prop_assert_eq!(row.targets, targets.as_slice());
+            prop_assert_eq!(row.week(), week(*start));
         }
-        prop_assert_eq!(columns.to_vec(), observations);
-    }
-
-    /// The borrowed-iterator path agrees with the owned path on any
-    /// subset of the records (this is the §7.2 baseline-sample shape:
-    /// a `Vec<&ObservedAttack>` projected without cloning).
-    #[test]
-    fn borrowed_path_matches_owned(
-        records in proptest::collection::vec(
-            (WILD_SECS, proptest::collection::vec(0u32..20, 1..4)),
-            1..20,
-        ),
-        keep_mask in any::<u32>(),
-    ) {
-        let observations: Vec<ObservedAttack> =
-            records.iter().map(|(s, ips)| obs(*s, ips)).collect();
-        let subset: Vec<&ObservedAttack> = observations
+        let tuples: Vec<(i64, Ipv4)> = cols.iter().flat_map(ObservedRef::target_tuples).collect();
+        let expect: Vec<(i64, Ipv4)> = records
             .iter()
-            .enumerate()
-            .filter(|(i, _)| keep_mask & (1 << (i % 32)) != 0)
-            .map(|(_, o)| o)
+            .flat_map(|(s, ips)| ips.iter().map(move |&ip| (SimTime(*s).day_index(), Ipv4(ip))))
             .collect();
-        let owned: Vec<ObservedAttack> = subset.iter().map(|&o| o.clone()).collect();
-        prop_assert_eq!(
-            distinct_target_tuples_of(subset.into_iter()),
-            distinct_target_tuples(&owned)
-        );
+        prop_assert_eq!(tuples, expect);
     }
 }

@@ -129,8 +129,11 @@ fn observation_independent_of_stream_order() {
         tele.observe_into(a, &root, &mut backward);
     }
     let by_id = |o: &ObservationColumns| {
-        let mut rows = o.to_vec();
-        rows.sort_by_key(|r| r.attack_id);
+        let mut rows: Vec<_> = o
+            .iter()
+            .map(|r| (r.attack_id, r.start, r.targets.to_vec()))
+            .collect();
+        rows.sort_by_key(|r| r.0);
         rows
     };
     assert!(!forward.is_empty());

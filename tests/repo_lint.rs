@@ -51,10 +51,11 @@
 //! 10. Target and attack joins are sorted merges or dense indexes, not
 //!     hash tables: no `HashMap`/`HashSet` keyed by a `TargetTuple`, an
 //!     `(i64, …)` tuple or a `u64` attack id in the experiments
-//!     (`crates/core/src/experiments/`) or in `analytics`' `upset` and
-//!     `overlap` modules (DESIGN.md §4). They read the run's memoized
-//!     membership column and attack-row index instead. Test modules
-//!     are out of scope.
+//!     (`crates/core/src/experiments/`), in `analytics`' `upset` and
+//!     `overlap` modules, or in the `flowmon` crate (DESIGN.md §4).
+//!     They read the run's memoized membership column and attack-row
+//!     index instead (`flowmon::rtbh_stats` takes a lookup built on
+//!     it). Test modules are out of scope.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -255,9 +256,14 @@ fn repo_lint_rules_hold() {
         Rule {
             name: "hashed target/attack join (use the sorted index)",
             patterns: hashed_joins,
-            dirs: &["crates/core/src/experiments", "crates/analytics/src"],
+            dirs: &[
+                "crates/core/src/experiments",
+                "crates/analytics/src",
+                "crates/flowmon/src",
+            ],
             allow: |rel| {
                 !(rel.starts_with("crates/core/src/experiments/")
+                    || rel.starts_with("crates/flowmon/src/")
                     || rel == "crates/analytics/src/upset.rs"
                     || rel == "crates/analytics/src/overlap.rs")
             },
