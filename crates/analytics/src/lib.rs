@@ -36,5 +36,5 @@ pub use overlap::{
     weekly_target_counts, ConfirmationShares, NewRecurring, OverlapSeries,
 };
 pub use seasonal::{monthly_profile, seasonal_summary, SeasonalSummary};
-pub use series::{median, relative_change_4y, Regression, Trend, WeekMask, WeeklySeries};
+pub use series::{median, relative_change_4y, Regression, Trend, WeeklySeries};
 pub use upset::{mask_label, membership, upset, Member, TargetTuple, UpsetAnalysis};

@@ -51,22 +51,6 @@ impl WeeklySeries {
         }
     }
 
-    /// The explicit missing-week mask of this series: which week
-    /// indices hold no observed value. Every statistic in this module
-    /// treats masked weeks as *absent*, never as zero counts.
-    pub fn week_mask(&self) -> WeekMask {
-        WeekMask {
-            missing: self
-                .values
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.is_nan())
-                .map(|(i, _)| i)
-                .collect(),
-            total: self.values.len(),
-        }
-    }
-
     /// Normalize to the median of the first `BASELINE_WEEKS` *observed*
     /// values (§5: "normalized values to the median attack count of the
     /// first 15 weeks"). When early weeks are masked out — a reporting
@@ -175,31 +159,6 @@ impl WeeklySeries {
             Some(c) if c < -0.05 => Trend::Decreasing,
             _ => Trend::Steady,
         }
-    }
-}
-
-/// Explicit missing-week mask of a [`WeeklySeries`]: the week indices
-/// that hold no observed value (NaN). Makes the gap structure queryable
-/// — correlation and regression already intersect present weeks
-/// pairwise, and the mask lets callers (manifests, degraded-mode
-/// reports) state *which* weeks were lost without re-deriving it from
-/// raw NaN scans.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WeekMask {
-    /// Missing week indices, ascending.
-    pub missing: Vec<usize>,
-    /// Total series length in weeks.
-    pub total: usize,
-}
-
-impl WeekMask {
-    pub fn is_missing(&self, week: usize) -> bool {
-        self.missing.binary_search(&week).is_ok()
-    }
-
-    /// Number of weeks that carry data.
-    pub fn observed(&self) -> usize {
-        self.total - self.missing.len()
     }
 }
 
@@ -363,17 +322,16 @@ mod tests {
     }
 
     #[test]
-    fn week_mask_reports_gap_structure() {
+    fn mask_range_gap_structure() {
         let mut a = WeeklySeries::new("a", vec![1.0; 10]);
         a.mask_range(2, 4);
         a.mask_range(7, 8);
         // Out-of-range bounds clamp to the series.
         a.mask_range(12, 20);
-        let ma = a.week_mask();
-        assert_eq!(ma.missing, vec![2, 3, 7]);
-        assert_eq!(ma.total, 10);
-        assert_eq!(ma.observed(), 7);
-        assert!(ma.is_missing(3) && !ma.is_missing(4));
+        let missing: Vec<usize> = (0..a.values.len()).filter(|&w| a.values[w].is_nan()).collect();
+        assert_eq!(missing, vec![2, 3, 7]);
+        assert_eq!(a.values.len(), 10);
+        assert_eq!(a.present().count(), 7);
     }
 
     #[test]

@@ -116,26 +116,6 @@ pub fn t_two_tailed_p(t: f64, df: f64) -> f64 {
     betai(df / 2.0, 0.5, df / (df + t * t))
 }
 
-/// Standard normal CDF via erf (Abramowitz & Stegun 7.1.26 polynomial;
-/// |error| < 1.5e-7 — ample for reporting).
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Error function approximation (A&S 7.1.26).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736)
-            * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,22 +189,5 @@ mod tests {
         // With df → ∞ the t distribution approaches N(0,1):
         // 2*(1 - Φ(1.96)) ≈ 0.05.
         close(t_two_tailed_p(1.96, 100_000.0), 0.05, 1e-3);
-    }
-
-    #[test]
-    fn erf_reference() {
-        // The A&S 7.1.26 polynomial has |error| < 1.5e-7 everywhere,
-        // including a ~1e-9 residual at x = 0.
-        close(erf(0.0), 0.0, 1e-6);
-        close(erf(1.0), 0.842_700_79, 1e-6);
-        close(erf(-1.0), -0.842_700_79, 1e-6);
-        close(erf(3.0), 0.999_977_9, 1e-6);
-    }
-
-    #[test]
-    fn normal_cdf_reference() {
-        close(normal_cdf(0.0), 0.5, 1e-6);
-        close(normal_cdf(1.96), 0.975, 1e-4);
-        close(normal_cdf(-1.96), 0.025, 1e-4);
     }
 }

@@ -4,13 +4,12 @@
 
 use crate::attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
 use crate::campaigns::{random_campaigns, scripted_campaigns, Campaign, CampaignScope};
-use crate::columns::{AttackColumns, AttackRef};
+use crate::columns::AttackColumns;
 use crate::shape::ShapeParams;
 use crate::timeline::TimelineParams;
 use netmodel::{Asn, InternetPlan, Ipv4, Rir};
 use serde::{Deserialize, Serialize};
 use simcore::dist::{log_normal, poisson};
-use simcore::time::SECS_PER_WEEK;
 use simcore::{ExecPool, SimRng, SimTime, STUDY_DAYS, STUDY_WEEKS};
 
 /// Full generator configuration.
@@ -131,13 +130,6 @@ impl<'a> AttackGenerator<'a> {
     /// The campaign schedule in effect.
     pub fn campaigns(&self) -> &[Campaign] {
         &self.campaigns
-    }
-
-    /// Generate the entire 4.5-year study, sorted by start time.
-    /// Serial shortcut for [`AttackGenerator::generate_study_on`]; the
-    /// output is identical for every pool.
-    pub fn generate_study(&self) -> AttackColumns {
-        self.generate_study_on(&ExecPool::serial())
     }
 
     /// Generate the study with weeks fanned out across `pool`, directly
@@ -517,33 +509,10 @@ impl<'a> AttackGenerator<'a> {
     }
 }
 
-/// Weekly ground-truth attack counts per class (handy for calibration
-/// tests and ablations). Accepts any row-view iterator, so it works on
-/// [`AttackColumns::iter`] and on `&[Attack]` via
-/// `attacks.iter().map(Attack::view)`.
-pub fn weekly_class_counts<'a>(attacks: impl IntoIterator<Item = AttackRef<'a>>) -> Vec<[u64; 3]> {
-    let mut out = vec![[0u64; 3]; STUDY_WEEKS];
-    for a in attacks {
-        let w = a.start.week_index();
-        if w < 0 || w >= STUDY_WEEKS as i64 {
-            continue;
-        }
-        let slot = match a.class {
-            AttackClass::DirectPathSpoofed => 0,
-            AttackClass::DirectPathNonSpoofed => 1,
-            AttackClass::ReflectionAmplification => 2,
-        };
-        out[w as usize][slot] += 1;
-    }
-    out
-}
-
-/// Seconds per week re-export for sibling crates' tests.
-pub const WEEK_SECS: i64 = SECS_PER_WEEK;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::AttackRef;
     use netmodel::NetScale;
 
     use std::sync::OnceLock;
@@ -562,8 +531,28 @@ mod tests {
         static STUDY: OnceLock<AttackColumns> = OnceLock::new();
         STUDY.get_or_init(|| {
             let rng = SimRng::new(5);
-            AttackGenerator::new(small_plan(), small_cfg(), &rng).generate_study()
+            AttackGenerator::new(small_plan(), small_cfg(), &rng)
+                .generate_study_on(&ExecPool::serial())
         })
+    }
+
+    /// Weekly ground-truth attack counts per class
+    /// (DP-spoofed, DP-non-spoofed, RA).
+    fn weekly_class_counts<'a>(attacks: impl IntoIterator<Item = AttackRef<'a>>) -> Vec<[u64; 3]> {
+        let mut out = vec![[0u64; 3]; STUDY_WEEKS];
+        for a in attacks {
+            let w = a.start.week_index();
+            if w < 0 || w >= STUDY_WEEKS as i64 {
+                continue;
+            }
+            let slot = match a.class {
+                AttackClass::DirectPathSpoofed => 0,
+                AttackClass::DirectPathNonSpoofed => 1,
+                AttackClass::ReflectionAmplification => 2,
+            };
+            out[w as usize][slot] += 1;
+        }
+        out
     }
 
     fn small_cfg() -> GenConfig {
@@ -579,7 +568,8 @@ mod tests {
     fn deterministic_generation() {
         let plan = small_plan();
         let rng = SimRng::new(5);
-        let a = AttackGenerator::new(plan, small_cfg(), &rng).generate_study();
+        let a =
+            AttackGenerator::new(plan, small_cfg(), &rng).generate_study_on(&ExecPool::serial());
         let b = shared_study();
         // Column-wise equality is the strongest form: every field of
         // every record, including the shared target arena, must agree.

@@ -14,7 +14,6 @@ pub mod columns;
 pub mod generator;
 pub mod packets;
 pub mod sav;
-pub mod scans;
 pub mod shape;
 pub mod timeline;
 pub mod wire;
@@ -23,9 +22,8 @@ pub use attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
 pub use booters::{Booter, BooterMarket, BooterMarketParams};
 pub use campaigns::{Campaign, CampaignScope};
 pub use columns::{AttackColumns, AttackRef, ObservationColumns, ObservedRef};
-pub use generator::{weekly_class_counts, AttackGenerator, GenConfig};
+pub use generator::{AttackGenerator, GenConfig};
 pub use packets::PacketEvent;
 pub use sav::{SavModel, SavParams, SpooferEstimate, SpooferPanel};
-pub use scans::{generate_scans, scan_probe_packets, ScanCampaign, ScanParams};
 pub use shape::ShapeParams;
 pub use timeline::TimelineParams;

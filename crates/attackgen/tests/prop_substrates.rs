@@ -1,10 +1,8 @@
 //! Property-based tests for the mechanistic substrates (SAV deployment,
-//! booter market, scan generation) and the trend timeline.
+//! booter market) and the trend timeline.
 
 use attackgen::timeline::TimelineParams;
-use attackgen::{
-    generate_scans, BooterMarket, BooterMarketParams, SavModel, SavParams, ScanParams,
-};
+use attackgen::{BooterMarket, BooterMarketParams, SavModel, SavParams};
 use netmodel::{InternetPlan, NetScale};
 use proptest::prelude::*;
 use simcore::{SimRng, SimTime, STUDY_WEEKS};
@@ -85,26 +83,6 @@ proptest! {
             before_second > 0.85 * initial,
             "capacity {before_second} of {initial} before takedown #2"
         );
-    }
-
-    /// Scan generation scales with the configured rate and respects the
-    /// amp/generic mix.
-    #[test]
-    fn scan_population_scales(rate in 0.5f64..12.0, amp in 0.0f64..=1.0, seed in any::<u64>()) {
-        let scans = generate_scans(
-            &ScanParams { campaigns_per_day: rate, amp_fraction: amp },
-            &SimRng::new(seed),
-        );
-        let expected = rate * simcore::STUDY_DAYS as f64;
-        let n = scans.len() as f64;
-        prop_assert!((n - expected).abs() < 5.0 * expected.sqrt() + 10.0,
-            "n {n} vs expected {expected}");
-        if !scans.is_empty() {
-            let amp_n = scans.iter().filter(|s| s.vector.is_some()).count() as f64;
-            let share = amp_n / n;
-            prop_assert!((share - amp).abs() < 0.1 + 3.0 / n.sqrt(),
-                "amp share {share} vs {amp}");
-        }
     }
 
     /// The timeline's weekly rates are positive, finite, and respond

@@ -155,14 +155,6 @@ impl StudyConfig {
         cfg
     }
 
-    /// Like `quick` but without the paper's artificial data gaps —
-    /// useful for tests that assert on every week.
-    pub fn quick_complete() -> Self {
-        let mut cfg = Self::quick();
-        cfg.missing_data = false;
-        cfg
-    }
-
     /// Check every generator invariant. Returns the first violation as
     /// a typed [`Error::Config`] carrying the dotted path of the
     /// offending field. A config that passes runs the whole pipeline
@@ -329,7 +321,6 @@ mod tests {
     fn presets_self_validate() {
         assert!(StudyConfig::paper().validate().is_ok());
         assert!(StudyConfig::quick().validate().is_ok());
-        assert!(StudyConfig::quick_complete().validate().is_ok());
     }
 
     /// Every corruption the fuzz harness applies must surface with the

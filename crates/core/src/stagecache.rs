@@ -76,18 +76,14 @@ pub fn resolve_bound(config: &StudyConfig) -> usize {
 // Field inventory: every top-level StudyConfig field, classified.
 // ---------------------------------------------------------------------
 
-/// Stage classes a config field can feed. `plan`/`attacks`/
-/// `observations` fields enter the corresponding fingerprints (and,
-/// transitively, every downstream one; an `observations` field enters
-/// only the keys of the streams that read it); `projection` fields only
-/// shape per-run projections computed *after* the cached stages
-/// (weekly-gap masking); `execution` fields cannot change any output
-/// byte (worker count, the cache bound itself).
-pub const STAGE_CLASSES: [&str; 5] =
-    ["plan", "attacks", "observations", "projection", "execution"];
-
-/// The classification: `(serialized field name, stage class)`. Must
-/// list every top-level [`StudyConfig`] field exactly once —
+/// The classification: `(serialized field name, stage class)`.
+/// `plan`/`attacks`/`observations` fields enter the corresponding
+/// fingerprints (and, transitively, every downstream one; an
+/// `observations` field enters only the keys of the streams that read
+/// it); `projection` fields only shape per-run projections computed
+/// *after* the cached stages (weekly-gap masking); `execution` fields
+/// cannot change any output byte (worker count, the cache bound
+/// itself). Must list every top-level [`StudyConfig`] field exactly once —
 /// `field_inventory_is_exhaustive` fails otherwise, which is the
 /// guard against silent cache poisoning when a field is added. The
 /// `observations` fields are not folded whole: [`StageFingerprints::of`]
@@ -734,11 +730,9 @@ mod tests {
             "StageFingerprints::of keys the observations class per stream: \
              key a new field there, by the streams that read it"
         );
+        let classes = ["plan", "attacks", "observations", "projection", "execution"];
         for (_, stage) in FIELD_STAGES {
-            assert!(
-                STAGE_CLASSES.contains(stage),
-                "unknown stage class {stage:?}"
-            );
+            assert!(classes.contains(stage), "unknown stage class {stage:?}");
         }
     }
 

@@ -16,7 +16,4 @@ pub use akamai::{Akamai, AkamaiConfig};
 pub use mitigation::MitigationParams;
 pub use ixp::{classify_blackholed_traffic, IxpBlackholing, IxpConfig, IxpDetection};
 pub use rtbh::{accepted_by_ixp, blackhole_events, rtbh_stats, BlackholeEvent, RtbhParams, RtbhStats};
-pub use netscout::{
-    split_by_class_columns, split_dp_spoofing_columns, AlertColumns, Netscout, NetscoutConfig,
-    Severity,
-};
+pub use netscout::{split_by_class_columns, AlertColumns, Netscout, NetscoutConfig, Severity};

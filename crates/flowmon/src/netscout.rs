@@ -257,24 +257,6 @@ pub fn split_by_class_columns(alerts: &AlertColumns) -> (ObservationColumns, Obs
     (alerts.series(true), alerts.series(false))
 }
 
-/// Split DP alerts into spoofed / non-spoofed series (the extra split
-/// Netscout provided, §5), keeping row order.
-pub fn split_dp_spoofing_columns(alerts: &AlertColumns) -> (ObservationColumns, ObservationColumns) {
-    let mut spoofed = ObservationColumns::new();
-    let mut nonspoofed = ObservationColumns::new();
-    for i in 0..alerts.len() {
-        let row = alerts.obs.get(i);
-        match alerts.class[i] {
-            AttackClass::DirectPathSpoofed => spoofed.push_row(row.attack_id, row.start, row.targets),
-            AttackClass::DirectPathNonSpoofed => {
-                nonspoofed.push_row(row.attack_id, row.start, row.targets)
-            }
-            AttackClass::ReflectionAmplification => {}
-        }
-    }
-    (spoofed, nonspoofed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,9 +467,6 @@ mod tests {
         let (ra, dp) = split_by_class_columns(&alerts);
         assert_eq!(ra.len() + dp.len(), alerts.len());
         assert!(ra.iter().all(|o| o.attack_id.0 % 3 == 0));
-        let (spoofed, nonspoofed) = split_dp_spoofing_columns(&alerts);
-        assert_eq!(spoofed.len() + nonspoofed.len(), dp.len());
-        assert!(spoofed.iter().all(|o| o.attack_id.0 % 3 == 1));
-        assert!(nonspoofed.iter().all(|o| o.attack_id.0 % 3 == 2));
+        assert!(dp.iter().all(|o| o.attack_id.0 % 3 != 0));
     }
 }

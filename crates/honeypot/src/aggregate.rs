@@ -161,17 +161,6 @@ pub fn reconstruct_carpet_columns(
     out
 }
 
-/// Convert merged per-victim events into observation rows, one target
-/// each (packet-level path). The event id is synthetic (packet streams
-/// do not carry ground-truth ids).
-pub fn events_to_observations(events: &[HoneypotEvent]) -> ObservationColumns {
-    let mut out = ObservationColumns::with_capacity(events.len());
-    for (i, e) in events.iter().enumerate() {
-        out.push_row(AttackId(u64::MAX - i as u64), e.first_seen, &[e.victim]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,18 +325,5 @@ mod tests {
                 (6, 50_000, vec![b(9)]),
             ]
         );
-    }
-
-    #[test]
-    fn events_to_observations_roundtrip() {
-        let events = vec![HoneypotEvent {
-            victim: Ipv4(7),
-            first_seen: SimTime(100),
-            last_seen: SimTime(200),
-            packets: 50,
-            sensor_count: 2,
-        }];
-        let obs = events_to_observations(&events);
-        assert_eq!(read_back(&obs), vec![(u64::MAX, 100, vec![Ipv4(7)])]);
     }
 }

@@ -10,14 +10,12 @@
 pub mod aggregate;
 pub mod detector;
 pub mod event;
-pub mod pipeline;
 pub mod platform;
 
 pub use aggregate::{
-    carpet_prefix, events_to_observations, merge_sensor_flows, reconstruct_carpet_columns,
-    HoneypotEvent, CARPET_MAX_PREFIX, CARPET_MIN_PREFIX,
+    carpet_prefix, merge_sensor_flows, reconstruct_carpet_columns, HoneypotEvent,
+    CARPET_MAX_PREFIX, CARPET_MIN_PREFIX,
 };
 pub use detector::{AttackMode, HoneypotDetector, HoneypotFlow, HpFlowKey};
 pub use event::Honeypot;
-pub use pipeline::{HoneypotPipeline, PipelineStats};
 pub use platform::{FlowIdScheme, HoneypotConfig};

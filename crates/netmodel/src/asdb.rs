@@ -113,15 +113,6 @@ impl AsRegistry {
     pub fn target_weights(&self) -> Vec<f64> {
         self.records.iter().map(|r| r.target_weight).collect()
     }
-
-    /// ASNs of all ASes of a given kind.
-    pub fn of_kind(&self, kind: AsKind) -> Vec<Asn> {
-        self.records
-            .iter()
-            .filter(|r| r.kind == kind)
-            .map(|r| r.asn)
-            .collect()
-    }
 }
 
 /// The named heavy-hitter ASes from Table 4 (plus China Telecom, which
@@ -218,18 +209,6 @@ mod tests {
         for w in KNOWN_ASES.windows(2).take(9) {
             assert!(w[0].weight_share >= w[1].weight_share);
         }
-    }
-
-    #[test]
-    fn of_kind_filters() {
-        let mut reg = AsRegistry::new();
-        reg.add(rec(1, 1.0));
-        let mut h = rec(2, 1.0);
-        h.kind = AsKind::Hoster;
-        reg.add(h);
-        assert_eq!(reg.of_kind(AsKind::Hoster), vec![Asn(2)]);
-        assert_eq!(reg.of_kind(AsKind::Isp), vec![Asn(1)]);
-        assert!(reg.of_kind(AsKind::Cdn).is_empty());
     }
 
     #[test]

@@ -168,16 +168,6 @@ impl Prefix {
         })
     }
 
-    /// The supernet of this prefix at the given (shorter or equal)
-    /// length.
-    pub const fn supernet(self, len: u8) -> Prefix {
-        assert!(len <= self.len);
-        Prefix {
-            base: self.base & Self::mask_for(len),
-            len,
-        }
-    }
-
     /// Iterate over all sub-prefixes of the given (longer) length.
     pub fn subnets(self, len: u8) -> impl Iterator<Item = Prefix> {
         assert!(len >= self.len && len <= 32);
@@ -304,13 +294,6 @@ mod tests {
         assert!(host.split().is_none());
         let root: Prefix = "0.0.0.0/0".parse().unwrap();
         assert!(root.parent().is_none());
-    }
-
-    #[test]
-    fn supernet_truncates() {
-        let p: Prefix = "10.77.3.0/24".parse().unwrap();
-        assert_eq!(p.supernet(16).to_string(), "10.77.0.0/16");
-        assert_eq!(p.supernet(24), p);
     }
 
     #[test]

@@ -501,17 +501,6 @@ impl InternetPlan {
         self.akamai_announced.lookup(ip).is_some()
     }
 
-    /// Which telescope (if any) monitors the address?
-    pub fn telescope_of(&self, ip: Ipv4) -> Option<&TelescopePlan> {
-        if self.ucsd.contains(ip) {
-            Some(&self.ucsd)
-        } else if self.orion.contains(ip) {
-            Some(&self.orion)
-        } else {
-            None
-        }
-    }
-
     /// Draw a uniformly random address announced by the given AS.
     pub fn random_ip_in_asn(&self, asn: Asn, rng: &mut SimRng) -> Option<Ipv4> {
         let rec = self.registry.get(asn)?;
@@ -610,7 +599,10 @@ mod tests {
             .chain(&p.honeypots.hopscotch)
             .chain(&p.honeypots.newkid)
         {
-            assert!(p.telescope_of(*ip).is_none(), "{ip} inside a darknet");
+            assert!(
+                !p.ucsd.contains(*ip) && !p.orion.contains(*ip),
+                "{ip} inside a darknet"
+            );
         }
     }
 

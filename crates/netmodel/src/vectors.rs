@@ -3,9 +3,9 @@
 //! The paper's observatories disagree partly because platforms support
 //! different protocol vectors (§7.3: "AmpPot observed more targets
 //! attacked via CHARGEN while Hopscotch saw more targets attacked via
-//! CLDAP"). We model the common UDP vectors with bandwidth amplification
-//! factors taken from Rossow's "Amplification Hell" (NDSS 2014) and the
-//! later industry disclosures cited by the paper.
+//! CLDAP"). We model the common UDP vectors — service port, response
+//! size and reflector-pool share — after Rossow's "Amplification Hell"
+//! (NDSS 2014) and the later industry disclosures cited by the paper.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -58,24 +58,6 @@ impl AmpVector {
             AmpVector::Snmp => 161,
             AmpVector::NetBios => 137,
             AmpVector::WsDiscovery => 3702,
-        }
-    }
-
-    /// Typical bandwidth amplification factor (response bytes per request
-    /// byte), midpoints of published ranges.
-    pub const fn amplification_factor(self) -> f64 {
-        match self {
-            AmpVector::Dns => 54.0,
-            AmpVector::Ntp => 556.0,
-            AmpVector::Cldap => 56.0,
-            AmpVector::Ssdp => 30.0,
-            AmpVector::CharGen => 358.0,
-            AmpVector::Qotd => 140.0,
-            AmpVector::Rpc => 28.0,
-            AmpVector::Memcached => 10000.0,
-            AmpVector::Snmp => 6.3,
-            AmpVector::NetBios => 3.8,
-            AmpVector::WsDiscovery => 300.0,
         }
     }
 
@@ -170,19 +152,6 @@ mod tests {
         ports.sort_unstable();
         ports.dedup();
         assert_eq!(ports.len(), AmpVector::ALL.len());
-    }
-
-    #[test]
-    fn amplification_factors_positive() {
-        for v in AmpVector::ALL {
-            assert!(v.amplification_factor() > 1.0, "{v} should amplify");
-        }
-    }
-
-    #[test]
-    fn ntp_amplifies_more_than_dns() {
-        // The famous monlist amplification.
-        assert!(AmpVector::Ntp.amplification_factor() > AmpVector::Dns.amplification_factor());
     }
 
     #[test]

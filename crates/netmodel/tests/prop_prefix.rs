@@ -68,15 +68,6 @@ proptest! {
         let parsed: Prefix = p.to_string().parse().unwrap();
         prop_assert_eq!(p, parsed);
     }
-
-    /// Supernet at the same length is identity; supernets always cover.
-    #[test]
-    fn supernet_covers(p in arb_prefix(), cut in 0u8..=32) {
-        let len = cut.min(p.len());
-        let sup = p.supernet(len);
-        prop_assert!(sup.covers(p));
-        prop_assert_eq!(sup.len(), len);
-    }
 }
 
 /// Reference implementation of LPM by linear scan.

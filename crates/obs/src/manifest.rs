@@ -168,8 +168,10 @@ impl RunManifest {
     }
 }
 
-/// Coarse quantile over a snapshot (mirrors `Histogram::approx_quantile`).
-/// Public because the run store diffs stored histograms at p50/p99.
+/// Coarse quantile over a snapshot: the upper bound of the bucket where
+/// the cumulative count first reaches `q · count`. `u64::MAX` marks the
+/// overflow bucket; `None` if empty. Public because the run store diffs
+/// stored histograms at p50/p99.
 pub fn quantile(h: &HistogramSnapshot, q: f64) -> Option<u64> {
     if h.count == 0 {
         return None;
@@ -466,6 +468,24 @@ mod tests {
         let mut c = Fnv::new();
         c.write(b"stage").write_u64(2);
         assert_ne!(b.finish(), c.finish());
+    }
+
+    #[test]
+    fn quantile_walks_buckets() {
+        let mut h = HistogramSnapshot {
+            bounds: vec![10, 100],
+            buckets: vec![0, 0, 0],
+            count: 0,
+            sum: 0,
+        };
+        assert_eq!(quantile(&h, 0.5), None);
+        // Nine samples in the first bucket, one in the overflow bucket.
+        h.buckets = vec![9, 0, 1];
+        h.count = 10;
+        h.sum = 9 * 5 + 1_000;
+        assert_eq!(quantile(&h, 0.5), Some(10));
+        assert_eq!(quantile(&h, 0.9), Some(10));
+        assert_eq!(quantile(&h, 1.0), Some(u64::MAX));
     }
 
     #[test]

@@ -121,25 +121,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Upper bound of the bucket where the cumulative count first
-    /// reaches `q · count` — a coarse quantile for summary tables.
-    /// `u64::MAX` marks the overflow bucket; `None` if empty.
-    pub fn approx_quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            cum += b.load(Ordering::Relaxed);
-            if cum >= target {
-                return Some(self.bounds.get(i).copied().unwrap_or(u64::MAX));
-            }
-        }
-        Some(u64::MAX)
-    }
-
     fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
@@ -360,18 +341,6 @@ mod tests {
         let h = Histogram::new(&[30, 10, 20, 10]);
         assert_eq!(h.bounds(), &[10, 20, 30]);
         assert_eq!(h.bucket_counts().len(), 4);
-    }
-
-    #[test]
-    fn approx_quantile_walks_buckets() {
-        let h = Histogram::new(&[10, 100]);
-        assert_eq!(h.approx_quantile(0.5), None);
-        for _ in 0..9 {
-            h.record(5);
-        }
-        h.record(1_000);
-        assert_eq!(h.approx_quantile(0.5), Some(10));
-        assert_eq!(h.approx_quantile(1.0), Some(u64::MAX));
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub mod taxonomy;
 
 pub use corpus::{corpus, IndustryReport, Metric, ReportFormat, TrendClaim, Vendor};
 pub use render::knowledge_base_markdown;
-pub use taxonomy::{render_mindmap, taxonomy, theme_data_matrix, DataKind, Study, Theme};
+pub use taxonomy::{render_mindmap, taxonomy, DataKind, Study, Theme};
 pub use synthesize::{period_sensitivity, synthesize, yearly_total, yoy_change, SynthReport};
 
 /// Table-1 industry column: (increases, decreases) per attack class

@@ -150,33 +150,6 @@ pub fn render_mindmap() -> String {
     out
 }
 
-/// Count studies per (theme, data kind) — the matrix view of the
-/// mindmap; the paper's takeaway is the sparsity of the cross-dataset
-/// column.
-pub fn theme_data_matrix() -> Vec<(Theme, DataKind, usize)> {
-    let studies = taxonomy();
-    let mut out = Vec::new();
-    for theme in Theme::ALL {
-        for kind in [
-            DataKind::Telescope,
-            DataKind::Honeypot,
-            DataKind::FlowData,
-            DataKind::ActiveScans,
-            DataKind::BgpControlPlane,
-            DataKind::BooterGroundTruth,
-        ] {
-            let n = studies
-                .iter()
-                .filter(|s| s.theme == theme && s.data.contains(&kind))
-                .count();
-            if n > 0 {
-                out.push((theme, kind, n));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,13 +208,5 @@ mod tests {
         for theme in Theme::ALL {
             assert!(md.contains(theme.label()));
         }
-    }
-
-    #[test]
-    fn matrix_totals_consistent() {
-        let matrix = theme_data_matrix();
-        let total: usize = matrix.iter().map(|(_, _, n)| n).sum();
-        let expected: usize = taxonomy().iter().map(|s| s.data.len()).sum();
-        assert_eq!(total, expected);
     }
 }

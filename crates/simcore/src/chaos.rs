@@ -11,7 +11,6 @@
 //! it would have produced with chaos off, which is what lets the
 //! byte-identical-output invariant hold *under* injected faults.
 
-use crate::recover::MAX_ATTEMPTS;
 use crate::rng::{fnv1a64, SimRng};
 use std::sync::{Arc, OnceLock};
 
@@ -46,11 +45,6 @@ impl ChaosSchedule {
         } else {
             0
         }
-    }
-
-    /// True when the schedule makes some sites fail past the retry budget.
-    pub fn is_permanent(&self) -> bool {
-        self.failures_per_site >= MAX_ATTEMPTS
     }
 
     /// Panic iff this `(site, unit, attempt)` is scheduled to fail.
@@ -90,11 +84,6 @@ pub mod sites {
 
     /// Every registered production site.
     pub const ALL: &[&str] = &[STAGE_PLAN, STAGE_ATTACKS, POOL_SHARD, SWEEP_POINT, HTTP_REQUEST];
-
-    /// Is `site` a registered production injection site?
-    pub fn is_registered(site: &str) -> bool {
-        ALL.contains(&site)
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +122,7 @@ mod tests {
     #[test]
     fn transient_failures_recover_within_budget() {
         let cs = ChaosSchedule { probability: 1.0, ..CS };
-        assert!(!cs.is_permanent());
+        assert!(cs.failures_per_site < recover::MAX_ATTEMPTS);
         let v = recover::try_with_retry("pool.shard", |attempt| {
             cs.maybe_fail("pool.shard", 9, attempt);
             attempt
@@ -148,7 +137,7 @@ mod tests {
             failures_per_site: recover::MAX_ATTEMPTS,
             ..CS
         };
-        assert!(cs.is_permanent());
+        assert!(cs.failures_per_site >= recover::MAX_ATTEMPTS);
         let err = recover::try_with_retry("stage.plan", |attempt| {
             cs.maybe_fail("stage.plan", 1, attempt);
         })
@@ -158,11 +147,8 @@ mod tests {
 
     #[test]
     fn site_registry_covers_production_labels() {
-        for site in sites::ALL {
-            assert!(sites::is_registered(site));
-        }
-        assert!(sites::is_registered(sites::HTTP_REQUEST));
-        assert!(!sites::is_registered("anywhere"));
+        assert!(sites::ALL.contains(&sites::HTTP_REQUEST));
+        assert!(!sites::ALL.contains(&"anywhere"));
         // Distinct labels hash to distinct failure sets (otherwise two
         // registered sites would fail in lockstep under every seed).
         let cs = ChaosSchedule { probability: 0.5, ..CS };

@@ -31,13 +31,6 @@ pub fn log_normal(rng: &mut SimRng, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
 }
 
-/// Exponential with rate `lambda` (mean `1/lambda`).
-pub fn exponential(rng: &mut SimRng, lambda: f64) -> f64 {
-    debug_assert!(lambda > 0.0);
-    // 1 - f64() is in (0, 1], so ln() is finite.
-    -(1.0 - rng.f64()).ln() / lambda
-}
-
 /// Pareto (type I) with scale `x_min > 0` and shape `alpha > 0`.
 /// Heavy-tailed; used for attack sizes and durations.
 pub fn pareto(rng: &mut SimRng, x_min: f64, alpha: f64) -> f64 {
@@ -161,11 +154,6 @@ impl Zipf {
     }
 }
 
-/// Clamp helper used by trend composition: linear interpolation.
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
-}
-
 /// Smoothstep easing on `[0, 1]`, clamped outside. Used for gradual
 /// model transitions (e.g. SAV deployment ramping up over months).
 pub fn smoothstep(t: f64) -> f64 {
@@ -206,15 +194,6 @@ mod tests {
         let median = s[s.len() / 2];
         // median of lognormal is exp(mu)
         assert!((median - 1f64.exp()).abs() < 0.1, "median {median}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = rng();
-        let s: Vec<f64> = (0..100_000).map(|_| exponential(&mut r, 0.25)).collect();
-        let (m, _) = mean_var(&s);
-        assert!((m - 4.0).abs() < 0.1, "mean {m}");
-        assert!(s.iter().all(|&x| x >= 0.0));
     }
 
     #[test]
@@ -336,12 +315,5 @@ mod tests {
         assert_eq!(smoothstep(2.0), 1.0);
         assert!(smoothstep(0.25) < 0.25); // ease-in
         assert!(smoothstep(0.75) > 0.75); // ease-out
-    }
-
-    #[test]
-    fn lerp_basics() {
-        assert_eq!(lerp(0.0, 10.0, 0.0), 0.0);
-        assert_eq!(lerp(0.0, 10.0, 1.0), 10.0);
-        assert_eq!(lerp(2.0, 4.0, 0.5), 3.0);
     }
 }

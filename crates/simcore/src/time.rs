@@ -15,8 +15,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SimTime(pub i64);
 
-pub const SECS_PER_MIN: i64 = 60;
-pub const SECS_PER_HOUR: i64 = 3600;
 pub const SECS_PER_DAY: i64 = 86_400;
 pub const SECS_PER_WEEK: i64 = 7 * SECS_PER_DAY;
 
@@ -56,11 +54,6 @@ impl SimTime {
     /// anchored to the start of its observation window.
     pub const fn week_index(self) -> i64 {
         self.0.div_euclid(SECS_PER_WEEK)
-    }
-
-    /// Seconds elapsed within the current day.
-    pub const fn second_of_day(self) -> i64 {
-        self.0.rem_euclid(SECS_PER_DAY)
     }
 
     /// Is this instant inside the study window?
@@ -235,10 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn day_index_and_second_of_day() {
+    fn day_index_floors_within_the_day() {
         let t = SimTime(3 * SECS_PER_DAY + 5);
         assert_eq!(t.day_index(), 3);
-        assert_eq!(t.second_of_day(), 5);
     }
 
     #[test]

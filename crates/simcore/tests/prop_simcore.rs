@@ -1,7 +1,7 @@
 //! Property-based tests for the RNG and distributions.
 
 use proptest::prelude::*;
-use simcore::dist::{binomial, exponential, log_normal, pareto, poisson, smoothstep, Zipf};
+use simcore::dist::{binomial, log_normal, pareto, poisson, smoothstep, Zipf};
 use simcore::time::{Date, SimTime, SECS_PER_DAY};
 use simcore::SimRng;
 
@@ -59,7 +59,6 @@ proptest! {
     fn distribution_supports(seed in any::<u64>()) {
         let mut r = SimRng::new(seed);
         for _ in 0..64 {
-            prop_assert!(exponential(&mut r, 2.0) >= 0.0);
             prop_assert!(pareto(&mut r, 3.0, 1.5) >= 3.0);
             prop_assert!(log_normal(&mut r, 0.0, 1.0) > 0.0);
         }
@@ -114,7 +113,6 @@ proptest! {
         let t = SimTime(day * SECS_PER_DAY + sec);
         prop_assert_eq!(t.day_index(), day);
         prop_assert_eq!(t.week_index(), day.div_euclid(7));
-        prop_assert_eq!(t.second_of_day(), sec);
         prop_assert!(t.in_study());
     }
 }

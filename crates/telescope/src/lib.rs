@@ -6,10 +6,8 @@
 //! validation), [`event::Telescope`] computes per-attack verdicts
 //! analytically (used for the 4.5-year macro study).
 
-pub mod capture;
 pub mod corsaro;
 pub mod event;
 
-pub use capture::{is_backscatter, TelescopeCapture};
 pub use corsaro::{min_detectable_rate_mbps, FlowKey, RsdosAttack, RsdosConfig, RsdosDetector};
 pub use event::Telescope;

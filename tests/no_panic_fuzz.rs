@@ -48,7 +48,7 @@ struct FuzzKnobs {
 }
 
 fn config_from(k: &FuzzKnobs) -> StudyConfig {
-    let mut cfg = StudyConfig::quick_complete();
+    let mut cfg = StudyConfig::quick();
     cfg.seed = k.seed;
     cfg.net.tail_as_count = k.tail_as_count;
     cfg.net.reflector_pool_total = k.reflector_pool_total;

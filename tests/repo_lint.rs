@@ -1,5 +1,5 @@
 //! The repo's source lint (`make lint`; the workspace test run includes
-//! it), ten rules:
+//! it), eleven rules:
 //!
 //! 1. No wall-clock or OS-entropy primitives anywhere in simulation
 //!    code: every stochastic draw must fork from the study seed and
@@ -56,7 +56,19 @@
 //!     They read the run's memoized membership column and attack-row
 //!     index instead (`flowmon::rtbh_stats` takes a lookup built on
 //!     it). Test modules are out of scope.
+//! 11. Every public library item has a caller outside tests: a `pub`
+//!     fn, struct, enum, trait, type, const or static on a library line
+//!     of `crates/*/src` whose name is defined once there must be named
+//!     on another line of program code (the library lines of
+//!     `crates/*/src`, `examples/`, `src/` and `benchmark/src`; comments
+//!     and `pub use` re-exports do not count), and every library file
+//!     but a crate root, a `mod.rs` or the CLI binary must have a
+//!     top-level item named in another file, unless it exports a macro.
+//!     Items only tests need are listed in `TEST_SUPPORT` with a reason;
+//!     a stale entry fails too. Code that no program calls is deleted
+//!     with its tests, not kept alive by them.
 
+use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -123,6 +135,151 @@ fn scan(root: &Path, rule: &Rule) -> Vec<String> {
                     ));
                 }
             }
+        }
+    }
+    violations
+}
+
+/// Rule 11's exemptions: public items that tests and no program code
+/// call, each kept for the reason given. An entry that program code
+/// calls, or that names no such item, is itself a violation.
+const TEST_SUPPORT: &[(&str, &str)] = &[
+    ("lagged_spearman", "the reference `best_lag` is checked against"),
+    ("from_attacks", "builds `AttackColumns` fixtures from owned rows"),
+    ("projection_stats", "projection-cache tests count projections with it"),
+    ("StageStats", "the counts stage-cache tests read"),
+    ("run_all", "the experiment golden hashes every artifact it returns"),
+    ("in_study", "time tests check the study window with it"),
+    ("STUDY_END", "time tests bound the study window with it"),
+    ("live_flows", "the mid-stream expiry test reads the detector's flow table"),
+    ("merge_sensor_flows", "the §5 CCC merging `tests/packet_fidelity.rs` validates"),
+];
+
+/// The name a line defines if it opens a `pub` fn, struct, enum, trait,
+/// type, const or static.
+fn pub_item_name(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let rest = ["const ", "unsafe ", "async "]
+        .iter()
+        .find_map(|q| rest.strip_prefix(q).filter(|r| r.starts_with("fn ")))
+        .unwrap_or(rest);
+    let (kind, rest) = rest.split_once(' ')?;
+    if !matches!(kind, "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static") {
+        return None;
+    }
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end]).filter(|name| !name.is_empty())
+}
+
+/// Rule 11: every public library item has a caller in program code —
+/// the library lines of `crates/*/src` (the CLI binary included),
+/// `examples/`, `src/` and `benchmark/src`. Comments and `pub use`
+/// re-exports name nothing. An item whose name is defined once must be
+/// named on another line; a library file (other than a crate root, a
+/// `mod.rs` or the binary) must have a top-level item named in another
+/// file, unless it exports a macro.
+fn uncalled_public_items(root: &Path) -> Vec<String> {
+    let test_marker = ["#[cfg(te", "st)]"].concat();
+    let mut paths = Vec::new();
+    for dir in ["crates", "examples", "src", "benchmark/src"] {
+        rust_sources(&root.join(dir), &mut paths);
+    }
+    let mut files = Vec::new();
+    for path in &paths {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let parts: Vec<&str> = rel.split('/').collect();
+        let library = matches!(parts[..], ["crates", _, "src", ..]);
+        if !(library || matches!(parts[..], ["examples" | "src", ..] | ["benchmark", "src", ..])) {
+            continue;
+        }
+        let Ok(text) = fs::read_to_string(path) else { continue };
+        let lines: Vec<String> = text
+            .lines()
+            .take_while(|line| !line.contains(test_marker.as_str()))
+            .map(str::to_owned)
+            .collect();
+        files.push((rel, library, text.contains("#[macro_export]"), lines));
+    }
+
+    // Every identifier on a program line, with where it stands.
+    let mut named: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    for (f, (_, _, _, lines)) in files.iter().enumerate() {
+        let mut in_reexport = false;
+        for (l, line) in lines.iter().enumerate() {
+            let code = line.trim_start();
+            if code.starts_with("pub use ") {
+                in_reexport = true;
+            }
+            if in_reexport {
+                in_reexport = !line.contains(';');
+                continue;
+            }
+            if code.starts_with("//") {
+                continue;
+            }
+            for word in line.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                if !word.is_empty() {
+                    named.entry(word).or_default().push((f, l));
+                }
+            }
+        }
+    }
+
+    let mut defs = Vec::new();
+    let mut definitions: HashMap<&str, usize> = HashMap::new();
+    for (f, (_, library, _, lines)) in files.iter().enumerate() {
+        for (l, line) in lines.iter().enumerate().filter(|_| *library) {
+            if let Some(name) = pub_item_name(line) {
+                defs.push((f, l, name, !line.starts_with(char::is_whitespace)));
+                *definitions.entry(name).or_default() += 1;
+            }
+        }
+    }
+    let sites = |name: &str| named.get(name).map_or(&[][..], Vec::as_slice);
+    let uncalled: Vec<_> = defs
+        .iter()
+        .filter(|&&(f, l, name, _)| {
+            definitions[name] == 1 && sites(name).iter().all(|&at| at == (f, l))
+        })
+        .collect();
+
+    let mut violations = Vec::new();
+    for &&(f, l, name, _) in &uncalled {
+        if !TEST_SUPPORT.iter().any(|(kept, _)| *kept == name) {
+            let rel = &files[f].0;
+            let line = files[f].3[l].trim();
+            violations.push(format!("{rel}:{}: [public item without a caller] {line}", l + 1));
+        }
+    }
+    for (kept, _) in TEST_SUPPORT {
+        if !uncalled.iter().any(|&&(_, _, name, _)| name == *kept) {
+            violations.push(format!(
+                "tests/repo_lint.rs: [stale TEST_SUPPORT entry] `{kept}` has a caller or no definition"
+            ));
+        }
+    }
+    for (f, (rel, library, exports_macro, _)) in files.iter().enumerate() {
+        let file_name = rel.rsplit('/').next().unwrap_or("");
+        if !library
+            || *exports_macro
+            || matches!(file_name, "lib.rs" | "mod.rs")
+            || rel.contains("/src/bin/")
+        {
+            continue;
+        }
+        let called = defs.iter().any(|&(df, _, name, top_level)| {
+            df == f && top_level && sites(name).iter().any(|&(sf, _)| sf != f)
+        });
+        if !called {
+            violations.push(format!(
+                "{rel}:1: [module without a caller] no pub item of the file is named outside it"
+            ));
         }
     }
     violations
@@ -271,7 +428,8 @@ fn repo_lint_rules_hold() {
         },
     ];
 
-    let violations: Vec<String> = rules.iter().flat_map(|r| scan(root, r)).collect();
+    let mut violations: Vec<String> = rules.iter().flat_map(|r| scan(root, r)).collect();
+    violations.extend(uncalled_public_items(root));
     assert!(
         violations.is_empty(),
         "repo lint violations:\n{}",
