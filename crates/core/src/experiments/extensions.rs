@@ -33,9 +33,11 @@ pub fn lags(run: &StudyRun) -> ExperimentResult {
             let Some(best) = best_lag(&smoothed[i], &smoothed[j], max_lag) else {
                 continue;
             };
-            // Only report informative pairs: significant and meaningfully
-            // lagged.
-            if !best.correlation.significant() {
+            // Only report informative pairs: positively correlated,
+            // significant and meaningfully lagged. The best lag maximizes
+            // rho, so a best rho <= 0 means every lag is anti-correlated
+            // and neither series leads.
+            if best.correlation.rho <= 0.0 || !best.correlation.significant() {
                 continue;
             }
             let (leader, follower, lag) = if best.lag >= 0 {
