@@ -328,7 +328,9 @@ mod tests {
         a.mask_range(7, 8);
         // Out-of-range bounds clamp to the series.
         a.mask_range(12, 20);
-        let missing: Vec<usize> = (0..a.values.len()).filter(|&w| a.values[w].is_nan()).collect();
+        let missing: Vec<usize> = (0..a.values.len())
+            .filter(|&w| a.values[w].is_nan())
+            .collect();
         assert_eq!(missing, vec![2, 3, 7]);
         assert_eq!(a.values.len(), 10);
         assert_eq!(a.present().count(), 7);

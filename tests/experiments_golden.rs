@@ -79,7 +79,10 @@ fn lags_table_rho_never_increases() {
         .collect();
     let table = &lags.body;
     assert!(rho.len() >= 2, "too few rows to check an order:\n{table}");
-    assert!(rho.iter().all(|&r| r > 0.0), "a row with rho <= 0:\n{table}");
+    assert!(
+        rho.iter().all(|&r| r > 0.0),
+        "a row with rho <= 0:\n{table}"
+    );
     assert!(
         rho.windows(2).all(|w| w[0] >= w[1]),
         "rho column increases:\n{table}"

@@ -143,6 +143,7 @@ fn scan(root: &Path, rule: &Rule) -> Vec<String> {
 /// Rule 11's exemptions: public items that tests and no program code
 /// call, each kept for the reason given. An entry that program code
 /// calls, or that names no such item, is itself a violation.
+#[rustfmt::skip]
 const TEST_SUPPORT: &[(&str, &str)] = &[
     ("lagged_spearman", "the reference `best_lag` is checked against"),
     ("from_attacks", "builds `AttackColumns` fixtures from owned rows"),
@@ -164,13 +165,26 @@ fn pub_item_name(line: &str) -> Option<&str> {
         .find_map(|q| rest.strip_prefix(q).filter(|r| r.starts_with("fn ")))
         .unwrap_or(rest);
     let (kind, rest) = rest.split_once(' ')?;
-    if !matches!(kind, "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static") {
+    if !matches!(
+        kind,
+        "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static"
+    ) {
         return None;
     }
     let end = rest
         .find(|c: char| !(c.is_alphanumeric() || c == '_'))
         .unwrap_or(rest.len());
     Some(&rest[..end]).filter(|name| !name.is_empty())
+}
+
+/// One program source as rule 11 reads it.
+struct Source {
+    rel: String,
+    /// Under `crates/*/src`, where the rule looks for items.
+    library: bool,
+    exports_macro: bool,
+    /// The lines before the first test-module marker.
+    lines: Vec<String>,
 }
 
 /// Rule 11: every public library item has a caller in program code —
@@ -195,23 +209,36 @@ fn uncalled_public_items(root: &Path) -> Vec<String> {
             .replace('\\', "/");
         let parts: Vec<&str> = rel.split('/').collect();
         let library = matches!(parts[..], ["crates", _, "src", ..]);
-        if !(library || matches!(parts[..], ["examples" | "src", ..] | ["benchmark", "src", ..])) {
+        if !(library
+            || matches!(
+                parts[..],
+                ["examples" | "src", ..] | ["benchmark", "src", ..]
+            ))
+        {
             continue;
         }
-        let Ok(text) = fs::read_to_string(path) else { continue };
-        let lines: Vec<String> = text
+        let Ok(text) = fs::read_to_string(path) else {
+            continue;
+        };
+        let lines = text
             .lines()
             .take_while(|line| !line.contains(test_marker.as_str()))
             .map(str::to_owned)
             .collect();
-        files.push((rel, library, text.contains("#[macro_export]"), lines));
+        let exports_macro = text.contains("#[macro_export]");
+        files.push(Source {
+            rel,
+            library,
+            exports_macro,
+            lines,
+        });
     }
 
     // Every identifier on a program line, with where it stands.
     let mut named: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
-    for (f, (_, _, _, lines)) in files.iter().enumerate() {
+    for (f, file) in files.iter().enumerate() {
         let mut in_reexport = false;
-        for (l, line) in lines.iter().enumerate() {
+        for (l, line) in file.lines.iter().enumerate() {
             let code = line.trim_start();
             if code.starts_with("pub use ") {
                 in_reexport = true;
@@ -233,8 +260,8 @@ fn uncalled_public_items(root: &Path) -> Vec<String> {
 
     let mut defs = Vec::new();
     let mut definitions: HashMap<&str, usize> = HashMap::new();
-    for (f, (_, library, _, lines)) in files.iter().enumerate() {
-        for (l, line) in lines.iter().enumerate().filter(|_| *library) {
+    for (f, file) in files.iter().enumerate().filter(|(_, file)| file.library) {
+        for (l, line) in file.lines.iter().enumerate() {
             if let Some(name) = pub_item_name(line) {
                 defs.push((f, l, name, !line.starts_with(char::is_whitespace)));
                 *definitions.entry(name).or_default() += 1;
@@ -252,9 +279,11 @@ fn uncalled_public_items(root: &Path) -> Vec<String> {
     let mut violations = Vec::new();
     for &&(f, l, name, _) in &uncalled {
         if !TEST_SUPPORT.iter().any(|(kept, _)| *kept == name) {
-            let rel = &files[f].0;
-            let line = files[f].3[l].trim();
-            violations.push(format!("{rel}:{}: [public item without a caller] {line}", l + 1));
+            let (rel, line) = (&files[f].rel, files[f].lines[l].trim());
+            violations.push(format!(
+                "{rel}:{}: [public item without a caller] {line}",
+                l + 1
+            ));
         }
     }
     for (kept, _) in TEST_SUPPORT {
@@ -264,10 +293,11 @@ fn uncalled_public_items(root: &Path) -> Vec<String> {
             ));
         }
     }
-    for (f, (rel, library, exports_macro, _)) in files.iter().enumerate() {
+    for (f, file) in files.iter().enumerate() {
+        let rel = &file.rel;
         let file_name = rel.rsplit('/').next().unwrap_or("");
-        if !library
-            || *exports_macro
+        if !file.library
+            || file.exports_macro
             || matches!(file_name, "lib.rs" | "mod.rs")
             || rel.contains("/src/bin/")
         {
