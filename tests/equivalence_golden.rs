@@ -18,6 +18,11 @@ use obs::manifest::fnv1a;
 /// covers the whole matrix.
 const GOLDEN: u64 = 0xe5de_be41_dc18_4ec3;
 
+/// FNV-1a of the generated attack population's wire bytes (every
+/// column of every row, in canonical order), so a change to how the
+/// generator writes rows cannot move the ground truth unseen.
+const GOLDEN_ATTACKS: u64 = 0x2f34_2458_3560_9a00;
+
 #[test]
 fn columnar_output_matches_frozen_aos_golden() {
     for workers in [1, 3] {
@@ -28,6 +33,13 @@ fn columnar_output_matches_frozen_aos_golden() {
                 got, GOLDEN,
                 "projection bytes diverged from the frozen AoS reference \
                  at workers={workers} cache={cache} (got {got:#018x})"
+            );
+            let got = fnv1a(&run.attacks.to_wire_bytes());
+            assert_eq!(
+                got, GOLDEN_ATTACKS,
+                "attack population bytes diverged at workers={workers} \
+                 cache={cache} (got {got:#018x}, {} rows)",
+                run.attacks.len()
             );
         }
     }
@@ -41,4 +53,9 @@ fn columnar_output_matches_frozen_aos_golden() {
 fn print_golden_hash() {
     let run = StudyRun::execute(&golden_cfg(0, 1));
     println!("GOLDEN = {:#018x}", fnv1a(&output_fingerprint(&run)));
+    println!(
+        "GOLDEN_ATTACKS = {:#018x} ({} rows)",
+        fnv1a(&run.attacks.to_wire_bytes()),
+        run.attacks.len()
+    );
 }
