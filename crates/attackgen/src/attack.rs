@@ -1,15 +1,17 @@
-//! The attack event model.
+//! The attack event model: ids, classes and vectors.
 //!
-//! One [`Attack`] is the ground-truth record of a single DDoS event in
-//! the simulation — what an omniscient observer would log. Each
-//! observatory then sees (or misses) a distorted slice of it, which is
-//! exactly the phenomenon the paper studies (§4: "different detection
-//! approaches, and even the same approach using different parameters and
-//! vantage points, will yield different inferences").
+//! One [`AttackRef`](crate::columns::AttackRef) row is the ground-truth
+//! record of a single DDoS event in the simulation — what an omniscient
+//! observer would log. The generator writes each row once into
+//! [`AttackColumns`](crate::columns::AttackColumns), and every reader
+//! borrows it back as a view. Each observatory then sees (or misses) a
+//! distorted slice of it, which is exactly the phenomenon the paper
+//! studies (§4: "different detection approaches, and even the same
+//! approach using different parameters and vantage points, will yield
+//! different inferences").
 
-use netmodel::{AmpVector, Asn, Ipv4, Transport};
+use netmodel::{AmpVector, Transport};
 use serde::{Deserialize, Serialize};
-use simcore::SimTime;
 use std::borrow::Cow;
 
 /// Unique attack identifier.
@@ -115,93 +117,10 @@ impl AttackVector {
     }
 }
 
-/// How a reflection attack uses the reflector population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReflectorUse {
-    pub vector: AmpVector,
-    /// Number of distinct reflectors abused for the attack.
-    pub reflector_count: u32,
-}
-
-/// Ground-truth record of one DDoS attack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Attack {
-    pub id: AttackId,
-    pub class: AttackClass,
-    pub vector: AttackVector,
-    pub start: SimTime,
-    pub duration_secs: u32,
-    /// Attacked addresses. More than one ⇒ carpet bombing (the addresses
-    /// share a routed prefix; Appendix I).
-    pub targets: Vec<Ipv4>,
-    /// Origin AS of the targets.
-    pub target_asn: Asn,
-    /// Aggregate packet rate toward the target(s), packets/second.
-    pub pps: f64,
-    /// Aggregate bit rate toward the target(s), bits/second.
-    pub bps: f64,
-    /// For reflection attacks: reflector usage.
-    pub reflectors: Option<ReflectorUse>,
-    /// For spoofed direct-path attacks: the fraction of the IPv4 space
-    /// the attacker draws spoofed sources from (1.0 = fully random;
-    /// § 6.1 reason (ii)/(iii): some attacks rotate through less than the
-    /// full space or avoid known telescopes).
-    pub spoof_space_fraction: f64,
-    /// Index of the campaign that spawned this attack, if any.
-    pub campaign: Option<u32>,
-}
-
-impl Attack {
-    /// End instant (exclusive).
-    pub fn end(&self) -> SimTime {
-        self.start.plus_secs(self.duration_secs as i64)
-    }
-
-    /// Primary (first) target address.
-    pub fn primary_target(&self) -> Ipv4 {
-        self.targets[0]
-    }
-
-    /// Is this a carpet-bombing (multi-address) attack?
-    pub fn is_carpet_bombing(&self) -> bool {
-        self.targets.len() > 1
-    }
-
-    /// Packet rate per individual target address.
-    pub fn pps_per_target(&self) -> f64 {
-        self.pps / self.targets.len() as f64
-    }
-
-    /// Total packets sent toward the victim over the whole attack.
-    pub fn total_packets(&self) -> f64 {
-        self.pps * self.duration_secs as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netmodel::AmpVector;
-
-    fn attack() -> Attack {
-        Attack {
-            id: AttackId(1),
-            class: AttackClass::ReflectionAmplification,
-            vector: AttackVector::Amplification(AmpVector::Ntp),
-            start: SimTime(1000),
-            duration_secs: 600,
-            targets: vec![Ipv4::new(1, 2, 3, 4), Ipv4::new(1, 2, 3, 5)],
-            target_asn: Asn(16276),
-            pps: 50_000.0,
-            bps: 4e9,
-            reflectors: Some(ReflectorUse {
-                vector: AmpVector::Ntp,
-                reflector_count: 800,
-            }),
-            spoof_space_fraction: 1.0,
-            campaign: None,
-        }
-    }
 
     #[test]
     fn class_predicates() {
@@ -230,24 +149,6 @@ mod tests {
             Some(AmpVector::Cldap)
         );
         assert_eq!(AttackVector::SynFlood.amp_vector(), None);
-    }
-
-    #[test]
-    fn derived_quantities() {
-        let a = attack();
-        assert_eq!(a.end(), SimTime(1600));
-        assert_eq!(a.primary_target(), Ipv4::new(1, 2, 3, 4));
-        assert!(a.is_carpet_bombing());
-        assert_eq!(a.pps_per_target(), 25_000.0);
-        assert_eq!(a.total_packets(), 30_000_000.0);
-    }
-
-    #[test]
-    fn single_target_not_carpet() {
-        let mut a = attack();
-        a.targets.truncate(1);
-        assert!(!a.is_carpet_bombing());
-        assert_eq!(a.pps_per_target(), a.pps);
     }
 
     #[test]

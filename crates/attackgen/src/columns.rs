@@ -1,35 +1,32 @@
 //! Columnar (struct-of-arrays) storage for the attack population and
 //! the observation streams.
 //!
-//! At paper scale (~600 k attacks) the array-of-structs [`Attack`]
-//! representation is fine; at the 10 M+ scale the reproduction targets
-//! it is not: every record carries a 24-byte `Vec<Ipv4>` header plus a
-//! separate heap allocation for (usually) a single target address, and
-//! the aggregation scans (§5 weekly counts, §7 target tuples) chase a
-//! pointer per record. [`AttackColumns`] stores each field in its own
-//! parallel column and replaces every per-attack target `Vec` with one
-//! shared arena indexed by `(offset, len)` ranges, so
+//! [`AttackColumns`] stores each attack field in its own parallel
+//! column and keeps every row's targets in one shared arena indexed by
+//! `(offset, len)` ranges, so at the 10 M+ scale the reproduction
+//! targets
 //!
-//! * the population costs a flat ~59 bytes/attack instead of ~102,
+//! * the population costs a flat ~59 bytes/attack, with no per-attack
+//!   `Vec<Ipv4>` header or heap allocation for (usually) one address,
 //! * generation shards concatenate column-wise with a single
-//!   permutation sort instead of merging 96-byte structs, and
+//!   permutation sort, and
 //! * the §5/§7 projections become branch-light linear scans over dense
 //!   arrays.
 //!
-//! The struct forms survive as *views*: [`AttackRef`] (and
-//! [`ObservedRef`] for observations) borrow one logical record from the
-//! columns and expose exactly the [`Attack`] field surface, so
-//! observers and experiments read `a.pps`, `a.targets`, `a.end()` as
-//! before without materializing anything.
+//! Rows have no owned form. [`AttackRef`] (and [`ObservedRef`] for
+//! observations) is a borrowed view of one row: the generator pushes
+//! views over a reused target buffer, fixtures push literals, and
+//! observers and experiments read `a.pps`, `a.targets`, `a.end()` from
+//! views of the columns without materializing anything.
 //!
 //! Narrow encodings (all asserted on entry, never silently truncated):
 //! ids and start seconds fit `u32` (the study spans ~1.4 × 10⁸ s and
 //! ids are densely rebased), `campaign: Option<u32>` uses `u32::MAX`
-//! as the `None` sentinel, and reflector usage collapses to a count
-//! column (`u32::MAX` = no reflectors) because the reflector vector is
+//! as the `None` sentinel, and `reflector_count: Option<u32>` uses
+//! `u32::MAX` for `None`. A row records no reflector protocol: it is
 //! always the attack vector's amplification protocol.
 
-use crate::attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
+use crate::attack::{AttackClass, AttackId, AttackVector};
 use netmodel::{Asn, Ipv4};
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
@@ -66,8 +63,8 @@ pub struct AttackColumns {
     pub target_arena: Vec<Ipv4>,
 }
 
-/// Borrowed view of one attack row — field-compatible with [`Attack`]
-/// except that `targets` is a borrowed slice of the shared arena.
+/// Ground-truth record of one DDoS attack, borrowing its targets: a
+/// row of [`AttackColumns`], or one about to be pushed there.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackRef<'a> {
     pub id: AttackId,
@@ -75,12 +72,24 @@ pub struct AttackRef<'a> {
     pub vector: AttackVector,
     pub start: SimTime,
     pub duration_secs: u32,
+    /// Attacked addresses. More than one ⇒ carpet bombing (the addresses
+    /// share a routed prefix; Appendix I).
     pub targets: &'a [Ipv4],
+    /// Origin AS of the targets.
     pub target_asn: Asn,
+    /// Aggregate packet rate toward the target(s), packets/second.
     pub pps: f64,
+    /// Aggregate bit rate toward the target(s), bits/second.
     pub bps: f64,
-    pub reflectors: Option<ReflectorUse>,
+    /// For reflection attacks: the number of distinct reflectors
+    /// abused. Their protocol is `vector.amp_vector()`.
+    pub reflector_count: Option<u32>,
+    /// For spoofed direct-path attacks: the fraction of the IPv4 space
+    /// the attacker draws spoofed sources from (1.0 = fully random;
+    /// § 6.1 reason (ii)/(iii): some attacks rotate through less than the
+    /// full space or avoid known telescopes).
     pub spoof_space_fraction: f64,
+    /// Index of the campaign that spawned this attack, if any.
     pub campaign: Option<u32>,
 }
 
@@ -111,56 +120,11 @@ impl AttackRef<'_> {
     }
 }
 
-impl Attack {
-    /// View this owned attack through the columnar record interface, so
-    /// hand-built struct attacks (test fixtures, generator rows) reach
-    /// code that reads [`AttackRef`], the only row type observers and
-    /// packet synthesizers take.
-    pub fn view(&self) -> AttackRef<'_> {
-        AttackRef {
-            id: self.id,
-            class: self.class,
-            vector: self.vector,
-            start: self.start,
-            duration_secs: self.duration_secs,
-            targets: &self.targets,
-            target_asn: self.target_asn,
-            pps: self.pps,
-            bps: self.bps,
-            reflectors: self.reflectors,
-            spoof_space_fraction: self.spoof_space_fraction,
-            campaign: self.campaign,
-        }
-    }
-}
-
 impl AttackColumns {
     pub fn new() -> AttackColumns {
         AttackColumns {
             target_offsets: vec![0],
             ..AttackColumns::default()
-        }
-    }
-
-    /// Pre-size every column for `rows` attacks and `arena` total
-    /// target addresses.
-    pub fn with_capacity(rows: usize, arena: usize) -> AttackColumns {
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0);
-        AttackColumns {
-            id: Vec::with_capacity(rows),
-            class: Vec::with_capacity(rows),
-            vector: Vec::with_capacity(rows),
-            start_secs: Vec::with_capacity(rows),
-            duration_secs: Vec::with_capacity(rows),
-            target_asn: Vec::with_capacity(rows),
-            pps: Vec::with_capacity(rows),
-            bps: Vec::with_capacity(rows),
-            reflector_count: Vec::with_capacity(rows),
-            spoof_space_fraction: Vec::with_capacity(rows),
-            campaign: Vec::with_capacity(rows),
-            target_offsets: offsets,
-            target_arena: Vec::with_capacity(arena),
         }
     }
 
@@ -172,22 +136,26 @@ impl AttackColumns {
         self.id.is_empty()
     }
 
-    /// Append one attack record. Panics if a field does not fit the
-    /// columnar encoding (negative or >u32 start, id ≥ u32::MAX, a
-    /// reflector set inconsistent with the vector) — those are
-    /// generator bugs, not data.
-    pub fn push(&mut self, a: &Attack) {
+    /// Append one attack row, copying its targets into the arena, so
+    /// the view may borrow a buffer the caller reuses for the next row.
+    /// Panics if a field does not fit the columnar encoding (a negative
+    /// or >u32 start, id ≥ u32::MAX, a sentinel value, a reflector count
+    /// on a vector that reflects nothing) — those are generator bugs,
+    /// not data.
+    pub fn push(&mut self, a: AttackRef<'_>) {
         let id = u32::try_from(a.id.0).expect("attack id exceeds the u32 column");
         let start =
             u32::try_from(a.start.0).expect("attack start outside the u32-seconds column range");
-        let reflector_count = match (a.vector.amp_vector(), a.reflectors) {
-            (Some(v), Some(r)) => {
-                assert_eq!(r.vector, v, "reflector vector disagrees with attack vector");
-                assert_ne!(r.reflector_count, NO_REFLECTORS, "reflector count sentinel");
-                r.reflector_count
+        let reflector_count = match a.reflector_count {
+            Some(k) => {
+                assert!(
+                    a.vector.amp_vector().is_some(),
+                    "reflectors on a non-amplification vector"
+                );
+                assert_ne!(k, NO_REFLECTORS, "reflector count sentinel");
+                k
             }
-            (_, None) => NO_REFLECTORS,
-            (None, Some(_)) => panic!("reflectors on a non-amplification vector"),
+            None => NO_REFLECTORS,
         };
         let campaign = match a.campaign {
             Some(c) => {
@@ -207,7 +175,7 @@ impl AttackColumns {
         self.reflector_count.push(reflector_count);
         self.spoof_space_fraction.push(a.spoof_space_fraction);
         self.campaign.push(campaign);
-        self.target_arena.extend_from_slice(&a.targets);
+        self.target_arena.extend_from_slice(a.targets);
         let end = u32::try_from(self.target_arena.len()).expect("target arena exceeds u32 offsets");
         self.target_offsets.push(end);
     }
@@ -219,13 +187,7 @@ impl AttackColumns {
 
     /// Borrowed view of row `i`.
     pub fn get(&self, i: usize) -> AttackRef<'_> {
-        let rc = self.reflector_count[i];
-        let reflectors = (rc != NO_REFLECTORS).then(|| ReflectorUse {
-            vector: self.vector[i]
-                .amp_vector()
-                .expect("reflector count on a non-amplification row"),
-            reflector_count: rc,
-        });
+        let reflector_count = self.reflector_count[i];
         let campaign = self.campaign[i];
         AttackRef {
             id: AttackId(self.id[i] as u64),
@@ -237,29 +199,17 @@ impl AttackColumns {
             target_asn: self.target_asn[i],
             pps: self.pps[i],
             bps: self.bps[i],
-            reflectors,
+            reflector_count: (reflector_count != NO_REFLECTORS).then_some(reflector_count),
             spoof_space_fraction: self.spoof_space_fraction[i],
             campaign: (campaign != NO_CAMPAIGN).then_some(campaign),
         }
     }
 
     /// Iterate all rows as borrowed views.
-    pub fn iter(&self) -> ColumnsIter<'_> {
-        ColumnsIter {
-            cols: self,
-            front: 0,
-            back: self.len(),
-        }
-    }
-
-    /// Build columns from owned attack records (tests, small fixtures).
-    pub fn from_attacks(attacks: &[Attack]) -> AttackColumns {
-        let arena: usize = attacks.iter().map(|a| a.targets.len()).sum();
-        let mut out = AttackColumns::with_capacity(attacks.len(), arena);
-        for a in attacks {
-            out.push(a);
-        }
-        out
+    pub fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = AttackRef<'_>> + ExactSizeIterator + Clone + '_ {
+        (0..self.len()).map(|i| self.get(i))
     }
 
     /// Append rows `lo..hi` of `src`, rebasing ids by `id_base` —
@@ -403,19 +353,7 @@ impl AttackColumns {
         gather(&mut self.reflector_count, &perm);
         gather(&mut self.spoof_space_fraction, &perm);
         gather(&mut self.campaign, &perm);
-        let mut arena = Vec::with_capacity(self.target_arena.len());
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        for &i in &perm {
-            let i = i as usize;
-            arena.extend_from_slice(
-                &self.target_arena
-                    [self.target_offsets[i] as usize..self.target_offsets[i + 1] as usize],
-            );
-            offsets.push(arena.len() as u32);
-        }
-        self.target_arena = arena;
-        self.target_offsets = offsets;
+        gather_targets(&mut self.target_offsets, &mut self.target_arena, &perm);
     }
 
     /// Drop the growth slack every column accumulated while being
@@ -437,8 +375,7 @@ impl AttackColumns {
         self.target_arena.shrink_to_fit();
     }
 
-    /// Heap bytes currently held by the columns (capacities, matching
-    /// what the old code measured for `Vec<Attack>` populations).
+    /// Heap bytes currently held by the columns (their capacities).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.id.capacity() * size_of::<u32>()
@@ -454,54 +391,6 @@ impl AttackColumns {
             + self.campaign.capacity() * size_of::<u32>()
             + self.target_offsets.capacity() * size_of::<u32>()
             + self.target_arena.capacity() * size_of::<Ipv4>()
-    }
-}
-
-impl<'a> IntoIterator for &'a AttackColumns {
-    type Item = AttackRef<'a>;
-    type IntoIter = ColumnsIter<'a>;
-    fn into_iter(self) -> ColumnsIter<'a> {
-        self.iter()
-    }
-}
-
-/// Double-ended, exact-size iterator over [`AttackColumns`] rows.
-#[derive(Debug, Clone)]
-pub struct ColumnsIter<'a> {
-    cols: &'a AttackColumns,
-    front: usize,
-    back: usize,
-}
-
-impl<'a> Iterator for ColumnsIter<'a> {
-    type Item = AttackRef<'a>;
-    fn next(&mut self) -> Option<AttackRef<'a>> {
-        if self.front >= self.back {
-            return None;
-        }
-        let item = self.cols.get(self.front);
-        self.front += 1;
-        Some(item)
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.back - self.front;
-        (n, Some(n))
-    }
-    fn nth(&mut self, n: usize) -> Option<AttackRef<'a>> {
-        self.front = (self.front + n).min(self.back);
-        self.next()
-    }
-}
-
-impl ExactSizeIterator for ColumnsIter<'_> {}
-
-impl<'a> DoubleEndedIterator for ColumnsIter<'a> {
-    fn next_back(&mut self) -> Option<AttackRef<'a>> {
-        if self.front >= self.back {
-            return None;
-        }
-        self.back -= 1;
-        Some(self.cols.get(self.back))
     }
 }
 
@@ -649,12 +538,10 @@ impl ObservationColumns {
         }
     }
 
-    pub fn iter(&self) -> ObservationsIter<'_> {
-        ObservationsIter {
-            cols: self,
-            front: 0,
-            back: self.len(),
-        }
+    pub fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = ObservedRef<'_>> + ExactSizeIterator + Clone + '_ {
+        (0..self.len()).map(|i| self.get(i))
     }
 
     /// Append another stream, consuming it (shard merge).
@@ -683,19 +570,7 @@ impl ObservationColumns {
         }
         gather(&mut self.attack_id, &perm);
         gather(&mut self.start, &perm);
-        let mut arena = Vec::with_capacity(self.target_arena.len());
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        for &i in &perm {
-            let i = i as usize;
-            arena.extend_from_slice(
-                &self.target_arena
-                    [self.target_offsets[i] as usize..self.target_offsets[i + 1] as usize],
-            );
-            offsets.push(arena.len() as u32);
-        }
-        self.target_arena = arena;
-        self.target_offsets = offsets;
+        gather_targets(&mut self.target_offsets, &mut self.target_arena, &perm);
     }
 
     /// Count observed attacks per study week (the §5 aggregation) — a
@@ -745,58 +620,25 @@ impl ObservationColumns {
     }
 }
 
-impl<'a> IntoIterator for &'a ObservationColumns {
-    type Item = ObservedRef<'a>;
-    type IntoIter = ObservationsIter<'a>;
-    fn into_iter(self) -> ObservationsIter<'a> {
-        self.iter()
-    }
-}
-
-/// Double-ended, exact-size iterator over [`ObservationColumns`] rows.
-#[derive(Debug, Clone)]
-pub struct ObservationsIter<'a> {
-    cols: &'a ObservationColumns,
-    front: usize,
-    back: usize,
-}
-
-impl<'a> Iterator for ObservationsIter<'a> {
-    type Item = ObservedRef<'a>;
-    fn next(&mut self) -> Option<ObservedRef<'a>> {
-        if self.front >= self.back {
-            return None;
-        }
-        let item = self.cols.get(self.front);
-        self.front += 1;
-        Some(item)
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.back - self.front;
-        (n, Some(n))
-    }
-    fn nth(&mut self, n: usize) -> Option<ObservedRef<'a>> {
-        self.front = (self.front + n).min(self.back);
-        self.next()
-    }
-}
-
-impl ExactSizeIterator for ObservationsIter<'_> {}
-
-impl<'a> DoubleEndedIterator for ObservationsIter<'a> {
-    fn next_back(&mut self) -> Option<ObservedRef<'a>> {
-        if self.front >= self.back {
-            return None;
-        }
-        self.back -= 1;
-        Some(self.cols.get(self.back))
-    }
-}
-
 /// Out-of-place permutation gather for one column: `col[k] = col[perm[k]]`.
 fn gather<T: Copy>(col: &mut Vec<T>, perm: &[u32]) {
     let out: Vec<T> = perm.iter().map(|&i| col[i as usize]).collect();
     *col = out;
+}
+
+/// [`gather`] for a target arena: row `k` of the result owns the
+/// targets row `perm[k]` owned, and the offsets are rebuilt to match.
+fn gather_targets(offsets: &mut Vec<u32>, arena: &mut Vec<Ipv4>, perm: &[u32]) {
+    let mut out = Vec::with_capacity(arena.len());
+    let mut out_offsets = Vec::with_capacity(perm.len() + 1);
+    out_offsets.push(0u32);
+    for &i in perm {
+        let i = i as usize;
+        out.extend_from_slice(&arena[offsets[i] as usize..offsets[i + 1] as usize]);
+        out_offsets.push(out.len() as u32);
+    }
+    *arena = out;
+    *offsets = out_offsets;
 }
 
 #[cfg(test)]
@@ -804,54 +646,60 @@ mod tests {
     use super::*;
     use netmodel::AmpVector;
 
-    fn sample_attacks() -> Vec<Attack> {
-        vec![
-            Attack {
+    fn sample_attacks() -> [AttackRef<'static>; 3] {
+        [
+            AttackRef {
                 id: AttackId(0),
                 class: AttackClass::DirectPathSpoofed,
                 vector: AttackVector::SynFlood,
                 start: SimTime(5_000),
                 duration_secs: 600,
-                targets: vec![Ipv4(0x0A00_0001)],
+                targets: &[Ipv4(0x0A00_0001)],
                 target_asn: Asn(65001),
                 pps: 120_000.0,
                 bps: 4.0e8,
-                reflectors: None,
+                reflector_count: None,
                 spoof_space_fraction: 0.85,
                 campaign: None,
             },
-            Attack {
+            AttackRef {
                 id: AttackId(1),
                 class: AttackClass::ReflectionAmplification,
                 vector: AttackVector::Amplification(AmpVector::Ntp),
                 start: SimTime(1_000),
                 duration_secs: 1_800,
-                targets: vec![Ipv4(0x0B00_0001), Ipv4(0x0B00_0002), Ipv4(0x0B00_0003)],
+                targets: &[Ipv4(0x0B00_0001), Ipv4(0x0B00_0002), Ipv4(0x0B00_0003)],
                 target_asn: Asn(65002),
                 pps: 50_000.0,
                 bps: 4.0e9,
-                reflectors: Some(ReflectorUse {
-                    vector: AmpVector::Ntp,
-                    reflector_count: 800,
-                }),
+                reflector_count: Some(800),
                 spoof_space_fraction: 1.0,
                 campaign: Some(3),
             },
-            Attack {
+            AttackRef {
                 id: AttackId(2),
                 class: AttackClass::DirectPathNonSpoofed,
                 vector: AttackVector::HttpFlood,
                 start: SimTime(1_000),
                 duration_secs: 60,
-                targets: vec![Ipv4(0x0C00_0001)],
+                targets: &[Ipv4(0x0C00_0001)],
                 target_asn: Asn(65003),
                 pps: 9_000.0,
                 bps: 3.0e7,
-                reflectors: None,
+                reflector_count: None,
                 spoof_space_fraction: 0.0,
                 campaign: None,
             },
         ]
+    }
+
+    /// Columns holding `attacks`, pushed in order.
+    fn columns(attacks: &[AttackRef<'_>]) -> AttackColumns {
+        let mut cols = AttackColumns::new();
+        for &a in attacks {
+            cols.push(a);
+        }
+        cols
     }
 
     /// Every row of `cols` as a view, for whole-population comparisons.
@@ -859,16 +707,48 @@ mod tests {
         cols.iter().collect()
     }
 
-    fn views(attacks: &[Attack]) -> Vec<AttackRef<'_>> {
-        attacks.iter().map(Attack::view).collect()
+    /// A two-address NTP carpet.
+    fn ntp_carpet() -> AttackRef<'static> {
+        AttackRef {
+            id: AttackId(1),
+            class: AttackClass::ReflectionAmplification,
+            vector: AttackVector::Amplification(AmpVector::Ntp),
+            start: SimTime(1000),
+            duration_secs: 600,
+            targets: &[Ipv4(0x0102_0304), Ipv4(0x0102_0305)],
+            target_asn: Asn(16276),
+            pps: 50_000.0,
+            bps: 4e9,
+            reflector_count: Some(800),
+            spoof_space_fraction: 1.0,
+            campaign: None,
+        }
+    }
+
+    #[test]
+    fn derived_quantities() {
+        let a = ntp_carpet();
+        assert_eq!(a.end(), SimTime(1600));
+        assert_eq!(a.primary_target(), Ipv4::new(1, 2, 3, 4));
+        assert!(a.is_carpet_bombing());
+        assert_eq!(a.pps_per_target(), 25_000.0);
+        assert_eq!(a.total_packets(), 30_000_000.0);
+    }
+
+    #[test]
+    fn single_target_not_carpet() {
+        let mut a = ntp_carpet();
+        a.targets = &a.targets[..1];
+        assert!(!a.is_carpet_bombing());
+        assert_eq!(a.pps_per_target(), a.pps);
     }
 
     #[test]
     fn round_trips_attacks_exactly() {
         let attacks = sample_attacks();
-        let cols = AttackColumns::from_attacks(&attacks);
+        let cols = columns(&attacks);
         assert_eq!(cols.len(), 3);
-        assert_eq!(rows(&cols), views(&attacks));
+        assert_eq!(rows(&cols), attacks);
         for (a, r) in attacks.iter().zip(cols.iter()) {
             assert_eq!(a.end(), r.end());
             assert_eq!(a.is_carpet_bombing(), r.is_carpet_bombing());
@@ -880,7 +760,7 @@ mod tests {
 
     #[test]
     fn arena_ranges_are_contiguous() {
-        let cols = AttackColumns::from_attacks(&sample_attacks());
+        let cols = columns(&sample_attacks());
         assert_eq!(cols.target_offsets, vec![0, 1, 4, 5]);
         assert_eq!(cols.target_arena.len(), 5);
         assert_eq!(cols.targets(1).len(), 3);
@@ -889,10 +769,10 @@ mod tests {
     #[test]
     fn sort_matches_struct_sort() {
         let mut attacks = sample_attacks();
-        let mut cols = AttackColumns::from_attacks(&attacks);
+        let mut cols = columns(&attacks);
         attacks.sort_by_key(|a| (a.start, a.id));
         cols.sort_by_start_id();
-        assert_eq!(rows(&cols), views(&attacks));
+        assert_eq!(rows(&cols), attacks);
         // Idempotent (hits the already-sorted fast path).
         let before = cols.clone();
         cols.sort_by_start_id();
@@ -905,20 +785,21 @@ mod tests {
         // 300 s past each boundary (like companion attacks), exactly
         // the shape `generate_study_on` feeds the merge. Every shard
         // has dense local ids in generation order.
-        let template = &sample_attacks()[0];
-        let row = |id: u64, start: i64| {
-            let mut a = template.clone();
-            a.id = AttackId(id);
-            a.start = SimTime(start);
-            a.targets = vec![Ipv4(0x0A00_0000 + id as u32)];
-            a
+        let template = sample_attacks()[0];
+        // Row `id`'s one target, borrowed by every shard's row `id`.
+        let ips: Vec<Ipv4> = (0..40).map(|id| Ipv4(0x0A00_0000 + id)).collect();
+        let row = |id: u64, start: i64| AttackRef {
+            id: AttackId(id),
+            start: SimTime(start),
+            targets: &ips[id as usize..=id as usize],
+            ..template
         };
         let mut rng = 0x9E37_79B9u64;
         let mut next = move |m: u64| {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (rng >> 33) % m
         };
-        let mut shard_rows = |week: i64, n: u64| -> Vec<Attack> {
+        let mut shard_rows = |week: i64, n: u64| -> Vec<AttackRef<'_>> {
             (0..n)
                 .map(|i| {
                     // ~1 in 6 rows spills past the week boundary.
@@ -927,16 +808,17 @@ mod tests {
                 })
                 .collect()
         };
-        let shards: Vec<Vec<Attack>> = (0..3).map(|w| shard_rows(w, 40)).collect();
+        let shards: Vec<Vec<AttackRef>> = (0..3).map(|w| shard_rows(w, 40)).collect();
 
         // Reference: concatenate with globally rebased ids, then sort.
         let mut reference = AttackColumns::new();
         let mut base = 0u64;
         for shard in &shards {
-            for a in shard {
-                let mut a = a.clone();
-                a.id = AttackId(base + a.id.0);
-                reference.push(&a);
+            for &a in shard {
+                reference.push(AttackRef {
+                    id: AttackId(base + a.id.0),
+                    ..a
+                });
             }
             base += shard.len() as u64;
         }
@@ -947,7 +829,7 @@ mod tests {
         let mut carry = AttackColumns::new();
         let mut assigned = 0u64;
         for (w, shard) in shards.iter().enumerate() {
-            let mut cols = AttackColumns::from_attacks(shard);
+            let mut cols = columns(shard);
             cols.sort_by_start_id();
             let bound = (w + 1 < shards.len()).then(|| (w as u32 + 1) * 2000);
             out.merge_sorted_shard(cols, assigned, &mut carry, bound);
@@ -960,8 +842,7 @@ mod tests {
 
     #[test]
     fn carry_merge_handles_empty_and_single_shards() {
-        let attacks = sample_attacks();
-        let mut sorted = AttackColumns::from_attacks(&attacks);
+        let mut sorted = columns(&sample_attacks());
         sorted.sort_by_start_id();
 
         // One shard, no bound: plain append.
@@ -984,7 +865,7 @@ mod tests {
 
     #[test]
     fn iterator_contracts() {
-        let cols = AttackColumns::from_attacks(&sample_attacks());
+        let cols = columns(&sample_attacks());
         assert_eq!(cols.iter().len(), 3);
         let ids: Vec<u64> = cols.iter().map(|a| a.id.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
@@ -996,7 +877,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let cols = AttackColumns::from_attacks(&sample_attacks());
+        let cols = columns(&sample_attacks());
         let json = serde_json::to_string(&cols).expect("serialize");
         let back: AttackColumns = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, cols);
@@ -1009,7 +890,7 @@ mod tests {
 
     #[test]
     fn resident_bytes_tracks_columns() {
-        let cols = AttackColumns::from_attacks(&sample_attacks());
+        let cols = columns(&sample_attacks());
         let b = cols.resident_bytes();
         use std::mem::size_of;
         let per_row = 4 * size_of::<u32>()          // id, start, duration, reflector_count
@@ -1131,28 +1012,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "reflectors on a non-amplification vector")]
     fn inconsistent_reflectors_rejected() {
-        let mut a = sample_attacks().remove(0);
-        a.reflectors = Some(ReflectorUse {
-            vector: AmpVector::Dns,
-            reflector_count: 10,
-        });
-        AttackColumns::new().push(&a);
+        let mut a = sample_attacks()[0];
+        a.reflector_count = Some(10);
+        AttackColumns::new().push(a);
     }
 
     #[test]
     #[should_panic(expected = "start outside the u32-seconds column")]
     fn negative_start_rejected() {
-        let mut a = sample_attacks().remove(0);
+        let mut a = sample_attacks()[0];
         a.start = SimTime(-1);
-        AttackColumns::new().push(&a);
+        AttackColumns::new().push(a);
     }
 
     #[test]
     fn amp_vector_without_reflectors_round_trips() {
-        let mut a = sample_attacks().remove(1);
-        a.reflectors = None;
-        let cols = AttackColumns::from_attacks(std::slice::from_ref(&a));
-        assert_eq!(cols.get(0).reflectors, None);
-        assert_eq!(cols.get(0), a.view());
+        let mut a = sample_attacks()[1];
+        a.reflector_count = None;
+        let cols = columns(&[a]);
+        assert_eq!(cols.get(0).reflector_count, None);
+        assert_eq!(cols.get(0), a);
     }
 }

@@ -2,9 +2,9 @@
 //! campaign schedule into the ground-truth attack population for the
 //! whole study window.
 
-use crate::attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
+use crate::attack::{AttackClass, AttackId, AttackVector};
 use crate::campaigns::{random_campaigns, scripted_campaigns, Campaign, CampaignScope};
-use crate::columns::AttackColumns;
+use crate::columns::{AttackColumns, AttackRef};
 use crate::shape::ShapeParams;
 use crate::timeline::TimelineParams;
 use netmodel::{Asn, InternetPlan, Ipv4, Rir};
@@ -76,6 +76,16 @@ impl WeekCtx {
         self.next_id += 1;
         id
     }
+}
+
+/// The fields of a row drawn after its class and vector are known: the
+/// part a companion attack samples exactly as a standalone one does.
+struct Shape {
+    duration_secs: u32,
+    pps: f64,
+    bps: f64,
+    reflector_count: Option<u32>,
+    spoof_space_fraction: f64,
 }
 
 impl<'a> AttackGenerator<'a> {
@@ -223,6 +233,9 @@ impl<'a> AttackGenerator<'a> {
         }
         let frac = days_in_week as f64 / 7.0;
         let mid = week_start.plus_days(days_in_week / 2);
+        // Every row of the week borrows its targets from this buffer
+        // until `push` copies them into the arena.
+        let mut targets = Vec::new();
 
         for class in [
             AttackClass::DirectPathSpoofed,
@@ -236,9 +249,9 @@ impl<'a> AttackGenerator<'a> {
             let n = poisson(&mut ctx.rng, rate);
             for _ in 0..n {
                 let start = self.uniform_start(&mut ctx, week_start, days_in_week);
-                if let Some(a) = self.sample_attack(&mut ctx, class, start, None) {
-                    self.maybe_companion(&mut ctx, &a, out);
-                    out.push(&a);
+                if let Some(a) = self.sample_attack(&mut ctx, &mut targets, class, start, None) {
+                    self.maybe_companion(&mut ctx, a, out);
+                    out.push(a);
                 }
             }
         }
@@ -253,8 +266,9 @@ impl<'a> AttackGenerator<'a> {
             );
             for _ in 0..n {
                 let start = self.uniform_start(&mut ctx, week_start, days_in_week);
-                if let Some(a) = self.sample_attack(&mut ctx, c.class, start, Some(c)) {
-                    out.push(&a);
+                if let Some(a) = self.sample_attack(&mut ctx, &mut targets, c.class, start, Some(c))
+                {
+                    out.push(a);
                 }
             }
         }
@@ -264,15 +278,17 @@ impl<'a> AttackGenerator<'a> {
         week_start.plus_secs(ctx.rng.u64_below((days * 86_400) as u64) as i64)
     }
 
-    /// Sample one attack of the given class starting at `start`.
-    /// Returns `None` only if target selection fails (empty scope).
-    fn sample_attack(
+    /// Sample one attack of the given class starting at `start`, its
+    /// targets written over `targets`. Returns `None` only if target
+    /// selection fails (empty scope).
+    fn sample_attack<'t>(
         &self,
         ctx: &mut WeekCtx,
+        targets: &'t mut Vec<Ipv4>,
         class: AttackClass,
         start: SimTime,
         campaign: Option<&Campaign>,
-    ) -> Option<Attack> {
+    ) -> Option<AttackRef<'t>> {
         let (target, asn) = self.pick_target(ctx, class, start, campaign.map(|c| &c.scope))?;
         let vector = match campaign {
             Some(c) => c.vector,
@@ -285,53 +301,35 @@ impl<'a> AttackGenerator<'a> {
                     && ctx.rng.chance(self.cfg.shape.carpet_probability)
             }
         };
-        let targets = if carpet {
+        targets.clear();
+        if carpet {
             let width_range = campaign.and_then(|c| c.carpet_width);
-            self.carpet_targets(ctx, target, width_range)
+            self.carpet_targets(ctx, target, width_range, targets);
         } else {
-            vec![target]
-        };
-        let duration_secs = self.cfg.shape.sample_duration(&mut ctx.rng);
+            targets.push(target);
+        }
         let pps_scale = campaign.map(|c| c.pps_scale).unwrap_or(1.0);
-        let pps = self.cfg.shape.sample_pps(&mut ctx.rng) * pps_scale;
-        let bps = match vector.amp_vector() {
-            Some(v) => pps * v.response_bytes() as f64 * 8.0,
-            None => self.cfg.shape.pps_to_bps(pps),
-        };
-        let reflectors = vector.amp_vector().map(|v| {
-            let pool = *self.plan.reflector_pools.get(&v).unwrap_or(&1);
-            ReflectorUse {
-                vector: v,
-                reflector_count: self.cfg.shape.sample_reflector_count(pool, &mut ctx.rng),
-            }
-        });
-        let spoof_space_fraction = match class {
-            AttackClass::DirectPathSpoofed => self.cfg.shape.sample_spoof_space(&mut ctx.rng),
-            // RA spoofs exactly the victim address; non-spoofed DP does
-            // not spoof. Neither rotates over the address space.
-            _ => 0.0,
-        };
-        Some(Attack {
+        let shape = self.sample_shape(ctx, class, vector, pps_scale);
+        Some(AttackRef {
             id: ctx.next_attack_id(),
             class,
             vector,
             start,
-            duration_secs,
+            duration_secs: shape.duration_secs,
             targets,
             target_asn: asn,
-            pps,
-            bps,
-            reflectors,
-            spoof_space_fraction,
+            pps: shape.pps,
+            bps: shape.bps,
+            reflector_count: shape.reflector_count,
+            spoof_space_fraction: shape.spoof_space_fraction,
             campaign: campaign.map(|c| c.id),
         })
     }
 
     /// With small probability, attach a companion attack of the other
     /// class against the same primary target (multi-vector attacks,
-    /// §7.1). The companion row precedes its parent in the columns,
-    /// exactly as it preceded it in the old vector.
-    fn maybe_companion(&self, ctx: &mut WeekCtx, a: &Attack, out: &mut AttackColumns) {
+    /// §7.1). The companion row precedes its parent in the columns.
+    fn maybe_companion(&self, ctx: &mut WeekCtx, a: AttackRef<'_>, out: &mut AttackColumns) {
         if !ctx.rng.chance(self.cfg.shape.multi_class_probability) {
             return;
         }
@@ -341,24 +339,8 @@ impl<'a> AttackGenerator<'a> {
             AttackClass::ReflectionAmplification
         };
         let vector = self.pick_vector(ctx, class, a.start);
-        let duration_secs = self.cfg.shape.sample_duration(&mut ctx.rng);
-        let pps = self.cfg.shape.sample_pps(&mut ctx.rng);
-        let bps = match vector.amp_vector() {
-            Some(v) => pps * v.response_bytes() as f64 * 8.0,
-            None => self.cfg.shape.pps_to_bps(pps),
-        };
-        let reflectors = vector.amp_vector().map(|v| {
-            let pool = *self.plan.reflector_pools.get(&v).unwrap_or(&1);
-            ReflectorUse {
-                vector: v,
-                reflector_count: self.cfg.shape.sample_reflector_count(pool, &mut ctx.rng),
-            }
-        });
-        let spoof_space_fraction = match class {
-            AttackClass::DirectPathSpoofed => self.cfg.shape.sample_spoof_space(&mut ctx.rng),
-            _ => 0.0,
-        };
-        out.push(&Attack {
+        let shape = self.sample_shape(ctx, class, vector, 1.0);
+        out.push(AttackRef {
             id: ctx.next_attack_id(),
             class,
             vector,
@@ -366,15 +348,50 @@ impl<'a> AttackGenerator<'a> {
             // classes, which the cross-observatory target join sees as a
             // same-(date, IP) tuple.
             start: a.start.plus_secs(ctx.rng.u64_below(1800) as i64),
-            duration_secs,
-            targets: vec![a.primary_target()],
+            duration_secs: shape.duration_secs,
+            targets: &a.targets[..1],
             target_asn: a.target_asn,
-            pps,
-            bps,
-            reflectors,
-            spoof_space_fraction,
+            pps: shape.pps,
+            bps: shape.bps,
+            reflector_count: shape.reflector_count,
+            spoof_space_fraction: shape.spoof_space_fraction,
             campaign: a.campaign,
         });
+    }
+
+    /// Draw a row's duration, packet rate (times `pps_scale`: a
+    /// campaign's, 1.0 otherwise), bit rate, reflector count and spoofed
+    /// space, in that order.
+    fn sample_shape(
+        &self,
+        ctx: &mut WeekCtx,
+        class: AttackClass,
+        vector: AttackVector,
+        pps_scale: f64,
+    ) -> Shape {
+        let duration_secs = self.cfg.shape.sample_duration(&mut ctx.rng);
+        let pps = self.cfg.shape.sample_pps(&mut ctx.rng) * pps_scale;
+        let bps = match vector.amp_vector() {
+            Some(v) => pps * v.response_bytes() as f64 * 8.0,
+            None => self.cfg.shape.pps_to_bps(pps),
+        };
+        let reflector_count = vector.amp_vector().map(|v| {
+            let pool = *self.plan.reflector_pools.get(&v).unwrap_or(&1);
+            self.cfg.shape.sample_reflector_count(pool, &mut ctx.rng)
+        });
+        let spoof_space_fraction = match class {
+            AttackClass::DirectPathSpoofed => self.cfg.shape.sample_spoof_space(&mut ctx.rng),
+            // RA spoofs exactly the victim address; non-spoofed DP does
+            // not spoof. Neither rotates over the address space.
+            _ => 0.0,
+        };
+        Shape {
+            duration_secs,
+            pps,
+            bps,
+            reflector_count,
+            spoof_space_fraction,
+        }
     }
 
     fn pick_vector(&self, ctx: &mut WeekCtx, class: AttackClass, t: SimTime) -> AttackVector {
@@ -477,16 +494,17 @@ impl<'a> AttackGenerator<'a> {
         }
     }
 
-    /// Build a carpet-bombing target list: consecutive addresses inside
-    /// the victim's routed prefix (Appendix I: attacks spread within one
-    /// BGP-routed block; region-wide campaigns emerge from many such
-    /// attacks).
+    /// Append a carpet-bombing target list to `out`: consecutive
+    /// addresses inside the victim's routed prefix (Appendix I: attacks
+    /// spread within one BGP-routed block; region-wide campaigns emerge
+    /// from many such attacks).
     fn carpet_targets(
         &self,
         ctx: &mut WeekCtx,
         seed_ip: Ipv4,
         width_range: Option<(u32, u32)>,
-    ) -> Vec<Ipv4> {
+        out: &mut Vec<Ipv4>,
+    ) {
         let width = match width_range {
             Some((lo, hi)) => ctx.rng.u64_range(lo as u64, hi as u64),
             None => self.cfg.shape.sample_carpet_width(&mut ctx.rng) as u64,
@@ -505,7 +523,7 @@ impl<'a> AttackGenerator<'a> {
         };
         // Anchor inside the covering prefix, stepping consecutively.
         let anchor = prefix.nth(base_off);
-        (0..width).map(|i| Ipv4(anchor.0 + i as u32)).collect()
+        out.extend((0..width).map(|i| Ipv4(anchor.0 + i as u32)));
     }
 }
 
@@ -613,16 +631,16 @@ mod tests {
         for a in attacks.iter() {
             match a.class {
                 AttackClass::ReflectionAmplification => {
-                    assert!(a.reflectors.is_some(), "RA without reflectors");
+                    assert!(a.reflector_count.is_some(), "RA without reflectors");
                     assert!(a.vector.amp_vector().is_some());
                     assert_eq!(a.spoof_space_fraction, 0.0);
                 }
                 AttackClass::DirectPathSpoofed => {
-                    assert!(a.reflectors.is_none());
+                    assert!(a.reflector_count.is_none());
                     assert!(a.spoof_space_fraction > 0.0);
                 }
                 AttackClass::DirectPathNonSpoofed => {
-                    assert!(a.reflectors.is_none());
+                    assert!(a.reflector_count.is_none());
                     assert_eq!(a.spoof_space_fraction, 0.0);
                 }
             }

@@ -1,11 +1,11 @@
 //! `attackgen` — the ground-truth DDoS attack generator.
 //!
 //! Produces the attack population the paper's observatories each see a
-//! slice of: attack records ([`attack`]), macro trend dynamics
-//! ([`timeline`]), per-attack property distributions ([`shape`]),
-//! correlated campaign bursts ([`campaigns`]), the generator proper
-//! ([`generator`]) and packet-level synthesis for detector validation
-//! ([`packets`]).
+//! slice of: the attack model ([`attack`]) and its rows ([`columns`]),
+//! macro trend dynamics ([`timeline`]), per-attack property
+//! distributions ([`shape`]), correlated campaign bursts
+//! ([`campaigns`]), the generator proper ([`generator`]) and
+//! packet-level synthesis for detector validation ([`packets`]).
 
 pub mod attack;
 pub mod booters;
@@ -18,7 +18,7 @@ pub mod shape;
 pub mod timeline;
 pub mod wire;
 
-pub use attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
+pub use attack::{AttackClass, AttackId, AttackVector};
 pub use booters::{Booter, BooterMarket, BooterMarketParams};
 pub use campaigns::{Campaign, CampaignScope};
 pub use columns::{AttackColumns, AttackRef, ObservationColumns, ObservedRef};

@@ -116,10 +116,10 @@ pub fn sensor_request_packets(
     sensor: Ipv4,
     rng: &mut SimRng,
 ) -> Vec<PacketEvent> {
-    let Some(refl) = attack.reflectors else {
+    let Some((vector, reflectors)) = attack.vector.amp_vector().zip(attack.reflector_count) else {
         return Vec::new();
     };
-    let per_sensor_pps = attack.pps / refl.reflector_count.max(1) as f64;
+    let per_sensor_pps = attack.pps / reflectors.max(1) as f64;
     let expected = per_sensor_pps * attack.duration_secs as f64;
     let n = poisson(rng, expected).min(MAX_SYNTH_PACKETS);
     let mut out = Vec::with_capacity(n as usize);
@@ -135,7 +135,7 @@ pub fn sensor_request_packets(
             src,
             src_port: attack_ephemeral_port(attack),
             dst: sensor,
-            dst_port: refl.vector.src_port(),
+            dst_port: vector.src_port(),
             transport: Transport::Udp,
             size_bytes: 64,
         });
@@ -198,7 +198,7 @@ pub fn victim_traffic_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{Attack, AttackId, ReflectorUse};
+    use crate::attack::AttackId;
     use netmodel::{AmpVector, Asn};
 
     fn telescope() -> TelescopePlan {
@@ -209,38 +209,35 @@ mod tests {
         }
     }
 
-    fn rsdos_attack(pps: f64, duration: u32) -> Attack {
-        Attack {
+    fn rsdos_attack(pps: f64, duration: u32) -> AttackRef<'static> {
+        AttackRef {
             id: AttackId(7),
             class: AttackClass::DirectPathSpoofed,
             vector: AttackVector::SynFlood,
             start: SimTime(1000),
             duration_secs: duration,
-            targets: vec![Ipv4::new(93, 184, 216, 34)],
+            targets: &[Ipv4(0x5DB8_D822)], // 93.184.216.34
             target_asn: Asn(100),
             pps,
             bps: pps * 500.0 * 8.0,
-            reflectors: None,
+            reflector_count: None,
             spoof_space_fraction: 1.0,
             campaign: None,
         }
     }
 
-    fn ra_attack() -> Attack {
-        Attack {
+    fn ra_attack() -> AttackRef<'static> {
+        AttackRef {
             id: AttackId(8),
             class: AttackClass::ReflectionAmplification,
             vector: AttackVector::Amplification(AmpVector::Ntp),
             start: SimTime(5000),
             duration_secs: 600,
-            targets: vec![Ipv4::new(203, 0, 4, 4)],
+            targets: &[Ipv4(0xCB00_0404)], // 203.0.4.4
             target_asn: Asn(200),
             pps: 60_000.0,
             bps: 1e9,
-            reflectors: Some(ReflectorUse {
-                vector: AmpVector::Ntp,
-                reflector_count: 600,
-            }),
+            reflector_count: Some(600),
             spoof_space_fraction: 0.0,
             campaign: None,
         }
@@ -251,7 +248,7 @@ mod tests {
         let tele = telescope();
         let attack = rsdos_attack(100_000.0, 300);
         let mut rng = SimRng::new(1);
-        let pkts = backscatter_packets(attack.view(), &tele, &mut rng);
+        let pkts = backscatter_packets(attack, &tele, &mut rng);
         let expected = attack.total_packets()
             * BACKSCATTER_RESPONSE_RATE
             * tele.coverage();
@@ -267,7 +264,7 @@ mod tests {
         let tele = telescope();
         let attack = rsdos_attack(50_000.0, 120);
         let mut rng = SimRng::new(2);
-        let pkts = backscatter_packets(attack.view(), &tele, &mut rng);
+        let pkts = backscatter_packets(attack, &tele, &mut rng);
         assert!(!pkts.is_empty());
         for p in &pkts {
             assert_eq!(p.src, attack.primary_target());
@@ -285,12 +282,12 @@ mod tests {
     fn backscatter_only_for_spoofed_dp() {
         let tele = telescope();
         let mut rng = SimRng::new(3);
-        let pkts = backscatter_packets(ra_attack().view(), &tele, &mut rng);
+        let pkts = backscatter_packets(ra_attack(), &tele, &mut rng);
         assert!(pkts.is_empty());
         let mut nonspoofed = rsdos_attack(50_000.0, 120);
         nonspoofed.class = AttackClass::DirectPathNonSpoofed;
         nonspoofed.spoof_space_fraction = 0.0;
-        assert!(backscatter_packets(nonspoofed.view(), &tele, &mut rng).is_empty());
+        assert!(backscatter_packets(nonspoofed, &tele, &mut rng).is_empty());
     }
 
     #[test]
@@ -302,7 +299,7 @@ mod tests {
         let mut missed = 0;
         let mut hit_counts = Vec::new();
         for _ in 0..200 {
-            let pkts = backscatter_packets(attack.view(), &tele, &mut rng);
+            let pkts = backscatter_packets(attack, &tele, &mut rng);
             if pkts.is_empty() {
                 missed += 1;
             } else {
@@ -327,7 +324,7 @@ mod tests {
         let attack = ra_attack();
         let sensor = Ipv4::new(9, 9, 9, 9);
         let mut rng = SimRng::new(5);
-        let pkts = sensor_request_packets(attack.view(), sensor, &mut rng);
+        let pkts = sensor_request_packets(attack, sensor, &mut rng);
         // 60k pps / 600 reflectors * 600 s = 60000 expected.
         let expected = 60_000.0;
         let got = pkts.len() as f64;
@@ -344,7 +341,7 @@ mod tests {
     fn sensor_requests_empty_for_dp() {
         let mut rng = SimRng::new(6);
         let pkts = sensor_request_packets(
-            rsdos_attack(10_000.0, 60).view(),
+            rsdos_attack(10_000.0, 60),
             Ipv4::new(9, 9, 9, 9),
             &mut rng,
         );
@@ -353,10 +350,13 @@ mod tests {
 
     #[test]
     fn carpet_requests_rotate_sources() {
-        let mut attack = ra_attack();
-        attack.targets = (0..16).map(|i| Ipv4::new(203, 0, 8, i)).collect();
+        let carpet: Vec<Ipv4> = (0..16).map(|i| Ipv4::new(203, 0, 8, i)).collect();
+        let attack = AttackRef {
+            targets: &carpet,
+            ..ra_attack()
+        };
         let mut rng = SimRng::new(7);
-        let pkts = sensor_request_packets(attack.view(), Ipv4::new(9, 9, 9, 9), &mut rng);
+        let pkts = sensor_request_packets(attack, Ipv4::new(9, 9, 9, 9), &mut rng);
         let distinct: std::collections::HashSet<Ipv4> = pkts.iter().map(|p| p.src).collect();
         assert!(distinct.len() > 8, "only {} distinct sources", distinct.len());
     }
@@ -365,7 +365,7 @@ mod tests {
     fn victim_sample_caps_and_targets() {
         let attack = ra_attack();
         let mut rng = SimRng::new(8);
-        let pkts = victim_traffic_sample(attack.view(), 500, &mut rng);
+        let pkts = victim_traffic_sample(attack, 500, &mut rng);
         assert_eq!(pkts.len(), 500);
         for p in &pkts {
             assert_eq!(p.dst, attack.primary_target());
@@ -378,7 +378,7 @@ mod tests {
     fn victim_sample_spoofed_sources_diverse() {
         let attack = rsdos_attack(100_000.0, 300);
         let mut rng = SimRng::new(9);
-        let pkts = victim_traffic_sample(attack.view(), 1000, &mut rng);
+        let pkts = victim_traffic_sample(attack, 1000, &mut rng);
         let distinct: std::collections::HashSet<Ipv4> = pkts.iter().map(|p| p.src).collect();
         assert!(distinct.len() > 990, "spoofed sources should be ~unique");
     }
@@ -386,7 +386,7 @@ mod tests {
     #[test]
     fn ephemeral_port_stable_and_in_range() {
         let a = ra_attack();
-        assert_eq!(attack_ephemeral_port(a.view()), attack_ephemeral_port(a.view()));
-        assert!(attack_ephemeral_port(a.view()) >= 49_152);
+        assert_eq!(attack_ephemeral_port(a), attack_ephemeral_port(a));
+        assert!(attack_ephemeral_port(a) >= 49_152);
     }
 }

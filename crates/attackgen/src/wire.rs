@@ -227,37 +227,38 @@ impl ObservationColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{Attack, AttackId, ReflectorUse};
+    use crate::attack::AttackId;
+    use crate::columns::AttackRef;
     use netmodel::AmpVector;
     use simcore::SimTime;
 
     fn sample_attacks() -> AttackColumns {
         let mut cols = AttackColumns::new();
-        cols.push(&Attack {
+        cols.push(AttackRef {
             id: AttackId(1),
             class: AttackClass::DirectPathSpoofed,
             vector: AttackVector::SynFlood,
             start: SimTime(1000),
             duration_secs: 60,
-            targets: vec![Ipv4(0x01020304)],
+            targets: &[Ipv4(0x01020304)],
             target_asn: Asn(16276),
             pps: 1.5e6,
             bps: 9.9e9,
-            reflectors: None,
+            reflector_count: None,
             spoof_space_fraction: 1.0,
             campaign: None,
         });
-        cols.push(&Attack {
+        cols.push(AttackRef {
             id: AttackId(2),
             class: AttackClass::ReflectionAmplification,
             vector: AttackVector::Amplification(AmpVector::Cldap),
             start: SimTime(5000),
             duration_secs: 600,
-            targets: vec![Ipv4(0x0A0B0C01), Ipv4(0x0A0B0C02), Ipv4(0x0A0B0C03)],
+            targets: &[Ipv4(0x0A0B0C01), Ipv4(0x0A0B0C02), Ipv4(0x0A0B0C03)],
             target_asn: Asn(24940),
             pps: 3.0e5,
             bps: 2.2e9,
-            reflectors: Some(ReflectorUse { vector: AmpVector::Cldap, reflector_count: 512 }),
+            reflector_count: Some(512),
             spoof_space_fraction: 0.0,
             campaign: Some(7),
         });
@@ -281,9 +282,10 @@ mod tests {
         // The decoded view surface works (offsets rebuilt correctly).
         assert_eq!(back.get(1).targets.len(), 3);
         assert_eq!(back.get(1).campaign, Some(7));
+        assert_eq!(back.get(1).reflector_count, Some(512));
         assert_eq!(
-            back.get(1).reflectors,
-            Some(ReflectorUse { vector: AmpVector::Cldap, reflector_count: 512 })
+            back.get(1).vector,
+            AttackVector::Amplification(AmpVector::Cldap)
         );
     }
 

@@ -2,32 +2,32 @@
 //! the id column for any permutation of `0..n`, and a loud failure,
 //! naming the id, for anything else.
 
-use attackgen::attack::{Attack, AttackClass, AttackId, AttackVector};
-use attackgen::AttackColumns;
+use attackgen::attack::{AttackClass, AttackId, AttackVector};
+use attackgen::{AttackColumns, AttackRef};
 use netmodel::{Asn, Ipv4};
 use proptest::prelude::*;
 use simcore::{SimRng, SimTime};
 
 /// One minimal attack row per id, in the given order.
 fn columns(ids: &[u64]) -> AttackColumns {
-    let attacks: Vec<Attack> = ids
-        .iter()
-        .map(|&id| Attack {
+    let mut cols = AttackColumns::new();
+    for &id in ids {
+        cols.push(AttackRef {
             id: AttackId(id),
             class: AttackClass::DirectPathSpoofed,
             vector: AttackVector::SynFlood,
             start: SimTime(id as i64),
             duration_secs: 60,
-            targets: vec![Ipv4(id as u32)],
+            targets: &[Ipv4(id as u32)],
             target_asn: Asn(1),
             pps: 1.0,
             bps: 1.0,
-            reflectors: None,
+            reflector_count: None,
             spoof_space_fraction: 1.0,
             campaign: None,
-        })
-        .collect();
-    AttackColumns::from_attacks(&attacks)
+        });
+    }
+    cols
 }
 
 proptest! {

@@ -55,7 +55,8 @@ pub fn detval(run: &StudyRun) -> ExperimentResult {
         .iter()
         .filter(|a| {
             a.class == AttackClass::ReflectionAmplification
-                && a.reflectors.map(|r| hp_cfg.supports(r.vector)) == Some(true)
+                && a.reflector_count.is_some()
+                && a.vector.amp_vector().is_some_and(|v| hp_cfg.supports(v))
                 && !a.is_carpet_bombing()
         })
         .step_by((run.attacks.len() / (SAMPLE * 4)).max(1))
@@ -72,10 +73,10 @@ pub fn detval(run: &StudyRun) -> ExperimentResult {
         let packet = !det.finish().is_empty();
         // Event-side threshold check, selection forced: per-sensor
         // request volume vs the platform threshold.
-        let Some(refl) = a.reflectors else {
+        let Some(reflectors) = a.reflector_count else {
             continue; // RA sample filter guarantees reflectors; stay panic-free
         };
-        let expected = a.pps / refl.reflector_count.max(1) as f64 * a.duration_secs as f64;
+        let expected = a.pps / reflectors.max(1) as f64 * a.duration_secs as f64;
         let event = expected >= hp_cfg.min_packets as f64;
         hp_total += 1;
         hp_agree += (event == packet) as usize;

@@ -104,7 +104,7 @@ impl Akamai {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{Attack, AttackId, AttackVector};
+    use attackgen::attack::{AttackId, AttackVector};
     use netmodel::{Asn, Ipv4, NetScale};
     use simcore::SimTime;
 
@@ -113,23 +113,23 @@ mod tests {
         InternetPlan::build(&NetScale::tiny(), &mut rng)
     }
 
-    fn seen(ak: &Akamai, a: &Attack, root: &SimRng) -> bool {
+    fn seen(ak: &Akamai, a: AttackRef<'_>, root: &SimRng) -> bool {
         let mut out = ObservationColumns::new();
-        ak.observe_into(a.view(), root, &mut out).is_some()
+        ak.observe_into(a, root, &mut out).is_some()
     }
 
-    fn attack_on(ip: Ipv4, id: u64, class: AttackClass) -> Attack {
-        Attack {
+    fn attack_on(targets: &[Ipv4], id: u64, class: AttackClass) -> AttackRef<'_> {
+        AttackRef {
             id: AttackId(id),
             class,
             vector: AttackVector::SynFlood,
             start: SimTime(1000),
             duration_secs: 300,
-            targets: vec![ip],
+            targets,
             target_asn: Asn(1),
             pps: 50_000.0,
             bps: 1.7e8,
-            reflectors: None,
+            reflector_count: None,
             spoof_space_fraction: 0.0,
             campaign: None,
         }
@@ -140,11 +140,11 @@ mod tests {
         let plan = plan();
         let ak = Akamai::with_defaults(&plan);
         let root = SimRng::new(1);
-        let ip = plan.akamai_prefix_list[0].nth(3);
+        let ip = [plan.akamai_prefix_list[0].nth(3)];
         let hits = (0..200)
             .filter(|&id| {
-                let a = attack_on(ip, id, AttackClass::DirectPathNonSpoofed);
-                seen(&ak, &a, &root)
+                let a = attack_on(&ip, id, AttackClass::DirectPathNonSpoofed);
+                seen(&ak, a, &root)
             })
             .count();
         assert!(hits > 170, "seen {hits}");
@@ -156,16 +156,16 @@ mod tests {
         let ak = Akamai::with_defaults(&plan);
         let root = SimRng::new(1);
         // Find an address outside all protected prefixes.
-        let outside = plan
+        let outside = [plan
             .registry
             .iter()
             .flat_map(|r| r.prefixes.iter())
             .map(|p| p.nth(1))
             .find(|&ip| !ak.protects(ip))
-            .unwrap();
+            .unwrap()];
         for id in 0..100 {
-            let a = attack_on(outside, id, AttackClass::DirectPathNonSpoofed);
-            assert!(!seen(&ak, &a, &root));
+            let a = attack_on(&outside, id, AttackClass::DirectPathNonSpoofed);
+            assert!(!seen(&ak, a, &root));
         }
     }
 
@@ -174,11 +174,11 @@ mod tests {
         let plan = plan();
         let ak = Akamai::with_defaults(&plan);
         let root = SimRng::new(1);
-        let ip = plan.akamai_prefix_list[0].nth(3);
+        let ip = [plan.akamai_prefix_list[0].nth(3)];
         for id in 0..100 {
-            let mut a = attack_on(ip, id, AttackClass::DirectPathNonSpoofed);
+            let mut a = attack_on(&ip, id, AttackClass::DirectPathNonSpoofed);
             a.bps = 1e6;
-            assert!(!seen(&ak, &a, &root));
+            assert!(!seen(&ak, a, &root));
         }
     }
 
@@ -195,12 +195,12 @@ mod tests {
             .map(|p| p.nth(1))
             .find(|&ip| !ak.protects(ip))
             .unwrap();
+        let carpet = [protected, outside];
         let mut found = false;
         for id in 0..50 {
-            let mut a = attack_on(protected, id, AttackClass::ReflectionAmplification);
-            a.targets = vec![protected, outside];
+            let a = attack_on(&carpet, id, AttackClass::ReflectionAmplification);
             let mut out = ObservationColumns::new();
-            if let Some(class) = ak.observe_into(a.view(), &root, &mut out) {
+            if let Some(class) = ak.observe_into(a, &root, &mut out) {
                 assert!(class.is_reflection());
                 assert_eq!(out.targets(0), [protected]);
                 found = true;
@@ -214,11 +214,11 @@ mod tests {
         let plan = plan();
         let ak = Akamai::with_defaults(&plan);
         let root = SimRng::new(1);
-        let ip = plan.akamai_prefix_list[0].nth(3);
-        let attacks: Vec<Attack> = (0..200)
+        let ip = [plan.akamai_prefix_list[0].nth(3)];
+        let attacks: Vec<AttackRef> = (0..200)
             .map(|id| {
                 attack_on(
-                    ip,
+                    &ip,
                     id,
                     if id % 2 == 0 {
                         AttackClass::ReflectionAmplification
@@ -230,8 +230,8 @@ mod tests {
             .collect();
         // Route each detection by the class it reports.
         let (mut ra, mut dp) = (Vec::new(), Vec::new());
-        for a in &attacks {
-            match ak.observe_into(a.view(), &root, &mut ObservationColumns::new()) {
+        for &a in &attacks {
+            match ak.observe_into(a, &root, &mut ObservationColumns::new()) {
                 Some(class) if class.is_reflection() => ra.push(a.id.0),
                 Some(_) => dp.push(a.id.0),
                 None => {}

@@ -110,10 +110,10 @@ impl IxpBlackholing {
         // non-spoofed.
         let (detection, src_ips, min_bps, transport_ok) = match attack.class {
             AttackClass::ReflectionAmplification => {
-                let refl = attack.reflectors?;
+                let reflectors = attack.reflector_count?;
                 (
                     IxpDetection::ReflectionAmplification,
-                    refl.reflector_count as u64,
+                    reflectors as u64,
                     self.cfg.ra_min_bps,
                     true, // reflected responses are UDP from the service port
                 )
@@ -183,7 +183,7 @@ pub fn classify_blackholed_traffic(packets: &[PacketEvent], cfg: &IxpConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{Attack, AttackId, AttackVector, ReflectorUse};
+    use attackgen::attack::{AttackId, AttackVector};
     use netmodel::{Ipv4, NetScale};
     use simcore::SimTime;
 
@@ -196,29 +196,25 @@ mod tests {
         *plan.ixp_members.iter().next().expect("no IXP members")
     }
 
-    fn attack(plan: &InternetPlan, id: u64, class: AttackClass, bps: f64) -> Attack {
+    fn attack(plan: &InternetPlan, id: u64, class: AttackClass, bps: f64) -> AttackRef<'static> {
         let asn = member_asn(plan);
-        let (vector, reflectors) = match class {
-            AttackClass::ReflectionAmplification => (
-                AttackVector::Amplification(AmpVector::Dns),
-                Some(ReflectorUse {
-                    vector: AmpVector::Dns,
-                    reflector_count: 500,
-                }),
-            ),
+        let (vector, reflector_count) = match class {
+            AttackClass::ReflectionAmplification => {
+                (AttackVector::Amplification(AmpVector::Dns), Some(500))
+            }
             _ => (AttackVector::SynFlood, None),
         };
-        Attack {
+        AttackRef {
             id: AttackId(id),
             class,
             vector,
             start: SimTime(1000),
             duration_secs: 300,
-            targets: vec![Ipv4::new(10, 0, 0, 1)],
+            targets: &[Ipv4(0x0A00_0001)], // 10.0.0.1
             target_asn: asn,
             pps: bps / 8.0 / 420.0,
             bps,
-            reflectors,
+            reflector_count,
             spoof_space_fraction: if class == AttackClass::DirectPathSpoofed { 1.0 } else { 0.0 },
             campaign: None,
         }
@@ -232,7 +228,7 @@ mod tests {
         let seen = (0..200)
             .filter(|&id| {
                 let a = attack(&plan, id, AttackClass::DirectPathSpoofed, 5e8);
-                ixp.observe_view(a.view(), &root).is_some()
+                ixp.observe_view(a, &root).is_some()
             })
             .count();
         // path(0.9) × blackhole(0.5) ≈ 45 %.
@@ -253,7 +249,7 @@ mod tests {
         for id in 0..100 {
             let mut a = attack(&plan, id, AttackClass::DirectPathSpoofed, 5e8);
             a.target_asn = non_member;
-            assert!(ixp.observe_view(a.view(), &root).is_none());
+            assert!(ixp.observe_view(a, &root).is_none());
         }
     }
 
@@ -264,7 +260,7 @@ mod tests {
         let root = SimRng::new(1);
         for id in 0..100 {
             let a = attack(&plan, id, AttackClass::DirectPathSpoofed, 5e7); // 50 Mbps
-            assert!(ixp.observe_view(a.view(), &root).is_none());
+            assert!(ixp.observe_view(a, &root).is_none());
         }
     }
 
@@ -277,9 +273,9 @@ mod tests {
         let mut above = 0;
         for id in 0..200 {
             let weak = attack(&plan, id, AttackClass::ReflectionAmplification, 5e8);
-            below += ixp.observe_view(weak.view(), &root).is_some() as u32;
+            below += ixp.observe_view(weak, &root).is_some() as u32;
             let strong = attack(&plan, 1000 + id, AttackClass::ReflectionAmplification, 5e9);
-            above += ixp.observe_view(strong.view(), &root).is_some() as u32;
+            above += ixp.observe_view(strong, &root).is_some() as u32;
         }
         assert_eq!(below, 0);
         assert!(above > 40, "above {above}");
@@ -292,11 +288,8 @@ mod tests {
         let root = SimRng::new(1);
         for id in 0..100 {
             let mut a = attack(&plan, id, AttackClass::ReflectionAmplification, 5e9);
-            a.reflectors = Some(ReflectorUse {
-                vector: AmpVector::Dns,
-                reflector_count: 5, // under the 10-source floor
-            });
-            assert!(ixp.observe_view(a.view(), &root).is_none());
+            a.reflector_count = Some(5); // under the 10-source floor
+            assert!(ixp.observe_view(a, &root).is_none());
         }
     }
 
@@ -310,7 +303,7 @@ mod tests {
         for id in 0..100 {
             let mut a = attack(&plan, id, AttackClass::DirectPathSpoofed, 5e9);
             a.vector = AttackVector::UdpFlood;
-            assert!(ixp.observe_view(a.view(), &root).is_none());
+            assert!(ixp.observe_view(a, &root).is_none());
         }
     }
 
@@ -319,7 +312,7 @@ mod tests {
         let plan = plan();
         let ixp = IxpBlackholing::with_defaults(&plan);
         let root = SimRng::new(1);
-        let attacks: Vec<Attack> = (0..300)
+        let attacks: Vec<AttackRef> = (0..300)
             .map(|id| {
                 if id % 2 == 0 {
                     attack(&plan, id, AttackClass::ReflectionAmplification, 5e9)
@@ -329,8 +322,8 @@ mod tests {
             })
             .collect();
         let (mut ra, mut dp) = (Vec::new(), Vec::new());
-        for a in &attacks {
-            match ixp.observe_view(a.view(), &root) {
+        for &a in &attacks {
+            match ixp.observe_view(a, &root) {
                 Some(IxpDetection::ReflectionAmplification) => ra.push(a.id.0),
                 Some(IxpDetection::DirectPath) => dp.push(a.id.0),
                 None => {}

@@ -79,7 +79,7 @@ impl MitigationParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{Attack, AttackClass, AttackId, AttackVector};
+    use attackgen::attack::{AttackClass, AttackId, AttackVector};
     use netmodel::{Asn, Ipv4, NetScale};
 
     fn plan() -> InternetPlan {
@@ -87,18 +87,18 @@ mod tests {
         InternetPlan::build(&NetScale::tiny(), &mut rng)
     }
 
-    fn rsdos(id: u64, target: Ipv4, asn: Asn, duration: u32) -> Attack {
-        Attack {
+    fn rsdos(id: u64, targets: &[Ipv4], asn: Asn, duration: u32) -> AttackRef<'_> {
+        AttackRef {
             id: AttackId(id),
             class: AttackClass::DirectPathSpoofed,
             vector: AttackVector::SynFlood,
             start: simcore::SimTime(1000),
             duration_secs: duration,
-            targets: vec![target],
+            targets,
             target_asn: asn,
             pps: 50_000.0,
             bps: 1e8,
-            reflectors: None,
+            reflector_count: None,
             spoof_space_fraction: 1.0,
             campaign: None,
         }
@@ -118,8 +118,9 @@ mod tests {
                     && r.prefixes.iter().all(|p| !plan.akamai_protects(p.base()))
             })
             .unwrap();
-        let a = rsdos(1, outsider.prefixes[0].nth(1), outsider.asn, 3600);
-        assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), 3600);
+        let target = [outsider.prefixes[0].nth(1)];
+        let a = rsdos(1, &target, outsider.asn, 3600);
+        assert_eq!(m.effective_duration_secs(a, &plan, &root), 3600);
     }
 
     #[test]
@@ -130,10 +131,10 @@ mod tests {
             ..MitigationParams::default()
         };
         let root = SimRng::new(1);
-        let target = plan.akamai_prefix_list[0].nth(1);
-        let asn = plan.asn_of(target).unwrap();
-        let a = rsdos(1, target, asn, 3600);
-        assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), 45);
+        let target = [plan.akamai_prefix_list[0].nth(1)];
+        let asn = plan.asn_of(target[0]).unwrap();
+        let a = rsdos(1, &target, asn, 3600);
+        assert_eq!(m.effective_duration_secs(a, &plan, &root), 45);
     }
 
     #[test]
@@ -144,10 +145,10 @@ mod tests {
             ..MitigationParams::default()
         };
         let root = SimRng::new(1);
-        let target = plan.akamai_prefix_list[0].nth(1);
-        let asn = plan.asn_of(target).unwrap();
-        let a = rsdos(1, target, asn, 30); // finishes before the delay
-        assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), 30);
+        let target = [plan.akamai_prefix_list[0].nth(1)];
+        let asn = plan.asn_of(target[0]).unwrap();
+        let a = rsdos(1, &target, asn, 30); // finishes before the delay
+        assert_eq!(m.effective_duration_secs(a, &plan, &root), 30);
     }
 
     #[test]
@@ -158,11 +159,11 @@ mod tests {
             ..MitigationParams::default()
         };
         let root = SimRng::new(2);
-        let target = plan.akamai_prefix_list[0].nth(1);
-        let asn = plan.asn_of(target).unwrap();
+        let target = [plan.akamai_prefix_list[0].nth(1)];
+        let asn = plan.asn_of(target[0]).unwrap();
         let truncated = (0..400)
             .filter(|&id| {
-                m.effective_duration_secs(rsdos(id, target, asn, 3600).view(), &plan, &root) == 45
+                m.effective_duration_secs(rsdos(id, &target, asn, 3600), &plan, &root) == 45
             })
             .count();
         assert!((140..=260).contains(&truncated), "truncated {truncated}/400");
@@ -173,12 +174,12 @@ mod tests {
         let plan = plan();
         let m = MitigationParams::default();
         let root = SimRng::new(3);
-        let target = plan.akamai_prefix_list[0].nth(1);
-        let asn = plan.asn_of(target).unwrap();
-        let a = rsdos(42, target, asn, 3600);
-        let first = m.effective_duration_secs(a.view(), &plan, &root);
+        let target = [plan.akamai_prefix_list[0].nth(1)];
+        let asn = plan.asn_of(target[0]).unwrap();
+        let a = rsdos(42, &target, asn, 3600);
+        let first = m.effective_duration_secs(a, &plan, &root);
         for _ in 0..10 {
-            assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), first);
+            assert_eq!(m.effective_duration_secs(a, &plan, &root), first);
         }
     }
 }

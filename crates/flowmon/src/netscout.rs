@@ -260,7 +260,7 @@ pub fn split_by_class_columns(alerts: &AlertColumns) -> (ObservationColumns, Obs
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{Attack, AttackId, AttackVector};
+    use attackgen::attack::{AttackId, AttackVector};
     use netmodel::{Ipv4, NetScale};
     use simcore::SimTime;
 
@@ -270,11 +270,11 @@ mod tests {
     }
 
     /// The alert stream of `attacks`, built as the pipeline builds it.
-    fn alert_stream(ns: &Netscout, attacks: &[Attack], root: &SimRng) -> AlertColumns {
+    fn alert_stream(ns: &Netscout, attacks: &[AttackRef<'_>], root: &SimRng) -> AlertColumns {
         let mut out = AlertColumns::new();
-        for a in attacks {
-            if let Some((class, severity)) = ns.observe_view(a.view(), root) {
-                out.push(a.view(), class, severity);
+        for &a in attacks {
+            if let Some((class, severity)) = ns.observe_view(a, root) {
+                out.push(a, class, severity);
             }
         }
         out
@@ -285,7 +285,7 @@ mod tests {
         let plan = plan();
         let root = SimRng::new(41);
         let netscout = Netscout::with_defaults(&plan);
-        let attacks: Vec<Attack> = (0..400u64)
+        let attacks: Vec<AttackRef> = (0..400u64)
             .map(|id| attack(&plan, id, 50_000.0 + id as f64, AttackClass::DirectPathSpoofed))
             .collect();
         let cols = alert_stream(&netscout, &attacks, &root);
@@ -305,19 +305,19 @@ mod tests {
         }
     }
 
-    fn attack(plan: &InternetPlan, id: u64, pps: f64, class: AttackClass) -> Attack {
+    fn attack(plan: &InternetPlan, id: u64, pps: f64, class: AttackClass) -> AttackRef<'static> {
         let asn = *plan.netscout_customers.iter().next().unwrap();
-        Attack {
+        AttackRef {
             id: AttackId(id),
             class,
             vector: AttackVector::SynFlood,
             start: SimTime(1000),
             duration_secs: 300,
-            targets: vec![Ipv4::new(10, 0, 0, 1)],
+            targets: &[Ipv4(0x0A00_0001)], // 10.0.0.1
             target_asn: asn,
             pps,
             bps: pps * 420.0 * 8.0,
-            reflectors: None,
+            reflector_count: None,
             spoof_space_fraction: 0.0,
             campaign: None,
         }
@@ -331,9 +331,9 @@ mod tests {
         let low = attack(&plan, 1, 500.0, AttackClass::DirectPathNonSpoofed);
         let mut seen = 0;
         for id in 0..100 {
-            let mut a = low.clone();
+            let mut a = low;
             a.id = AttackId(id);
-            seen += ns.observe_view(a.view(), &root).is_some() as u32;
+            seen += ns.observe_view(a, &root).is_some() as u32;
         }
         assert_eq!(seen, 0, "sub-medium attacks must be excluded");
     }
@@ -347,12 +347,12 @@ mod tests {
         let mut found_high = false;
         for id in 0..100 {
             let medium = attack(&plan, id, 20_000.0, AttackClass::DirectPathNonSpoofed);
-            if let Some((_, severity)) = ns.observe_view(medium.view(), &root) {
+            if let Some((_, severity)) = ns.observe_view(medium, &root) {
                 assert_eq!(severity, Severity::Medium);
                 found_medium = true;
             }
             let high = attack(&plan, 1000 + id, 500_000.0, AttackClass::DirectPathNonSpoofed);
-            if let Some((_, severity)) = ns.observe_view(high.view(), &root) {
+            if let Some((_, severity)) = ns.observe_view(high, &root) {
                 assert_eq!(severity, Severity::High);
                 found_high = true;
             }
@@ -374,7 +374,7 @@ mod tests {
         for id in 0..100 {
             let mut a = attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed);
             a.target_asn = outsider;
-            assert!(ns.observe_view(a.view(), &root).is_none());
+            assert!(ns.observe_view(a, &root).is_none());
         }
     }
 
@@ -386,7 +386,7 @@ mod tests {
         let seen = (0..1000)
             .filter(|&id| {
                 let a = attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed);
-                ns.observe_view(a.view(), &root).is_some()
+                ns.observe_view(a, &root).is_some()
             })
             .count();
         assert!((850..=950).contains(&seen), "seen {seen}");
@@ -397,7 +397,7 @@ mod tests {
         let plan = plan();
         let ns = Netscout::with_defaults(&plan);
         let root = SimRng::new(1);
-        let attacks: Vec<Attack> = (0..2000)
+        let attacks: Vec<AttackRef> = (0..2000)
             .map(|id| attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed))
             .collect();
         let alerts = alert_stream(&ns, &attacks, &root);
@@ -421,7 +421,7 @@ mod tests {
         let plan = plan();
         let root = SimRng::new(1);
         let healthy = Netscout::with_defaults(&plan);
-        let attacks: Vec<Attack> = (0..1000)
+        let attacks: Vec<AttackRef> = (0..1000)
             .map(|id| attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed))
             .collect();
         let full = alert_stream(&healthy, &attacks, &root);

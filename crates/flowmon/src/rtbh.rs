@@ -160,39 +160,49 @@ pub fn accepted_by_ixp(event: &BlackholeEvent, plan: &InternetPlan) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{Attack, AttackClass, AttackVector};
+    use attackgen::attack::{AttackClass, AttackVector};
+    use attackgen::AttackColumns;
     use netmodel::{Asn, Ipv4, NetScale};
 
-    fn attack(id: u64, target: Ipv4, start: i64, duration: u32) -> Attack {
-        Attack {
+    fn attack(id: u64, targets: &[Ipv4], start: i64, duration: u32) -> AttackRef<'_> {
+        AttackRef {
             id: AttackId(id),
             class: AttackClass::DirectPathNonSpoofed,
             vector: AttackVector::SynFlood,
             start: SimTime(start),
             duration_secs: duration,
-            targets: vec![target],
+            targets,
             target_asn: Asn(1),
             pps: 100_000.0,
             bps: 3e8,
-            reflectors: None,
+            reflector_count: None,
             spoof_space_fraction: 0.0,
             campaign: None,
         }
     }
 
+    /// `n` attacks of `duration` seconds: attack `i` hits `target(i)`
+    /// from `start(i)`.
+    fn population(
+        n: u64,
+        target: impl Fn(u64) -> Ipv4,
+        start: impl Fn(u64) -> i64,
+        duration: u32,
+    ) -> AttackColumns {
+        let mut cols = AttackColumns::new();
+        for i in 0..n {
+            cols.push(attack(i, &[target(i)], start(i), duration));
+        }
+        cols
+    }
+
     #[test]
     fn events_follow_attacks() {
-        let attacks: Vec<Attack> = (0..50)
-            .map(|i| attack(i, Ipv4(0x0A00_0000 + i as u32), i as i64 * 10_000, 7200))
-            .collect();
-        let events = blackhole_events(
-            attacks.iter().map(Attack::view),
-            &RtbhParams::default(),
-            &SimRng::new(1),
-        );
+        let attacks = population(50, |i| Ipv4(0x0A00_0000 + i as u32), |i| i as i64 * 10_000, 7200);
+        let events = blackhole_events(attacks.iter(), &RtbhParams::default(), &SimRng::new(1));
         assert!(!events.is_empty());
         for e in &events {
-            let a = &attacks[e.attack_id.0 as usize];
+            let a = attacks.get(e.attack_id.0 as usize);
             assert!(e.announced_at > a.start, "announced before the attack");
             assert!(e.announced_at < a.end(), "announced after the attack");
             assert!(e.withdrawn_at > a.end(), "withdrawn before the attack ended");
@@ -204,14 +214,8 @@ mod tests {
     #[test]
     fn short_attacks_escape_blackholing() {
         // Attacks shorter than the reaction time never get blackholed.
-        let attacks: Vec<Attack> = (0..100)
-            .map(|i| attack(i, Ipv4(1 + i as u32), 0, 30))
-            .collect();
-        let events = blackhole_events(
-            attacks.iter().map(Attack::view),
-            &RtbhParams::default(),
-            &SimRng::new(1),
-        );
+        let attacks = population(100, |i| Ipv4(1 + i as u32), |_| 0, 30);
+        let events = blackhole_events(attacks.iter(), &RtbhParams::default(), &SimRng::new(1));
         // Median reaction is 300 s; a 30 s attack is essentially never
         // caught in time.
         assert!(
@@ -223,14 +227,14 @@ mod tests {
 
     #[test]
     fn stats_capture_overshoot() {
-        let a = attack(0, Ipv4(0x0A00_0001), 0, 3600);
+        let a = attack(0, &[Ipv4(0x0A00_0001)], 0, 3600);
         let events = vec![BlackholeEvent {
             attack_id: AttackId(0),
             prefix: Prefix::new(Ipv4(0x0A00_0001), 24),
             announced_at: SimTime(600),
             withdrawn_at: SimTime(3600 + 7200), // 2 h overstay
         }];
-        let s = rtbh_stats(&events, |id| (id == a.id).then(|| a.view())).unwrap();
+        let s = rtbh_stats(&events, |id| (id == a.id).then_some(a)).unwrap();
         assert_eq!(s.events, 1);
         assert_eq!(s.blackholed_secs, 10_200);
         assert_eq!(s.attack_overlap_secs, 3_000);
@@ -246,12 +250,9 @@ mod tests {
 
     #[test]
     fn deterministic_events() {
-        let attacks: Vec<Attack> = (0..20)
-            .map(|i| attack(i, Ipv4(100 + i as u32), 0, 7200))
-            .collect();
-        let views = || attacks.iter().map(Attack::view);
-        let a = blackhole_events(views(), &RtbhParams::default(), &SimRng::new(9));
-        let b = blackhole_events(views(), &RtbhParams::default(), &SimRng::new(9));
+        let attacks = population(20, |i| Ipv4(100 + i as u32), |_| 0, 7200);
+        let a = blackhole_events(attacks.iter(), &RtbhParams::default(), &SimRng::new(9));
+        let b = blackhole_events(attacks.iter(), &RtbhParams::default(), &SimRng::new(9));
         assert_eq!(a, b);
     }
 

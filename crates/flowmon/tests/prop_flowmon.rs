@@ -1,7 +1,7 @@
 //! Property-based tests for the flow-monitoring observatories.
 
-use attackgen::attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
-use attackgen::ObservationColumns;
+use attackgen::attack::{AttackClass, AttackId, AttackVector};
+use attackgen::{AttackRef, ObservationColumns};
 use flowmon::{Akamai, IxpBlackholing, Netscout, Severity};
 use netmodel::{AmpVector, InternetPlan, Ipv4, NetScale};
 use proptest::prelude::*;
@@ -16,30 +16,31 @@ fn plan() -> &'static InternetPlan {
     })
 }
 
-fn attack(id: u64, class: AttackClass, pps: f64, asn: netmodel::Asn, target: Ipv4) -> Attack {
-    let (vector, reflectors, spoof) = match class {
-        AttackClass::ReflectionAmplification => (
-            AttackVector::Amplification(AmpVector::Dns),
-            Some(ReflectorUse {
-                vector: AmpVector::Dns,
-                reflector_count: 500,
-            }),
-            0.0,
-        ),
+fn attack(
+    id: u64,
+    class: AttackClass,
+    pps: f64,
+    asn: netmodel::Asn,
+    targets: &[Ipv4],
+) -> AttackRef<'_> {
+    let (vector, reflector_count, spoof) = match class {
+        AttackClass::ReflectionAmplification => {
+            (AttackVector::Amplification(AmpVector::Dns), Some(500), 0.0)
+        }
         AttackClass::DirectPathSpoofed => (AttackVector::SynFlood, None, 1.0),
         AttackClass::DirectPathNonSpoofed => (AttackVector::SynFlood, None, 0.0),
     };
-    Attack {
+    AttackRef {
         id: AttackId(id),
         class,
         vector,
         start: SimTime(5_000),
         duration_secs: 300,
-        targets: vec![target],
+        targets,
         target_asn: asn,
         pps,
         bps: pps * 3360.0,
-        reflectors,
+        reflector_count,
         spoof_space_fraction: spoof,
         campaign: None,
     }
@@ -56,9 +57,9 @@ proptest! {
         let ns = Netscout::with_defaults(plan);
         let root = SimRng::new(1);
         let customer = *plan.netscout_customers.iter().next().unwrap();
-        let a = attack(id, AttackClass::DirectPathNonSpoofed, pps, customer, Ipv4(1));
-        let first = ns.observe_view(a.view(), &root);
-        prop_assert_eq!(ns.observe_view(a.view(), &root), first);
+        let a = attack(id, AttackClass::DirectPathNonSpoofed, pps, customer, &[Ipv4(1)]);
+        let first = ns.observe_view(a, &root);
+        prop_assert_eq!(ns.observe_view(a, &root), first);
         if let Some((_, severity)) = first {
             prop_assert!(a.pps >= ns.cfg.medium_pps);
             if severity == Severity::High {
@@ -77,8 +78,8 @@ proptest! {
             .find(|r| !plan.netscout_customers.contains(&r.asn) && r.target_weight > 0.0)
             .unwrap()
             .asn;
-        let b = attack(id, AttackClass::DirectPathNonSpoofed, pps, outsider, Ipv4(1));
-        prop_assert!(ns.observe_view(b.view(), &root).is_none());
+        let b = attack(id, AttackClass::DirectPathNonSpoofed, pps, outsider, &[Ipv4(1)]);
+        prop_assert!(ns.observe_view(b, &root).is_none());
     }
 
     /// IXP detection is monotone in bps: if an attack is observed, the
@@ -89,13 +90,13 @@ proptest! {
         let ixp = IxpBlackholing::with_defaults(plan);
         let root = SimRng::new(2);
         let member = *plan.ixp_members.iter().next().unwrap();
-        let lo = attack(id, AttackClass::DirectPathNonSpoofed, pps, member, Ipv4(1));
-        let hi = attack(id, AttackClass::DirectPathNonSpoofed, pps * 10.0, member, Ipv4(1));
-        if ixp.observe_view(lo.view(), &root).is_some() {
-            prop_assert!(ixp.observe_view(hi.view(), &root).is_some());
+        let lo = attack(id, AttackClass::DirectPathNonSpoofed, pps, member, &[Ipv4(1)]);
+        let hi = attack(id, AttackClass::DirectPathNonSpoofed, pps * 10.0, member, &[Ipv4(1)]);
+        if ixp.observe_view(lo, &root).is_some() {
+            prop_assert!(ixp.observe_view(hi, &root).is_some());
         }
         // Detection class matches attack class when observed.
-        if let Some(det) = ixp.observe_view(hi.view(), &root) {
+        if let Some(det) = ixp.observe_view(hi, &root) {
             prop_assert_eq!(det, flowmon::IxpDetection::DirectPath);
         }
     }
@@ -110,11 +111,11 @@ proptest! {
         let pfx = plan.akamai_prefix_list[0];
         let inside = pfx.nth(offset % pfx.size());
         let outside = Ipv4::new(223, 255, 0, 1);
-        let mut a = attack(id, AttackClass::ReflectionAmplification, 100_000.0,
-            netmodel::Asn(1), inside);
-        a.targets = vec![inside, outside];
+        let carpet = [inside, outside];
+        let a = attack(id, AttackClass::ReflectionAmplification, 100_000.0,
+            netmodel::Asn(1), &carpet);
         let mut out = ObservationColumns::new();
-        if ak.observe_into(a.view(), &root, &mut out).is_some() {
+        if ak.observe_into(a, &root, &mut out).is_some() {
             for t in out.targets(0) {
                 prop_assert!(ak.protects(*t));
                 prop_assert!(a.targets.contains(t));
@@ -122,8 +123,8 @@ proptest! {
         }
         // An attack entirely outside protected space is never seen.
         let b = attack(id, AttackClass::DirectPathSpoofed, 100_000.0,
-            netmodel::Asn(1), outside);
-        prop_assert!(ak.observe_into(b.view(), &root, &mut ObservationColumns::new()).is_none());
+            netmodel::Asn(1), std::slice::from_ref(&outside));
+        prop_assert!(ak.observe_into(b, &root, &mut ObservationColumns::new()).is_none());
     }
 
     /// The packet-level IXP classifier never returns RA without

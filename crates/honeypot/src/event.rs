@@ -71,16 +71,17 @@ impl Honeypot {
         if attack.class != AttackClass::ReflectionAmplification {
             return false;
         }
-        let Some(refl) = attack.reflectors else {
+        let Some((vector, reflectors)) = attack.vector.amp_vector().zip(attack.reflector_count)
+        else {
             return false;
         };
-        if !self.cfg.supports(refl.vector) {
+        if !self.cfg.supports(vector) {
             return false;
         }
-        let Some(&pool) = self.pools.get(&refl.vector) else {
+        let Some(&pool) = self.pools.get(&vector) else {
             return false;
         };
-        let k = refl.reflector_count as f64;
+        let k = reflectors as f64;
         let select_p = (self.cfg.selection_boost * k / pool as f64).min(1.0);
         let mut rng = root.fork(attack.id.0).fork_named(&self.cfg.name);
         // Sensor fleet at this week: the nominal count unless churn is
@@ -131,7 +132,7 @@ impl Honeypot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{Attack, AttackId, AttackVector, ReflectorUse};
+    use attackgen::attack::{AttackId, AttackVector};
     use netmodel::{Asn, Ipv4, NetScale};
     use simcore::SimTime;
 
@@ -141,32 +142,40 @@ mod tests {
     }
 
     /// The observation of `a` in a fresh sink (empty when unseen).
-    fn sink(hp: &Honeypot, a: &Attack, root: &SimRng) -> ObservationColumns {
+    fn sink(hp: &Honeypot, a: AttackRef<'_>, root: &SimRng) -> ObservationColumns {
         let mut out = ObservationColumns::new();
-        hp.observe_into(a.view(), root, &mut out);
+        hp.observe_into(a, root, &mut out);
         out
     }
 
-    fn seen(hp: &Honeypot, a: &Attack, root: &SimRng) -> bool {
-        hp.observe_into(a.view(), root, &mut ObservationColumns::new())
+    fn seen(hp: &Honeypot, a: AttackRef<'_>, root: &SimRng) -> bool {
+        hp.observe_into(a, root, &mut ObservationColumns::new())
     }
 
-    fn ra(id: u64, vector: AmpVector, k: u32, pps: f64, width: u32) -> Attack {
-        let targets = (0..width).map(|i| Ipv4(0x0B00_0000 + i)).collect();
-        Attack {
+    /// Consecutive victims from 11.0.0.0: an attack of width `w` hits
+    /// the first `w`.
+    static VICTIMS: [Ipv4; 64] = {
+        let mut ips = [Ipv4(0); 64];
+        let mut i = 0;
+        while i < ips.len() {
+            ips[i] = Ipv4(0x0B00_0000 + i as u32);
+            i += 1;
+        }
+        ips
+    };
+
+    fn ra(id: u64, vector: AmpVector, k: u32, pps: f64, width: u32) -> AttackRef<'static> {
+        AttackRef {
             id: AttackId(id),
             class: AttackClass::ReflectionAmplification,
             vector: AttackVector::Amplification(vector),
             start: SimTime(50_000),
             duration_secs: 600,
-            targets,
+            targets: &VICTIMS[..width as usize],
             target_asn: Asn(1),
             pps,
             bps: pps * 4000.0,
-            reflectors: Some(ReflectorUse {
-                vector,
-                reflector_count: k,
-            }),
+            reflector_count: Some(k),
             spoof_space_fraction: 0.0,
             campaign: None,
         }
@@ -181,7 +190,7 @@ mod tests {
         // Selection probability ≈ 1 - (1 - k/P)^65; pick k for ≈95 %.
         let k = (pool * 0.045) as u32;
         let hits = (0..200)
-            .filter(|&id| seen(&hp, &ra(id, AmpVector::Dns, k, 50_000.0, 1), &root))
+            .filter(|&id| seen(&hp, ra(id, AmpVector::Dns, k, 50_000.0, 1), &root))
             .count();
         assert!(hits > 170, "seen {hits}/200");
     }
@@ -192,7 +201,7 @@ mod tests {
         let hp = Honeypot::hopscotch(&plan);
         let root = SimRng::new(1);
         let hits = (0..200)
-            .filter(|&id| seen(&hp, &ra(id, AmpVector::Dns, 20, 50_000.0, 1), &root))
+            .filter(|&id| seen(&hp, ra(id, AmpVector::Dns, 20, 50_000.0, 1), &root))
             .count();
         // 20 / 50k pool × 65 sensors ⇒ ~2.6 % selection.
         assert!(hits < 20, "seen {hits}/200");
@@ -210,8 +219,8 @@ mod tests {
         let mut amppot_seen = 0;
         for id in 0..100 {
             let a = ra(id, AmpVector::CharGen, k, 100_000.0, 1);
-            assert!(!seen(&hops, &a, &root));
-            amppot_seen += seen(&amppot, &a, &root) as u32;
+            assert!(!seen(&hops, a, &root));
+            amppot_seen += seen(&amppot, a, &root) as u32;
         }
         assert!(amppot_seen > 50, "amppot {amppot_seen}");
     }
@@ -223,9 +232,9 @@ mod tests {
         let root = SimRng::new(1);
         let mut a = ra(1, AmpVector::Dns, 10_000, 100_000.0, 1);
         a.class = AttackClass::DirectPathSpoofed;
-        a.reflectors = None;
+        a.reflector_count = None;
         a.spoof_space_fraction = 1.0;
-        assert!(!seen(&hp, &a, &root));
+        assert!(!seen(&hp, a, &root));
     }
 
     #[test]
@@ -249,8 +258,8 @@ mod tests {
             let pps = k as f64 * 30.0 / duration as f64;
             let mut a = ra(id, AmpVector::Dns, k, pps, 1);
             a.duration_secs = duration;
-            hops_seen += seen(&hops, &a, &root) as u32;
-            amppot_seen += seen(&amppot, &a, &root) as u32;
+            hops_seen += seen(&hops, a, &root) as u32;
+            amppot_seen += seen(&amppot, a, &root) as u32;
         }
         assert!(hops_seen > 200, "hopscotch {hops_seen}");
         assert!(amppot_seen < hops_seen / 4, "amppot {amppot_seen} vs {hops_seen}");
@@ -269,8 +278,8 @@ mod tests {
         let mut both = 0;
         for id in 0..400 {
             let a = ra(id, AmpVector::Dns, k, 100_000.0, 1);
-            let h = seen(&hops, &a, &root);
-            let m = seen(&amppot, &a, &root);
+            let h = seen(&hops, a, &root);
+            let m = seen(&amppot, a, &root);
             if h && m {
                 both += 1;
             } else if h {
@@ -298,7 +307,7 @@ mod tests {
         let mut partial = false;
         for id in 0..100 {
             let a = ra(id, AmpVector::Ssdp, k, pps, width);
-            for o in &sink(&hp, &a, &root) {
+            for o in sink(&hp, a, &root).iter() {
                 assert!(o.targets.iter().all(|t| a.targets.contains(t)));
                 if o.targets.len() < width as usize {
                     partial = true;
@@ -335,7 +344,7 @@ mod tests {
                 .filter(|&id| {
                     let mut a = ra(id, AmpVector::Dns, k, 50_000.0, 1);
                     a.start = start;
-                    seen(hp, &a, &root)
+                    seen(hp, a, &root)
                 })
                 .count()
         };
@@ -356,9 +365,9 @@ mod tests {
         let root = SimRng::new(5);
         let pool = plan.reflector_pools[&AmpVector::Ntp] as f64;
         let a = ra(42, AmpVector::Ntp, (pool * 0.05) as u32, 80_000.0, 1);
-        let first = sink(&hp, &a, &root);
+        let first = sink(&hp, a, &root);
         for _ in 0..10 {
-            assert_eq!(sink(&hp, &a, &root), first);
+            assert_eq!(sink(&hp, a, &root), first);
         }
     }
 }

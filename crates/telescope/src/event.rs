@@ -126,7 +126,7 @@ impl Telescope {
 mod tests {
     use super::*;
     use crate::corsaro::RsdosDetector;
-    use attackgen::attack::{Attack, AttackId, AttackVector};
+    use attackgen::attack::{AttackId, AttackVector};
     use attackgen::packets::backscatter_packets;
     use netmodel::{Asn, Ipv4, NetScale};
 
@@ -136,28 +136,28 @@ mod tests {
     }
 
     /// The observation of `a` in a fresh sink (empty when unseen).
-    fn sink(t: &Telescope, a: &Attack, root: &SimRng) -> ObservationColumns {
+    fn sink(t: &Telescope, a: AttackRef<'_>, root: &SimRng) -> ObservationColumns {
         let mut out = ObservationColumns::new();
-        t.observe_into(a.view(), root, &mut out);
+        t.observe_into(a, root, &mut out);
         out
     }
 
-    fn seen(t: &Telescope, a: &Attack, root: &SimRng) -> bool {
-        t.observe_into(a.view(), root, &mut ObservationColumns::new())
+    fn seen(t: &Telescope, a: AttackRef<'_>, root: &SimRng) -> bool {
+        t.observe_into(a, root, &mut ObservationColumns::new())
     }
 
-    fn rsdos(id: u64, pps: f64, duration: u32, spoof: f64) -> Attack {
-        Attack {
+    fn rsdos(id: u64, pps: f64, duration: u32, spoof: f64) -> AttackRef<'static> {
+        AttackRef {
             id: AttackId(id),
             class: AttackClass::DirectPathSpoofed,
             vector: AttackVector::SynFlood,
             start: simcore::SimTime(10_000),
             duration_secs: duration,
-            targets: vec![Ipv4::new(93, 184, 216, 34)],
+            targets: &[Ipv4(0x5DB8_D822)], // 93.184.216.34
             target_asn: Asn(1),
             pps,
             bps: pps * 3360.0,
-            reflectors: None,
+            reflector_count: None,
             spoof_space_fraction: spoof,
             campaign: None,
         }
@@ -169,8 +169,8 @@ mod tests {
         let (ucsd, orion) = (Telescope::ucsd(&plan), Telescope::orion(&plan));
         let root = SimRng::new(1);
         let a = rsdos(1, 500_000.0, 600, 1.0);
-        assert!(seen(&ucsd, &a, &root));
-        assert!(seen(&orion, &a, &root));
+        assert!(seen(&ucsd, a, &root));
+        assert!(seen(&orion, a, &root));
     }
 
     #[test]
@@ -185,8 +185,8 @@ mod tests {
         let mut orion_hits = 0;
         for id in 0..100 {
             let a = rsdos(id, 400.0, 600, 1.0);
-            ucsd_hits += seen(&ucsd, &a, &root) as u32;
-            orion_hits += seen(&orion, &a, &root) as u32;
+            ucsd_hits += seen(&ucsd, a, &root) as u32;
+            orion_hits += seen(&orion, a, &root) as u32;
         }
         assert!(ucsd_hits > 90, "ucsd {ucsd_hits}");
         assert!(orion_hits < 10, "orion {orion_hits}");
@@ -199,8 +199,8 @@ mod tests {
         let root = SimRng::new(1);
         for id in 0..50 {
             let a = rsdos(id, 50.0, 300, 1.0);
-            assert!(!seen(&ucsd, &a, &root));
-            assert!(!seen(&orion, &a, &root));
+            assert!(!seen(&ucsd, a, &root));
+            assert!(!seen(&orion, a, &root));
         }
     }
 
@@ -212,9 +212,9 @@ mod tests {
         let mut a = rsdos(1, 500_000.0, 600, 1.0);
         a.class = AttackClass::DirectPathNonSpoofed;
         a.spoof_space_fraction = 0.0;
-        assert!(!seen(&ucsd, &a, &root));
+        assert!(!seen(&ucsd, a, &root));
         a.class = AttackClass::ReflectionAmplification;
-        assert!(!seen(&ucsd, &a, &root));
+        assert!(!seen(&ucsd, a, &root));
     }
 
     #[test]
@@ -223,7 +223,7 @@ mod tests {
         let ucsd = Telescope::ucsd(&plan);
         let root = SimRng::new(1);
         let a = rsdos(1, 500_000.0, 45, 1.0); // under 60 s
-        assert!(!seen(&ucsd, &a, &root));
+        assert!(!seen(&ucsd, a, &root));
     }
 
     #[test]
@@ -232,7 +232,7 @@ mod tests {
         let ucsd = Telescope::ucsd(&plan);
         let root = SimRng::new(1);
         let hits = (0..300)
-            .filter(|&id| seen(&ucsd, &rsdos(id, 500_000.0, 600, 0.4), &root))
+            .filter(|&id| seen(&ucsd, rsdos(id, 500_000.0, 600, 0.4), &root))
             .count();
         // ~40% inclusion probability.
         assert!((80..=160).contains(&hits), "seen {hits}");
@@ -244,9 +244,9 @@ mod tests {
         let ucsd = Telescope::ucsd(&plan);
         let root = SimRng::new(9);
         let a = rsdos(7, 2_000.0, 300, 0.7);
-        let first = sink(&ucsd, &a, &root);
+        let first = sink(&ucsd, a, &root);
         for _ in 0..10 {
-            assert_eq!(sink(&ucsd, &a, &root), first);
+            assert_eq!(sink(&ucsd, a, &root), first);
         }
     }
 
@@ -260,8 +260,8 @@ mod tests {
         let mut diverged = false;
         for id in 0..200 {
             let a = rsdos(id, 10_000_000.0, 600, 0.5);
-            let u = seen(&ucsd, &a, &root);
-            let o = seen(&orion, &a, &root);
+            let u = seen(&ucsd, a, &root);
+            let o = seen(&orion, a, &root);
             if u != o {
                 diverged = true;
                 break;
@@ -286,9 +286,9 @@ mod tests {
         {
             for rep in 0..5 {
                 let a = rsdos(1000 + (i * 5 + rep) as u64, pps, 600, 1.0);
-                let event_verdict = seen(&ucsd, &a, &root);
+                let event_verdict = seen(&ucsd, a, &root);
                 let mut pkt_rng = root.fork(a.id.0).fork_named("packets");
-                let pkts = backscatter_packets(a.view(), &ucsd.spec, &mut pkt_rng);
+                let pkts = backscatter_packets(a, &ucsd.spec, &mut pkt_rng);
                 let mut det = RsdosDetector::new(RsdosConfig::default());
                 for p in &pkts {
                     det.ingest(p);
@@ -316,13 +316,13 @@ mod tests {
         let healthy = Telescope::ucsd(&plan);
         let root = SimRng::new(1);
         let a = rsdos(1, 500_000.0, 600, 1.0);
-        assert!(seen(&healthy, &a, &root));
-        assert!(!seen(&dark, &a, &root), "in-window attack must vanish");
+        assert!(seen(&healthy, a, &root));
+        assert!(!seen(&dark, a, &root), "in-window attack must vanish");
         // An attack one week later is past the outage and must match
         // the healthy telescope bit-for-bit.
         let mut later = rsdos(2, 500_000.0, 600, 1.0);
         later.start = simcore::SimTime(later.start.0 + 7 * 86_400);
-        assert_eq!(sink(&dark, &later, &root), sink(&healthy, &later, &root));
+        assert_eq!(sink(&dark, later, &root), sink(&healthy, later, &root));
     }
 
     #[test]
@@ -330,14 +330,14 @@ mod tests {
         let plan = plan();
         let ucsd = Telescope::ucsd(&plan);
         let root = SimRng::new(2);
-        let attacks = vec![
+        let attacks = [
             rsdos(1, 500_000.0, 600, 1.0),
             rsdos(2, 10.0, 300, 1.0),
             rsdos(3, 500_000.0, 600, 1.0),
         ];
         let mut kept = ObservationColumns::new();
-        for a in &attacks {
-            ucsd.observe_into(a.view(), &root, &mut kept);
+        for a in attacks {
+            ucsd.observe_into(a, &root, &mut kept);
         }
         assert_eq!(kept.len(), 2);
         assert!(kept.iter().all(|o| o.attack_id.0 != 2));

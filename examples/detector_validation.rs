@@ -6,46 +6,44 @@
 //!
 //! Run with: `cargo run --release --example detector_validation`
 
-use attackgen::attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
+use attackgen::attack::{AttackClass, AttackId, AttackVector};
 use attackgen::packets::{backscatter_packets, sensor_request_packets, victim_traffic_sample};
+use attackgen::AttackRef;
 use flowmon::{classify_blackholed_traffic, IxpConfig};
 use honeypot::{HoneypotConfig, HoneypotDetector};
 use netmodel::{AmpVector, Asn, InternetPlan, Ipv4, NetScale};
 use simcore::{SimRng, SimTime};
 use telescope::{min_detectable_rate_mbps, RsdosConfig, RsdosDetector, Telescope};
 
-fn rsdos(id: u64, pps: f64, duration_secs: u32) -> Attack {
-    Attack {
+fn rsdos(id: u64, pps: f64, duration_secs: u32) -> AttackRef<'static> {
+    AttackRef {
         id: AttackId(id),
         class: AttackClass::DirectPathSpoofed,
         vector: AttackVector::SynFlood,
         start: SimTime(100_000),
         duration_secs,
-        targets: vec![Ipv4::new(93, 184, 216, 34)],
+        targets: &[Ipv4(0x5DB8_D822)], // 93.184.216.34
         target_asn: Asn(64500),
         pps,
         bps: pps * 3360.0,
-        reflectors: None,
+        reflector_count: None,
         spoof_space_fraction: 1.0,
         campaign: None,
     }
 }
 
-fn ra(id: u64, vector: AmpVector, reflectors: u32, pps: f64) -> Attack {
-    Attack {
+fn ra(id: u64, vector: AmpVector, reflectors: u32, pps: f64) -> AttackRef<'static> {
+    AttackRef {
         id: AttackId(id),
         class: AttackClass::ReflectionAmplification,
         vector: AttackVector::Amplification(vector),
         start: SimTime(200_000),
         duration_secs: 600,
-        targets: vec![Ipv4::new(198, 51, 7, 7)],
+        targets: &[Ipv4(0xC633_0707)], // 198.51.7.7
         target_asn: Asn(64501),
         pps,
         bps: pps * vector.response_bytes() as f64 * 8.0,
-        reflectors: Some(ReflectorUse {
-            vector,
-            reflector_count: reflectors,
-        }),
+        reflector_count: Some(reflectors),
         spoof_space_fraction: 0.0,
         campaign: None,
     }
@@ -74,7 +72,7 @@ fn main() {
         let attack = rsdos(i as u64, pps, dur);
         let verdict = |tele: &Telescope| -> &'static str {
             let mut prng = rng.fork(attack.id.0).fork_named(&tele.spec.name);
-            let pkts = backscatter_packets(attack.view(), &tele.spec, &mut prng);
+            let pkts = backscatter_packets(attack, &tele.spec, &mut prng);
             let mut det = RsdosDetector::new(RsdosConfig::default());
             for p in &pkts {
                 det.ingest(p);
@@ -114,7 +112,7 @@ fn main() {
         let verdict = |cfg: &HoneypotConfig| -> &'static str {
             let sensor = cfg.sensors[0];
             let mut prng = rng.fork(attack.id.0).fork_named(&cfg.name);
-            let pkts = sensor_request_packets(attack.view(), sensor, &mut prng);
+            let pkts = sensor_request_packets(attack, sensor, &mut prng);
             let mut det = HoneypotDetector::new(cfg.clone());
             for p in &pkts {
                 det.ingest(p);
@@ -149,7 +147,7 @@ fn main() {
     ] {
         attack.duration_secs = 1;
         let mut prng = rng.fork(attack.id.0).fork_named("ixp");
-        let pkts = victim_traffic_sample(attack.view(), usize::MAX, &mut prng);
+        let pkts = victim_traffic_sample(attack, usize::MAX, &mut prng);
         let verdict = classify_blackholed_traffic(&pkts, &ixp_cfg);
         println!("{:>24} {:>10.2e}  {:?}", name, attack.bps, verdict);
     }

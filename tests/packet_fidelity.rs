@@ -71,14 +71,15 @@ fn honeypot_detector_sees_generated_reflection_attacks() {
         .iter()
         .filter(|a| {
             a.class == AttackClass::ReflectionAmplification
-                && a.reflectors.map(|r| cfg.supports(r.vector)) == Some(true)
+                && a.reflector_count.is_some()
+                && a.vector.amp_vector().is_some_and(|v| cfg.supports(v))
         })
         .take(60)
     {
         let mut prng = root.fork(a.id.0).fork_named("hp-fidelity");
         let pkts = sensor_request_packets(a, sensor, &mut prng);
-        let refl = a.reflectors.unwrap();
-        let expected = a.pps / refl.reflector_count.max(1) as f64 * a.duration_secs as f64
+        let reflectors = a.reflector_count.unwrap();
+        let expected = a.pps / reflectors.max(1) as f64 * a.duration_secs as f64
             / a.targets.len() as f64;
         // Count only comfortably-above-threshold attacks for the
         // detection-rate check (near-threshold ones are legitimately
