@@ -1,12 +1,14 @@
 .PHONY: build test lint bench check telemetry chaos scale trace serve
 
+# Every workspace binary, the `ddoscovery` CLI included (a root-package
+# build leaves target/release/ddoscovery stale).
 build:
-	cargo build --release
+	cargo build --release --workspace
 
 # Tier-1 gate: build + full workspace test suite (which includes the
 # repo lint, tests/repo_lint.rs).
 test:
-	cargo build --release
+	cargo build --release --workspace
 	cargo test -q --release --workspace
 
 lint:

@@ -9,6 +9,11 @@
 //! ddoscovery store list|gc --max-bytes N  # persistent stage store
 //! ```
 //!
+//! `run` writes its CSVs to `results/`, the committed record of the
+//! default paper-scale study, only when none of `--quick`, `--seed` or
+//! `--faults` is given; otherwise it needs `--out DIR` and exits 2,
+//! before any work, without it.
+//!
 //! Stream discipline: stdout carries machine-readable experiment
 //! output only; every status line goes to stderr through the `obs`
 //! logger (`DDOSCOVERY_LOG=error|warn|info|debug`). `--telemetry PATH`
@@ -61,7 +66,9 @@ fn usage() -> ExitCode {
          \u{20}  --quick            scaled-down study (~1/8 volume)\n\
          \u{20}  --seed N           master seed: decimal, or hex with an\n\
          \u{20}                     explicit 0x prefix (default 0xDD05C0DE)\n\
-         \u{20}  --out DIR          CSV output directory (default: results)\n\
+         \u{20}  --out DIR          CSV output directory; `run` needs it with\n\
+         \u{20}                     --quick, --seed or --faults (default:\n\
+         \u{20}                     results, the paper-scale record)\n\
          \u{20}  --workers N        execution-pool worker count (default one\n\
          \u{20}                     per core; env: DDOSCOVERY_WORKERS;\n\
          \u{20}                     output is identical for every setting)\n\
@@ -129,7 +136,7 @@ fn parse_seed(v: &str) -> Result<u64, String> {
 struct Options {
     quick: bool,
     seed: Option<u64>,
-    out: String,
+    out: Option<String>,
     workers: Option<usize>,
     telemetry: Option<String>,
     stage_cache: Option<usize>,
@@ -192,7 +199,7 @@ fn parse_options(args: &[String], env: impl Fn(&str) -> Option<String>) -> Resul
     let mut opts = Options {
         quick: false,
         seed: None,
-        out: "results".into(),
+        out: None,
         workers: None,
         telemetry: None,
         stage_cache: None,
@@ -214,7 +221,7 @@ fn parse_options(args: &[String], env: impl Fn(&str) -> Option<String>) -> Resul
                 let v = it.next().ok_or("--seed needs a value")?;
                 opts.seed = Some(parse_seed(v)?);
             }
-            "--out" => opts.out = it.next().ok_or("--out needs a value")?.clone(),
+            "--out" => opts.out = Some(it.next().ok_or("--out needs a value")?.clone()),
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
                 opts.workers = Some(parse_workers(v)?);
@@ -427,6 +434,20 @@ fn cmd_run(opts: &Options) -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    // `results/` is the committed record of the default paper-scale
+    // study: a run whose output bytes differ from it must name its
+    // own directory.
+    let out_dir = match &opts.out {
+        Some(dir) => Path::new(dir),
+        None if opts.quick || opts.seed.is_some() || opts.faults.is_some() => {
+            obs::error!(
+                "run with --quick, --seed or --faults needs --out DIR \
+                 (results/ holds the default paper-scale record)"
+            );
+            return ExitCode::from(2);
+        }
+        None => Path::new("results"),
+    };
     let cfg = match build_config(opts) {
         Ok(cfg) => cfg,
         Err(e) => return fail(&e),
@@ -449,7 +470,6 @@ fn cmd_run(opts: &Options) -> ExitCode {
         run.attacks.len(),
         watch.elapsed_ns() as f64 / 1e9
     );
-    let out_dir = Path::new(&opts.out);
     if let Err(e) = fs::create_dir_all(out_dir) {
         return fail(&Error::io(out_dir.display().to_string(), &e));
     }

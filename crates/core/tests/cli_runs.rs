@@ -249,3 +249,33 @@ fn corrupt_manifests_are_skipped_with_a_warning() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_run_off_the_paper_record_needs_its_own_out_dir() {
+    let dir = sandbox("out");
+    let runs_dir = dir.join("runs");
+    // Run in the sandbox, so a default `results/` would land there.
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_ddoscovery"))
+            .current_dir(&dir)
+            .args(args)
+            .arg("--runs-dir")
+            .arg(&runs_dir)
+            .output()
+            .expect("spawn ddoscovery")
+    };
+
+    let refused = run(&["run", "--quick", "table2"]);
+    assert_eq!(refused.status.code(), Some(2), "stderr: {}", stderr(&refused));
+    assert!(stderr(&refused).contains("--out"), "no --out hint:\n{}", stderr(&refused));
+    assert!(stdout(&refused).is_empty(), "the study ran before the refusal");
+    assert!(!dir.join("results").exists(), "a refused run created results/");
+
+    let out = dir.join("quick");
+    let ran = run(&["run", "--quick", "table2", "--out", out.to_str().expect("utf8 path")]);
+    assert!(ran.status.success(), "stderr: {}", stderr(&ran));
+    assert!(out.join("table2_observatories.csv").is_file());
+    assert!(!dir.join("results").exists(), "--out DIR still wrote results/");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
