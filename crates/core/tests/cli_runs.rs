@@ -266,16 +266,35 @@ fn a_run_off_the_paper_record_needs_its_own_out_dir() {
     };
 
     let refused = run(&["run", "--quick", "table2"]);
-    assert_eq!(refused.status.code(), Some(2), "stderr: {}", stderr(&refused));
-    assert!(stderr(&refused).contains("--out"), "no --out hint:\n{}", stderr(&refused));
-    assert!(stdout(&refused).is_empty(), "the study ran before the refusal");
-    assert!(!dir.join("results").exists(), "a refused run created results/");
+    assert_eq!(
+        refused.status.code(),
+        Some(2),
+        "stderr: {}",
+        stderr(&refused)
+    );
+    assert!(
+        stderr(&refused).contains("--out"),
+        "no --out hint:\n{}",
+        stderr(&refused)
+    );
+    assert!(
+        stdout(&refused).is_empty(),
+        "the study ran before the refusal"
+    );
+    assert!(
+        !dir.join("results").exists(),
+        "a refused run created results/"
+    );
 
     let out = dir.join("quick");
-    let ran = run(&["run", "--quick", "table2", "--out", out.to_str().expect("utf8 path")]);
+    let out_arg = out.to_str().expect("utf8 path");
+    let ran = run(&["run", "--quick", "table2", "--out", out_arg]);
     assert!(ran.status.success(), "stderr: {}", stderr(&ran));
     assert!(out.join("table2_observatories.csv").is_file());
-    assert!(!dir.join("results").exists(), "--out DIR still wrote results/");
+    assert!(
+        !dir.join("results").exists(),
+        "--out DIR still wrote results/"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

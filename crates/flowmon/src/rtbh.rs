@@ -198,7 +198,12 @@ mod tests {
 
     #[test]
     fn events_follow_attacks() {
-        let attacks = population(50, |i| Ipv4(0x0A00_0000 + i as u32), |i| i as i64 * 10_000, 7200);
+        let attacks = population(
+            50,
+            |i| Ipv4(0x0A00_0000 + i as u32),
+            |i| i as i64 * 10_000,
+            7200,
+        );
         let events = blackhole_events(attacks.iter(), &RtbhParams::default(), &SimRng::new(1));
         assert!(!events.is_empty());
         for e in &events {

@@ -1,11 +1,13 @@
 //! Columnar-refactor equivalence gate (ISSUE 6): the SoA population
 //! must produce byte-identical projections to the pre-refactor AoS
-//! path. The `GOLDEN_*` constants below are FNV-1a hashes of the full
-//! projection fingerprint (every weekly/normalized series bit pattern,
-//! every target-tuple set, the Netscout baseline sample and the Akamai
+//! path. `GOLDEN` is the FNV-1a hash of the full projection
+//! fingerprint (every weekly/normalized series bit pattern, every
+//! target-tuple set, the Netscout baseline sample and the Akamai
 //! retention tuples) captured on the last `Vec<Attack>` commit — the
 //! frozen reference the columnar engine is checked against, across
 //! worker counts × stage-cache on/off × a non-empty `FaultPlan`.
+//! `GOLDEN_ATTACKS` pins the generated population itself across the
+//! same matrix.
 
 mod common;
 
@@ -36,7 +38,8 @@ fn columnar_output_matches_frozen_aos_golden() {
             );
             let got = fnv1a(&run.attacks.to_wire_bytes());
             assert_eq!(
-                got, GOLDEN_ATTACKS,
+                got,
+                GOLDEN_ATTACKS,
                 "attack population bytes diverged at workers={workers} \
                  cache={cache} (got {got:#018x}, {} rows)",
                 run.attacks.len()

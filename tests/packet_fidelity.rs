@@ -79,8 +79,8 @@ fn honeypot_detector_sees_generated_reflection_attacks() {
         let mut prng = root.fork(a.id.0).fork_named("hp-fidelity");
         let pkts = sensor_request_packets(a, sensor, &mut prng);
         let reflectors = a.reflector_count.unwrap();
-        let expected = a.pps / reflectors.max(1) as f64 * a.duration_secs as f64
-            / a.targets.len() as f64;
+        let expected =
+            a.pps / reflectors.max(1) as f64 * a.duration_secs as f64 / a.targets.len() as f64;
         // Count only comfortably-above-threshold attacks for the
         // detection-rate check (near-threshold ones are legitimately
         // coin flips).

@@ -188,8 +188,9 @@ fn item_names(line: &str) -> Vec<&str> {
     while let Some(start) = rest.find(ident) {
         let word = &rest[start..];
         let (word, after) = word.split_at(word.find(|c| !ident(c)).unwrap_or(word.len()));
-        let module_path =
-            word.starts_with(char::is_lowercase) && after.starts_with("::") && !after.starts_with("::<");
+        let module_path = word.starts_with(char::is_lowercase)
+            && after.starts_with("::")
+            && !after.starts_with("::<");
         if !module_path {
             names.push(word);
         }
@@ -495,5 +496,8 @@ fn item_names_skip_module_paths() {
     );
     assert_eq!(item_names("upset::upset(&sets)"), ["upset", "sets"]);
     assert_eq!(item_names("Ipv4::new(1)"), ["Ipv4", "new", "1"]);
-    assert_eq!(item_names("xs.collect::<Vec<u8>>()"), ["xs", "collect", "Vec", "u8"]);
+    assert_eq!(
+        item_names("xs.collect::<Vec<u8>>()"),
+        ["xs", "collect", "Vec", "u8"]
+    );
 }
