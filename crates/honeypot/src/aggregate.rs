@@ -300,6 +300,25 @@ mod tests {
         assert_eq!(merged.len(), 2);
     }
 
+    /// Only joining rows are deduped: an event's opening row keeps its
+    /// own repeated targets, a joining row adds each target the event
+    /// lacks once, and a joining row whose targets the event already
+    /// holds adds nothing.
+    #[test]
+    fn reconstruction_dedups_joining_rows_only() {
+        let plan = plan();
+        let base = plan.registry.get(netmodel::Asn(16276)).unwrap().prefixes[0].base();
+        let (a, b) = (Ipv4(base.0 + 1), Ipv4(base.0 + 2));
+        let mut rows = ObservationColumns::new();
+        rows.push_row(AttackId(1), SimTime(0), &[a, a]);
+        rows.push_row(AttackId(2), SimTime(60), &[b, b]);
+        rows.push_row(AttackId(3), SimTime(120), &[b, a]);
+        assert_eq!(
+            read_back(&reconstruct_carpet_columns(&plan, &rows, 600)),
+            vec![(1, 0, vec![a, a, b])]
+        );
+    }
+
     #[test]
     fn reconstruction_keeps_earliest_identity_and_unions_targets() {
         let plan = plan();
