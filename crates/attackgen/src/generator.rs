@@ -417,7 +417,7 @@ impl<'a> AttackGenerator<'a> {
             }
             AttackClass::ReflectionAmplification => {
                 let mix = self.cfg.timeline.vector_mix(t);
-                let weights: Vec<f64> = mix.iter().map(|(_, w)| *w).collect();
+                let weights = mix.map(|(_, w)| w);
                 AttackVector::Amplification(mix[ctx.rng.weighted_index(&weights)].0)
             }
         }

@@ -228,14 +228,12 @@ impl TimelineParams {
         base * modifier
     }
 
-    /// Normalized vector mix at time `t`.
-    pub fn vector_mix(&self, t: SimTime) -> Vec<(AmpVector, f64)> {
-        let raw: Vec<(AmpVector, f64)> = AmpVector::ALL
-            .iter()
-            .map(|&v| (v, self.vector_weight(v, t)))
-            .collect();
+    /// Normalized vector mix at time `t`, one entry per
+    /// [`AmpVector::ALL`] vector, in that order.
+    pub fn vector_mix(&self, t: SimTime) -> [(AmpVector, f64); AmpVector::ALL.len()] {
+        let raw = AmpVector::ALL.map(|v| (v, self.vector_weight(v, t)));
         let total: f64 = raw.iter().map(|(_, w)| w).sum();
-        raw.into_iter().map(|(v, w)| (v, w / total)).collect()
+        raw.map(|(v, w)| (v, w / total))
     }
 }
 
