@@ -449,14 +449,16 @@ impl ObservationColumns {
         }
     }
 
-    pub fn with_capacity(rows: usize) -> ObservationColumns {
+    /// Empty columns with room for `rows` rows holding `targets`
+    /// targets in all.
+    pub fn with_capacity(rows: usize, targets: usize) -> ObservationColumns {
         let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
         ObservationColumns {
             attack_id: Vec::with_capacity(rows),
             start: Vec::with_capacity(rows),
             target_offsets: offsets,
-            target_arena: Vec::with_capacity(rows),
+            target_arena: Vec::with_capacity(targets),
         }
     }
 
@@ -556,21 +558,6 @@ impl ObservationColumns {
         self.target_offsets
             .extend(other.target_offsets[1..].iter().map(|&o| o + base as u32));
         self.target_arena.extend_from_slice(&other.target_arena);
-    }
-
-    /// Sort rows by `(start, attack_id)` — the canonical observation
-    /// order (used after carpet reconstruction). The input index breaks
-    /// ties, making this exactly equivalent to a stable struct sort.
-    pub fn sort_by_start_id(&mut self) {
-        let n = self.len();
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_unstable_by_key(|&i| (self.start[i as usize], self.attack_id[i as usize], i));
-        if perm.windows(2).all(|w| w[0] < w[1]) {
-            return;
-        }
-        gather(&mut self.attack_id, &perm);
-        gather(&mut self.start, &perm);
-        gather_targets(&mut self.target_offsets, &mut self.target_arena, &perm);
     }
 
     /// Count observed attacks per study week (the §5 aggregation) — a
@@ -998,15 +985,11 @@ mod tests {
     }
 
     #[test]
-    fn observation_append_and_sort() {
+    fn observation_append_keeps_row_order() {
         let sample = sample_observed();
         let mut a = observed(&sample[..1]);
         a.append(observed(&sample[1..]));
         assert_eq!(read_back(&a), sample);
-        let mut sorted = sample.clone();
-        sorted.sort_by_key(|&(id, start, _)| (start, id));
-        a.sort_by_start_id();
-        assert_eq!(read_back(&a), sorted);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A disk tier under the in-memory [`crate::StageCache`]: each stage
 //! output — the Internet plan, the columnar attack stream, the eleven
 //! observation streams, the raw Netscout alert stream, and the three
-//! honeypots' detections the carpet pass reads — is
+//! honeypots' detections (in carpet order) the carpet pass reads — is
 //! serialized through the hand-rolled wire codecs (`netmodel::wire`,
 //! `attackgen::wire`) into one *cell* file at
 //! `<dir>/<stage>/<fingerprint>`, keyed by the same chained
@@ -31,7 +31,11 @@
 //! removes temporaries older than an hour.
 //!
 //! One generic [`DiskStore::load`] / [`DiskStore::store`] pair serves
-//! all four stage output types through their [`StageOutput`] codec.
+//! all five stage output types through their [`StageOutput`] codec.
+//! The kind tag in each header names the type, so a cell that an older
+//! build wrote under the same key as another type (the raw honeypot
+//! detections, before they were stored in carpet order) fails the kind
+//! check once, counts a `disk_reject`, and is recomputed and rewritten.
 //!
 //! Telemetry lands in the global `obs` registry as
 //! `stage.<plan|attacks|observations>.disk_{hit,miss,write,reject}`

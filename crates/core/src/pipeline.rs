@@ -17,13 +17,19 @@
 //! passes that read it (a carpet-gap sweep reruns only the honeypot
 //! carpet passes), without rebuilding the plan or regenerating
 //! attacks; a `gen` sweep reuses the plan at every grid point.
+//!
+//! A honeypot pass publishes its detections already in carpet order
+//! ([`honeypot::Detections`], built under a `carpet.order` span), so
+//! the carpet pass is one linear merge: a carpet-gap point resolves no
+//! prefix and sorts nothing. The merge allocates its output once at its
+//! final size, and it is not shrunk (DESIGN.md §9).
 
 use crate::scenario::StudyConfig;
 use crate::stagecache::{StageFingerprints, Tiers};
 use analytics::{Member, TargetTuple, WeeklySeries};
 use attackgen::{AttackColumns, AttackGenerator, AttackId, AttackRef, ObservationColumns};
 use flowmon::{Akamai, AlertColumns, IxpBlackholing, Netscout};
-use honeypot::{reconstruct_carpet_columns, Honeypot};
+use honeypot::{Detections, Honeypot};
 use netmodel::InternetPlan;
 use obs::metrics::Counter;
 use serde::{Deserialize, Serialize};
@@ -371,7 +377,8 @@ impl StudyRun {
     /// lost Netscout series re-observes nothing.
     ///
     /// Stage spans (`plan`, `generate`, one `observe` around the
-    /// observer passes that run, one `carpet` or `merge` per post-pass
+    /// observer passes that run, one `carpet.order` per honeypot whose
+    /// detections are computed, one `carpet` or `merge` per post-pass
     /// that runs) nest under whatever span the caller holds and are
     /// only opened when the stage actually computes — a fully warm run
     /// emits no stage spans.
@@ -442,7 +449,7 @@ impl StudyRun {
         let mut streams: [Option<Arc<ObservationColumns>>; 11] =
             ObsId::ALL.map(|id| tiers.lookup(fp.observation(id)));
         let mut alerts = tiers.lookup(fp.netscout_alerts);
-        let mut detections: [Option<Arc<ObservationColumns>>; 3] = std::array::from_fn(|i| {
+        let mut detections: [Option<Arc<Detections>>; 3] = std::array::from_fn(|i| {
             if streams[ObsId::HONEYPOTS[i].index()].is_none() {
                 tiers.lookup(fp.detections[i])
             } else {
@@ -545,13 +552,19 @@ impl StudyRun {
             drop(observe_span);
 
             for (pass, mut out) in passes.into_iter().zip(outs) {
-                out.shrink_to_fit();
                 match pass {
                     Pass::Telescope(id) | Pass::Ixp(id) | Pass::Akamai(id) => {
+                        out.shrink_to_fit();
                         streams[id.index()] = Some(tiers.publish(fp.observation(id), out));
                     }
                     Pass::Honeypot(i) => {
-                        detections[i] = Some(tiers.publish(fp.detections[i], out));
+                        // The gap-free half of the carpet pass, stored
+                        // as the detections themselves.
+                        let ordered = {
+                            let _order_span = obs::span!("carpet.order");
+                            Detections::new(&plan, &out)
+                        };
+                        detections[i] = Some(tiers.publish(fp.detections[i], ordered));
                     }
                     Pass::Netscout => {
                         alerts_raw.shrink_to_fit();
@@ -564,14 +577,15 @@ impl StudyRun {
 
         // The post-passes. The CCC / Appendix-I carpet pass, the one
         // reader of the merge gap, merges concurrent same-prefix events
-        // of each honeypot whose stream missed, over cached or fresh
-        // detections.
+        // of each honeypot whose stream missed: one linear merge over
+        // its cached or fresh detections, already in carpet order. Its
+        // output is allocated once at its final size and not shrunk
+        // (DESIGN.md §9).
         let gap = i64::from(config.obs.carpet_gap_secs);
         for (i, id) in ObsId::HONEYPOTS.into_iter().enumerate() {
-            if let Some(raw) = detections[i].take() {
+            if let Some(ordered) = detections[i].take() {
                 let _carpet_span = obs::span!("carpet");
-                let mut merged = reconstruct_carpet_columns(&plan, &raw, gap);
-                merged.shrink_to_fit();
+                let merged = ordered.merge(gap);
                 streams[id.index()] = Some(tiers.publish(fp.observation(id), merged));
             }
         }

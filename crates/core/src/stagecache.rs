@@ -13,8 +13,9 @@
 //! (or any repeated `try_execute`) recomputes only the outputs whose
 //! inputs actually changed: an observation-side sweep skips plan
 //! building and attack generation entirely, a carpet-gap sweep reruns
-//! only the three honeypot carpet passes, and a `gen.timeline` sweep
-//! reuses the Internet plan at every grid point.
+//! only the three honeypot carpet merges (the detections are stored in
+//! carpet order, so no prefix lookup or sort reruns), and a
+//! `gen.timeline` sweep reuses the Internet plan at every grid point.
 //!
 //! **Correctness invariant:** cached output is byte-identical to
 //! recomputed output. That holds because (a) every stage is
@@ -35,7 +36,9 @@
 //! [`DEFAULT_BOUND`]), thread-safe, and coalescing: concurrent misses
 //! on the same key block on one compute instead of duplicating it.
 //! Its entry points are generic over [`StageOutput`], the trait the
-//! four stage output types implement (stage, kind tag, wire codec).
+//! five stage output types implement (stage, kind tag, wire codec):
+//! the plan, the attacks, an observation stream, the Netscout alert
+//! stream, and a honeypot's detections in carpet order.
 //! Telemetry lands in the global `obs` registry as
 //! `stage.<plan|attacks|observations>.{hit,computed,evicted}` and
 //! therefore in every run manifest.
@@ -51,6 +54,7 @@ use crate::pipeline::ObsId;
 use crate::scenario::StudyConfig;
 use attackgen::{AttackColumns, ObservationColumns};
 use flowmon::AlertColumns;
+use honeypot::Detections;
 use netmodel::InternetPlan;
 use obs::manifest::Fnv;
 use obs::metrics::Counter;
@@ -296,6 +300,7 @@ stage_outputs! {
     AttackColumns => Attacks, 1;
     ObservationColumns => Observations, 2;
     AlertColumns => Observations, 3;
+    Detections => Observations, 4;
 }
 
 /// Cache actions the flight recorder distinguishes.
@@ -844,7 +849,7 @@ mod tests {
     #[test]
     fn cache_hits_evicts_and_bypasses() {
         let cache = StageCache::isolated();
-        let make = |n: u64| -> Arc<ObservationColumns> { Arc::new(ObservationColumns::with_capacity(n as usize)) };
+        let make = |n: u64| -> Arc<ObservationColumns> { Arc::new(ObservationColumns::with_capacity(n as usize, 0)) };
 
         let get = |bound, key| cache.get::<ObservationColumns>(bound, key);
 
@@ -954,7 +959,7 @@ mod tests {
     fn concurrent_eviction_races_coalesced_miss() {
         use std::sync::Barrier;
         let cache = StageCache::isolated();
-        let make = |n: usize| -> Arc<ObservationColumns> { Arc::new(ObservationColumns::with_capacity(n)) };
+        let make = |n: usize| -> Arc<ObservationColumns> { Arc::new(ObservationColumns::with_capacity(n, 0)) };
         // Rendezvous 1: A's compute has started; B may churn, C may
         // coalesce. Rendezvous 2: B's churn is done; A may finish.
         let in_flight = Barrier::new(3);

@@ -10,9 +10,16 @@
 //!   that covers the attack", *without* crossing RIR allocation
 //!   boundaries — so an attack sweeping many allocations of one AS is
 //!   (deliberately, as in the paper) recorded as many attacks.
+//!
+//! The carpet pass comes in two halves. [`Detections::new`] does what
+//! no merge gap changes: it resolves each row's carpet prefix and puts
+//! the rows in carpet order. [`Detections::merge`] is one linear walk
+//! at a given gap. The pipeline stores a honeypot's detections in that
+//! order, so a carpet-gap point resolves no prefix and sorts nothing.
 
 use crate::detector::HoneypotFlow;
 use attackgen::{AttackId, ObservationColumns};
+use netmodel::wire::{get_u32s, put_u32s, Reader, WireResult, Writer};
 use netmodel::{InternetPlan, Ipv4, Prefix};
 use simcore::SimTime;
 use std::collections::BTreeMap;
@@ -101,64 +108,154 @@ pub fn carpet_prefix(plan: &InternetPlan, ip: Ipv4) -> Option<Prefix> {
 /// `merge_gap_secs` of the latest event merged before it. Events whose
 /// first target has no routed prefix stay singletons.
 ///
-/// Row indices are sorted by `(prefix, start, index)` and each prefix's
-/// run is walked in that order. A merged event starts as its earliest
-/// row (id, start and targets) and appends each later row's targets
-/// that it does not hold yet, in first-seen order. The output is sorted
-/// by `(start, attack id)`, ties kept in merge order.
+/// The two halves of [`Detections`]: the gap-free carpet order, then
+/// the merge at `merge_gap_secs`. The pipeline stores the first half
+/// and runs only the second per gap.
 pub fn reconstruct_carpet_columns(
     plan: &InternetPlan,
     observed: &ObservationColumns,
     merge_gap_secs: i64,
 ) -> ObservationColumns {
-    let n = observed.len();
-    let mut keyed: Vec<(Option<Prefix>, u32)> = (0..n as u32)
-        .map(|i| {
-            (
-                carpet_prefix(plan, observed.targets(i as usize)[0]),
-                i,
-            )
-        })
-        .collect();
-    keyed.sort_unstable_by_key(|&(p, i)| (p, observed.start[i as usize], i));
+    Detections::new(plan, observed).merge(merge_gap_secs)
+}
 
-    let mut out = ObservationColumns::with_capacity(n);
-    let mut i = 0;
-    while i < keyed.len() {
-        let (prefix, first) = keyed[i];
-        let fi = first as usize;
-        out.begin_row(
-            AttackId(observed.attack_id[fi]),
-            SimTime(observed.start[fi]),
-        );
-        let row_base = out.target_arena.len();
-        for &t in observed.targets(fi) {
-            out.push_target(t);
+/// A honeypot's detections in carpet order: the half of the
+/// Appendix-I pass that no merge gap changes, computed once per
+/// detections key, so a carpet-gap point runs only
+/// [`Detections::merge`] over it.
+///
+/// `rows` holds the detections gathered into `(carpet prefix, start,
+/// input index)` order. The two lanes are indexed by that position:
+/// `joins[k]` says row `k` has a routed carpet prefix equal to row
+/// `k - 1`'s, and `emit` lists every position in `(start, attack id,
+/// position)` order, the order merged events are written in.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Detections {
+    pub rows: ObservationColumns,
+    pub joins: Vec<bool>,
+    pub emit: Vec<u32>,
+}
+
+impl Detections {
+    /// Put `observed` in carpet order: resolve each row's carpet prefix
+    /// (of its first target), sort by `(prefix, start, index)`, gather
+    /// the rows, and derive both lanes.
+    pub fn new(plan: &InternetPlan, observed: &ObservationColumns) -> Detections {
+        let n = observed.len();
+        let mut keyed: Vec<(Option<Prefix>, u32)> = (0..n as u32)
+            .map(|i| (carpet_prefix(plan, observed.targets(i as usize)[0]), i))
+            .collect();
+        keyed.sort_unstable_by_key(|&(p, i)| (p, observed.start[i as usize], i));
+
+        let mut rows = ObservationColumns::with_capacity(n, observed.target_arena.len());
+        let mut joins = Vec::with_capacity(n);
+        for (k, &(prefix, i)) in keyed.iter().enumerate() {
+            let row = observed.get(i as usize);
+            rows.push_row(row.attack_id, row.start, row.targets);
+            joins.push(k > 0 && prefix.is_some() && keyed[k - 1].0 == prefix);
         }
-        let mut last_start = observed.start[fi];
-        let mut j = i + 1;
-        while j < keyed.len() {
-            let (p2, next) = keyed[j];
-            let ni = next as usize;
-            let mergeable = prefix.is_some()
-                && p2 == prefix
-                && observed.start[ni] - last_start <= merge_gap_secs;
-            if !mergeable {
-                break;
+        let mut emit: Vec<u32> = (0..n as u32).collect();
+        emit.sort_unstable_by_key(|&k| (rows.start[k as usize], rows.attack_id[k as usize], k));
+        Detections { rows, joins, emit }
+    }
+
+    /// Does row `k` open an event at `merge_gap_secs`? It does unless it
+    /// joins its predecessor's prefix and starts within the gap of it.
+    fn opens(&self, k: usize, merge_gap_secs: i64) -> bool {
+        let starts = &self.rows.start;
+        !(self.joins[k] && starts[k].saturating_sub(starts[k - 1]) <= merge_gap_secs)
+    }
+
+    /// The merge, the half of the Appendix-I pass that reads the gap:
+    /// one walk of `emit`. Each row that opens an event writes its id,
+    /// start and targets, then appends the targets of the rows after
+    /// it that do not open an event, skipping targets the event already
+    /// holds (first-seen order; the opening row's own targets are kept
+    /// as they are). The output is sorted by `(start, attack id)`, ties
+    /// in merge order.
+    ///
+    /// Its four columns are allocated once, for every row and every
+    /// target of the detections, and never grow or shrink, so each gap
+    /// point of one honeypot allocates the same block sizes
+    /// (DESIGN.md §9).
+    pub fn merge(&self, merge_gap_secs: i64) -> ObservationColumns {
+        let rows = &self.rows;
+        let n = rows.len();
+        let mut out = ObservationColumns::with_capacity(n, rows.target_arena.len());
+        for k in self.emit.iter().map(|&k| k as usize) {
+            if !self.opens(k, merge_gap_secs) {
+                continue;
             }
-            for &t in observed.targets(ni) {
-                if !out.target_arena[row_base..].contains(&t) {
-                    out.push_target(t);
+            out.begin_row(AttackId(rows.attack_id[k]), SimTime(rows.start[k]));
+            let event = out.target_arena.len();
+            out.target_arena.extend_from_slice(rows.targets(k));
+            for j in (k + 1..n).take_while(|&j| !self.opens(j, merge_gap_secs)) {
+                for &t in rows.targets(j) {
+                    if !out.target_arena[event..].contains(&t) {
+                        out.push_target(t);
+                    }
                 }
             }
-            last_start = observed.start[ni];
-            j += 1;
+            out.commit_row();
         }
-        out.commit_row();
-        i = j;
+        out
     }
-    out.sort_by_start_id();
-    out
+
+    /// Encode to the stage-store wire format (DESIGN.md §11): the rows'
+    /// observation columns, then the `joins` lane (one byte per row)
+    /// and the `emit` lane. Deterministic bytes for identical input.
+    pub fn to_wire_bytes(&self) -> Vec<u8> {
+        let rows = self.rows.to_wire_bytes();
+        let mut w = Writer::with_capacity(rows.len() + self.joins.len() * 5 + 24);
+        w.bytes(&rows);
+        w.u64(self.joins.len() as u64);
+        for &joins in &self.joins {
+            w.u8(u8::from(joins));
+        }
+        put_u32s(&mut w, &self.emit);
+        w.into_bytes()
+    }
+
+    /// Decode a wire payload; `Err` (never a panic) on truncated or
+    /// corrupt input, on a lane whose length is not the row count, on
+    /// a row 0 marked as joining, and on an `emit` that is not a
+    /// permutation of the row positions.
+    pub fn from_wire_bytes(bytes: &[u8]) -> WireResult<Detections> {
+        let mut r = Reader::new(bytes);
+        let rows_len = r.count(1)?;
+        let rows = ObservationColumns::from_wire_bytes(r.raw(rows_len)?)?;
+        let n = r.count(1)?;
+        let joins = r
+            .raw(n)?
+            .iter()
+            .map(|&b| match b {
+                0 => Ok(false),
+                1 => Ok(true),
+                b => Err(format!("joins byte {b} is neither 0 nor 1")),
+            })
+            .collect::<WireResult<Vec<bool>>>()?;
+        let emit = get_u32s(&mut r)?;
+        r.finish()?;
+        let n = rows.len();
+        if joins.len() != n || emit.len() != n {
+            return Err(format!(
+                "carpet lanes disagree: {n} rows, {} joins, {} emits",
+                joins.len(),
+                emit.len()
+            ));
+        }
+        if joins.first() == Some(&true) {
+            return Err("row 0 is marked as joining".to_string());
+        }
+        let mut seen = vec![false; n];
+        for &k in &emit {
+            match seen.get_mut(k as usize) {
+                Some(seen) if !*seen => *seen = true,
+                _ => return Err(format!("emit is not a permutation of 0..{n}: {k}")),
+            }
+        }
+        Ok(Detections { rows, joins, emit })
+    }
 }
 
 #[cfg(test)]
@@ -344,5 +441,77 @@ mod tests {
                 (6, 50_000, vec![b(9)]),
             ]
         );
+    }
+
+    /// Detections with joining rows, an unrouted row, a foreign
+    /// allocation and an `emit` that is not the identity.
+    fn sample_detections(plan: &InternetPlan) -> Detections {
+        let base = plan.registry.get(netmodel::Asn(16276)).unwrap().prefixes[0].base();
+        let b = |off: u32| Ipv4(base.0 + off);
+        let other = plan.registry.get(netmodel::Asn(24940)).unwrap().prefixes[0].nth(0);
+        let rows = observed(&[
+            (4, b(2), 60),
+            (1, b(1), 0),
+            (7, Ipv4::new(223, 255, 255, 1), 10),
+            (5, other, 30),
+            (3, b(3), 120),
+        ]);
+        let ordered = Detections::new(plan, &rows);
+        assert!(ordered.joins.contains(&true));
+        assert!(ordered.emit.windows(2).any(|w| w[0] > w[1]));
+        ordered
+    }
+
+    #[test]
+    fn detections_wire_round_trip() {
+        let plan = plan();
+        let ordered = sample_detections(&plan);
+        let bytes = ordered.to_wire_bytes();
+        let back = Detections::from_wire_bytes(&bytes).expect("decode");
+        assert_eq!(back, ordered);
+        assert_eq!(back.to_wire_bytes(), bytes);
+        assert_eq!(back.merge(600), ordered.merge(600));
+        let empty = Detections::new(&plan, &ObservationColumns::new());
+        assert_eq!(Detections::from_wire_bytes(&empty.to_wire_bytes()), Ok(empty));
+        // Byte flips reject or decode, never panic.
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x40;
+            let _ = Detections::from_wire_bytes(&bad);
+        }
+    }
+
+    /// Lanes that would make the merge panic or lie are rejected: an
+    /// `emit` that is not a permutation, a lane whose length is not the
+    /// row count, a joining row 0, a lane byte that is not a boolean,
+    /// and every truncation.
+    #[test]
+    fn detections_decode_rejects_structural_lies() {
+        let plan = plan();
+        let ordered = sample_detections(&plan);
+        let lies: [(&str, fn(&mut Detections)); 6] = [
+            ("repeated emit", |d| d.emit[1] = d.emit[0]),
+            ("emit out of range", |d| d.emit[0] = d.rows.len() as u32),
+            ("short joins", |d| {
+                d.joins.pop();
+            }),
+            ("short emit", |d| {
+                d.emit.pop();
+            }),
+            ("long joins", |d| d.joins.push(false)),
+            ("joining row 0", |d| d.joins[0] = true),
+        ];
+        for (what, lie) in lies {
+            let mut bad = ordered.clone();
+            lie(&mut bad);
+            assert!(Detections::from_wire_bytes(&bad.to_wire_bytes()).is_err(), "{what}");
+        }
+        let mut bytes = ordered.to_wire_bytes();
+        for cut in 0..bytes.len() {
+            assert!(Detections::from_wire_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let joins_at = bytes.len() - 8 - 4 * ordered.emit.len() - ordered.joins.len();
+        bytes[joins_at] = 2;
+        assert!(Detections::from_wire_bytes(&bytes).is_err(), "joins byte 2");
     }
 }

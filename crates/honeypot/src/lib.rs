@@ -13,7 +13,7 @@ pub mod event;
 pub mod platform;
 
 pub use aggregate::{
-    carpet_prefix, merge_sensor_flows, reconstruct_carpet_columns, HoneypotEvent,
+    carpet_prefix, merge_sensor_flows, reconstruct_carpet_columns, Detections, HoneypotEvent,
     CARPET_MAX_PREFIX, CARPET_MIN_PREFIX,
 };
 pub use detector::{AttackMode, HoneypotDetector, HoneypotFlow, HpFlowKey};

@@ -3,7 +3,8 @@
 
 use attackgen::{AttackId, ObservationColumns, PacketEvent};
 use honeypot::{
-    carpet_prefix, merge_sensor_flows, reconstruct_carpet_columns, HoneypotConfig, HoneypotDetector,
+    carpet_prefix, merge_sensor_flows, reconstruct_carpet_columns, Detections, HoneypotConfig,
+    HoneypotDetector,
 };
 use netmodel::{AmpVector, Asn, InternetPlan, Ipv4, NetScale, Transport};
 use proptest::prelude::*;
@@ -194,7 +195,9 @@ proptest! {
     /// `gap` steps jittered by -1, 0, +1 or half a gap, so draws hold
     /// start ties, chains longer than one gap, and neighbours exactly at,
     /// just inside and just past the merge window. Targets repeat within
-    /// and across rows, and one pick of four is unrouted.
+    /// and across rows, and one pick of four is unrouted. The gap-free
+    /// half is built once per case and merged at the drawn gap, at half
+    /// of it and at twice it, as a carpet-gap sweep merges it.
     #[test]
     fn reconstruction_matches_naive_reference(
         raw in proptest::collection::vec(
@@ -220,8 +223,10 @@ proptest! {
                 ((n - i) as u64, start, offsets.iter().map(|&o| ip(o)).collect())
             })
             .collect();
-        let merged = reconstruct_carpet_columns(&plan, &columns(&rows), gap);
-        prop_assert_eq!(read_back(&merged), reference_carpet(&plan, &rows, gap));
+        let ordered = Detections::new(&plan, &columns(&rows));
+        for gap in [gap, gap / 2, 2 * gap] {
+            prop_assert_eq!(read_back(&ordered.merge(gap)), reference_carpet(&plan, &rows, gap));
+        }
     }
 
     /// AmpPot's flow identifier includes the source port: streams that

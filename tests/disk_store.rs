@@ -212,6 +212,46 @@ fn a_lost_netscout_series_is_split_again_not_observed() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Detections are stored in carpet order under their own kind tag, at
+/// the key the raw detections had. A store written by an older build
+/// holds an `ObservationColumns` cell there: a new-gap run rejects that
+/// cell once, observes its honeypot again, rewrites the cell, and
+/// matches a cache-off run byte for byte; the next gap point loads the
+/// rewritten cell and only merges.
+#[test]
+fn an_older_detections_cell_is_rejected_once_and_rewritten() {
+    let _guard = serialize();
+    let dir = scratch_dir("old-detections");
+    let cfg = tiny_cfg(0xD15C_0007, &dir);
+    let cold = StudyRun::execute(&cfg);
+    let key = StageFingerprints::of(&cfg).detections[0];
+    let older: &ObservationColumns = cold.observations(ObsId::HONEYPOTS[0]);
+    DiskStore::open(dir.clone()).store(key, older);
+    let streams = |run: &StudyRun| ObsId::ALL.map(|id| run.observations(id).to_wire_bytes());
+
+    let mut point = cfg.clone();
+    for (step, rejected) in [(1, 1), (2, 0)] {
+        point.obs.carpet_gap_secs = cfg.obs.carpet_gap_secs + 600 * step;
+        StageCache::global().clear();
+        let before = snap();
+        let warm = streams(&StudyRun::execute(&point));
+        let [hit, miss, write, reject, computed] = delta(before, snap());
+        // The rejected detections recompute with the three carpet
+        // outputs of the new gap; everything else loads.
+        let recomputed = 3 + rejected;
+        assert_eq!(reject, rejected, "gap step {step}: rejects");
+        assert_eq!((computed, write), (recomputed, recomputed), "gap step {step}");
+        assert_eq!((hit, miss), (CELLS_LOADED_WARM - rejected, 3), "gap step {step}");
+
+        let mut off = point.clone();
+        off.stage_cache = Some(0);
+        off.disk_store = None;
+        assert!(warm == streams(&StudyRun::execute(&off)), "gap step {step}: diverged");
+    }
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Flip one payload byte in *every* stored cell: every load rejects,
 /// the run recomputes everything, emits byte-identical output, and
 /// rewrites every cell — so the next fresh process loads clean again.

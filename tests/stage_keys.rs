@@ -300,14 +300,14 @@ fn keys_move_only_for_the_streams_that_read_the_change() {
 
 /// The user-facing what-if route: over a warm quick study, a two-point
 /// carpet-gap sweep computes exactly the six carpet outputs, in one
-/// `carpet` span each, and observes nothing.
+/// `carpet` span each, and observes nothing. Putting the detections in
+/// carpet order (`carpet.order`) is gap-free work: the cold run does it
+/// once per honeypot, and the gap points not at all.
 #[test]
 fn served_gap_sweep_reruns_only_the_carpet_passes() {
     let _guard = serialize();
     let mut cfg = StudyConfig::quick();
     cfg.workers = Some(2);
-    let run = StudyRun::execute(&cfg);
-    let service = StudyService::new(run, &cfg, "quick");
 
     let cache = StageCache::global();
     let counts = || {
@@ -319,8 +319,21 @@ fn served_gap_sweep_reruns_only_the_carpet_passes() {
             observations,
             spans_closed("carpet"),
             spans_closed("observe"),
+            spans_closed("carpet.order"),
         ]
     };
+    cache.clear();
+    let before = counts();
+    let run = StudyRun::execute(&cfg);
+    let after = counts();
+    assert_eq!(
+        std::array::from_fn::<u64, 6, _>(|i| after[i] - before[i]),
+        [1, 1, 15, 3, 1, 3],
+        "cold: stage.{{plan,attacks,observations}}.computed, carpet, observe and \
+         carpet.order spans"
+    );
+    let service = StudyService::new(run, &cfg, "quick");
+
     let before = counts();
     let resp = service.handle(&Request {
         method: "GET".to_string(),
@@ -331,9 +344,9 @@ fn served_gap_sweep_reruns_only_the_carpet_passes() {
     let after = counts();
     assert_eq!(resp.status, 200);
     assert_eq!(
-        std::array::from_fn::<u64, 5, _>(|i| after[i] - before[i]),
-        [0, 0, 6, 6, 0],
-        "stage.{{plan,attacks,observations}}.computed, carpet and observe spans"
+        std::array::from_fn::<u64, 6, _>(|i| after[i] - before[i]),
+        [0, 0, 6, 6, 0, 0],
+        "stage.{{plan,attacks,observations}}.computed, carpet, observe and carpet.order spans"
     );
 }
 
