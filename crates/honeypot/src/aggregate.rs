@@ -131,9 +131,9 @@ pub fn reconstruct_carpet_columns(
 /// position)` order, the order merged events are written in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Detections {
-    pub rows: ObservationColumns,
-    pub joins: Vec<bool>,
-    pub emit: Vec<u32>,
+    rows: ObservationColumns,
+    joins: Vec<bool>,
+    emit: Vec<u32>,
 }
 
 impl Detections {
