@@ -1,14 +1,14 @@
 //! Property-based tests for the honeypot detector and aggregation
 //! chain.
 
-use attackgen::{AttackId, ObservationColumns, PacketEvent};
+use attackgen::{AttackGenerator, AttackId, GenConfig, ObservationColumns, PacketEvent};
 use honeypot::{
-    carpet_prefix, merge_sensor_flows, reconstruct_carpet_columns, Detections, HoneypotConfig,
-    HoneypotDetector,
+    carpet_prefix, merge_sensor_flows, reconstruct_carpet_columns, Detections, Honeypot,
+    HoneypotConfig, HoneypotDetector,
 };
 use netmodel::{AmpVector, Asn, InternetPlan, Ipv4, NetScale, Transport};
 use proptest::prelude::*;
-use simcore::{SimRng, SimTime};
+use simcore::{ExecPool, SimRng, SimTime};
 
 fn plan() -> InternetPlan {
     let mut rng = SimRng::new(100);
@@ -64,6 +64,40 @@ fn reference_carpet(plan: &InternetPlan, rows: &[Row], gap: i64) -> Vec<Row> {
     }
     events.sort_by_key(|e| (e.1, e.0));
     events
+}
+
+/// A generated study's real detections take the pipeline's path: rows
+/// arrive in attack-row order, sorted by (start, id), one row per attack
+/// at most. Over each honeypot's detections of a quick-scale study the
+/// carpet order merged at the default gap, half of it and twice it
+/// matches the naive reference row for row.
+#[test]
+fn generated_detections_match_naive_reference() {
+    let plan = plan();
+    let mut gen = GenConfig::default();
+    gen.timeline.dp_base_per_week /= 8.0;
+    gen.timeline.ra_base_per_week /= 8.0;
+    gen.random_campaign_count = 8;
+    gen.campaign_rate_scale = 1.0 / 8.0;
+    let root = SimRng::new(0xDD05_C0DE);
+    let attacks = AttackGenerator::new(&plan, gen, &root).generate_study_on(&ExecPool::serial());
+    let obs_root = root.fork_named("observatories");
+    for honeypot in [Honeypot::hopscotch(&plan), Honeypot::amppot(&plan), Honeypot::newkid(&plan)] {
+        let mut observed = ObservationColumns::new();
+        for i in 0..attacks.len() {
+            honeypot.observe_into(attacks.get(i), &obs_root, &mut observed);
+        }
+        assert!(observed.len() > 100, "{}: {} rows", honeypot.cfg.name, observed.len());
+        let rows = read_back(&observed);
+        let ordered = Detections::new(&plan, &observed);
+        for gap in [3_600, 1_800, 7_200] {
+            assert!(
+                read_back(&ordered.merge(gap)) == reference_carpet(&plan, &rows, gap),
+                "{} at gap {gap}",
+                honeypot.cfg.name
+            );
+        }
+    }
 }
 
 fn request(t: i64, victim: u32, sensor: Ipv4, port: u16, src_port: u16) -> PacketEvent {
