@@ -52,6 +52,8 @@ pub struct AttackGenerator<'a> {
     campaigns: Vec<Campaign>,
     /// Target-selection weights, index-aligned with the registry.
     weights: Vec<f64>,
+    /// `weights.iter().sum()`, summed once rather than on every draw.
+    weights_total: f64,
     /// AS indices grouped by allocation RIR (for regional campaigns).
     by_rir: Vec<(Rir, Vec<usize>)>,
     /// AS indices of IXP members outside Netscout's customer base.
@@ -94,6 +96,11 @@ impl<'a> AttackGenerator<'a> {
         let mut campaigns = scripted_campaigns();
         campaigns.extend(random_campaigns(plan, cfg.random_campaign_count, &mut rng));
         let weights = plan.registry.target_weights();
+        let weights_total: f64 = weights.iter().sum();
+        assert!(
+            weights_total > 0.0 && weights_total.is_finite(),
+            "target weights must sum to a positive finite value"
+        );
         let mut by_rir: Vec<(Rir, Vec<usize>)> = [
             Rir::Arin,
             Rir::RipeNcc,
@@ -131,6 +138,7 @@ impl<'a> AttackGenerator<'a> {
             cfg,
             campaigns,
             weights,
+            weights_total,
             by_rir,
             ixp_only,
             week_root,
@@ -469,7 +477,7 @@ impl<'a> AttackGenerator<'a> {
                 // Weighted AS, with DP attacks progressively avoiding
                 // Akamai-protected space.
                 for _ in 0..6 {
-                    let idx = ctx.rng.weighted_index(&self.weights);
+                    let idx = ctx.rng.weighted_index_of_total(&self.weights, self.weights_total);
                     let asn = self.plan.registry.by_index(idx).asn;
                     let Some(ip) = self.plan.random_ip_in_asn(asn, &mut ctx.rng) else {
                         continue;
@@ -486,7 +494,7 @@ impl<'a> AttackGenerator<'a> {
                     return Some((ip, asn));
                 }
                 // Fall back to any weighted target.
-                let idx = ctx.rng.weighted_index(&self.weights);
+                let idx = ctx.rng.weighted_index_of_total(&self.weights, self.weights_total);
                 let asn = self.plan.registry.by_index(idx).asn;
                 let ip = self.plan.random_ip_in_asn(asn, &mut ctx.rng)?;
                 Some((ip, asn))

@@ -191,6 +191,14 @@ impl SimRng {
     /// non-negative, not all zero).
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
+        self.weighted_index_of_total(weights, total)
+    }
+
+    /// [`SimRng::weighted_index`] with the weights' total computed once
+    /// by the caller, for a draw repeated over the same weights. `total`
+    /// must be `weights.iter().sum()`, summed in that order, so the draw
+    /// sequence is bit-identical to [`SimRng::weighted_index`].
+    pub fn weighted_index_of_total(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(
             total > 0.0 && total.is_finite(),
             "weights must sum to a positive finite value"

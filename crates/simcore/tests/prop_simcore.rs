@@ -54,6 +54,45 @@ proptest! {
         prop_assert!(s.iter().all(|&i| i < n));
     }
 
+    /// A draw over a precomputed total picks the index `weighted_index`
+    /// picks, draw for draw. Weights are zeros, ones and mantissas
+    /// spread over 24 orders of magnitude; a `lone` below 64 keeps a
+    /// single positive entry.
+    #[test]
+    fn weighted_index_of_total_matches(
+        seed in any::<u64>(),
+        raw in proptest::collection::vec((0usize..3, 0.0f64..1.0, -12i32..12), 1..64),
+        lone in 0usize..128,
+    ) {
+        let mut weights: Vec<f64> = raw
+            .iter()
+            .map(|&(kind, mantissa, exp)| match kind {
+                0 => 0.0,
+                1 => 1.0,
+                _ => mantissa * 10f64.powi(exp),
+            })
+            .collect();
+        if lone < 64 {
+            let keep = lone % weights.len();
+            for (i, w) in weights.iter_mut().enumerate() {
+                *w = if i == keep { w.max(0.5) } else { 0.0 };
+            }
+        }
+        if weights.iter().all(|&w| w == 0.0) {
+            weights[0] = 1.0;
+        }
+        let total: f64 = weights.iter().sum();
+        let mut reference = SimRng::new(seed);
+        let mut cached = SimRng::new(seed);
+        for _ in 0..64 {
+            prop_assert_eq!(
+                cached.weighted_index_of_total(&weights, total),
+                reference.weighted_index(&weights)
+            );
+        }
+        prop_assert_eq!(cached, reference);
+    }
+
     /// Distribution supports: every sampler respects its support.
     #[test]
     fn distribution_supports(seed in any::<u64>()) {
