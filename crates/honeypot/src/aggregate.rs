@@ -16,6 +16,10 @@
 //! the rows in carpet order. [`Detections::merge`] is one linear walk
 //! at a given gap. The pipeline stores a honeypot's detections in that
 //! order, so a carpet-gap point resolves no prefix and sorts nothing.
+//!
+//! [`Detections::new`] resolves prefixes through a flat interval table
+//! built from the plan, one binary search per row instead of two trie
+//! walks, and orders the rows with one sort of packed integer keys.
 
 use crate::detector::HoneypotFlow;
 use attackgen::{AttackId, ObservationColumns};
@@ -102,6 +106,46 @@ pub fn carpet_prefix(plan: &InternetPlan, ip: Ipv4) -> Option<Prefix> {
     Some(Prefix::new(ip, len))
 }
 
+/// [`carpet_prefix`] for every address, as a flat interval table. The
+/// cuts are every start and every end of a routed prefix and of an
+/// allocation, so all addresses of one interval lie in the same routed
+/// prefixes and the same allocations, and [`carpet_prefix`] gives each
+/// of them the same length: the one it gives the interval's first
+/// address, kept in `lens` (0 for none).
+struct CarpetTable {
+    /// First address of each interval, ascending from 0.
+    starts: Vec<u32>,
+    lens: Vec<u8>,
+}
+
+impl CarpetTable {
+    fn new(plan: &InternetPlan) -> CarpetTable {
+        let routed = plan.routed.iter().map(|(p, _)| p);
+        let allocated = plan.allocations.iter().map(|(p, _)| p);
+        let mut cuts: Vec<u64> = routed
+            .chain(allocated)
+            .flat_map(|p| [u64::from(p.base().0), u64::from(p.last().0) + 1])
+            .chain([0])
+            .filter(|&cut| cut <= u64::from(u32::MAX))
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let starts: Vec<u32> = cuts.into_iter().map(|cut| cut as u32).collect();
+        let lens = starts
+            .iter()
+            .map(|&start| carpet_prefix(plan, Ipv4(start)).map_or(0, Prefix::len))
+            .collect();
+        CarpetTable { starts, lens }
+    }
+
+    /// The carpet prefix of `ip`, as [`carpet_prefix`] gives it.
+    fn lookup(&self, ip: Ipv4) -> Option<Prefix> {
+        let interval = self.starts.partition_point(|&start| start <= ip.0) - 1;
+        let len = self.lens[interval];
+        (len > 0).then(|| Prefix::new(ip, len))
+    }
+}
+
 /// Appendix-I reconstruction over an observation stream: events whose
 /// first targets share a carpet prefix ([`carpet_prefix`]: same routed
 /// block, same allocation) merge while each starts within
@@ -140,22 +184,52 @@ impl Detections {
     /// Put `observed` in carpet order: resolve each row's carpet prefix
     /// (of its first target), sort by `(prefix, start, index)`, gather
     /// the rows, and derive both lanes.
+    ///
+    /// The sort is one sort of `u128` keys that pack, from high bits to
+    /// low, the prefix (0 for none, else `base << 6 | len`, so none sorts
+    /// first and prefixes by `(base, len)`), the row's rank in
+    /// `(start, index)` order, and its index. `emit` is the input rows
+    /// sorted by `(start, attack id, position)` and mapped to their
+    /// positions. Pipeline rows arrive sorted by `(start, attack id)`,
+    /// one per attack, so both the rank sort and the `emit` sort find
+    /// their input already in order and take one pass there.
     pub fn new(plan: &InternetPlan, observed: &ObservationColumns) -> Detections {
         let n = observed.len();
-        let mut keyed: Vec<(Option<Prefix>, u32)> = (0..n as u32)
-            .map(|i| (carpet_prefix(plan, observed.targets(i as usize)[0]), i))
+        let (start, attack_id) = (&observed.start, &observed.attack_id);
+        let table = CarpetTable::new(plan);
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by_key(|&i| (start[i as usize], i));
+        let mut rank = vec![0u32; n];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
+        let mut keys: Vec<u128> = (0..n)
+            .map(|i| {
+                let prefix = table
+                    .lookup(observed.targets(i)[0])
+                    .map_or(0, |p| u64::from(p.base().0) << 6 | u64::from(p.len()));
+                u128::from(prefix) << 64 | u128::from(rank[i]) << 32 | i as u128
+            })
             .collect();
-        keyed.sort_unstable_by_key(|&(p, i)| (p, observed.start[i as usize], i));
+        keys.sort_unstable();
 
         let mut rows = ObservationColumns::with_capacity(n, observed.target_arena.len());
         let mut joins = Vec::with_capacity(n);
-        for (k, &(prefix, i)) in keyed.iter().enumerate() {
-            let row = observed.get(i as usize);
+        // `rank` is spent: its buffer becomes each row's carpet position.
+        let mut position = rank;
+        for (k, &key) in keys.iter().enumerate() {
+            let i = key as u32 as usize;
+            let row = observed.get(i);
             rows.push_row(row.attack_id, row.start, row.targets);
-            joins.push(k > 0 && prefix.is_some() && keyed[k - 1].0 == prefix);
+            let prefix = key >> 64;
+            joins.push(k > 0 && prefix != 0 && keys[k - 1] >> 64 == prefix);
+            position[i] = k as u32;
         }
-        let mut emit: Vec<u32> = (0..n as u32).collect();
-        emit.sort_unstable_by_key(|&k| (rows.start[k as usize], rows.attack_id[k as usize], k));
+        order.sort_unstable_by_key(|&i| {
+            let i = i as usize;
+            (start[i], attack_id[i], position[i])
+        });
+        let emit = order.into_iter().map(|i| position[i as usize]).collect();
         Detections { rows, joins, emit }
     }
 
@@ -359,6 +433,31 @@ mod tests {
     fn carpet_prefix_none_for_unrouted() {
         let plan = plan();
         assert_eq!(carpet_prefix(&plan, Ipv4::new(223, 255, 255, 1)), None);
+    }
+
+    /// The carpet table answers as `carpet_prefix` does at the first
+    /// and last address of every interval, at random addresses and at
+    /// random routed addresses, over four tiny plans and the paper plan.
+    #[test]
+    fn carpet_table_matches_carpet_prefix() {
+        let tiny = (0..4).map(|seed| (NetScale::tiny(), seed));
+        for (scale, seed) in tiny.chain([(NetScale::default(), 4)]) {
+            let plan = InternetPlan::build(&scale, &mut SimRng::new(seed));
+            let table = CarpetTable::new(&plan);
+            let check = |ip: Ipv4| assert_eq!(table.lookup(ip), carpet_prefix(&plan, ip), "{ip}");
+            let lasts = table.starts[1..].iter().map(|&next| next - 1).chain([u32::MAX]);
+            for (&first, last) in table.starts.iter().zip(lasts) {
+                check(Ipv4(first));
+                check(Ipv4(last));
+            }
+            let routed: Vec<Prefix> = plan.routed.iter().map(|(p, _)| p).collect();
+            let mut rng = SimRng::new(seed);
+            for _ in 0..10_000 {
+                check(Ipv4(rng.next_u32()));
+                let p = *rng.choose(&routed);
+                check(p.nth(rng.u64_below(p.size())));
+            }
+        }
     }
 
     #[test]
