@@ -22,7 +22,9 @@
 //!
 //! **Crash consistency:** cells are published through
 //! [`obs::store::publish`], the same tmp-then-rename sequence the
-//! run-history store uses: written to a same-directory temporary
+//! run-history store uses, as two parts (the header, then the payload
+//! as the codec encoded it), so a store never builds a second buffer
+//! the size of the cell: written to a same-directory temporary
 //! sibling unique to the writer, then atomically renamed into place.
 //! A reader never observes a torn cell — it sees the old bytes, the
 //! new bytes, or no file — and concurrent writers of one cell, threads
@@ -113,18 +115,17 @@ pub fn resolve(config: &StudyConfig) -> Option<DiskStore> {
     resolve_dir(config).map(DiskStore::open)
 }
 
-/// Frame a payload into cell bytes: header (see [`CELL_HEADER_LEN`])
-/// followed by the payload verbatim. `tag` is the payload kind,
+/// The header that opens a payload's cell (see [`CELL_HEADER_LEN`]);
+/// the payload follows it verbatim. `tag` is the payload kind,
 /// [`StageOutput::KIND`].
-fn encode_cell(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(CELL_HEADER_LEN + payload.len());
-    out.extend_from_slice(&CELL_MAGIC);
-    out.extend_from_slice(&CELL_VERSION.to_le_bytes());
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&cell_checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+fn cell_header(tag: u8, payload: &[u8]) -> [u8; CELL_HEADER_LEN] {
+    let mut header = [0u8; CELL_HEADER_LEN];
+    header[..4].copy_from_slice(&CELL_MAGIC);
+    header[4..6].copy_from_slice(&CELL_VERSION.to_le_bytes());
+    header[6] = tag;
+    header[7..15].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[15..].copy_from_slice(&cell_checksum(payload).to_le_bytes());
+    header
 }
 
 /// Validate cell bytes against the expected payload kind. Returns the
@@ -277,8 +278,10 @@ impl DiskStore {
     }
 
     /// Persist `value` as the cell for `key` (see
-    /// [`obs::store::publish`]). IO errors warn and drop the write —
-    /// the store is a cache, not a system of record.
+    /// [`obs::store::publish`]): the header, then the payload, written
+    /// as two parts, so no buffer the size of the cell is built. IO
+    /// errors warn and drop the write — the store is a cache, not a
+    /// system of record.
     pub fn store<T: StageOutput>(&self, key: u64, value: &T) {
         let path = self.cell_path(T::STAGE, key);
         let Some(parent) = path.parent() else { return };
@@ -286,7 +289,9 @@ impl DiskStore {
             obs::warn!("disk store: creating {} failed: {e}", parent.display());
             return;
         }
-        match obs::store::publish(&path, &encode_cell(T::KIND, &value.to_wire())) {
+        let payload = value.to_wire();
+        let header = cell_header(T::KIND, &payload);
+        match obs::store::publish(&path, &[&header, &payload]) {
             Ok(()) => self.write[T::STAGE.index()].inc(),
             Err(e) => obs::warn!("disk store: {e}"),
         }
@@ -453,6 +458,11 @@ mod tests {
         dir
     }
 
+    /// Cell bytes: the header, then the payload.
+    fn encode_cell(tag: u8, payload: &[u8]) -> Vec<u8> {
+        [&cell_header(tag, payload)[..], payload].concat()
+    }
+
     fn sample_obs() -> ObservationColumns {
         use attackgen::AttackId;
         use simcore::SimTime;
@@ -474,6 +484,53 @@ mod tests {
         assert_eq!(check_cell(&bytes, InternetPlan::KIND).unwrap(), &payload[..]);
         // Wrong expected kind is a type confusion, rejected.
         assert!(check_cell(&bytes, AttackColumns::KIND).is_err());
+    }
+
+    /// The cell format, pinned for every kind: the file `store` writes
+    /// is the 23-byte header (magic, version, kind, payload length,
+    /// checksum) followed by the payload, and it loads back.
+    #[test]
+    fn stored_cell_is_header_then_payload_for_every_kind() {
+        use attackgen::{AttackClass, AttackGenerator, GenConfig};
+        use flowmon::Severity;
+        use honeypot::Detections;
+        use simcore::SimRng;
+
+        fn pin<T: StageOutput>(store: &DiskStore, value: &T) {
+            let key = u64::from(T::KIND) + 1;
+            store.store(key, value);
+            let file = fs::read(store.cell_path(T::STAGE, key)).unwrap();
+            let payload = value.to_wire();
+            assert_eq!(file.len(), CELL_HEADER_LEN + payload.len(), "kind {}", T::KIND);
+            assert_eq!(file[..4], CELL_MAGIC);
+            assert_eq!(file[4..6], CELL_VERSION.to_le_bytes());
+            assert_eq!(file[6], T::KIND);
+            assert_eq!(file[7..15], (payload.len() as u64).to_le_bytes());
+            assert_eq!(file[15..23], cell_checksum(&payload).to_le_bytes());
+            assert_eq!(file[CELL_HEADER_LEN..], payload[..], "kind {}", T::KIND);
+            assert_eq!(file, encode_cell(T::KIND, &payload));
+            let back = store.load::<T>(key).expect("the stored cell loads");
+            assert_eq!(back.to_wire(), payload, "kind {}", T::KIND);
+        }
+
+        let dir = scratch_dir("format");
+        let store = DiskStore::open(dir.clone());
+        let root = SimRng::new(7);
+        let plan = InternetPlan::build(&netmodel::NetScale::tiny(), &mut root.fork_named("plan"));
+        let mut attacks = AttackColumns::new();
+        AttackGenerator::new(&plan, GenConfig::default(), &root).generate_week(0, &mut attacks);
+        assert!(!attacks.is_empty());
+        let mut alerts = AlertColumns::new();
+        for i in 0..attacks.len().min(5) {
+            alerts.push(attacks.get(i), AttackClass::DirectPathSpoofed, Severity::High);
+        }
+        let observed = sample_obs();
+        pin(&store, &plan);
+        pin(&store, &attacks);
+        pin(&store, &observed);
+        pin(&store, &alerts);
+        pin(&store, &Detections::new(&plan, &observed));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! becomes an `Err` entry the caller skips with a warning, never a
 //! panic (the same discipline as the fault-injection layer).
 //!
+//! [`publish`] is the one atomic file write: both this store and the
+//! stage store (`ddoscovery::diskstore`) install files through it. It
+//! takes the file as a list of parts, so the stage store writes a cell
+//! header and its payload without first copying them into one buffer.
+//!
 //! [`diff`] compares two manifests the way DESIGN.md says they should
 //! be compared: counters and stage fingerprints exactly — counters
 //! alone gate CI via `--gate <pct>` — and gauges and wall-clock
@@ -21,6 +26,7 @@
 //! identical runs, as latency does on shared hardware.
 
 use crate::manifest::{quantile, RunManifest};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -128,7 +134,7 @@ impl RunStore {
             },
         )
         .map_err(|e| format!("run store: claim in {}: {e}", self.dir.display()))?;
-        if let Err(e) = publish(&path, json.as_bytes()) {
+        if let Err(e) = publish(&path, &[json.as_bytes()]) {
             // Withdraw the empty claim so a failed append leaves no
             // debris behind (`publish` already removed its temporary).
             let _ = std::fs::remove_file(&path);
@@ -207,17 +213,19 @@ impl RunStore {
     }
 }
 
-/// Publish `bytes` as `path` atomically: write them to a temporary
-/// dotfile sibling in the same directory, then rename it over `path`,
-/// so a reader or a crash sees the old file, the new file, or none —
-/// never a torn one. Transient errors get a bounded retry; on failure
-/// the temporary is removed. The sibling's name is unique to this
-/// writer (pid plus a process-wide sequence), so concurrent publishes
-/// of one path, from threads or processes, never share a temporary:
-/// each rename installs one complete file and the last one wins.
-/// The run store and the stage store (`ddoscovery::diskstore`) both
-/// publish through here.
-pub fn publish(path: &Path, bytes: &[u8]) -> Result<(), String> {
+/// Publish the concatenation of `parts` as `path` atomically: write
+/// them, in order, to a temporary dotfile sibling in the same
+/// directory, then rename it over `path`, so a reader or a crash sees
+/// the old file, the new file, or none — never a torn one. Parts let a
+/// caller frame a payload (a header, then the payload) without copying
+/// it into one buffer first. Transient errors get a bounded retry; on
+/// failure the temporary is removed. The sibling's name is unique to
+/// this writer (pid plus a process-wide sequence), so concurrent
+/// publishes of one path, from threads or processes, never share a
+/// temporary: each rename installs one complete file and the last one
+/// wins. The run store and the stage store (`ddoscovery::diskstore`)
+/// both publish through here.
+pub fn publish(path: &Path, parts: &[&[u8]]) -> Result<(), String> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("publish");
     let tmp = path.with_file_name(format!(
@@ -227,7 +235,8 @@ pub fn publish(path: &Path, bytes: &[u8]) -> Result<(), String> {
     ));
     let transient = crate::retry::is_transient;
     let published = crate::retry::with_backoff("publish write", 3, transient, |_| {
-        std::fs::write(&tmp, bytes)
+        let mut file = std::fs::File::create(&tmp)?;
+        parts.iter().try_for_each(|part| file.write_all(part))
     })
     .map_err(|e| format!("write {}: {e}", tmp.display()))
     .and_then(|()| {
