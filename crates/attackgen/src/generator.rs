@@ -477,7 +477,9 @@ impl<'a> AttackGenerator<'a> {
                 // Weighted AS, with DP attacks progressively avoiding
                 // Akamai-protected space.
                 for _ in 0..6 {
-                    let idx = ctx.rng.weighted_index_of_total(&self.weights, self.weights_total);
+                    let idx = ctx
+                        .rng
+                        .weighted_index_of_total(&self.weights, self.weights_total);
                     let asn = self.plan.registry.by_index(idx).asn;
                     let Some(ip) = self.plan.random_ip_in_asn(asn, &mut ctx.rng) else {
                         continue;
@@ -494,7 +496,9 @@ impl<'a> AttackGenerator<'a> {
                     return Some((ip, asn));
                 }
                 // Fall back to any weighted target.
-                let idx = ctx.rng.weighted_index_of_total(&self.weights, self.weights_total);
+                let idx = ctx
+                    .rng
+                    .weighted_index_of_total(&self.weights, self.weights_total);
                 let asn = self.plan.registry.by_index(idx).asn;
                 let ip = self.plan.random_ip_in_asn(asn, &mut ctx.rng)?;
                 Some((ip, asn))

@@ -501,14 +501,13 @@ mod tests {
             store.store(key, value);
             let file = fs::read(store.cell_path(T::STAGE, key)).unwrap();
             let payload = value.to_wire();
-            assert_eq!(file.len(), CELL_HEADER_LEN + payload.len(), "kind {}", T::KIND);
+            assert_eq!(file, encode_cell(T::KIND, &payload), "kind {}", T::KIND);
             assert_eq!(file[..4], CELL_MAGIC);
             assert_eq!(file[4..6], CELL_VERSION.to_le_bytes());
             assert_eq!(file[6], T::KIND);
             assert_eq!(file[7..15], (payload.len() as u64).to_le_bytes());
             assert_eq!(file[15..23], cell_checksum(&payload).to_le_bytes());
             assert_eq!(file[CELL_HEADER_LEN..], payload[..], "kind {}", T::KIND);
-            assert_eq!(file, encode_cell(T::KIND, &payload));
             let back = store.load::<T>(key).expect("the stored cell loads");
             assert_eq!(back.to_wire(), payload, "kind {}", T::KIND);
         }
@@ -522,7 +521,8 @@ mod tests {
         assert!(!attacks.is_empty());
         let mut alerts = AlertColumns::new();
         for i in 0..attacks.len().min(5) {
-            alerts.push(attacks.get(i), AttackClass::DirectPathSpoofed, Severity::High);
+            let attack = attacks.get(i);
+            alerts.push(attack, AttackClass::DirectPathSpoofed, Severity::High);
         }
         let observed = sample_obs();
         pin(&store, &plan);

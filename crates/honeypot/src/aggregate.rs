@@ -445,7 +445,10 @@ mod tests {
             let plan = InternetPlan::build(&scale, &mut SimRng::new(seed));
             let table = CarpetTable::new(&plan);
             let check = |ip: Ipv4| assert_eq!(table.lookup(ip), carpet_prefix(&plan, ip), "{ip}");
-            let lasts = table.starts[1..].iter().map(|&next| next - 1).chain([u32::MAX]);
+            let lasts = table.starts[1..]
+                .iter()
+                .map(|&next| next - 1)
+                .chain([u32::MAX]);
             for (&first, last) in table.starts.iter().zip(lasts) {
                 check(Ipv4(first));
                 check(Ipv4(last));

@@ -82,19 +82,23 @@ fn generated_detections_match_naive_reference() {
     let root = SimRng::new(0xDD05_C0DE);
     let attacks = AttackGenerator::new(&plan, gen, &root).generate_study_on(&ExecPool::serial());
     let obs_root = root.fork_named("observatories");
-    for honeypot in [Honeypot::hopscotch(&plan), Honeypot::amppot(&plan), Honeypot::newkid(&plan)] {
+    for honeypot in [
+        Honeypot::hopscotch(&plan),
+        Honeypot::amppot(&plan),
+        Honeypot::newkid(&plan),
+    ] {
         let mut observed = ObservationColumns::new();
         for i in 0..attacks.len() {
             honeypot.observe_into(attacks.get(i), &obs_root, &mut observed);
         }
-        assert!(observed.len() > 100, "{}: {} rows", honeypot.cfg.name, observed.len());
+        let name = &honeypot.cfg.name;
+        assert!(observed.len() > 100, "{name}: {} rows", observed.len());
         let rows = read_back(&observed);
         let ordered = Detections::new(&plan, &observed);
         for gap in [3_600, 1_800, 7_200] {
             assert!(
                 read_back(&ordered.merge(gap)) == reference_carpet(&plan, &rows, gap),
-                "{} at gap {gap}",
-                honeypot.cfg.name
+                "{name} at gap {gap}"
             );
         }
     }
