@@ -565,14 +565,26 @@ mod tests {
         assert!(r.finish().is_err(), "4 unread bytes must fail finish");
     }
 
+    fn get_amp_tags(r: &mut Reader<'_>) -> WireResult<Vec<AmpVector>> {
+        let n = r.count(1)?;
+        r.raw(n)?.iter().map(|&t| amp_from_tag(t)).collect()
+    }
+
     #[test]
     fn bulk_columns_round_trip_and_match_scalar_layout() {
+        let tags = AmpVector::ALL;
+        let ips = [Ipv4(0), Ipv4(0x0A0B_0C0D), Ipv4(u32::MAX)];
         let u32col = [0u32, 1, u32::MAX, 0xDEAD_BEEF];
         let u64col = [0u64, u64::MAX, 42];
         let i64col = [i64::MIN, -1, 0, i64::MAX];
         let f64col = [0.0f64, -0.0, f64::NAN, f64::INFINITY, -0.125];
 
         let mut bulk = Writer::new();
+        bulk.u64(tags.len() as u64);
+        for v in tags {
+            bulk.u8(amp_tag(v));
+        }
+        put_ips(&mut bulk, &ips);
         put_u32s(&mut bulk, &u32col);
         put_u64s(&mut bulk, &u64col);
         put_i64s(&mut bulk, &i64col);
@@ -581,6 +593,14 @@ mod tests {
 
         // Same bytes as writing each scalar by hand.
         let mut scalar = Writer::new();
+        scalar.u64(tags.len() as u64);
+        for v in tags {
+            scalar.u8(amp_tag(v));
+        }
+        scalar.u64(3);
+        for v in ips {
+            scalar.u32(v.0);
+        }
         scalar.u64(4);
         for v in u32col {
             scalar.u32(v);
@@ -599,19 +619,39 @@ mod tests {
         }
         assert_eq!(scalar.into_bytes(), bytes);
 
-        let mut r = Reader::new(&bytes);
-        assert_eq!(get_u32s(&mut r).unwrap(), u32col);
-        assert_eq!(get_u64s(&mut r).unwrap(), u64col);
-        assert_eq!(get_i64s(&mut r).unwrap(), i64col);
-        let floats = get_f64s(&mut r).unwrap();
-        r.finish().unwrap();
+        let decode = |bytes: &[u8]| -> WireResult<_> {
+            let mut r = Reader::new(bytes);
+            let lanes = (
+                get_amp_tags(&mut r)?,
+                get_ips(&mut r)?,
+                get_u32s(&mut r)?,
+                get_u64s(&mut r)?,
+                get_i64s(&mut r)?,
+                get_f64s(&mut r)?,
+            );
+            r.finish()?;
+            Ok(lanes)
+        };
+        let (tags_back, ips_back, u32s, u64s, i64s, floats) = decode(&bytes).unwrap();
+        assert_eq!(tags_back, tags);
+        assert_eq!(ips_back, ips);
+        assert_eq!(u32s, u32col);
+        assert_eq!(u64s, u64col);
+        assert_eq!(i64s, i64col);
         assert_eq!(floats.len(), f64col.len());
         for (a, b) in floats.iter().zip(f64col.iter()) {
             assert_eq!(a.to_bits(), b.to_bits(), "bit-exact float transport");
         }
 
         // Truncated columns fail, never panic.
-        assert!(get_u32s(&mut Reader::new(&bytes[..11])).is_err());
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+
+        // One refused tag fails its whole lane.
+        let mut w = Writer::new();
+        w.u64(2).u8(amp_tag(tags[0])).u8(tags.len() as u8);
+        assert!(get_amp_tags(&mut Reader::new(&w.into_bytes())).is_err());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use ddoscovery::diskstore::CELL_HEADER_LEN;
 use ddoscovery::stagecache::{Stage, StageCache};
 use ddoscovery::{DiskStore, ObsId, StageFingerprints, StudyConfig, StudyRun};
 use netmodel::Ipv4;
+use obs::manifest::Fnv;
 use simcore::SimTime;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -248,6 +249,39 @@ fn an_older_detections_cell_is_rejected_once_and_rewritten() {
         off.disk_store = None;
         assert!(warm == streams(&StudyRun::execute(&off)), "gap step {step}: diverged");
     }
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a over every cell file of a cold `tiny_cfg(0xD15C_0008)` run:
+/// each cell's store-relative path and bytes, length-prefixed, in path
+/// order. Captured before the lane codecs moved into `netmodel::wire`;
+/// a refactor of any cell codec must leave it unedited.
+const GOLDEN_CELLS: u64 = 0x6eff_c760_1759_4b39;
+
+/// The cell bytes themselves are pinned, not only their round trip:
+/// a codec change that re-encodes a stage differently (even one that
+/// still decodes its own output) breaks every store an older build
+/// wrote.
+#[test]
+fn cold_cell_bytes_match_golden() {
+    let _guard = serialize();
+    let dir = scratch_dir("golden");
+    let cfg = tiny_cfg(0xD15C_0008, &dir);
+    StudyRun::execute(&cfg);
+    let cells = cell_files(&dir);
+    assert_eq!(cells.len() as u64, CELLS_PER_RUN);
+
+    let mut h = Fnv::new();
+    for path in &cells {
+        let rel = path.strip_prefix(&dir).expect("cell under the store");
+        let bytes = fs::read(path).expect("read cell");
+        let rel = rel.to_string_lossy();
+        h.write_u64(rel.len() as u64).write(rel.as_bytes());
+        h.write_u64(bytes.len() as u64).write(&bytes);
+    }
+    let got = h.finish();
+    assert_eq!(got, GOLDEN_CELLS, "cold cell bytes diverged from the golden (got {got:#018x})");
 
     let _ = fs::remove_dir_all(&dir);
 }
