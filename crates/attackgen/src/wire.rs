@@ -2,10 +2,10 @@
 //!
 //! [`AttackColumns`] and [`ObservationColumns`] are the attack-stage
 //! and observation-stage outputs the persistent stage store writes to
-//! disk. They encode column-wise on top of [`netmodel::wire`]: each
-//! column is a length-prefixed run of fixed-width scalars, so the
-//! payload size is within a few percent of the resident columnar
-//! footprint and decode is a straight refill of each `Vec`.
+//! disk. Each column is one [`netmodel::wire`] lane (a row count, then
+//! one fixed-width value per row), so the payload size is within a few
+//! percent of the resident columnar footprint and decode is a straight
+//! refill of each `Vec`.
 //!
 //! Decoding is fail-safe (bounds-checked `Err`, never a panic) and
 //! finishes with structural checks — equal column lengths, monotone
@@ -15,8 +15,8 @@
 use crate::attack::{AttackClass, AttackVector};
 use crate::columns::{AttackColumns, ObservationColumns};
 use netmodel::wire::{
-    amp_from_tag, amp_tag, get_f64s, get_i64s, get_u32s, get_u64s, put_f64s, put_i64s, put_u32s,
-    put_u64s, Reader, WireResult, Writer,
+    amp_from_tag, amp_tag, get_u32s, get_u64s, get_u8s, put_u32s, put_u64s, put_u8s, Reader,
+    WireResult, Writer,
 };
 use netmodel::{Asn, Ipv4};
 
@@ -63,22 +63,6 @@ fn vector_from_tag(tag: u8) -> WireResult<AttackVector> {
     })
 }
 
-/// Decode a one-byte-per-row tag column in a single bounds check.
-fn get_tags<T>(r: &mut Reader<'_>, from_tag: impl Fn(u8) -> WireResult<T>) -> WireResult<Vec<T>> {
-    let n = r.count(1)?;
-    r.raw(n)?.iter().map(|&t| from_tag(t)).collect()
-}
-
-/// Decode a `u32`-per-row newtype column in a single bounds check.
-fn get_u32_wrapped<T>(r: &mut Reader<'_>, wrap: impl Fn(u32) -> T) -> WireResult<Vec<T>> {
-    let n = r.count(4)?;
-    let bytes = r.raw(n * 4)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| wrap(u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
-        .collect())
-}
-
 /// Check a decoded `(rows, target_offsets, target_arena)` triple: the
 /// offsets column must have exactly `rows + 1` monotone entries
 /// starting at 0 and closing on the arena length — the invariant every
@@ -106,31 +90,19 @@ impl AttackColumns {
     /// Encode every column to the wire format (deterministic bytes).
     pub fn to_wire_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(self.len() * 64 + self.target_arena.len() * 4 + 64);
-        put_u32s(&mut w, &self.id);
-        w.u64(self.class.len() as u64);
-        for &c in &self.class {
-            w.u8(class_tag(c));
-        }
-        w.u64(self.vector.len() as u64);
-        for &v in &self.vector {
-            w.u8(vector_tag(v));
-        }
-        put_u32s(&mut w, &self.start_secs);
-        put_u32s(&mut w, &self.duration_secs);
-        w.u64(self.target_asn.len() as u64);
-        for a in &self.target_asn {
-            w.u32(a.0);
-        }
-        put_f64s(&mut w, &self.pps);
-        put_f64s(&mut w, &self.bps);
-        put_u32s(&mut w, &self.reflector_count);
-        put_f64s(&mut w, &self.spoof_space_fraction);
-        put_u32s(&mut w, &self.campaign);
-        put_u32s(&mut w, &self.target_offsets);
-        w.u64(self.target_arena.len() as u64);
-        for ip in &self.target_arena {
-            w.u32(ip.0);
-        }
+        put_u32s(&mut w, &self.id, |v| v);
+        put_u8s(&mut w, &self.class, class_tag);
+        put_u8s(&mut w, &self.vector, vector_tag);
+        put_u32s(&mut w, &self.start_secs, |v| v);
+        put_u32s(&mut w, &self.duration_secs, |v| v);
+        put_u32s(&mut w, &self.target_asn, |a| a.0);
+        put_u64s(&mut w, &self.pps, f64::to_bits);
+        put_u64s(&mut w, &self.bps, f64::to_bits);
+        put_u32s(&mut w, &self.reflector_count, |v| v);
+        put_u64s(&mut w, &self.spoof_space_fraction, f64::to_bits);
+        put_u32s(&mut w, &self.campaign, |v| v);
+        put_u32s(&mut w, &self.target_offsets, |v| v);
+        put_u32s(&mut w, &self.target_arena, |ip| ip.0);
         w.into_bytes()
     }
 
@@ -138,19 +110,19 @@ impl AttackColumns {
     /// failing with `Err` (never a panic).
     pub fn from_wire_bytes(bytes: &[u8]) -> WireResult<AttackColumns> {
         let mut r = Reader::new(bytes);
-        let id = get_u32s(&mut r)?;
-        let class = get_tags(&mut r, class_from_tag)?;
-        let vector = get_tags(&mut r, vector_from_tag)?;
-        let start_secs = get_u32s(&mut r)?;
-        let duration_secs = get_u32s(&mut r)?;
-        let target_asn = get_u32_wrapped(&mut r, Asn)?;
-        let pps = get_f64s(&mut r)?;
-        let bps = get_f64s(&mut r)?;
-        let reflector_count = get_u32s(&mut r)?;
-        let spoof_space_fraction = get_f64s(&mut r)?;
-        let campaign = get_u32s(&mut r)?;
-        let target_offsets = get_u32s(&mut r)?;
-        let target_arena = get_u32_wrapped(&mut r, Ipv4)?;
+        let id = get_u32s(&mut r, |v| v)?;
+        let class = get_u8s(&mut r, class_from_tag)?;
+        let vector = get_u8s(&mut r, vector_from_tag)?;
+        let start_secs = get_u32s(&mut r, |v| v)?;
+        let duration_secs = get_u32s(&mut r, |v| v)?;
+        let target_asn = get_u32s(&mut r, Asn)?;
+        let pps = get_u64s(&mut r, f64::from_bits)?;
+        let bps = get_u64s(&mut r, f64::from_bits)?;
+        let reflector_count = get_u32s(&mut r, |v| v)?;
+        let spoof_space_fraction = get_u64s(&mut r, f64::from_bits)?;
+        let campaign = get_u32s(&mut r, |v| v)?;
+        let target_offsets = get_u32s(&mut r, |v| v)?;
+        let target_arena = get_u32s(&mut r, Ipv4)?;
         r.finish()?;
 
         let rows = id.len();
@@ -194,13 +166,10 @@ impl ObservationColumns {
     /// Encode every column to the wire format (deterministic bytes).
     pub fn to_wire_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(self.len() * 24 + self.target_arena.len() * 4 + 40);
-        put_u64s(&mut w, &self.attack_id);
-        put_i64s(&mut w, &self.start);
-        put_u32s(&mut w, &self.target_offsets);
-        w.u64(self.target_arena.len() as u64);
-        for ip in &self.target_arena {
-            w.u32(ip.0);
-        }
+        put_u64s(&mut w, &self.attack_id, |v| v);
+        put_u64s(&mut w, &self.start, |v| v as u64);
+        put_u32s(&mut w, &self.target_offsets, |v| v);
+        put_u32s(&mut w, &self.target_arena, |ip| ip.0);
         w.into_bytes()
     }
 
@@ -208,10 +177,10 @@ impl ObservationColumns {
     /// failing with `Err` (never a panic).
     pub fn from_wire_bytes(bytes: &[u8]) -> WireResult<ObservationColumns> {
         let mut r = Reader::new(bytes);
-        let attack_id = get_u64s(&mut r)?;
-        let start = get_i64s(&mut r)?;
-        let target_offsets = get_u32s(&mut r)?;
-        let target_arena = get_u32_wrapped(&mut r, Ipv4)?;
+        let attack_id = get_u64s(&mut r, |v| v)?;
+        let start = get_u64s(&mut r, |v| v as i64)?;
+        let target_offsets = get_u32s(&mut r, |v| v)?;
+        let target_arena = get_u32s(&mut r, Ipv4)?;
         r.finish()?;
 
         let rows = attack_id.len();

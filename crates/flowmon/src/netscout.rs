@@ -7,7 +7,9 @@
 //! comparison baseline was ≈ 28 % of all Netscout alerts, and alerts
 //! below the product-defined "medium" severity are excluded.
 
+use attackgen::wire::{class_from_tag, class_tag};
 use attackgen::{AttackClass, AttackRef, ObservationColumns, ObservedRef};
+use netmodel::wire::{get_u8s, put_u8s, Reader, WireResult, Writer};
 use netmodel::{Asn, InternetPlan};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
@@ -200,44 +202,29 @@ impl AlertColumns {
     /// observation columns followed by one-byte class and severity
     /// lanes. Deterministic bytes for identical streams.
     pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut w = netmodel::wire::Writer::with_capacity(self.len() * 26 + 48);
+        let mut w = Writer::with_capacity(self.len() * 26 + 48);
         w.bytes(&self.obs.to_wire_bytes());
-        w.u64(self.class.len() as u64);
-        for &c in &self.class {
-            w.u8(attackgen::wire::class_tag(c));
-        }
-        w.u64(self.severity.len() as u64);
-        for &s in &self.severity {
-            w.u8(match s {
-                Severity::Low => 0,
-                Severity::Medium => 1,
-                Severity::High => 2,
-            });
-        }
+        put_u8s(&mut w, &self.class, class_tag);
+        put_u8s(&mut w, &self.severity, |s| match s {
+            Severity::Low => 0,
+            Severity::Medium => 1,
+            Severity::High => 2,
+        });
         w.into_bytes()
     }
 
     /// Decode a wire payload; `Err` (never a panic) on truncated,
     /// corrupt, or row-count-inconsistent input.
-    pub fn from_wire_bytes(bytes: &[u8]) -> netmodel::wire::WireResult<AlertColumns> {
-        let mut r = netmodel::wire::Reader::new(bytes);
-        let obs_len = r.count(1)?;
-        let obs = ObservationColumns::from_wire_bytes(r.raw(obs_len)?)?;
-        let n = r.count(1)?;
-        let mut class = Vec::with_capacity(n);
-        for _ in 0..n {
-            class.push(attackgen::wire::class_from_tag(r.u8()?)?);
-        }
-        let n = r.count(1)?;
-        let mut severity = Vec::with_capacity(n);
-        for _ in 0..n {
-            severity.push(match r.u8()? {
-                0 => Severity::Low,
-                1 => Severity::Medium,
-                2 => Severity::High,
-                t => return Err(format!("unknown Severity tag {t}")),
-            });
-        }
+    pub fn from_wire_bytes(bytes: &[u8]) -> WireResult<AlertColumns> {
+        let mut r = Reader::new(bytes);
+        let obs = ObservationColumns::from_wire_bytes(r.bytes()?)?;
+        let class = get_u8s(&mut r, class_from_tag)?;
+        let severity = get_u8s(&mut r, |t| match t {
+            0 => Ok(Severity::Low),
+            1 => Ok(Severity::Medium),
+            2 => Ok(Severity::High),
+            t => Err(format!("unknown Severity tag {t}")),
+        })?;
         r.finish()?;
         if class.len() != obs.len() || severity.len() != obs.len() {
             return Err(format!(

@@ -23,7 +23,7 @@
 
 use crate::detector::HoneypotFlow;
 use attackgen::{AttackId, ObservationColumns};
-use netmodel::wire::{get_u32s, put_u32s, Reader, WireResult, Writer};
+use netmodel::wire::{get_u32s, get_u8s, put_u32s, put_u8s, Reader, WireResult, Writer};
 use netmodel::{InternetPlan, Ipv4, Prefix};
 use simcore::SimTime;
 use std::collections::BTreeMap;
@@ -282,11 +282,8 @@ impl Detections {
         let rows = self.rows.to_wire_bytes();
         let mut w = Writer::with_capacity(rows.len() + self.joins.len() * 5 + 24);
         w.bytes(&rows);
-        w.u64(self.joins.len() as u64);
-        for &joins in &self.joins {
-            w.u8(u8::from(joins));
-        }
-        put_u32s(&mut w, &self.emit);
+        put_u8s(&mut w, &self.joins, u8::from);
+        put_u32s(&mut w, &self.emit, |k| k);
         w.into_bytes()
     }
 
@@ -296,19 +293,13 @@ impl Detections {
     /// permutation of the row positions.
     pub fn from_wire_bytes(bytes: &[u8]) -> WireResult<Detections> {
         let mut r = Reader::new(bytes);
-        let rows_len = r.count(1)?;
-        let rows = ObservationColumns::from_wire_bytes(r.raw(rows_len)?)?;
-        let n = r.count(1)?;
-        let joins = r
-            .raw(n)?
-            .iter()
-            .map(|&b| match b {
-                0 => Ok(false),
-                1 => Ok(true),
-                b => Err(format!("joins byte {b} is neither 0 nor 1")),
-            })
-            .collect::<WireResult<Vec<bool>>>()?;
-        let emit = get_u32s(&mut r)?;
+        let rows = ObservationColumns::from_wire_bytes(r.bytes()?)?;
+        let joins = get_u8s(&mut r, |b| match b {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("joins byte {b} is neither 0 nor 1")),
+        })?;
+        let emit = get_u32s(&mut r, |k| k)?;
         r.finish()?;
         let n = rows.len();
         if joins.len() != n || emit.len() != n {

@@ -3,11 +3,21 @@
 //!
 //! The persistent stage store serializes whole stage outputs —
 //! [`InternetPlan`] here, the columnar attack/observation streams in
-//! `attackgen` — to disk cells. JSON is 10–20× larger and dominated by
-//! float formatting; the wire format instead writes fixed-width
-//! little-endian scalars with `u64` length prefixes for sequences, so
-//! encoding is a column `memcpy` and decoding never allocates more
-//! than the final structures.
+//! `attackgen`, the Netscout alerts in `flowmon` and the honeypot
+//! detections in `honeypot` — to disk cells. JSON is 10–20× larger and
+//! dominated by float formatting; the wire format instead writes
+//! fixed-width little-endian scalars with `u64` length prefixes for
+//! sequences, and decoding never allocates more than the final
+//! structures.
+//!
+//! Every column of those cells is a **lane**: a `u64` row count, then
+//! one little-endian value per row, 1, 4 or 8 bytes wide. This module
+//! owns that format, with one encode/decode pair per width —
+//! [`put_u8s`]/[`get_u8s`] (one-byte tags, fallible on decode),
+//! [`put_u32s`]/[`get_u32s`] and [`put_u64s`]/[`get_u64s`]. Each pair
+//! takes the map between an element and its raw value (`class_tag`,
+//! `Ipv4`, `f64::to_bits`, `|v| v as i64`, …). Encoding writes each
+//! row's value in turn; decoding bounds-checks the whole lane once.
 //!
 //! **Determinism contract:** encoding is a pure function of the value.
 //! The two `HashSet<Asn>` coverage scopes are serialized *sorted* so
@@ -49,22 +59,20 @@ impl Writer {
         self.buf
     }
 
+    #[inline]
     pub fn u8(&mut self, v: u8) -> &mut Writer {
         self.buf.push(v);
         self
     }
 
+    #[inline]
     pub fn u32(&mut self, v: u32) -> &mut Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
+    #[inline]
     pub fn u64(&mut self, v: u64) -> &mut Writer {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    pub fn i64(&mut self, v: i64) -> &mut Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
@@ -120,11 +128,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// A borrowed run of exactly `n` raw bytes (for nested payloads).
-    pub fn raw(&mut self, n: usize) -> WireResult<&'a [u8]> {
-        self.take(n)
-    }
-
     pub fn u32(&mut self) -> WireResult<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -135,10 +138,6 @@ impl<'a> Reader<'a> {
         let mut a = [0u8; 8];
         a.copy_from_slice(b);
         Ok(u64::from_le_bytes(a))
-    }
-
-    pub fn i64(&mut self) -> WireResult<i64> {
-        Ok(self.u64()? as i64)
     }
 
     pub fn f64(&mut self) -> WireResult<f64> {
@@ -159,10 +158,15 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    pub fn str(&mut self) -> WireResult<String> {
+    /// A borrowed length-prefixed byte string, the mirror of
+    /// [`Writer::bytes`] (nested payloads, strings).
+    pub fn bytes(&mut self) -> WireResult<&'a [u8]> {
         let n = self.count(1)?;
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| "invalid UTF-8 string".to_string())
+        self.take(n)
+    }
+
+    pub fn str(&mut self) -> WireResult<String> {
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| "invalid UTF-8 string".to_string())
     }
 
     /// Everything consumed?
@@ -208,81 +212,63 @@ pub fn get_prefixes(r: &mut Reader<'_>) -> WireResult<Vec<Prefix>> {
     Ok(out)
 }
 
-pub fn put_ips(w: &mut Writer, ips: &[Ipv4]) {
-    w.u64(ips.len() as u64);
-    for ip in ips {
-        w.u32(ip.0);
-    }
-}
-
-pub fn get_ips(r: &mut Reader<'_>) -> WireResult<Vec<Ipv4>> {
-    let n = r.count(4)?;
-    let bytes = r.raw(n * 4)?;
-    Ok(bytes.chunks_exact(4).map(|c| Ipv4(u32::from_le_bytes(c.try_into().expect("4-byte chunk")))).collect())
-}
-
 // ---------------------------------------------------------------------
-// Bulk column codecs: a length-prefixed run of fixed-width scalars,
-// decoded with ONE bounds check for the whole column instead of one per
-// element. Byte layout is identical to writing each scalar in a loop,
-// so columns encoded either way round-trip through either path. These
-// are the hot path for the columnar stage cells — a full attack
-// population is hundreds of thousands of scalars.
+// Lane codecs, one pair per width (see the module doc). They are the
+// hot path of the columnar stage cells: a full attack population is
+// hundreds of thousands of values per lane.
 // ---------------------------------------------------------------------
 
-pub fn put_u32s(w: &mut Writer, col: &[u32]) {
-    w.u64(col.len() as u64);
-    for &v in col {
-        w.u32(v);
+/// A lane of one-byte values, `raw(v)` per row.
+pub fn put_u8s<T: Copy>(w: &mut Writer, lane: &[T], raw: impl Fn(T) -> u8) {
+    w.u64(lane.len() as u64);
+    for &v in lane {
+        w.u8(raw(v));
     }
 }
 
-pub fn get_u32s(r: &mut Reader<'_>) -> WireResult<Vec<u32>> {
+/// Decode a [`put_u8s`] lane; `Err` if `from_raw` refuses any row.
+pub fn get_u8s<T>(
+    r: &mut Reader<'_>,
+    from_raw: impl Fn(u8) -> WireResult<T>,
+) -> WireResult<Vec<T>> {
+    let n = r.count(1)?;
+    r.take(n)?.iter().map(|&b| from_raw(b)).collect()
+}
+
+/// A lane of four-byte values, `raw(v)` per row.
+pub fn put_u32s<T: Copy>(w: &mut Writer, lane: &[T], raw: impl Fn(T) -> u32) {
+    w.u64(lane.len() as u64);
+    for &v in lane {
+        w.u32(raw(v));
+    }
+}
+
+/// Decode a [`put_u32s`] lane, `from_raw` per row.
+pub fn get_u32s<T>(r: &mut Reader<'_>, from_raw: impl Fn(u32) -> T) -> WireResult<Vec<T>> {
     let n = r.count(4)?;
-    let bytes = r.raw(n * 4)?;
-    Ok(bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))).collect())
+    let bytes = r.take(n * 4)?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|c| from_raw(u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
+        .collect())
 }
 
-pub fn put_u64s(w: &mut Writer, col: &[u64]) {
-    w.u64(col.len() as u64);
-    for &v in col {
-        w.u64(v);
+/// A lane of eight-byte values, `raw(v)` per row; `f64` lanes pass
+/// `f64::to_bits`, so floats travel bit-exact.
+pub fn put_u64s<T: Copy>(w: &mut Writer, lane: &[T], raw: impl Fn(T) -> u64) {
+    w.u64(lane.len() as u64);
+    for &v in lane {
+        w.u64(raw(v));
     }
 }
 
-pub fn get_u64s(r: &mut Reader<'_>) -> WireResult<Vec<u64>> {
+/// Decode a [`put_u64s`] lane, `from_raw` per row.
+pub fn get_u64s<T>(r: &mut Reader<'_>, from_raw: impl Fn(u64) -> T) -> WireResult<Vec<T>> {
     let n = r.count(8)?;
-    let bytes = r.raw(n * 8)?;
-    Ok(bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))).collect())
-}
-
-pub fn put_i64s(w: &mut Writer, col: &[i64]) {
-    w.u64(col.len() as u64);
-    for &v in col {
-        w.i64(v);
-    }
-}
-
-pub fn get_i64s(r: &mut Reader<'_>) -> WireResult<Vec<i64>> {
-    let n = r.count(8)?;
-    let bytes = r.raw(n * 8)?;
-    Ok(bytes.chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk"))).collect())
-}
-
-/// Bit-exact float columns (`to_bits` transport, like [`Writer::f64`]).
-pub fn put_f64s(w: &mut Writer, col: &[f64]) {
-    w.u64(col.len() as u64);
-    for &v in col {
-        w.f64(v);
-    }
-}
-
-pub fn get_f64s(r: &mut Reader<'_>) -> WireResult<Vec<f64>> {
-    let n = r.count(8)?;
-    let bytes = r.raw(n * 8)?;
+    let bytes = r.take(n * 8)?;
     Ok(bytes
         .chunks_exact(8)
-        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
+        .map(|c| from_raw(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
         .collect())
 }
 
@@ -389,21 +375,13 @@ fn get_telescope(r: &mut Reader<'_>) -> WireResult<TelescopePlan> {
 /// A `HashSet<Asn>` as a *sorted* ASN list: deterministic bytes for
 /// identical sets regardless of hash iteration order.
 fn put_asn_set(w: &mut Writer, set: &HashSet<Asn>) {
-    let mut asns: Vec<u32> = set.iter().map(|a| a.0).collect();
+    let mut asns: Vec<Asn> = set.iter().copied().collect();
     asns.sort_unstable();
-    w.u64(asns.len() as u64);
-    for a in asns {
-        w.u32(a);
-    }
+    put_u32s(w, &asns, |a| a.0);
 }
 
 fn get_asn_set(r: &mut Reader<'_>) -> WireResult<HashSet<Asn>> {
-    let n = r.count(4)?;
-    let mut set = HashSet::with_capacity(n);
-    for _ in 0..n {
-        set.insert(Asn(r.u32()?));
-    }
-    Ok(set)
+    Ok(get_u32s(r, Asn)?.into_iter().collect())
 }
 
 impl InternetPlan {
@@ -433,10 +411,10 @@ impl InternetPlan {
         put_telescope(&mut w, &self.ucsd);
         put_telescope(&mut w, &self.orion);
 
-        put_ips(&mut w, &self.honeypots.amppot_allocated);
+        put_u32s(&mut w, &self.honeypots.amppot_allocated, |ip| ip.0);
         w.u64(self.honeypots.amppot_responsive as u64);
-        put_ips(&mut w, &self.honeypots.hopscotch);
-        put_ips(&mut w, &self.honeypots.newkid);
+        put_u32s(&mut w, &self.honeypots.hopscotch, |ip| ip.0);
+        put_u32s(&mut w, &self.honeypots.newkid, |ip| ip.0);
 
         put_table(&mut w, &self.akamai_protected, |_, ()| {});
         put_prefixes(&mut w, &self.akamai_prefix_list);
@@ -488,10 +466,10 @@ impl InternetPlan {
         let orion = get_telescope(&mut r)?;
 
         let honeypots = HoneypotPlan {
-            amppot_allocated: get_ips(&mut r)?,
+            amppot_allocated: get_u32s(&mut r, Ipv4)?,
             amppot_responsive: r.u64()? as usize,
-            hopscotch: get_ips(&mut r)?,
-            newkid: get_ips(&mut r)?,
+            hopscotch: get_u32s(&mut r, Ipv4)?,
+            newkid: get_u32s(&mut r, Ipv4)?,
         };
 
         let akamai_protected = get_table(&mut r, 0, |_| Ok(()))?;
@@ -542,13 +520,12 @@ mod tests {
     #[test]
     fn scalar_round_trips() {
         let mut w = Writer::new();
-        w.u8(7).u32(0xDEAD_BEEF).u64(u64::MAX).i64(-42).f64(-0.125).str("darknet");
+        w.u8(7).u32(0xDEAD_BEEF).u64(u64::MAX).f64(-0.125).str("darknet");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.i64().unwrap(), -42);
         assert_eq!(r.f64().unwrap(), -0.125);
         assert_eq!(r.str().unwrap(), "darknet");
         r.finish().unwrap();
@@ -565,11 +542,6 @@ mod tests {
         assert!(r.finish().is_err(), "4 unread bytes must fail finish");
     }
 
-    fn get_amp_tags(r: &mut Reader<'_>) -> WireResult<Vec<AmpVector>> {
-        let n = r.count(1)?;
-        r.raw(n)?.iter().map(|&t| amp_from_tag(t)).collect()
-    }
-
     #[test]
     fn bulk_columns_round_trip_and_match_scalar_layout() {
         let tags = AmpVector::ALL;
@@ -580,15 +552,12 @@ mod tests {
         let f64col = [0.0f64, -0.0, f64::NAN, f64::INFINITY, -0.125];
 
         let mut bulk = Writer::new();
-        bulk.u64(tags.len() as u64);
-        for v in tags {
-            bulk.u8(amp_tag(v));
-        }
-        put_ips(&mut bulk, &ips);
-        put_u32s(&mut bulk, &u32col);
-        put_u64s(&mut bulk, &u64col);
-        put_i64s(&mut bulk, &i64col);
-        put_f64s(&mut bulk, &f64col);
+        put_u8s(&mut bulk, &tags, amp_tag);
+        put_u32s(&mut bulk, &ips, |ip| ip.0);
+        put_u32s(&mut bulk, &u32col, |v| v);
+        put_u64s(&mut bulk, &u64col, |v| v);
+        put_u64s(&mut bulk, &i64col, |v| v as u64);
+        put_u64s(&mut bulk, &f64col, f64::to_bits);
         let bytes = bulk.into_bytes();
 
         // Same bytes as writing each scalar by hand.
@@ -611,7 +580,7 @@ mod tests {
         }
         scalar.u64(4);
         for v in i64col {
-            scalar.i64(v);
+            scalar.u64(v as u64);
         }
         scalar.u64(5);
         for v in f64col {
@@ -622,12 +591,12 @@ mod tests {
         let decode = |bytes: &[u8]| -> WireResult<_> {
             let mut r = Reader::new(bytes);
             let lanes = (
-                get_amp_tags(&mut r)?,
-                get_ips(&mut r)?,
-                get_u32s(&mut r)?,
-                get_u64s(&mut r)?,
-                get_i64s(&mut r)?,
-                get_f64s(&mut r)?,
+                get_u8s(&mut r, amp_from_tag)?,
+                get_u32s(&mut r, Ipv4)?,
+                get_u32s(&mut r, |v| v)?,
+                get_u64s(&mut r, |v| v)?,
+                get_u64s(&mut r, |v| v as i64)?,
+                get_u64s(&mut r, f64::from_bits)?,
             );
             r.finish()?;
             Ok(lanes)
@@ -651,7 +620,7 @@ mod tests {
         // One refused tag fails its whole lane.
         let mut w = Writer::new();
         w.u64(2).u8(amp_tag(tags[0])).u8(tags.len() as u8);
-        assert!(get_amp_tags(&mut Reader::new(&w.into_bytes())).is_err());
+        assert!(get_u8s(&mut Reader::new(&w.into_bytes()), amp_from_tag).is_err());
     }
 
     #[test]
