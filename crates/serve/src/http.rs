@@ -1,7 +1,7 @@
 //! Byte-capped HTTP/1.1 request parsing and response encoding.
 //!
 //! The parser is deliberately small and paranoid: it reads at most
-//! `max_head_bytes` from the socket looking for the end-of-head blank
+//! `max_bytes` from the socket looking for the end-of-head blank
 //! line, classifies every failure into a [`ParseError`] variant with a
 //! definite status-code mapping, and never panics on any byte sequence
 //! (property-tested by `crates/serve/tests/parser_fuzz.rs`). Bodies are

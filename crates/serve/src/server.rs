@@ -39,13 +39,15 @@ pub struct ServeConfig {
     pub read_timeout_ms: u64,
     /// Per-connection budget for writing the response.
     pub write_timeout_ms: u64,
-    /// Byte cap on a request head (slowloris / huge-header defense).
-    pub max_head_bytes: usize,
     /// Budget for finishing queued + in-flight work during drain.
     pub drain_deadline_ms: u64,
-    /// `Retry-After` value sent with shed (`503`) responses.
-    pub retry_after_secs: u32,
 }
+
+/// Byte cap on a request head (slowloris / huge-header defense).
+const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// `Retry-After` value sent with shed (`503`) responses.
+const RETRY_AFTER_SECS: u32 = 1;
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
@@ -55,9 +57,7 @@ impl Default for ServeConfig {
             queue_depth: 64,
             read_timeout_ms: 2_000,
             write_timeout_ms: 2_000,
-            max_head_bytes: 8 * 1024,
             drain_deadline_ms: 5_000,
-            retry_after_secs: 1,
         }
     }
 }
@@ -75,9 +75,6 @@ impl ServeConfig {
         }
         if self.queue_depth == 0 {
             return bad("queue_depth", "admission queue must hold at least one connection".into());
-        }
-        if self.max_head_bytes < 64 {
-            return bad("max_head_bytes", "head budget below a minimal request line".into());
         }
         if self.read_timeout_ms == 0 || self.write_timeout_ms == 0 {
             return bad("timeouts", "read/write deadlines must be nonzero".into());
@@ -406,7 +403,7 @@ fn shed(stream: TcpStream, cfg: &ServeConfig, metrics: &Metrics) {
     metrics.shed.inc();
     metrics.own_shed.fetch_add(1, Ordering::Relaxed);
     let resp = Response::text(503, "over capacity; retry shortly\n")
-        .with_header("Retry-After", &cfg.retry_after_secs.to_string());
+        .with_header("Retry-After", &RETRY_AFTER_SECS.to_string());
     write_response(stream, &resp, cfg);
 }
 
@@ -430,7 +427,7 @@ fn handle_connection(
 ) {
     let started = Instant::now();
     let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms)));
-    match http::read_request(&mut stream, cfg.max_head_bytes) {
+    match http::read_request(&mut stream, MAX_HEAD_BYTES) {
         Ok(req) => {
             // The single workspace unwind site: a panicking handler
             // (organic or chaos-injected) costs one 500, not a worker.
