@@ -53,15 +53,6 @@ pub struct ChurnSpec {
     pub offline_weekly: f64,
 }
 
-/// Flow-platform sampling degradation, applied to every flow source
-/// (IXP, Akamai, Netscout): from `start_week` on, each would-be
-/// observation is independently lost with `drop_fraction`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DegradationSpec {
-    pub drop_fraction: f64,
-    pub start_week: u32,
-}
-
 /// Deterministic data-plane fault injection for one study.
 ///
 /// The default plan is empty and bit-for-bit invisible: no RNG is
@@ -73,8 +64,9 @@ pub struct FaultPlan {
     pub outages: Vec<OutageSpec>,
     /// Sensor-fleet decline/churn for the honeypot sources.
     pub honeypot_churn: Option<ChurnSpec>,
-    /// Sampling degradation for the flow sources.
-    pub flow_degradation: Option<DegradationSpec>,
+    /// Sampling degradation, applied to every flow source (IXP,
+    /// Akamai, Netscout).
+    pub flow_degradation: Option<FlowDegradation>,
     /// Seed for the fault-local draws (churn, sampling); independent of
     /// the study seed so the same gaps can be replayed across seeds.
     pub seed: u64,
@@ -150,10 +142,7 @@ impl FaultPlan {
             None
         };
         let degradation = if FLOW_SOURCES.contains(&source) {
-            self.flow_degradation.map(|d| FlowDegradation {
-                drop_fraction: d.drop_fraction,
-                start_week: d.start_week,
-            })
+            self.flow_degradation
         } else {
             None
         };
@@ -267,7 +256,7 @@ mod tests {
                 OutageSpec { source: "ixp".into(), start_week: 100, end_week: 104 },
             ],
             honeypot_churn: Some(ChurnSpec { decline_per_year: 0.1, offline_weekly: 0.05 }),
-            flow_degradation: Some(DegradationSpec { drop_fraction: 0.2, start_week: 120 }),
+            flow_degradation: Some(FlowDegradation { drop_fraction: 0.2, start_week: 120 }),
             seed: 7,
         }
     }
@@ -324,7 +313,7 @@ mod tests {
         assert!(p.validate().is_err());
 
         let mut p = plan();
-        p.flow_degradation = Some(DegradationSpec { drop_fraction: 0.5, start_week: 9999 });
+        p.flow_degradation = Some(FlowDegradation { drop_fraction: 0.5, start_week: 9999 });
         assert!(p.validate().is_err());
 
         assert!(plan().validate().is_ok());

@@ -16,7 +16,7 @@ pub mod sweep;
 pub use diskstore::DiskStore;
 pub use error::{Error, Result};
 pub use experiments::{all_ids, run_all, run_experiment, ExperimentResult};
-pub use faults::{ChaosPlan, ChurnSpec, DegradationSpec, FaultPlan, OutageSpec};
+pub use faults::{ChaosPlan, ChurnSpec, FaultPlan, OutageSpec};
 pub use pipeline::{ObsId, StudyRun};
 pub use scenario::StudyConfig;
 pub use service::StudyService;

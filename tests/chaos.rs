@@ -72,7 +72,7 @@ fn faulty_plan() -> FaultPlan {
             decline_per_year: 0.15,
             offline_weekly: 0.05,
         }),
-        flow_degradation: Some(ddoscovery::DegradationSpec {
+        flow_degradation: Some(simcore::FlowDegradation {
             drop_fraction: 0.2,
             start_week: 120,
         }),

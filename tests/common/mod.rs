@@ -1,6 +1,6 @@
 //! Helpers shared by the byte-identity suites (`mod common;`).
 
-use ddoscovery::faults::{ChurnSpec, DegradationSpec, FaultPlan, OutageSpec};
+use ddoscovery::faults::{ChurnSpec, FaultPlan, OutageSpec};
 use ddoscovery::{ObsId, StudyConfig, StudyRun};
 
 /// Every projection the paper consumes, flattened to bytes (bitwise:
@@ -62,7 +62,7 @@ pub fn golden_cfg(cache: usize, workers: usize) -> StudyConfig {
             decline_per_year: 0.1,
             offline_weekly: 0.05,
         }),
-        flow_degradation: Some(DegradationSpec {
+        flow_degradation: Some(simcore::FlowDegradation {
             drop_fraction: 0.2,
             start_week: 120,
         }),
