@@ -191,10 +191,12 @@ pub fn quantile(h: &HistogramSnapshot, q: f64) -> Option<u64> {
 // Deserialization (run store)
 // ---------------------------------------------------------------------
 //
-// The persistent run store reads manifests back from disk; the vendored
-// serde has no derive, so the reader is hand-rolled over `Value` and
-// returns `Err` (never panics) on any structural mismatch — a corrupt
-// or truncated stored manifest must degrade to a skipped entry.
+// The persistent run store reads manifests back from disk. The reader
+// is hand-rolled over `Value`, not derived: the manifest's metric maps
+// must stay JSON objects, and the vendored serde's map impl writes
+// `[key, value]` pairs. It returns `Err` (never panics) on any
+// structural mismatch — a corrupt or truncated stored manifest must
+// degrade to a skipped entry.
 
 fn field<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, String> {
     v.get(key)
