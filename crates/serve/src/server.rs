@@ -46,8 +46,8 @@ pub struct ServeConfig {
 /// Byte cap on a request head (slowloris / huge-header defense).
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 
-/// `Retry-After` value sent with shed (`503`) responses.
-const RETRY_AFTER_SECS: u32 = 1;
+/// `Retry-After` value, in seconds, sent with shed (`503`) responses.
+const RETRY_AFTER_SECS: &str = "1";
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
@@ -403,7 +403,7 @@ fn shed(stream: TcpStream, cfg: &ServeConfig, metrics: &Metrics) {
     metrics.shed.inc();
     metrics.own_shed.fetch_add(1, Ordering::Relaxed);
     let resp = Response::text(503, "over capacity; retry shortly\n")
-        .with_header("Retry-After", &RETRY_AFTER_SECS.to_string());
+        .with_header("Retry-After", RETRY_AFTER_SECS);
     write_response(stream, &resp, cfg);
 }
 
