@@ -28,12 +28,15 @@ check: test
 
 # 10M-attack scale path (DESIGN.md §9): per-stage peak-RSS probes in
 # separate processes (VmHWM is monotone, so stages must not share one;
-# they also print generate and execute attacks/s), and the ignored 10M
-# release smoke test.
+# they also print generate and execute attacks/s, and the store leg a
+# cold execute into a fresh stage store and the attack cell's MB/s),
+# and the ignored 10M release smoke test.
 scale:
 	DDOS_SCALE_TARGET=10000000 DDOS_SCALE_STAGE=generate \
 		cargo run --release --example scale_probe
 	DDOS_SCALE_TARGET=10000000 \
+		cargo run --release --example scale_probe
+	DDOS_SCALE_TARGET=10000000 DDOS_SCALE_STAGE=store \
 		cargo run --release --example scale_probe
 	cargo test -q --release --test scale_smoke -- --ignored
 

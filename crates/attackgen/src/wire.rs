@@ -15,8 +15,8 @@
 use crate::attack::{AttackClass, AttackVector};
 use crate::columns::{AttackColumns, ObservationColumns};
 use netmodel::wire::{
-    amp_from_tag, amp_tag, get_u32s, get_u64s, get_u8s, put_u32s, put_u64s, put_u8s, Reader,
-    WireResult, Writer,
+    amp_from_tag, amp_tag, get_u32s, get_u64s, get_u8s, put_u32s, put_u64s, put_u8s, to_bytes,
+    Reader, WireResult, Writer,
 };
 use netmodel::{Asn, Ipv4};
 
@@ -88,22 +88,25 @@ fn check_offsets(rows: usize, offsets: &[u32], arena_len: usize) -> WireResult<(
 
 impl AttackColumns {
     /// Encode every column to the wire format (deterministic bytes).
+    pub fn write_wire(&self, w: &mut Writer<'_>) {
+        put_u32s(w, &self.id, |v| v);
+        put_u8s(w, &self.class, class_tag);
+        put_u8s(w, &self.vector, vector_tag);
+        put_u32s(w, &self.start_secs, |v| v);
+        put_u32s(w, &self.duration_secs, |v| v);
+        put_u32s(w, &self.target_asn, |a| a.0);
+        put_u64s(w, &self.pps, f64::to_bits);
+        put_u64s(w, &self.bps, f64::to_bits);
+        put_u32s(w, &self.reflector_count, |v| v);
+        put_u64s(w, &self.spoof_space_fraction, f64::to_bits);
+        put_u32s(w, &self.campaign, |v| v);
+        put_u32s(w, &self.target_offsets, |v| v);
+        put_u32s(w, &self.target_arena, |ip| ip.0);
+    }
+
+    /// The encoded columns in one buffer.
     pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.len() * 64 + self.target_arena.len() * 4 + 64);
-        put_u32s(&mut w, &self.id, |v| v);
-        put_u8s(&mut w, &self.class, class_tag);
-        put_u8s(&mut w, &self.vector, vector_tag);
-        put_u32s(&mut w, &self.start_secs, |v| v);
-        put_u32s(&mut w, &self.duration_secs, |v| v);
-        put_u32s(&mut w, &self.target_asn, |a| a.0);
-        put_u64s(&mut w, &self.pps, f64::to_bits);
-        put_u64s(&mut w, &self.bps, f64::to_bits);
-        put_u32s(&mut w, &self.reflector_count, |v| v);
-        put_u64s(&mut w, &self.spoof_space_fraction, f64::to_bits);
-        put_u32s(&mut w, &self.campaign, |v| v);
-        put_u32s(&mut w, &self.target_offsets, |v| v);
-        put_u32s(&mut w, &self.target_arena, |ip| ip.0);
-        w.into_bytes()
+        to_bytes(|w| self.write_wire(w))
     }
 
     /// Decode a wire payload, restoring every columnar invariant or
@@ -164,13 +167,16 @@ impl AttackColumns {
 
 impl ObservationColumns {
     /// Encode every column to the wire format (deterministic bytes).
+    pub fn write_wire(&self, w: &mut Writer<'_>) {
+        put_u64s(w, &self.attack_id, |v| v);
+        put_u64s(w, &self.start, |v| v as u64);
+        put_u32s(w, &self.target_offsets, |v| v);
+        put_u32s(w, &self.target_arena, |ip| ip.0);
+    }
+
+    /// The encoded columns in one buffer.
     pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.len() * 24 + self.target_arena.len() * 4 + 40);
-        put_u64s(&mut w, &self.attack_id, |v| v);
-        put_u64s(&mut w, &self.start, |v| v as u64);
-        put_u32s(&mut w, &self.target_offsets, |v| v);
-        put_u32s(&mut w, &self.target_arena, |ip| ip.0);
-        w.into_bytes()
+        to_bytes(|w| self.write_wire(w))
     }
 
     /// Decode a wire payload, restoring every columnar invariant or

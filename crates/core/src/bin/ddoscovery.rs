@@ -33,7 +33,9 @@
 //! 2 for usage and config errors — mirroring
 //! [`ddoscovery::Error::exit_code`].
 
-use ddoscovery::{all_ids, run_experiment, ChaosPlan, Error, FaultPlan, StudyConfig, StudyRun};
+use ddoscovery::{
+    all_ids, run_experiment, ChaosPlan, Error, FaultPlan, ObsId, StudyConfig, StudyRun,
+};
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -465,9 +467,11 @@ fn cmd_run(opts: &Options) -> ExitCode {
         Ok(run) => run,
         Err(e) => return fail(&e),
     };
+    // The observation total, not the attack count: a warm run never
+    // loads the attack rows unless an experiment reads them.
+    let observed: usize = ObsId::ALL.iter().map(|&id| run.observations(id).len()).sum();
     obs::info!(
-        "{} attacks observed in {:.1}s",
-        run.attacks.len(),
+        "study ready in {:.1}s: {observed} observations",
         watch.elapsed_ns() as f64 / 1e9
     );
     if let Err(e) = fs::create_dir_all(out_dir) {
@@ -962,6 +966,26 @@ mod tests {
         let opts = parse(&["--quick", "--faults", "/nonexistent/plan.json"]).unwrap();
         assert_eq!(build_config(&opts).unwrap_err().exit_code(), 1);
         assert!(parse(&["--faults"]).is_err());
+    }
+
+    /// A malformed `--faults` file is reported by the JSON field at
+    /// fault, not by the Rust type that parses it.
+    #[test]
+    fn faults_flag_names_the_field_not_the_type() {
+        let path = std::env::temp_dir().join("ddoscovery-faults-no-start-week.json");
+        fs::write(
+            &path,
+            r#"{"outages":[],"honeypot_churn":null,
+                "flow_degradation":{"drop_fraction":0.2},"seed":9}"#,
+        )
+        .unwrap();
+        let opts = parse(&["--quick", "--faults", path.to_str().unwrap()]).unwrap();
+        let err = build_config(&opts).unwrap_err();
+        let _ = fs::remove_file(&path);
+        assert_eq!(err.exit_code(), 2);
+        let msg = err.to_string();
+        assert!(msg.contains("`flow_degradation`: missing field `start_week`"), "{msg}");
+        assert!(!msg.contains("FlowDegradation") && !msg.contains("deserializing"), "{msg}");
     }
 
     #[test]

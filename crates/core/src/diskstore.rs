@@ -20,11 +20,17 @@
 //! and answered with `None`: the caller recomputes and rewrites the
 //! cell. Corruption can cost time, never correctness.
 //!
+//! **Streamed writes:** a store holds no buffer the size of a cell. A
+//! counting pass of the codec gives the payload length, which the
+//! checksum binds first; the payload then streams into the publish
+//! temporary in 64 KiB chunks behind a placeholder header, each chunk
+//! folded into the checksum as it is written, and the real header is
+//! written last, at offset 0. The temporary is private until its
+//! rename, so no reader sees the placeholder.
+//!
 //! **Crash consistency:** cells are published through
 //! [`obs::store::publish`], the same tmp-then-rename sequence the
-//! run-history store uses, as two parts (the header, then the payload
-//! as the codec encoded it), so a store never builds a second buffer
-//! the size of the cell: written to a same-directory temporary
+//! run-history store uses: written to a same-directory temporary
 //! sibling unique to the writer, then atomically renamed into place.
 //! A reader never observes a torn cell — it sees the old bytes, the
 //! new bytes, or no file — and concurrent writers of one cell, threads
@@ -49,9 +55,10 @@ use crate::scenario::StudyConfig;
 use crate::stagecache::{Stage, StageOutput};
 use attackgen::{AttackColumns, ObservationColumns};
 use flowmon::AlertColumns;
-use netmodel::InternetPlan;
+use netmodel::{wire, InternetPlan};
 use obs::metrics::Counter;
 use std::fs;
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -81,21 +88,62 @@ pub const CELL_HEADER_LEN: usize = 4 + 2 + 1 + 8 + 8;
 /// cell must stay far cheaper than recomputing the stage. Binding the
 /// length first keeps zero-padded tails of different lengths distinct.
 fn cell_checksum(payload: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut sum = Checksum::new(payload.len() as u64);
+    sum.update(payload);
+    sum.finish()
+}
+
+/// The [`cell_checksum`] fold, fed the payload in pieces of any size:
+/// a word split across two pieces waits in `tail`.
+struct Checksum {
+    h: u64,
+    tail: [u8; 8],
+    filled: usize,
+}
+
+impl Checksum {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let round = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
-    let mut h = round(OFFSET, payload.len() as u64);
-    let mut words = payload.chunks_exact(8);
-    for w in &mut words {
-        h = round(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+
+    /// A fold bound to a payload of `len` bytes.
+    fn new(len: u64) -> Checksum {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        Checksum { h: Checksum::round(OFFSET, len), tail: [0; 8], filled: 0 }
     }
-    let rem = words.remainder();
-    if !rem.is_empty() {
+
+    fn round(h: u64, word: u64) -> u64 {
+        (h ^ word).wrapping_mul(Checksum::PRIME)
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.filled > 0 {
+            let take = bytes.len().min(8 - self.filled);
+            self.tail[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 8 {
+                return;
+            }
+            self.h = Checksum::round(self.h, u64::from_le_bytes(self.tail));
+            self.filled = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let word = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+            self.h = Checksum::round(self.h, word);
+        }
+        let rem = words.remainder();
+        self.tail[..rem.len()].copy_from_slice(rem);
+        self.filled = rem.len();
+    }
+
+    fn finish(self) -> u64 {
+        if self.filled == 0 {
+            return self.h;
+        }
         let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = round(h, u64::from_le_bytes(tail));
+        tail[..self.filled].copy_from_slice(&self.tail[..self.filled]);
+        Checksum::round(self.h, u64::from_le_bytes(tail))
     }
-    h
 }
 
 /// The effective store directory for a config: the
@@ -115,17 +163,23 @@ pub fn resolve(config: &StudyConfig) -> Option<DiskStore> {
     resolve_dir(config).map(DiskStore::open)
 }
 
-/// The header that opens a payload's cell (see [`CELL_HEADER_LEN`]);
-/// the payload follows it verbatim. `tag` is the payload kind,
-/// [`StageOutput::KIND`].
-fn cell_header(tag: u8, payload: &[u8]) -> [u8; CELL_HEADER_LEN] {
+/// The header that opens a cell (see [`CELL_HEADER_LEN`]) whose
+/// payload is `len` bytes with checksum `checksum`; the payload follows
+/// it verbatim. `tag` is the payload kind, [`StageOutput::KIND`].
+fn header(tag: u8, len: u64, checksum: u64) -> [u8; CELL_HEADER_LEN] {
     let mut header = [0u8; CELL_HEADER_LEN];
     header[..4].copy_from_slice(&CELL_MAGIC);
     header[4..6].copy_from_slice(&CELL_VERSION.to_le_bytes());
     header[6] = tag;
-    header[7..15].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[15..].copy_from_slice(&cell_checksum(payload).to_le_bytes());
+    header[7..15].copy_from_slice(&len.to_le_bytes());
+    header[15..].copy_from_slice(&checksum.to_le_bytes());
     header
+}
+
+/// The header that opens `payload`'s cell.
+#[cfg(test)]
+fn cell_header(tag: u8, payload: &[u8]) -> [u8; CELL_HEADER_LEN] {
+    header(tag, payload.len() as u64, cell_checksum(payload))
 }
 
 /// Validate cell bytes against the expected payload kind. Returns the
@@ -233,6 +287,14 @@ impl DiskStore {
         }
     }
 
+    /// A store with private (non-registry) counters, so a unit test's
+    /// counts cannot pick up the writes of tests running beside it.
+    #[cfg(test)]
+    fn isolated(dir: PathBuf) -> DiskStore {
+        let fresh = || Stage::ALL.map(|_| Arc::new(Counter::new()));
+        DiskStore { dir, hit: fresh(), miss: fresh(), write: fresh(), reject: fresh() }
+    }
+
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -278,10 +340,13 @@ impl DiskStore {
     }
 
     /// Persist `value` as the cell for `key` (see
-    /// [`obs::store::publish`]): the header, then the payload, written
-    /// as two parts, so no buffer the size of the cell is built. IO
-    /// errors warn and drop the write — the store is a cache, not a
-    /// system of record.
+    /// [`obs::store::publish`]) without holding its payload: a counting
+    /// pass gives the payload length the checksum binds first; the
+    /// publish temporary gets a placeholder header, then the payload
+    /// streams in [`wire::CHUNK`]-byte chunks, each folded into the
+    /// checksum as it is written, and the real header goes in last, at
+    /// offset 0. IO errors warn and drop the write — the store is a
+    /// cache, not a system of record.
     pub fn store<T: StageOutput>(&self, key: u64, value: &T) {
         let path = self.cell_path(T::STAGE, key);
         let Some(parent) = path.parent() else { return };
@@ -289,9 +354,26 @@ impl DiskStore {
             obs::warn!("disk store: creating {} failed: {e}", parent.display());
             return;
         }
-        let payload = value.to_wire();
-        let header = cell_header(T::KIND, &payload);
-        match obs::store::publish(&path, &[&header, &payload]) {
+        let len = wire::wire_len(|w| value.write_wire(w));
+        let published = obs::store::publish(&path, |file| {
+            file.write_all(&[0; CELL_HEADER_LEN])?;
+            let mut sum = Checksum::new(len);
+            let mut sink = |chunk: &[u8]| {
+                sum.update(chunk);
+                file.write_all(chunk)
+            };
+            let mut w = wire::Writer::stream(&mut sink);
+            value.write_wire(&mut w);
+            let streamed = w.finish()?;
+            if streamed != len {
+                return Err(io::Error::other(format!(
+                    "the payload streamed {streamed} bytes, its count said {len}"
+                )));
+            }
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(&header(T::KIND, len, sum.finish()))
+        });
+        match published {
             Ok(()) => self.write[T::STAGE.index()].inc(),
             Err(e) => obs::warn!("disk store: {e}"),
         }
@@ -542,6 +624,60 @@ mod tests {
         // Word-aligned single-bit differences are caught too.
         assert_ne!(cell_checksum(&[0u8; 16]), cell_checksum(&[1u8; 16]));
         assert_eq!(cell_checksum(b"stage"), cell_checksum(b"stage"));
+    }
+
+    /// The fold gives one checksum however the payload is cut into
+    /// pieces, as a streamed store cuts it into chunks.
+    #[test]
+    fn checksum_is_the_same_for_every_split() {
+        let payload: Vec<u8> = (0..41u8).map(|b| b.wrapping_mul(37)).collect();
+        let whole = cell_checksum(&payload);
+        for a in 0..=payload.len() {
+            for b in a..=payload.len() {
+                let mut sum = Checksum::new(payload.len() as u64);
+                for piece in [&payload[..a], &payload[a..b], &payload[b..]] {
+                    sum.update(piece);
+                }
+                assert_eq!(sum.finish(), whole, "split at {a} and {b}");
+            }
+        }
+    }
+
+    /// A payload one byte longer each time it is encoded: its count and
+    /// its stream disagree, as they would for an encoder that is not a
+    /// pure function of its value.
+    struct Drifting(std::sync::atomic::AtomicUsize);
+
+    impl StageOutput for Drifting {
+        const STAGE: Stage = Stage::Observations;
+        const KIND: u8 = 0xEE;
+        fn write_wire(&self, w: &mut wire::Writer<'_>) {
+            let extra = self.0.fetch_add(1, Ordering::Relaxed);
+            w.bytes(&vec![0x5A; 3 * wire::CHUNK + extra]);
+        }
+        fn from_wire(_: &[u8]) -> Result<Drifting, String> {
+            Err("never stored".into())
+        }
+    }
+
+    /// A store whose write fails part-way, after whole chunks of the
+    /// payload reached the temporary, leaves no cell, no temporary and
+    /// no `disk_write`; the next good store of the key lands.
+    #[test]
+    fn a_store_failing_part_way_leaves_nothing() {
+        let dir = scratch_dir("part-way");
+        let store = DiskStore::isolated(dir.clone());
+        store.store(9, &Drifting(Default::default()));
+        let stage_dir = dir.join(Stage::Observations.name());
+        let left: Vec<_> =
+            fs::read_dir(&stage_dir).unwrap().flatten().map(|e| e.file_name()).collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
+        assert_eq!(store.write[Drifting::STAGE.index()].get(), 0);
+
+        store.store(9, &sample_obs());
+        assert!(store.load::<ObservationColumns>(9).is_some());
+        assert_eq!(store.write[Stage::Observations.index()].get(), 1);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

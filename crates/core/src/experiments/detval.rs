@@ -21,10 +21,10 @@ pub fn detval(run: &StudyRun) -> ExperimentResult {
     // --- Telescope: event verdict vs Corsaro over synthesized
     // backscatter.
     let rsdos = run
-        .attacks
+        .attacks()
         .iter()
         .filter(|a| a.class == AttackClass::DirectPathSpoofed)
-        .step_by((run.attacks.len() / (SAMPLE * 4)).max(1))
+        .step_by((run.attacks().len() / (SAMPLE * 4)).max(1))
         .take(SAMPLE);
     let mut tel_agree = 0usize;
     let mut tel_total = 0usize;
@@ -51,7 +51,7 @@ pub fn detval(run: &StudyRun) -> ExperimentResult {
     let hp_cfg = HoneypotConfig::hopscotch(&run.plan);
     let sensor = hp_cfg.sensors[0];
     let ra = run
-        .attacks
+        .attacks()
         .iter()
         .filter(|a| {
             a.class == AttackClass::ReflectionAmplification
@@ -59,7 +59,7 @@ pub fn detval(run: &StudyRun) -> ExperimentResult {
                 && a.vector.amp_vector().is_some_and(|v| hp_cfg.supports(v))
                 && !a.is_carpet_bombing()
         })
-        .step_by((run.attacks.len() / (SAMPLE * 4)).max(1))
+        .step_by((run.attacks().len() / (SAMPLE * 4)).max(1))
         .take(SAMPLE);
     let mut hp_agree = 0usize;
     let mut hp_total = 0usize;

@@ -167,7 +167,7 @@ pub fn protocols(run: &StudyRun) -> ExperimentResult {
         let mut out: BTreeMap<AmpVector, Vec<TargetTuple>> = BTreeMap::new();
         for o in run.observations(id).iter() {
             let row = run.attack_row(o.attack_id);
-            if let Some(v) = row.and_then(|r| run.attacks.vector[r].amp_vector()) {
+            if let Some(v) = row.and_then(|r| run.attacks().vector[r].amp_vector()) {
                 out.entry(v).or_default().extend(o.target_tuples());
             }
         }
@@ -260,7 +260,7 @@ pub fn interference(run: &StudyRun) -> ExperimentResult {
     let mut baseline = [0usize; 2];
     let mut mitigated = [[0usize; 2]; 2];
     for a in run
-        .attacks
+        .attacks()
         .iter()
         .filter(|a| a.class == AttackClass::DirectPathSpoofed)
     {
@@ -337,7 +337,7 @@ pub fn rtbh(run: &StudyRun) -> ExperimentResult {
     rows.sort_unstable();
     rows.dedup();
     let root = SimRng::new(run.config.seed).fork_named("observatories");
-    let blackholed = rows.iter().map(|&row| run.attacks.get(row));
+    let blackholed = rows.iter().map(|&row| run.attacks().get(row));
     let events = blackhole_events(blackholed, &RtbhParams::default(), &root);
     let accepted = events
         .iter()
@@ -345,7 +345,7 @@ pub fn rtbh(run: &StudyRun) -> ExperimentResult {
         .count();
     let mut body;
     let csv;
-    let attack = |id| run.attack_row(id).map(|row| run.attacks.get(row));
+    let attack = |id| run.attack_row(id).map(|row| run.attacks().get(row));
     match rtbh_stats(&events, attack) {
         Some(s) => {
             body = format!(
@@ -443,7 +443,7 @@ pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
     use attackgen::attack::AttackVector;
     let is_l7 = |id| {
         run.attack_row(id)
-            .is_some_and(|row| run.attacks.vector[row] == AttackVector::HttpFlood)
+            .is_some_and(|row| run.attacks().vector[row] == AttackVector::HttpFlood)
     };
     let mut l7 = vec![0.0; simcore::STUDY_WEEKS];
     let mut other = vec![0.0; simcore::STUDY_WEEKS];
@@ -506,7 +506,7 @@ pub fn population(run: &StudyRun) -> ExperimentResult {
     let bounds: [i64; 6] =
         std::array::from_fn(|k| simcore::Date::new(2019 + k as i32, 1, 1).to_sim_time().0);
     let mut cells: [[Cell; 2]; 5] = Default::default();
-    let attacks = &run.attacks;
+    let attacks = run.attacks();
     let mut short = 0usize;
     for r in 0..attacks.len() {
         let duration = attacks.duration_secs[r];
@@ -559,7 +559,7 @@ pub fn population(run: &StudyRun) -> ExperimentResult {
     ));
     body.push_str(&format!(
         "\nAttacks under 10 minutes: {:.1}% (the §3 \"most attacks under 10 min\" claim)\n",
-        100.0 * short as f64 / run.attacks.len().max(1) as f64
+        100.0 * short as f64 / run.attacks().len().max(1) as f64
     ));
     ExperimentResult {
         id: "population",

@@ -18,6 +18,16 @@
 //! carpet passes), without rebuilding the plan or regenerating
 //! attacks; a `gen` sweep reuses the plan at every grid point.
 //!
+//! The attack stage resolves on demand: `execute` looks up the
+//! observation outputs first and resolves the attack rows only when an
+//! observer pass must run; otherwise [`StudyRun::attacks`] resolves
+//! them on first read, through the same function. Only the observer
+//! passes, `detval` and five extensions read them, so a warm run, a
+//! served study or a carpet-gap point never opens the attack cell.
+//! Each observer pass reads only the rows of the classes its observer
+//! records (a telescope the spoofed direct-path rows, a honeypot the
+//! reflection rows, IXP and Akamai the rows of their class).
+//!
 //! A honeypot pass publishes its detections already in carpet order
 //! ([`honeypot::Detections`], built under a `carpet.order` span), so
 //! the carpet pass is one linear merge: a carpet-gap point resolves no
@@ -27,7 +37,9 @@
 use crate::scenario::StudyConfig;
 use crate::stagecache::{StageFingerprints, Tiers};
 use analytics::{Member, TargetTuple, WeeklySeries};
-use attackgen::{AttackColumns, AttackGenerator, AttackId, AttackRef, ObservationColumns};
+use attackgen::{
+    AttackClass, AttackColumns, AttackGenerator, AttackId, AttackRef, ObservationColumns,
+};
 use flowmon::{Akamai, AlertColumns, IxpBlackholing, Netscout};
 use honeypot::{Detections, Honeypot};
 use netmodel::InternetPlan;
@@ -313,16 +325,42 @@ pub fn record_peak_rss(stage: &str) {
     }
 }
 
-/// A completed study run. The stage outputs (`plan`, `attacks`, the
-/// observation streams) are `Arc`-owned: cache hits share one
+/// Stage 2 — attacks (inputs: plan + `config.gen` + seed), memory,
+/// then disk, then generated on `pool` under the `stage.attacks` chaos
+/// site. The one resolution path of the attack rows, for an observer
+/// pass and for [`StudyRun::attacks`] alike.
+fn resolve_attacks(
+    config: &StudyConfig,
+    tiers: &Tiers,
+    pool: &ExecPool,
+    plan: &InternetPlan,
+) -> Arc<AttackColumns> {
+    let key = StageFingerprints::of(config).attacks;
+    let chaos = config.chaos.as_ref().map(|c| c.schedule());
+    let attacks = tiers.get_or_compute(key, || {
+        crate::faults::with_chaos(chaos.as_ref(), simcore::chaos::sites::STAGE_ATTACKS, key, || {
+            AttackGenerator::new(plan, config.gen.clone(), &SimRng::new(config.seed))
+                .generate_study_on(pool)
+        })
+    });
+    record_peak_rss("attacks");
+    attacks
+}
+
+/// A completed study run. The stage outputs (`plan`, the attack rows,
+/// the observation streams) are `Arc`-owned: cache hits share one
 /// allocation across runs, and the projections layer on top per run.
 pub struct StudyRun {
     pub config: StudyConfig,
     /// Stage-1 output: the Internet plan.
     pub plan: Arc<InternetPlan>,
-    /// Stage-2 output: the ground-truth attack stream, columnar (one
-    /// shared target arena instead of a `Vec<Ipv4>` per attack).
-    pub attacks: Arc<AttackColumns>,
+    /// Stage-2 output, the ground-truth attack rows: set when an
+    /// observer pass ran, else on the first [`StudyRun::attacks`].
+    attacks: OnceLock<Arc<AttackColumns>>,
+    /// What resolving the attack stage reads: the tiers and the pool
+    /// the run executed with.
+    tiers: Tiers,
+    pool: ExecPool,
     /// Stage-3 outputs: observation streams indexed by [`ObsId::index`].
     observations: [Arc<ObservationColumns>; 11],
     /// All Netscout alerts (needed for the §7.2 baseline sample).
@@ -376,6 +414,12 @@ impl StudyRun {
     /// reads its cached or fresh input, so a carpet-gap change or a
     /// lost Netscout series re-observes nothing.
     ///
+    /// The attack stage resolves only when an observer pass must run:
+    /// the observation outputs are looked up first, and when every one
+    /// hits, the attack rows stay unread until
+    /// [`StudyRun::attacks`] is first called. A warm `trends` run, a
+    /// served study or a carpet-gap point never opens the attack cell.
+    ///
     /// Stage spans (`plan`, `generate`, one `observe` around the
     /// observer passes that run, one `carpet.order` per honeypot whose
     /// detections are computed, one `carpet` or `merge` per post-pass
@@ -395,7 +439,7 @@ impl StudyRun {
         // injection pattern is a pure function of the schedule and the
         // work's identity, never of worker count or cache state.
         let chaos = config.chaos.as_ref().map(|c| c.schedule());
-        let pool = &match chaos {
+        let pool = match chaos {
             Some(cs) => pool.with_chaos(cs),
             None => *pool,
         };
@@ -410,15 +454,6 @@ impl StudyRun {
         });
 
         record_peak_rss("plan");
-
-        // Stage 2 — attacks (inputs: plan + config.gen + seed).
-        let attacks = tiers.get_or_compute(fp.attacks, || {
-            crate::faults::with_chaos(chaos.as_ref(), simcore::chaos::sites::STAGE_ATTACKS, fp.attacks, || {
-                AttackGenerator::new(&plan, config.gen.clone(), &root).generate_study_on(pool)
-            })
-        });
-
-        record_peak_rss("attacks");
 
         let obs_root = root.fork_named("observatories");
         // Always rebuilt (cheap, per-plan): the §7.2 baseline
@@ -445,7 +480,8 @@ impl StudyRun {
         // resolves through the tiers under its own key, and a miss
         // computes only that output, from its input, which is looked
         // up the same way: a missed honeypot stream looks up its
-        // detections, a missed Netscout stream the alert stream.
+        // detections, a missed Netscout stream the alert stream, and
+        // only a pass that must run resolves the attack rows (stage 2).
         let mut streams: [Option<Arc<ObservationColumns>>; 11] =
             ObsId::ALL.map(|id| tiers.lookup(fp.observation(id)));
         let mut alerts = tiers.lookup(fp.netscout_alerts);
@@ -469,7 +505,10 @@ impl StudyRun {
             })
             .collect();
 
+        let attacks = OnceLock::new();
         if !passes.is_empty() {
+            let attacks: &AttackColumns =
+                attacks.get_or_init(|| resolve_attacks(config, &tiers, &pool, &plan));
             let observe_span = obs::span!("observe");
             // Each observatory consults its slice of the fault plan
             // while observing (empty slices are bit-for-bit inert).
@@ -502,8 +541,12 @@ impl StudyRun {
                 .collect();
             let shard_ns =
                 obs::metrics::histogram("observe.shard_ns", &obs::metrics::LATENCY_NS);
-            let all = |_: usize| true;
+            // Each pass reads only the rows of the classes its observer
+            // records, so no view is built for a row it would reject.
+            // Every observer checks its outage window and the class
+            // before any RNG fork, so the filter moves no output byte.
             let classes = attacks.class.as_slice();
+            let only = move |class: AttackClass| move |i: usize| classes[i] == class;
             let class_rows =
                 move |id: ObsId| move |i: usize| classes[i].is_reflection() != id.is_direct_path();
 
@@ -517,19 +560,23 @@ impl StudyRun {
                 let out = match passes[pass] {
                     Pass::Telescope(id) => {
                         let telescope = if id == ObsId::Ucsd { &ucsd } else { &orion };
-                        observe_rows(&attacks, rows, all, |a, out| {
+                        let spoofed = only(AttackClass::DirectPathSpoofed);
+                        observe_rows(attacks, rows, spoofed, |a, out| {
                             telescope.observe_into(a, &obs_root, out)
                         })
                     }
-                    Pass::Honeypot(i) => observe_rows(&attacks, rows, all, |a, out| {
-                        honeypots[i].observe_into(a, &obs_root, out)
-                    }),
-                    Pass::Ixp(id) => observe_rows(&attacks, rows, class_rows(id), |a, out| {
+                    Pass::Honeypot(i) => {
+                        let reflected = only(AttackClass::ReflectionAmplification);
+                        observe_rows(attacks, rows, reflected, |a, out| {
+                            honeypots[i].observe_into(a, &obs_root, out)
+                        })
+                    }
+                    Pass::Ixp(id) => observe_rows(attacks, rows, class_rows(id), |a, out| {
                         if ixp.observe_view(a, &obs_root).is_some() {
                             out.push_row(a.id, a.start, a.targets);
                         }
                     }),
-                    Pass::Akamai(id) => observe_rows(&attacks, rows, class_rows(id), |a, out| {
+                    Pass::Akamai(id) => observe_rows(attacks, rows, class_rows(id), |a, out| {
                         akamai.observe_into(a, &obs_root, out)
                     }),
                     Pass::Netscout => {
@@ -618,12 +665,24 @@ impl StudyRun {
             config: config.clone(),
             plan,
             attacks,
+            tiers,
+            pool,
             observations,
             netscout_alerts,
             netscout,
             obs_root,
             cache: ProjectionCache::new(),
         }
+    }
+
+    /// Stage-2 output: the ground-truth attack stream, columnar (one
+    /// shared target arena instead of a `Vec<Ipv4>` per attack). Read
+    /// only by the observer passes, `detval` and five extensions, so a
+    /// run whose observation outputs were all stored resolves it here,
+    /// on the first call, through the same tiers as an observer pass.
+    pub fn attacks(&self) -> &AttackColumns {
+        self.attacks
+            .get_or_init(|| resolve_attacks(&self.config, &self.tiers, &self.pool, &self.plan))
     }
 
     /// Observations of one observatory, columnar.
@@ -708,7 +767,7 @@ impl StudyRun {
     pub fn attack_rows(&self) -> &[u32] {
         let v: &Vec<u32> =
             memo(&self.cache.attack_rows, &self.cache.attack_rows_counters, || {
-                self.attacks.rows_by_id()
+                self.attacks().rows_by_id()
             });
         v
     }
@@ -795,7 +854,7 @@ mod tests {
     fn run_is_deterministic() {
         let a = StudyRun::execute(&StudyConfig::quick());
         let b = quick_run();
-        assert_eq!(a.attacks.len(), b.attacks.len());
+        assert_eq!(a.attacks().len(), b.attacks().len());
         for id in ObsId::MAIN_TEN {
             assert_eq!(
                 a.observations(id).len(),
@@ -833,7 +892,7 @@ mod tests {
     #[test]
     fn telescopes_only_see_spoofed_dp() {
         let run = quick_run();
-        let class_of = |id| run.attacks.class[run.attack_row(id).expect("observed id exists")];
+        let class_of = |id| run.attacks().class[run.attack_row(id).expect("observed id exists")];
         for id in [ObsId::Ucsd, ObsId::Orion] {
             for o in run.observations(id).iter() {
                 assert_eq!(
@@ -847,7 +906,7 @@ mod tests {
     #[test]
     fn honeypots_only_see_ra() {
         let run = quick_run();
-        let class_of = |id| run.attacks.class[run.attack_row(id).expect("observed id exists")];
+        let class_of = |id| run.attacks().class[run.attack_row(id).expect("observed id exists")];
         for id in [ObsId::Hopscotch, ObsId::AmpPot] {
             for o in run.observations(id).iter() {
                 // Reconstructed events keep the id of their first

@@ -55,6 +55,7 @@ use crate::scenario::StudyConfig;
 use attackgen::{AttackColumns, ObservationColumns};
 use flowmon::AlertColumns;
 use honeypot::Detections;
+use netmodel::wire::Writer;
 use netmodel::InternetPlan;
 use obs::manifest::Fnv;
 use obs::metrics::Counter;
@@ -276,8 +277,14 @@ pub trait StageOutput: Send + Sync + Sized + 'static {
     const STAGE: Stage;
     /// Cell kind tag: header byte 6 on disk, half the memory map key.
     const KIND: u8;
-    fn to_wire(&self) -> Vec<u8>;
+    /// Encode the payload into `w`, which may stream it to a cell.
+    fn write_wire(&self, w: &mut Writer<'_>);
     fn from_wire(bytes: &[u8]) -> Result<Self, String>;
+
+    /// The payload [`StageOutput::write_wire`] encodes, in one buffer.
+    fn to_wire(&self) -> Vec<u8> {
+        netmodel::wire::to_bytes(|w| self.write_wire(w))
+    }
 }
 
 macro_rules! stage_outputs {
@@ -285,8 +292,8 @@ macro_rules! stage_outputs {
         impl StageOutput for $ty {
             const STAGE: Stage = Stage::$stage;
             const KIND: u8 = $kind;
-            fn to_wire(&self) -> Vec<u8> {
-                self.to_wire_bytes()
+            fn write_wire(&self, w: &mut Writer<'_>) {
+                <$ty>::write_wire(self, w)
             }
             fn from_wire(bytes: &[u8]) -> Result<Self, String> {
                 <$ty>::from_wire_bytes(bytes)

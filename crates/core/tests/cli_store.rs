@@ -83,20 +83,26 @@ fn warm_invocation_recomputes_nothing_and_matches_cold_stdout() {
 
     // Second process: zero plan/attack/observation recomputation,
     // byte-identical stdout. Every final stream loads, so the
-    // detections behind the honeypot streams stay unread.
+    // detections behind the honeypot streams stay unread, and so does
+    // the attack cell: no observer pass runs, and `trends` reads no
+    // attack row.
     let m2 = std::env::temp_dir().join(format!("ddoscovery-cli-store-m2-{}.json", std::process::id()));
     let warm = run_cli(&trends, &store, Some(&m2));
     assert!(warm.status.success(), "warm run failed: {}", String::from_utf8_lossy(&warm.stderr));
     assert_eq!(warm.stdout, cold.stdout, "warm stdout diverged from cold stdout");
     let warm_manifest = read_manifest(&m2);
     assert_eq!(stage_total(&warm_manifest, "computed"), 0, "warm run must recompute nothing");
-    assert_eq!(stage_total(&warm_manifest, "disk_hit"), 14, "warm run must load the 14 cells it reads");
+    assert_eq!(
+        stage_total(&warm_manifest, "disk_hit"),
+        13,
+        "warm run must load the 13 cells it reads"
+    );
     assert_eq!(stage_total(&warm_manifest, "disk_reject"), 0);
-    // Per stage: the plan cell, the attack cell and the 12 final
-    // observation cells load, and the plan is never rebuilt.
+    // Per stage: the plan cell and the 12 final observation cells
+    // load, the attack cell is not read, and the plan is never rebuilt.
     for (name, want) in [
         ("stage.plan.disk_hit", 1),
-        ("stage.attacks.disk_hit", 1),
+        ("stage.attacks.disk_hit", 0),
         ("stage.observations.disk_hit", 12),
         ("stage.plan.computed", 0),
     ] {

@@ -102,7 +102,7 @@ fn run_populates_registry_counters() {
     let run = StudyRun::execute(&cfg);
     let after = obs::metrics::counter("gen.attacks").get();
     assert!(
-        after >= before + run.attacks.len() as u64,
+        after >= before + run.attacks().len() as u64,
         "gen.attacks did not advance by the generated volume"
     );
     for id in ObsId::ALL {

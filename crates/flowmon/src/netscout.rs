@@ -9,7 +9,7 @@
 
 use attackgen::wire::{class_from_tag, class_tag};
 use attackgen::{AttackClass, AttackRef, ObservationColumns, ObservedRef};
-use netmodel::wire::{get_u8s, put_u8s, Reader, WireResult, Writer};
+use netmodel::wire::{get_u8s, put_u8s, to_bytes, Reader, WireResult, Writer};
 use netmodel::{Asn, InternetPlan};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
@@ -201,16 +201,19 @@ impl AlertColumns {
     /// Encode to the stage-store wire format (DESIGN.md §11):
     /// observation columns followed by one-byte class and severity
     /// lanes. Deterministic bytes for identical streams.
-    pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.len() * 26 + 48);
-        w.bytes(&self.obs.to_wire_bytes());
-        put_u8s(&mut w, &self.class, class_tag);
-        put_u8s(&mut w, &self.severity, |s| match s {
+    pub fn write_wire(&self, w: &mut Writer<'_>) {
+        w.nested(|w| self.obs.write_wire(w));
+        put_u8s(w, &self.class, class_tag);
+        put_u8s(w, &self.severity, |s| match s {
             Severity::Low => 0,
             Severity::Medium => 1,
             Severity::High => 2,
         });
-        w.into_bytes()
+    }
+
+    /// The encoded stream in one buffer.
+    pub fn to_wire_bytes(&self) -> Vec<u8> {
+        to_bytes(|w| self.write_wire(w))
     }
 
     /// Decode a wire payload; `Err` (never a panic) on truncated,

@@ -23,7 +23,7 @@
 
 use crate::detector::HoneypotFlow;
 use attackgen::{AttackId, ObservationColumns};
-use netmodel::wire::{get_u32s, get_u8s, put_u32s, put_u8s, Reader, WireResult, Writer};
+use netmodel::wire::{get_u32s, get_u8s, put_u32s, put_u8s, to_bytes, Reader, WireResult, Writer};
 use netmodel::{InternetPlan, Ipv4, Prefix};
 use simcore::SimTime;
 use std::collections::BTreeMap;
@@ -278,13 +278,15 @@ impl Detections {
     /// Encode to the stage-store wire format (DESIGN.md §11): the rows'
     /// observation columns, then the `joins` lane (one byte per row)
     /// and the `emit` lane. Deterministic bytes for identical input.
+    pub fn write_wire(&self, w: &mut Writer<'_>) {
+        w.nested(|w| self.rows.write_wire(w));
+        put_u8s(w, &self.joins, u8::from);
+        put_u32s(w, &self.emit, |k| k);
+    }
+
+    /// The encoded detections in one buffer.
     pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let rows = self.rows.to_wire_bytes();
-        let mut w = Writer::with_capacity(rows.len() + self.joins.len() * 5 + 24);
-        w.bytes(&rows);
-        put_u8s(&mut w, &self.joins, u8::from);
-        put_u32s(&mut w, &self.emit, |k| k);
-        w.into_bytes()
+        to_bytes(|w| self.write_wire(w))
     }
 
     /// Decode a wire payload; `Err` (never a panic) on truncated or

@@ -19,6 +19,15 @@
 //! `Ipv4`, `f64::to_bits`, `|v| v as i64`, …). Encoding writes each
 //! row's value in turn; decoding bounds-checks the whole lane once.
 //!
+//! A codec encodes into a [`Writer`], which sends its bytes to one of
+//! three sinks: memory ([`to_bytes`]), a counter ([`wire_len`]), or a
+//! closure that receives them in chunks of at most [`CHUNK`] bytes
+//! ([`Writer::stream`]), which is how the stage store writes a cell
+//! without holding its payload. A lane is always `8 + width·n` bytes,
+//! so counting skips its rows: the length of a whole attack cell costs
+//! a few arithmetic steps. A nested payload ([`Writer::nested`]) is
+//! counted first, to write its length prefix, then encoded.
+//!
 //! **Determinism contract:** encoding is a pure function of the value.
 //! The two `HashSet<Asn>` coverage scopes are serialized *sorted* so
 //! the same plan always produces the same bytes (the store's checksum
@@ -38,61 +47,185 @@ use crate::plan::{Allocation, HoneypotPlan, InternetPlan, Rir, TelescopePlan};
 use crate::trie::PrefixTable;
 use crate::vectors::AmpVector;
 use std::collections::{BTreeMap, HashSet};
+use std::io;
 
-/// Byte sink for the wire format: fixed-width little-endian scalars,
-/// `u64` length prefixes.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
+/// Bytes a counting or streaming [`Writer`] buffers before it hands
+/// them on: 64 KiB, a whole number of rows of every lane width.
+pub const CHUNK: usize = 64 * 1024;
+
+/// Where a [`Writer`]'s bytes go.
+enum Sink<'s> {
+    /// Kept, for [`Writer::into_bytes`].
+    Memory,
+    /// Counted and dropped.
+    Count,
+    /// Handed to the closure, in order, at most [`CHUNK`] bytes a call.
+    Stream(&'s mut dyn FnMut(&[u8]) -> io::Result<()>),
 }
 
-impl Writer {
-    pub fn new() -> Writer {
-        Writer::default()
+/// Byte sink for the wire format: fixed-width little-endian scalars,
+/// `u64` length prefixes. Encoding is infallible; a streaming sink's
+/// first error is kept, later bytes are only counted, and
+/// [`Writer::finish`] returns it.
+pub struct Writer<'s> {
+    buf: Vec<u8>,
+    sink: Sink<'s>,
+    /// Bytes already handed on (or counted).
+    flushed: u64,
+    /// The first error the stream sink returned.
+    error: Option<io::Error>,
+}
+
+impl Default for Writer<'_> {
+    fn default() -> Self {
+        Writer::new()
+    }
+}
+
+impl<'s> Writer<'s> {
+    /// A writer that keeps its bytes in memory.
+    pub fn new() -> Writer<'s> {
+        Writer::with_capacity(0)
     }
 
-    pub fn with_capacity(bytes: usize) -> Writer {
-        Writer { buf: Vec::with_capacity(bytes) }
+    fn with_capacity(bytes: usize) -> Writer<'s> {
+        Writer { buf: Vec::with_capacity(bytes), sink: Sink::Memory, flushed: 0, error: None }
     }
 
+    /// A writer that only counts its bytes.
+    fn counting() -> Writer<'s> {
+        Writer { sink: Sink::Count, ..Writer::with_capacity(CHUNK) }
+    }
+
+    /// A writer that hands its bytes to `sink`, in order, in chunks of
+    /// at most [`CHUNK`] bytes. Call [`Writer::finish`] to send the
+    /// last chunk.
+    pub fn stream(sink: &'s mut dyn FnMut(&[u8]) -> io::Result<()>) -> Writer<'s> {
+        Writer { sink: Sink::Stream(sink), ..Writer::with_capacity(CHUNK) }
+    }
+
+    /// The bytes of a memory writer.
     pub fn into_bytes(self) -> Vec<u8> {
+        debug_assert!(matches!(self.sink, Sink::Memory), "into_bytes needs a memory writer");
         self.buf
     }
 
+    /// Bytes written so far.
+    fn len(&self) -> u64 {
+        self.flushed + self.buf.len() as u64
+    }
+
+    /// Hand the buffered bytes on; returns the total written, or the
+    /// first error of a stream sink.
+    pub fn finish(mut self) -> io::Result<u64> {
+        self.flush();
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.flushed),
+        }
+    }
+
+    fn flush(&mut self) {
+        if let (Sink::Stream(sink), None) = (&mut self.sink, &self.error) {
+            if let Err(e) = sink(&self.buf) {
+                self.error = Some(e);
+            }
+        }
+        self.flushed += self.buf.len() as u64;
+        self.buf.clear();
+    }
+
+    /// Make room for `n` more bytes: a counting or stream writer first
+    /// hands on what its chunk cannot take.
     #[inline]
-    pub fn u8(&mut self, v: u8) -> &mut Writer {
-        self.buf.push(v);
+    fn reserve(&mut self, n: usize) {
+        if !matches!(self.sink, Sink::Memory) && self.buf.len() + n > CHUNK {
+            self.flush();
+        }
+        self.buf.reserve(n);
+    }
+
+    #[inline]
+    fn put<const N: usize>(&mut self, bytes: [u8; N]) -> &mut Writer<'s> {
+        self.reserve(N);
+        self.buf.extend_from_slice(&bytes);
         self
     }
 
     #[inline]
-    pub fn u32(&mut self, v: u32) -> &mut Writer {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
+    pub fn u8(&mut self, v: u8) -> &mut Writer<'s> {
+        self.put([v])
     }
 
     #[inline]
-    pub fn u64(&mut self, v: u64) -> &mut Writer {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
+    pub fn u32(&mut self, v: u32) -> &mut Writer<'s> {
+        self.put(v.to_le_bytes())
+    }
+
+    #[inline]
+    pub fn u64(&mut self, v: u64) -> &mut Writer<'s> {
+        self.put(v.to_le_bytes())
     }
 
     /// Bit-exact float transport (`to_bits`), so a decoded value is
     /// byte-identical to the encoded one even for non-canonical NaNs.
-    pub fn f64(&mut self, v: f64) -> &mut Writer {
+    pub fn f64(&mut self, v: f64) -> &mut Writer<'s> {
         self.u64(v.to_bits())
     }
 
     /// Length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) -> &mut Writer {
+    pub fn bytes(&mut self, v: &[u8]) -> &mut Writer<'s> {
         self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
+        for piece in v.chunks(CHUNK) {
+            self.reserve(piece.len());
+            self.buf.extend_from_slice(piece);
+        }
         self
     }
 
-    pub fn str(&mut self, v: &str) -> &mut Writer {
+    pub fn str(&mut self, v: &str) -> &mut Writer<'s> {
         self.bytes(v.as_bytes())
     }
+
+    /// A nested payload, length-prefixed like [`Writer::bytes`] (the
+    /// mirror of [`Reader::bytes`]): `encode` runs once to count the
+    /// prefix, then once into this writer.
+    pub fn nested(&mut self, encode: impl Fn(&mut Writer<'_>)) -> &mut Writer<'s> {
+        self.u64(wire_len(&encode));
+        encode(self);
+        self
+    }
+
+    /// One lane: the row count, then `raw(v)` for each row. A counting
+    /// writer adds the lane's size without visiting its rows.
+    #[inline]
+    fn lane<T: Copy, const N: usize>(&mut self, lane: &[T], raw: impl Fn(T) -> [u8; N]) {
+        self.u64(lane.len() as u64);
+        if matches!(self.sink, Sink::Count) {
+            self.flushed += (N * lane.len()) as u64;
+            return;
+        }
+        for rows in lane.chunks(CHUNK / N) {
+            self.reserve(N * rows.len());
+            for &v in rows {
+                self.buf.extend_from_slice(&raw(v));
+            }
+        }
+    }
+}
+
+/// The bytes `encode` writes, in one buffer of exactly their size.
+pub fn to_bytes(encode: impl Fn(&mut Writer<'_>)) -> Vec<u8> {
+    let mut w = Writer::with_capacity(wire_len(&encode) as usize);
+    encode(&mut w);
+    w.into_bytes()
+}
+
+/// How many bytes `encode` writes, counted without keeping them.
+pub fn wire_len(encode: impl FnOnce(&mut Writer<'_>)) -> u64 {
+    let mut w = Writer::counting();
+    encode(&mut w);
+    w.len()
 }
 
 /// Bounds-checked cursor over an encoded payload. Every read returns
@@ -183,7 +316,7 @@ impl<'a> Reader<'a> {
 // Shared primitive codecs.
 // ---------------------------------------------------------------------
 
-pub fn put_prefix(w: &mut Writer, p: Prefix) {
+pub fn put_prefix(w: &mut Writer<'_>, p: Prefix) {
     w.u32(p.base().0).u8(p.len());
 }
 
@@ -196,7 +329,7 @@ pub fn get_prefix(r: &mut Reader<'_>) -> WireResult<Prefix> {
     Ok(Prefix::new(Ipv4(base), len))
 }
 
-pub fn put_prefixes(w: &mut Writer, ps: &[Prefix]) {
+pub fn put_prefixes(w: &mut Writer<'_>, ps: &[Prefix]) {
     w.u64(ps.len() as u64);
     for p in ps {
         put_prefix(w, *p);
@@ -219,11 +352,8 @@ pub fn get_prefixes(r: &mut Reader<'_>) -> WireResult<Vec<Prefix>> {
 // ---------------------------------------------------------------------
 
 /// A lane of one-byte values, `raw(v)` per row.
-pub fn put_u8s<T: Copy>(w: &mut Writer, lane: &[T], raw: impl Fn(T) -> u8) {
-    w.u64(lane.len() as u64);
-    for &v in lane {
-        w.u8(raw(v));
-    }
+pub fn put_u8s<T: Copy>(w: &mut Writer<'_>, lane: &[T], raw: impl Fn(T) -> u8) {
+    w.lane(lane, |v| [raw(v)]);
 }
 
 /// Decode a [`put_u8s`] lane; `Err` if `from_raw` refuses any row.
@@ -236,11 +366,8 @@ pub fn get_u8s<T>(
 }
 
 /// A lane of four-byte values, `raw(v)` per row.
-pub fn put_u32s<T: Copy>(w: &mut Writer, lane: &[T], raw: impl Fn(T) -> u32) {
-    w.u64(lane.len() as u64);
-    for &v in lane {
-        w.u32(raw(v));
-    }
+pub fn put_u32s<T: Copy>(w: &mut Writer<'_>, lane: &[T], raw: impl Fn(T) -> u32) {
+    w.lane(lane, |v| raw(v).to_le_bytes());
 }
 
 /// Decode a [`put_u32s`] lane, `from_raw` per row.
@@ -255,11 +382,8 @@ pub fn get_u32s<T>(r: &mut Reader<'_>, from_raw: impl Fn(u32) -> T) -> WireResul
 
 /// A lane of eight-byte values, `raw(v)` per row; `f64` lanes pass
 /// `f64::to_bits`, so floats travel bit-exact.
-pub fn put_u64s<T: Copy>(w: &mut Writer, lane: &[T], raw: impl Fn(T) -> u64) {
-    w.u64(lane.len() as u64);
-    for &v in lane {
-        w.u64(raw(v));
-    }
+pub fn put_u64s<T: Copy>(w: &mut Writer<'_>, lane: &[T], raw: impl Fn(T) -> u64) {
+    w.lane(lane, |v| raw(v).to_le_bytes());
 }
 
 /// Decode a [`put_u64s`] lane, `from_raw` per row.
@@ -335,7 +459,11 @@ fn kind_from_tag(tag: u8) -> WireResult<AsKind> {
 // InternetPlan codec.
 // ---------------------------------------------------------------------
 
-fn put_table<T>(w: &mut Writer, table: &PrefixTable<T>, put: impl Fn(&mut Writer, &T)) {
+fn put_table<T>(
+    w: &mut Writer<'_>,
+    table: &PrefixTable<T>,
+    put: impl Fn(&mut Writer<'_>, &T),
+) {
     let entries: Vec<(Prefix, &T)> = table.iter().collect();
     w.u64(entries.len() as u64);
     for (p, v) in entries {
@@ -359,7 +487,7 @@ fn get_table<T>(
     Ok(table)
 }
 
-fn put_telescope(w: &mut Writer, t: &TelescopePlan) {
+fn put_telescope(w: &mut Writer<'_>, t: &TelescopePlan) {
     w.str(&t.name).u32(t.asn.0);
     put_prefixes(w, &t.prefixes);
 }
@@ -374,7 +502,7 @@ fn get_telescope(r: &mut Reader<'_>) -> WireResult<TelescopePlan> {
 
 /// A `HashSet<Asn>` as a *sorted* ASN list: deterministic bytes for
 /// identical sets regardless of hash iteration order.
-fn put_asn_set(w: &mut Writer, set: &HashSet<Asn>) {
+fn put_asn_set(w: &mut Writer<'_>, set: &HashSet<Asn>) {
     let mut asns: Vec<Asn> = set.iter().copied().collect();
     asns.sort_unstable();
     put_u32s(w, &asns, |a| a.0);
@@ -387,49 +515,50 @@ fn get_asn_set(r: &mut Reader<'_>) -> WireResult<HashSet<Asn>> {
 impl InternetPlan {
     /// Encode to the wire format. Deterministic: the same plan always
     /// produces the same bytes.
-    pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(1 << 16);
-
+    pub fn write_wire(&self, w: &mut Writer<'_>) {
         // Registry in insertion order; `add` rebuilds the ASN index.
         w.u64(self.registry.len() as u64);
         for rec in self.registry.iter() {
             w.u32(rec.asn.0);
             w.str(&rec.name);
             w.u8(kind_tag(rec.kind));
-            put_prefixes(&mut w, &rec.prefixes);
+            put_prefixes(w, &rec.prefixes);
             w.f64(rec.target_weight);
         }
 
-        put_table(&mut w, &self.routed, |w, asn| {
+        put_table(w, &self.routed, |w, asn| {
             w.u32(asn.0);
         });
-        put_table(&mut w, &self.allocations, |w, a| {
+        put_table(w, &self.allocations, |w, a| {
             w.u8(rir_tag(a.rir)).u32(a.asn.0);
             put_prefix(w, a.block);
         });
 
-        put_telescope(&mut w, &self.ucsd);
-        put_telescope(&mut w, &self.orion);
+        put_telescope(w, &self.ucsd);
+        put_telescope(w, &self.orion);
 
-        put_u32s(&mut w, &self.honeypots.amppot_allocated, |ip| ip.0);
+        put_u32s(w, &self.honeypots.amppot_allocated, |ip| ip.0);
         w.u64(self.honeypots.amppot_responsive as u64);
-        put_u32s(&mut w, &self.honeypots.hopscotch, |ip| ip.0);
-        put_u32s(&mut w, &self.honeypots.newkid, |ip| ip.0);
+        put_u32s(w, &self.honeypots.hopscotch, |ip| ip.0);
+        put_u32s(w, &self.honeypots.newkid, |ip| ip.0);
 
-        put_table(&mut w, &self.akamai_protected, |_, ()| {});
-        put_prefixes(&mut w, &self.akamai_prefix_list);
-        put_table(&mut w, &self.akamai_announced, |_, ()| {});
-        put_prefixes(&mut w, &self.akamai_announced_list);
+        put_table(w, &self.akamai_protected, |_, ()| {});
+        put_prefixes(w, &self.akamai_prefix_list);
+        put_table(w, &self.akamai_announced, |_, ()| {});
+        put_prefixes(w, &self.akamai_announced_list);
 
-        put_asn_set(&mut w, &self.netscout_customers);
-        put_asn_set(&mut w, &self.ixp_members);
+        put_asn_set(w, &self.netscout_customers);
+        put_asn_set(w, &self.ixp_members);
 
         w.u64(self.reflector_pools.len() as u64);
         for (v, n) in &self.reflector_pools {
             w.u8(amp_tag(*v)).u64(*n);
         }
+    }
 
-        w.into_bytes()
+    /// The encoded plan in one buffer.
+    pub fn to_wire_bytes(&self) -> Vec<u8> {
+        to_bytes(|w| self.write_wire(w))
     }
 
     /// Decode a wire payload. Fails (never panics) on truncated or
@@ -621,6 +750,69 @@ mod tests {
         let mut w = Writer::new();
         w.u64(2).u8(amp_tag(tags[0])).u8(tags.len() as u8);
         assert!(get_u8s(&mut Reader::new(&w.into_bytes()), amp_from_tag).is_err());
+    }
+
+    /// A stream writer hands on exactly the bytes a memory writer
+    /// keeps, in chunks of at most [`CHUNK`] bytes, and a counting
+    /// writer counts them: lanes several chunks long, scalars across
+    /// chunk boundaries, a nested payload and a long byte string.
+    #[test]
+    fn stream_and_count_match_memory() {
+        let rows: Vec<u32> = (0..CHUNK as u32).collect();
+        let encode = |w: &mut Writer<'_>| {
+            w.u8(1);
+            put_u32s(w, &rows, |v| v);
+            w.u8(2).u64(3);
+            put_u64s(w, &rows, u64::from);
+            w.nested(|w| {
+                put_u8s(w, &rows, |v| v as u8);
+                w.str("tail");
+            });
+            w.bytes(&[7u8; CHUNK + 3]);
+        };
+        let bytes = to_bytes(encode);
+        assert_eq!(wire_len(encode), bytes.len() as u64);
+
+        let (mut streamed, mut calls) = (Vec::new(), 0);
+        let mut sink = |chunk: &[u8]| {
+            assert!(chunk.len() <= CHUNK, "a {}-byte chunk", chunk.len());
+            calls += 1;
+            streamed.extend_from_slice(chunk);
+            Ok(())
+        };
+        let mut w = Writer::stream(&mut sink);
+        encode(&mut w);
+        assert_eq!(w.finish().unwrap(), bytes.len() as u64);
+        assert!(streamed == bytes, "streamed bytes differ from the memory writer's");
+        assert!(calls as u64 >= bytes.len() as u64 / CHUNK as u64);
+
+        // The nested payload is length-prefixed like `Writer::bytes`.
+        let mut r = Reader::new(&bytes);
+        r.u8().unwrap();
+        assert_eq!(get_u32s(&mut r, |v| v).unwrap(), rows);
+        assert_eq!((r.u8().unwrap(), r.u64().unwrap()), (2, 3));
+        assert_eq!(get_u64s(&mut r, |v| v as u32).unwrap(), rows);
+        let mut inner = Reader::new(r.bytes().unwrap());
+        assert_eq!(get_u8s(&mut inner, Ok).unwrap().len(), rows.len());
+        assert_eq!(inner.str().unwrap(), "tail");
+        inner.finish().unwrap();
+        assert_eq!(r.bytes().unwrap(), [7u8; CHUNK + 3]);
+        r.finish().unwrap();
+    }
+
+    /// A stream sink's first error comes back from `finish`, and no
+    /// later chunk reaches the sink.
+    #[test]
+    fn stream_errors_surface_at_finish() {
+        let mut calls = 0;
+        let mut sink = |_: &[u8]| {
+            calls += 1;
+            Err(io::Error::other("disk full"))
+        };
+        let mut w = Writer::stream(&mut sink);
+        put_u64s(&mut w, &[0u64; CHUNK], |v| v);
+        assert_eq!(w.finish().unwrap_err().to_string(), "disk full");
+        assert_eq!(calls, 1);
     }
 
     #[test]

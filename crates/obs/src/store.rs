@@ -15,8 +15,9 @@
 //!
 //! [`publish`] is the one atomic file write: both this store and the
 //! stage store (`ddoscovery::diskstore`) install files through it. It
-//! takes the file as a list of parts, so the stage store writes a cell
-//! header and its payload without first copying them into one buffer.
+//! takes a closure that writes the file, so the stage store streams a
+//! cell's payload into the file without first holding it in a buffer,
+//! and writes the cell's header last.
 //!
 //! [`diff`] compares two manifests the way DESIGN.md says they should
 //! be compared: counters and stage fingerprints exactly — counters
@@ -134,7 +135,7 @@ impl RunStore {
             },
         )
         .map_err(|e| format!("run store: claim in {}: {e}", self.dir.display()))?;
-        if let Err(e) = publish(&path, &[json.as_bytes()]) {
+        if let Err(e) = publish(&path, |file| file.write_all(json.as_bytes())) {
             // Withdraw the empty claim so a failed append leaves no
             // debris behind (`publish` already removed its temporary).
             let _ = std::fs::remove_file(&path);
@@ -213,19 +214,23 @@ impl RunStore {
     }
 }
 
-/// Publish the concatenation of `parts` as `path` atomically: write
-/// them, in order, to a temporary dotfile sibling in the same
-/// directory, then rename it over `path`, so a reader or a crash sees
-/// the old file, the new file, or none — never a torn one. Parts let a
-/// caller frame a payload (a header, then the payload) without copying
-/// it into one buffer first. Transient errors get a bounded retry; on
+/// Publish the file `write` writes as `path` atomically: `write` fills
+/// a fresh temporary dotfile sibling in the same directory, which is
+/// then renamed over `path`, so a reader or a crash sees the old file,
+/// the new file, or none — never a torn one. The temporary is private
+/// until the rename, so `write` may seek in it (the stage store writes
+/// a cell's header after its payload). A transient error gets a bounded
+/// retry, which truncates the temporary and runs `write` again; on
 /// failure the temporary is removed. The sibling's name is unique to
 /// this writer (pid plus a process-wide sequence), so concurrent
 /// publishes of one path, from threads or processes, never share a
 /// temporary: each rename installs one complete file and the last one
 /// wins. The run store and the stage store (`ddoscovery::diskstore`)
 /// both publish through here.
-pub fn publish(path: &Path, parts: &[&[u8]]) -> Result<(), String> {
+pub fn publish(
+    path: &Path,
+    mut write: impl FnMut(&mut std::fs::File) -> std::io::Result<()>,
+) -> Result<(), String> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("publish");
     let tmp = path.with_file_name(format!(
@@ -235,8 +240,7 @@ pub fn publish(path: &Path, parts: &[&[u8]]) -> Result<(), String> {
     ));
     let transient = crate::retry::is_transient;
     let published = crate::retry::with_backoff("publish write", 3, transient, |_| {
-        let mut file = std::fs::File::create(&tmp)?;
-        parts.iter().try_for_each(|part| file.write_all(part))
+        write(&mut std::fs::File::create(&tmp)?)
     })
     .map_err(|e| format!("write {}: {e}", tmp.display()))
     .and_then(|()| {
@@ -704,6 +708,50 @@ mod tests {
                 entry.manifest
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The files `publish` leaves in `dir`, sorted.
+    fn files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// A write that fails part-way installs nothing and leaves no
+    /// temporary; a transient failure reruns the closure on a truncated
+    /// temporary, so the file holds one attempt's bytes.
+    #[test]
+    fn publish_installs_whole_files_or_nothing() {
+        let dir = scratch_dir("publish");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("cell");
+
+        let err = publish(&path, |file| {
+            file.write_all(b"half a ")?;
+            Err(std::io::Error::other("disk on fire"))
+        })
+        .expect_err("a failed write must fail the publish");
+        assert!(err.contains("disk on fire"), "got: {err}");
+        assert!(files(&dir).is_empty(), "left behind: {:?}", files(&dir));
+
+        let mut attempts = 0;
+        publish(&path, |file| {
+            attempts += 1;
+            file.write_all(format!("attempt {attempts}").as_bytes())?;
+            if attempts == 1 {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            Ok(())
+        })
+        .expect("the retry publishes");
+        assert_eq!(attempts, 2);
+        assert_eq!(std::fs::read(&path).expect("published"), b"attempt 2");
+        assert_eq!(files(&dir), ["cell"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

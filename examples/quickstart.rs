@@ -16,7 +16,7 @@ fn main() {
     let run = StudyRun::execute(&cfg);
     println!(
         "Generated {} ground-truth attacks in {:.1?}\n",
-        run.attacks.len(),
+        run.attacks().len(),
         started.elapsed()
     );
 

@@ -9,10 +9,12 @@
 //! DDOS_SCALE_TARGET=10000000 cargo run --release --example scale_probe
 //! # generation only (attacks/sec + population resident bytes)
 //! DDOS_SCALE_STAGE=generate cargo run --release --example scale_probe
+//! # cold execute into a fresh stage store (per-stage peak RSS, cell MB/s)
+//! DDOS_SCALE_STAGE=store cargo run --release --example scale_probe
 //! ```
 
 use attackgen::AttackGenerator;
-use ddoscovery::{ObsId, StudyConfig, StudyRun};
+use ddoscovery::{DiskStore, ObsId, StageFingerprints, StudyConfig, StudyRun};
 use netmodel::InternetPlan;
 use simcore::{ExecPool, SimRng};
 
@@ -71,7 +73,7 @@ fn probe_pipeline(cfg: &StudyConfig) {
     let watch = obs::Stopwatch::start();
     let run = StudyRun::execute(cfg);
     let exec_secs = watch.elapsed_ns() as f64 / 1e9;
-    let n = run.attacks.len();
+    let n = run.attacks().len();
     let observed: usize = ObsId::ALL.iter().map(|&id| run.observations(id).len()).sum();
     println!(
         "execute (generate+observe): {n} attacks in {exec_secs:.1}s ({:.0} attacks/s), {observed} observations",
@@ -89,6 +91,16 @@ fn probe_pipeline(cfg: &StudyConfig) {
     let proj_secs = watch.elapsed_ns() as f64 / 1e9;
     let rss_end = rss_mb();
     println!("project: {proj_secs:.2}s ({cells} cells)");
+    print_stage_rss(rss_start, n);
+    println!(
+        "peak RSS: {rss_end:.0} MB — pipeline bytes/attack {:.1}",
+        (rss_end - rss_start) * 1024.0 * 1024.0 / n.max(1) as f64
+    );
+}
+
+/// Per-stage peak RSS (`run.peak_rss.<stage>`), as MB and as bytes per
+/// attack over `rss_start`.
+fn print_stage_rss(rss_start: f64, n: usize) {
     for stage in ["plan", "attacks", "observe"] {
         let mb = obs::metrics::gauge(&format!("run.peak_rss.{stage}")).get() / (1024.0 * 1024.0);
         println!(
@@ -96,10 +108,43 @@ fn probe_pipeline(cfg: &StudyConfig) {
             (mb - rss_start) * 1024.0 * 1024.0 / n.max(1) as f64
         );
     }
+}
+
+/// One cold execute writing through a fresh stage store. The attack
+/// stage's peak RSS covers writing the attack cell, so it shows any
+/// buffer the store builds; the attack rows are then stored again,
+/// alone and timed, into a second fresh store for the cell MB/s.
+fn probe_store(cfg: &StudyConfig) {
+    let dir = std::env::temp_dir().join(format!("ddoscovery-scale-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = cfg.clone();
+    cfg.disk_store = Some(dir.join("cold").display().to_string());
+    let rss_start = rss_mb();
+    let watch = obs::Stopwatch::start();
+    let run = StudyRun::execute(&cfg);
+    let exec_secs = watch.elapsed_ns() as f64 / 1e9;
+    let n = run.attacks().len();
+    let cells = DiskStore::open(dir.join("cold")).list();
+    let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
     println!(
-        "peak RSS: {rss_end:.0} MB — pipeline bytes/attack {:.1}",
-        (rss_end - rss_start) * 1024.0 * 1024.0 / n.max(1) as f64
+        "execute into a fresh store: {n} attacks in {exec_secs:.1}s, {} cells, {:.0} MB",
+        cells.len(),
+        mb(cells.iter().map(|c| c.bytes).sum())
     );
+    print_stage_rss(rss_start, n);
+
+    let again = DiskStore::open(dir.join("again"));
+    let watch = obs::Stopwatch::start();
+    again.store(StageFingerprints::of(&cfg).attacks, run.attacks());
+    let store_secs = watch.elapsed_ns() as f64 / 1e9;
+    let cell = again.list().iter().map(|c| c.bytes).sum();
+    println!(
+        "attack cell: {:.0} MB stored in {store_secs:.2}s ({:.0} MB/s); peak RSS {:.0} MB",
+        mb(cell),
+        mb(cell) / store_secs.max(1e-9),
+        rss_mb()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn main() {
@@ -112,6 +157,7 @@ fn main() {
     println!("scale_probe: target ~{target:.0} attacks, stage {stage}");
     match stage.as_str() {
         "generate" => probe_generate(&cfg),
+        "store" => probe_store(&cfg),
         _ => probe_pipeline(&cfg),
     }
 }

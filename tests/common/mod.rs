@@ -37,7 +37,7 @@ pub fn output_fingerprint(run: &StudyRun) -> Vec<u8> {
 /// Small fast config with every masking path live: paper missing-data
 /// gaps on, plus a fault plan that exercises outages, honeypot churn
 /// and flow degradation.
-#[allow(dead_code)] // only the two golden suites pin this config
+#[allow(dead_code)] // the golden suites and `disk_store` pin this config
 pub fn golden_cfg(cache: usize, workers: usize) -> StudyConfig {
     let mut cfg = StudyConfig::quick();
     cfg.seed = 0x60_1DE2;

@@ -21,8 +21,8 @@ fn tiny_cfg(seed: u64) -> StudyConfig {
 fn identical_seeds_identical_results() {
     let a = StudyRun::execute(&tiny_cfg(99));
     let b = StudyRun::execute(&tiny_cfg(99));
-    assert_eq!(a.attacks.len(), b.attacks.len());
-    for (x, y) in a.attacks.iter().zip(b.attacks.iter()) {
+    assert_eq!(a.attacks().len(), b.attacks().len());
+    for (x, y) in a.attacks().iter().zip(b.attacks().iter()) {
         assert_eq!(x, y);
     }
     for id in ObsId::MAIN_TEN {
@@ -54,7 +54,7 @@ fn worker_count_never_changes_results() {
     let serial = with_workers(1);
     for workers in [2, 3, 4, 8] {
         let par = with_workers(workers);
-        assert_eq!(serial.attacks, par.attacks, "attacks diverged at {workers} workers");
+        assert_eq!(serial.attacks(), par.attacks(), "attacks diverged at {workers} workers");
         for id in ObsId::ALL {
             assert_eq!(
                 serial.observations(id),
@@ -98,13 +98,13 @@ fn different_seeds_differ() {
     let b = StudyRun::execute(&tiny_cfg(2));
     // Attack populations differ in content (counts may coincide).
     let same = a
-        .attacks
+        .attacks()
         .iter()
-        .zip(b.attacks.iter())
+        .zip(b.attacks().iter())
         .filter(|(x, y)| x.targets == y.targets && x.start == y.start)
         .count();
     assert!(
-        (same as f64) < 0.01 * a.attacks.len() as f64,
+        (same as f64) < 0.01 * a.attacks().len() as f64,
         "{same} identical attacks"
     );
 }
@@ -121,11 +121,11 @@ fn observation_independent_of_stream_order() {
     let root = SimRng::new(cfg.seed).fork_named("observatories");
     let tele = Telescope::ucsd(&run.plan);
     let mut forward = ObservationColumns::new();
-    for a in run.attacks.iter() {
+    for a in run.attacks().iter() {
         tele.observe_into(a, &root, &mut forward);
     }
     let mut backward = ObservationColumns::new();
-    for a in run.attacks.iter().rev() {
+    for a in run.attacks().iter().rev() {
         tele.observe_into(a, &root, &mut backward);
     }
     let by_id = |o: &ObservationColumns| {
@@ -147,7 +147,7 @@ fn config_serde_roundtrip_preserves_results() {
     let cfg2: StudyConfig = serde_json::from_str(&json).unwrap();
     let a = StudyRun::execute(&cfg);
     let b = StudyRun::execute(&cfg2);
-    assert_eq!(a.attacks.len(), b.attacks.len());
+    assert_eq!(a.attacks().len(), b.attacks().len());
     for id in ObsId::MAIN_TEN {
         assert_eq!(a.observations(id).len(), b.observations(id).len());
     }

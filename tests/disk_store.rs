@@ -12,12 +12,12 @@
 mod common;
 
 use attackgen::{AttackId, ObservationColumns};
-use common::{output_fingerprint, spans_closed};
+use common::{golden_cfg, output_fingerprint, spans_closed};
 use ddoscovery::diskstore::CELL_HEADER_LEN;
 use ddoscovery::stagecache::{Stage, StageCache};
 use ddoscovery::{DiskStore, ObsId, StageFingerprints, StudyConfig, StudyRun};
 use netmodel::Ipv4;
-use obs::manifest::Fnv;
+use obs::manifest::{fnv1a, Fnv};
 use simcore::SimTime;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -97,9 +97,14 @@ fn cell_files(dir: &Path) -> Vec<PathBuf> {
 /// honeypots' detections the carpet pass reads.
 const CELLS_PER_RUN: u64 = 17;
 
-/// A warm process loads 14 of them: every final stream hits, so the
-/// detections behind the honeypot streams are never read.
-const CELLS_LOADED_WARM: u64 = 14;
+/// A warm process loads 13 of them: every final stream hits, so the
+/// detections behind the honeypot streams are never read, and no
+/// observer pass runs, so neither is the attack cell.
+const CELLS_LOADED_WARM: u64 = 13;
+
+/// `GOLDEN_ATTACKS` of `tests/equivalence_golden.rs`: the wire bytes of
+/// `golden_cfg`'s attack population.
+const GOLDEN_ATTACKS: u64 = 0x2f34_2458_3560_9a00;
 
 /// The headline guarantee: a second "process" (in-memory cache
 /// cleared) serves every stage from disk — zero recomputation,
@@ -144,6 +149,43 @@ fn warm_process_loads_every_stage_from_disk() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A warm process reads 13 cells and leaves the attack cell unread:
+/// `stage.attacks.{disk_hit,computed}` stay 0 through the execute and
+/// every projection, until the first `attacks()` call loads the cell,
+/// once, and its rows are the pinned population.
+#[test]
+fn a_warm_process_loads_the_attack_rows_on_first_read() {
+    let _guard = serialize();
+    let dir = scratch_dir("lazy-attacks");
+    let mut cfg = golden_cfg(64, 2);
+    cfg.disk_store = Some(dir.display().to_string());
+    let cold = output_fingerprint(&StudyRun::execute(&cfg));
+
+    StageCache::global().clear();
+    let attack_cell = || {
+        ["disk_hit", "computed"]
+            .map(|kind| obs::metrics::counter(&format!("stage.attacks.{kind}")).get())
+    };
+    let (before, cells) = (attack_cell(), snap());
+    let run = StudyRun::execute(&cfg);
+    assert!(output_fingerprint(&run) == cold, "the warm run diverged from the cold run");
+    assert_eq!(
+        delta(cells, snap()),
+        [CELLS_LOADED_WARM, 0, 0, 0, 0],
+        "hit, miss, write, reject, computed"
+    );
+    assert_eq!(attack_cell(), before, "the warm execute and its projections read no attack row");
+
+    let rows = fnv1a(&run.attacks().to_wire_bytes());
+    let loaded_once = [before[0] + 1, before[1]];
+    assert_eq!(attack_cell(), loaded_once, "the first read loads the attack cell");
+    assert_eq!(run.attack_rows().len(), run.attacks().len());
+    assert_eq!(attack_cell(), loaded_once, "later reads reuse the loaded rows");
+    assert_eq!(rows, GOLDEN_ATTACKS, "the loaded rows moved (got {rows:#018x})");
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The attack-row index the experiments join through needs the
 /// generated ids to be a permutation of `0..n`: check it for a cold run
 /// at 1 and 4 workers and for the warm run that loads that population
@@ -153,8 +195,8 @@ fn attack_ids_are_a_permutation_cold_and_warm() {
     let _guard = serialize();
     let check = |run: &StudyRun, label: &str| {
         let rows = run.attack_rows();
-        assert_eq!(rows.len(), run.attacks.len(), "{label}: index length");
-        for (row, &id) in run.attacks.id.iter().enumerate() {
+        assert_eq!(rows.len(), run.attacks().len(), "{label}: index length");
+        for (row, &id) in run.attacks().id.iter().enumerate() {
             assert_eq!(rows[id as usize] as usize, row, "{label}: id {id}");
         }
     };
@@ -238,11 +280,18 @@ fn an_older_detections_cell_is_rejected_once_and_rewritten() {
         let warm = streams(&StudyRun::execute(&point));
         let [hit, miss, write, reject, computed] = delta(before, snap());
         // The rejected detections recompute with the three carpet
-        // outputs of the new gap; everything else loads.
+        // outputs of the new gap; everything else loads. Observing the
+        // honeypot again reads the attack rows: the attack cell loads
+        // in place of the rejected one.
         let recomputed = 3 + rejected;
+        let attack_cell = rejected;
         assert_eq!(reject, rejected, "gap step {step}: rejects");
         assert_eq!((computed, write), (recomputed, recomputed), "gap step {step}");
-        assert_eq!((hit, miss), (CELLS_LOADED_WARM - rejected, 3), "gap step {step}");
+        assert_eq!(
+            (hit, miss),
+            (CELLS_LOADED_WARM - rejected + attack_cell, 3),
+            "gap step {step}"
+        );
 
         let mut off = point.clone();
         off.stage_cache = Some(0);
@@ -316,7 +365,7 @@ fn corrupted_cells_are_rejected_recomputed_and_rewritten() {
     assert_eq!(write, CELLS_PER_RUN, "every rejected cell must be rewritten");
     assert_eq!(hit, 0);
 
-    // The rewritten store is clean: a fresh process loads all 14
+    // The rewritten store is clean: a fresh process loads all 13
     // cells it reads.
     StageCache::global().clear();
     let before = snap();

@@ -36,13 +36,13 @@ fn columnar_output_matches_frozen_aos_golden() {
                 "projection bytes diverged from the frozen AoS reference \
                  at workers={workers} cache={cache} (got {got:#018x})"
             );
-            let got = fnv1a(&run.attacks.to_wire_bytes());
+            let got = fnv1a(&run.attacks().to_wire_bytes());
             assert_eq!(
                 got,
                 GOLDEN_ATTACKS,
                 "attack population bytes diverged at workers={workers} \
                  cache={cache} (got {got:#018x}, {} rows)",
-                run.attacks.len()
+                run.attacks().len()
             );
         }
     }
@@ -58,7 +58,7 @@ fn print_golden_hash() {
     println!("GOLDEN = {:#018x}", fnv1a(&output_fingerprint(&run)));
     println!(
         "GOLDEN_ATTACKS = {:#018x} ({} rows)",
-        fnv1a(&run.attacks.to_wire_bytes()),
-        run.attacks.len()
+        fnv1a(&run.attacks().to_wire_bytes()),
+        run.attacks().len()
     );
 }

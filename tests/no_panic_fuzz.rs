@@ -166,8 +166,8 @@ proptest! {
         let a = StudyRun::try_execute(&one).expect("validated config must run");
         let b = StudyRun::try_execute(&three).expect("validated config must run");
         let c = StudyRun::try_execute(&three).expect("validated config must run");
-        prop_assert_eq!(a.attacks.len(), b.attacks.len());
-        prop_assert_eq!(a.attacks.len(), c.attacks.len());
+        prop_assert_eq!(a.attacks().len(), b.attacks().len());
+        prop_assert_eq!(a.attacks().len(), c.attacks().len());
 
         // Touch every projection (they must not panic on starved data)
         // and hold the worker-count-invariance contract bit for bit.

@@ -20,7 +20,7 @@ fn starved_config() -> StudyConfig {
 #[test]
 fn starved_study_runs_every_experiment() {
     let run = StudyRun::execute(&starved_config());
-    assert!(run.attacks.len() < 2000, "starved run too big");
+    assert!(run.attacks().len() < 2000, "starved run too big");
     for id in all_ids() {
         let r = run_experiment(&run, id)
             .unwrap_or_else(|| panic!("{id} missing from registry"));
@@ -112,7 +112,7 @@ fn extreme_seed_values_work() {
                 .present()
                 .map(|(_, v)| v)
                 .sum();
-            assert!(total as usize <= run.attacks.len() * 2);
+            assert!(total as usize <= run.attacks().len() * 2);
         }
     }
 }

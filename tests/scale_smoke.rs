@@ -30,7 +30,7 @@ fn ten_million_attack_pipeline_completes() {
 
     let run = StudyRun::execute(&cfg);
 
-    let n = run.attacks.len();
+    let n = run.attacks().len();
     assert!(
         (8_000_000..16_000_000).contains(&n),
         "10M-scale config produced {n} attacks"

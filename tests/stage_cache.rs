@@ -84,7 +84,8 @@ fn observation_sweep_generates_attacks_exactly_once() {
     assert!(report.skipped.is_empty());
     assert_eq!(plan.computed, 0, "a primed grid must never rebuild the plan");
     assert_eq!(attacks.computed, 0, "a primed grid must never regenerate attacks");
-    assert_eq!((plan.hit, attacks.hit), (3, 3));
+    // No point runs an observer pass, so none reads the attack rows.
+    assert_eq!((plan.hit, attacks.hit), (3, 0));
     // Each point computes its three carpet outputs and hits the other
     // 12 outputs: 8 series, the raw alert stream and the 3 honeypots'
     // detections.
@@ -175,12 +176,14 @@ fn single_field_changes_invalidate_their_stage_only() {
     let [plan, attacks, observations] = delta(before, snap());
     assert_eq!((plan.computed, attacks.computed, observations.computed), (1, 1, 15));
 
-    // Identical config: every stage is a hit.
+    // Identical config: every stage it reads is a hit. Every
+    // observation output hits, so no observer pass runs and the attack
+    // rows are not read (`attacks.hit` 0).
     let before = snap();
     let _ = StudyRun::execute(&cfg);
     let [plan, attacks, observations] = delta(before, snap());
     assert_eq!((plan.computed, attacks.computed, observations.computed), (0, 0, 0));
-    assert_eq!((plan.hit, attacks.hit, observations.hit), (1, 1, 12));
+    assert_eq!((plan.hit, attacks.hit, observations.hit), (1, 0, 12));
 
     // A plan-class field (`net`) recomputes everything.
     let mut poked = cfg.clone();
@@ -201,13 +204,14 @@ fn single_field_changes_invalidate_their_stage_only() {
 
     // An observation-class field (`obs`) reuses plan and attacks, and
     // the gap re-keys only the three carpet outputs: the 8 other series,
-    // the alert stream and the 3 detections hit.
+    // the alert stream and the 3 detections hit. The carpet merges read
+    // the detections, not the attack rows.
     let mut poked = cfg.clone();
     poked.obs.carpet_gap_secs += 60;
     let before = snap();
     let _ = StudyRun::execute(&poked);
     let [plan, attacks, observations] = delta(before, snap());
-    assert_eq!((plan.hit, attacks.hit, observations.hit), (1, 1, 12));
+    assert_eq!((plan.hit, attacks.hit, observations.hit), (1, 0, 12));
     assert_eq!((plan.computed, attacks.computed, observations.computed), (0, 0, 3));
 
     // Execution-class fields (`workers`, `stage_cache` bound) change no
@@ -219,7 +223,7 @@ fn single_field_changes_invalidate_their_stage_only() {
     let _ = StudyRun::execute(&poked);
     let [plan, attacks, observations] = delta(before, snap());
     assert_eq!((plan.computed, attacks.computed, observations.computed), (0, 0, 0));
-    assert_eq!((plan.hit, attacks.hit, observations.hit), (1, 1, 12));
+    assert_eq!((plan.hit, attacks.hit, observations.hit), (1, 0, 12));
 }
 
 /// A tiny bound evicts (one full run needs 17 entries) but never

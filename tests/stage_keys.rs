@@ -300,9 +300,10 @@ fn keys_move_only_for_the_streams_that_read_the_change() {
 
 /// The user-facing what-if route: over a warm quick study, a two-point
 /// carpet-gap sweep computes exactly the six carpet outputs, in one
-/// `carpet` span each, and observes nothing. Putting the detections in
-/// carpet order (`carpet.order`) is gap-free work: the cold run does it
-/// once per honeypot, and the gap points not at all.
+/// `carpet` span each, observes nothing and resolves no attack row (no
+/// `stage.attacks` lookup at all). Putting the detections in carpet
+/// order (`carpet.order`) is gap-free work: the cold run does it once
+/// per honeypot, and the gap points not at all.
 #[test]
 fn served_gap_sweep_reruns_only_the_carpet_passes() {
     let _guard = serialize();
@@ -320,6 +321,7 @@ fn served_gap_sweep_reruns_only_the_carpet_passes() {
             spans_closed("carpet"),
             spans_closed("observe"),
             spans_closed("carpet.order"),
+            cache.stats(Stage::Attacks).hit,
         ]
     };
     cache.clear();
@@ -327,10 +329,10 @@ fn served_gap_sweep_reruns_only_the_carpet_passes() {
     let run = StudyRun::execute(&cfg);
     let after = counts();
     assert_eq!(
-        std::array::from_fn::<u64, 6, _>(|i| after[i] - before[i]),
-        [1, 1, 15, 3, 1, 3],
+        std::array::from_fn::<u64, 7, _>(|i| after[i] - before[i]),
+        [1, 1, 15, 3, 1, 3, 0],
         "cold: stage.{{plan,attacks,observations}}.computed, carpet, observe and \
-         carpet.order spans"
+         carpet.order spans, stage.attacks.hit"
     );
     let service = StudyService::new(run, &cfg, "quick");
 
@@ -344,9 +346,10 @@ fn served_gap_sweep_reruns_only_the_carpet_passes() {
     let after = counts();
     assert_eq!(resp.status, 200);
     assert_eq!(
-        std::array::from_fn::<u64, 6, _>(|i| after[i] - before[i]),
-        [0, 0, 6, 6, 0, 0],
-        "stage.{{plan,attacks,observations}}.computed, carpet, observe and carpet.order spans"
+        std::array::from_fn::<u64, 7, _>(|i| after[i] - before[i]),
+        [0, 0, 6, 6, 0, 0, 0],
+        "stage.{{plan,attacks,observations}}.computed, carpet, observe and carpet.order \
+         spans, stage.attacks.hit"
     );
 }
 
