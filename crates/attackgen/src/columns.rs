@@ -478,12 +478,6 @@ impl ObservationColumns {
         self.attack_id.is_empty()
     }
 
-    /// Row capacity of the id column (used by cache tests to tell
-    /// physically distinct instances apart).
-    pub fn capacity(&self) -> usize {
-        self.attack_id.capacity()
-    }
-
     /// Append one complete observation row.
     pub fn push_row(&mut self, attack_id: AttackId, start: SimTime, targets: &[Ipv4]) {
         self.begin_row(attack_id, start);
@@ -595,15 +589,6 @@ impl ObservationColumns {
         self.start.shrink_to_fit();
         self.target_offsets.shrink_to_fit();
         self.target_arena.shrink_to_fit();
-    }
-
-    /// Heap bytes currently held by the columns.
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.attack_id.capacity() * size_of::<u64>()
-            + self.start.capacity() * size_of::<i64>()
-            + self.target_offsets.capacity() * size_of::<u32>()
-            + self.target_arena.capacity() * size_of::<Ipv4>()
     }
 }
 

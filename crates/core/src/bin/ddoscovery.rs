@@ -389,8 +389,8 @@ fn emit_telemetry(opts: &Options, cfg: &StudyConfig) -> Result<(), String> {
         seed: cfg.seed,
         workers: cfg.workers,
         config_hash: obs::manifest::fnv1a(config_json.as_bytes()),
-        stages: ddoscovery::StageFingerprints::of(cfg).manifest_entries(),
-        degraded_weeks: cfg.faults.degraded_weeks(),
+        stages: ddoscovery::StageFingerprints::of(cfg).manifest_entries().into_iter().collect(),
+        degraded_weeks: cfg.faults.degraded_weeks().into_iter().collect(),
     });
     fs::write(path, manifest.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
     obs::log::raw_stderr(manifest.summary_table().trim_end());
@@ -968,24 +968,39 @@ mod tests {
         assert!(parse(&["--faults"]).is_err());
     }
 
-    /// A malformed `--faults` file is reported by the JSON field at
-    /// fault, not by the Rust type that parses it.
+    /// A malformed `--faults` file is reported by the JSON path at
+    /// fault and the JSON kinds involved, not by the Rust types that
+    /// parse it.
     #[test]
     fn faults_flag_names_the_field_not_the_type() {
-        let path = std::env::temp_dir().join("ddoscovery-faults-no-start-week.json");
-        fs::write(
-            &path,
-            r#"{"outages":[],"honeypot_churn":null,
-                "flow_degradation":{"drop_fraction":0.2},"seed":9}"#,
-        )
-        .unwrap();
-        let opts = parse(&["--quick", "--faults", path.to_str().unwrap()]).unwrap();
-        let err = build_config(&opts).unwrap_err();
+        let path = std::env::temp_dir().join("ddoscovery-faults-malformed.json");
+        for (plan, expected) in [
+            (
+                r#"{"outages":[],"honeypot_churn":null,
+                    "flow_degradation":{"drop_fraction":0.2},"seed":9}"#,
+                "`flow_degradation`: missing field `start_week`",
+            ),
+            (
+                r#"{"outages":5,"honeypot_churn":null,"flow_degradation":null,"seed":9}"#,
+                "`outages`: expected array, got unsigned integer",
+            ),
+            (
+                r#"{"outages":[{"source":"ucsd","start_week":"10","end_week":20}],
+                    "honeypot_churn":null,"flow_degradation":null,"seed":9}"#,
+                "`outages[0].start_week`: expected unsigned integer, got string",
+            ),
+        ] {
+            fs::write(&path, plan).unwrap();
+            let opts = parse(&["--quick", "--faults", path.to_str().unwrap()]).unwrap();
+            let err = build_config(&opts).unwrap_err();
+            assert_eq!(err.exit_code(), 2);
+            let msg = err.to_string();
+            assert!(msg.contains(expected), "{msg}");
+            for rust in ["FlowDegradation", "Outage", "Vec", "u32", "deserializing"] {
+                assert!(!msg.contains(rust), "{msg}");
+            }
+        }
         let _ = fs::remove_file(&path);
-        assert_eq!(err.exit_code(), 2);
-        let msg = err.to_string();
-        assert!(msg.contains("`flow_degradation`: missing field `start_week`"), "{msg}");
-        assert!(!msg.contains("FlowDegradation") && !msg.contains("deserializing"), "{msg}");
     }
 
     #[test]

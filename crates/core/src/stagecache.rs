@@ -856,7 +856,12 @@ mod tests {
     #[test]
     fn cache_hits_evicts_and_bypasses() {
         let cache = StageCache::isolated();
-        let make = |n: u64| -> Arc<ObservationColumns> { Arc::new(ObservationColumns::with_capacity(n as usize, 0)) };
+        // Values of `n` rows, told apart by their row count.
+        let make = |n: u64| -> Arc<ObservationColumns> {
+            let mut cols = ObservationColumns::new();
+            (0..n).for_each(|id| cols.push_row(attackgen::AttackId(id), simcore::SimTime(0), &[]));
+            Arc::new(cols)
+        };
 
         let get = |bound, key| cache.get::<ObservationColumns>(bound, key);
 
@@ -864,7 +869,7 @@ mod tests {
         assert!(get(4, 1).is_none());
         cache.insert(4, 1, make(1));
         let got = get(4, 1).expect("hit after insert");
-        assert_eq!(got.capacity(), 1);
+        assert_eq!(got.len(), 1);
         assert_eq!(cache.len(), 1);
 
         // LRU eviction at a tiny bound: key 1 is oldest once 2 and 3

@@ -223,6 +223,83 @@ fn store_accumulates_runs_and_diff_gates_regressions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The member `key` of a JSON object, for editing in place.
+fn member<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Object(fields) = v else {
+        panic!("no object around `{key}`")
+    };
+    let field = fields.iter_mut().find(|(k, _)| k == key);
+    &mut field.unwrap_or_else(|| panic!("no `{key}`")).1
+}
+
+/// A store written by an older build stays readable. That build wrote
+/// `run.stages` in `plan`, `attacks`, `observations` order, the metric
+/// maps as JSON objects, `"workers": null` for an unpinned pool and a
+/// non-finite gauge as `null`. A manifest in that layout, planted next
+/// to a fresh run's entry with the same counters, lists, shows and
+/// diffs beside it under a zero gate.
+#[test]
+fn manifests_in_the_older_layout_stay_readable() {
+    let dir = sandbox("layout");
+    let runs_dir = dir.join("runs");
+    let telemetry = dir.join("t.json");
+    let telemetry = telemetry.to_str().expect("utf8 path");
+    let fresh = ddoscovery(&runs_dir, &["trends", "--quick", "--telemetry", telemetry]);
+    assert!(fresh.status.success(), "stderr: {}", stderr(&fresh));
+    let fresh_stem = stems(&runs_dir).pop().expect("the fresh run is stored");
+
+    let text = std::fs::read_to_string(telemetry).expect("read manifest");
+    let mut doc: Value = serde_json::from_str(&text).expect("manifest parses");
+    let run = member(&mut doc, "run");
+    *member(run, "workers") = Value::Null;
+    let stages = member(run, "stages");
+    let older: Vec<(String, Value)> = ["plan", "attacks", "observations"]
+        .into_iter()
+        .map(|name| {
+            let fingerprint = stages.get(name).cloned().expect("stage key");
+            (name.to_string(), fingerprint)
+        })
+        .collect();
+    *stages = Value::Object(older);
+    let Value::Object(gauges) = member(member(&mut doc, "metrics"), "gauges") else {
+        panic!("gauges are an object")
+    };
+    gauges.first_mut().expect("a quick run records gauges").1 = Value::Null;
+    let planted_stem = format!("{}-0002", &fresh_stem[..16]);
+    let planted = serde_json::to_string_pretty(&doc).expect("render");
+    std::fs::write(runs_dir.join(format!("{planted_stem}.json")), &planted).expect("plant");
+
+    let list = ddoscovery(&runs_dir, &["runs", "list"]);
+    assert!(list.status.success(), "stderr: {}", stderr(&list));
+    assert!(!stderr(&list).contains("skipping"), "{}", stderr(&list));
+    let table = stdout(&list);
+    for stem in [&fresh_stem, &planted_stem] {
+        assert!(table.contains(stem), "list misses {stem}:\n{table}");
+    }
+
+    let show = ddoscovery(&runs_dir, &["runs", "show", &planted_stem]);
+    assert!(show.status.success(), "stderr: {}", stderr(&show));
+    assert!(stderr(&show).contains(&planted_stem), "{}", stderr(&show));
+    let shown: Value = serde_json::from_str(&stdout(&show)).expect("shown manifest parses");
+    let original: Value = serde_json::from_str(&text).expect("manifest parses");
+    let stages = |v: &Value| v.get("run").and_then(|r| r.get("stages")).cloned();
+    assert_eq!(stages(&shown), stages(&original), "stages read back");
+
+    let diff = ddoscovery(
+        &runs_dir,
+        &["runs", "diff", &planted_stem, &fresh_stem, "--gate", "0"],
+    );
+    assert!(diff.status.success(), "stderr: {}", stderr(&diff));
+    let report = stdout(&diff);
+    assert!(
+        report.contains(&format!("== runs diff: {planted_stem} -> {fresh_stem} ==")),
+        "{report}"
+    );
+    assert!(!report.contains("stage "), "no stage key moved:\n{report}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn corrupt_manifests_are_skipped_with_a_warning() {
     let dir = sandbox("corrupt");

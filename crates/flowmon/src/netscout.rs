@@ -8,7 +8,7 @@
 //! below the product-defined "medium" severity are excluded.
 
 use attackgen::wire::{class_from_tag, class_tag};
-use attackgen::{AttackClass, AttackRef, ObservationColumns, ObservedRef};
+use attackgen::{AttackClass, AttackRef, ObservationColumns};
 use netmodel::wire::{get_u8s, put_u8s, to_bytes, Reader, WireResult, Writer};
 use netmodel::{Asn, InternetPlan};
 use serde::{Deserialize, Serialize};
@@ -161,11 +161,6 @@ impl AlertColumns {
         self.severity.push(severity);
     }
 
-    /// Observation view plus the alert lanes for row `i`.
-    pub fn get(&self, i: usize) -> (ObservedRef<'_>, AttackClass, Severity) {
-        (self.obs.get(i), self.class[i], self.severity[i])
-    }
-
     /// The observations of one published series, in alert order: the
     /// reflection-amplification alerts, or all the others (DP).
     pub fn series(&self, reflection: bool) -> ObservationColumns {
@@ -189,13 +184,6 @@ impl AlertColumns {
         self.obs.shrink_to_fit();
         self.class.shrink_to_fit();
         self.severity.shrink_to_fit();
-    }
-
-    /// Resident bytes of the column storage (lengths, not capacities).
-    pub fn resident_bytes(&self) -> usize {
-        self.obs.resident_bytes()
-            + self.class.len() * std::mem::size_of::<AttackClass>()
-            + self.severity.len() * std::mem::size_of::<Severity>()
     }
 
     /// Encode to the stage-store wire format (DESIGN.md §11):

@@ -9,13 +9,14 @@
 //! exactly and the latter only as magnitudes.
 
 use crate::metrics::{self, HistogramSnapshot, MetricsSnapshot};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeMap;
 
 /// Schema version of the manifest JSON document.
 pub const SCHEMA: u64 = 1;
 
 /// Identity of the run: everything needed to reproduce it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunInfo {
     /// Scenario label (`quick`, `paper`, `custom`, …).
     pub scenario: String,
@@ -31,16 +32,16 @@ pub struct RunInfo {
     /// `observations`): the content-addressed keys the stage cache
     /// executes under (DESIGN.md §7). Empty when the producer predates
     /// the stage graph or chose not to record them.
-    pub stages: Vec<(String, u64)>,
+    pub stages: BTreeMap<String, u64>,
     /// Weeks blacked out per fault source by the run's fault plan
-    /// (`(source, sorted week indices)`). Empty for a fault-free run;
+    /// (source → sorted week indices). Empty for a fault-free run;
     /// lets a manifest reader see *which* weeks of which observatory
     /// were degraded without replaying the plan.
-    pub degraded_weeks: Vec<(String, Vec<u64>)>,
+    pub degraded_weeks: BTreeMap<String, Vec<u64>>,
 }
 
 /// A complete run manifest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunManifest {
     pub schema: u64,
     /// Package version plus a describe-style build string.
@@ -117,6 +118,24 @@ impl RunManifest {
         serde_json::to_string_pretty(self).expect("manifest serialization is infallible")
     }
 
+    /// Parse a manifest previously written by [`RunManifest::to_json`].
+    /// Structural errors come back as `Err` with a field path — never a
+    /// panic — so the run store can skip corrupt entries with a warning.
+    /// The schema is checked first: a newer build may lay out the other
+    /// fields differently.
+    pub fn from_json(text: &str) -> Result<RunManifest, String> {
+        let v: Value =
+            serde_json::from_str(text).map_err(|e| format!("manifest: invalid JSON: {e}"))?;
+        if let Some(&Value::UInt(schema)) = v.get("schema") {
+            if schema > SCHEMA {
+                return Err(format!(
+                    "manifest: schema {schema} is newer than supported {SCHEMA}"
+                ));
+            }
+        }
+        serde_json::from_value(&v).map_err(|e| format!("manifest: {e}"))
+    }
+
     /// A human-readable summary table (for stderr): top-level stage
     /// latencies, per-observatory counts, pool utilization, and cache
     /// behaviour.
@@ -187,147 +206,6 @@ pub fn quantile(h: &HistogramSnapshot, q: f64) -> Option<u64> {
     Some(u64::MAX)
 }
 
-// ---------------------------------------------------------------------
-// Deserialization (run store)
-// ---------------------------------------------------------------------
-//
-// The persistent run store reads manifests back from disk. The reader
-// is hand-rolled over `Value`, not derived: the manifest's metric maps
-// must stay JSON objects, and the vendored serde's map impl writes
-// `[key, value]` pairs. It returns `Err` (never panics) on any
-// structural mismatch — a corrupt or truncated stored manifest must
-// degrade to a skipped entry.
-
-fn field<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{ctx}: missing field `{key}`"))
-}
-
-fn as_u64(v: &Value, ctx: &str) -> Result<u64, String> {
-    match v {
-        Value::UInt(u) => Ok(*u),
-        Value::Int(i) if *i >= 0 => Ok(*i as u64),
-        other => Err(format!("{ctx}: expected unsigned integer, got {other:?}")),
-    }
-}
-
-fn as_f64(v: &Value, ctx: &str) -> Result<f64, String> {
-    match v {
-        Value::Float(f) => Ok(*f),
-        Value::UInt(u) => Ok(*u as f64),
-        Value::Int(i) => Ok(*i as f64),
-        // The writer maps non-finite gauges to null.
-        Value::Null => Ok(f64::NAN),
-        other => Err(format!("{ctx}: expected number, got {other:?}")),
-    }
-}
-
-fn as_str(v: &Value, ctx: &str) -> Result<String, String> {
-    match v {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(format!("{ctx}: expected string, got {other:?}")),
-    }
-}
-
-fn as_entries<'a>(v: &'a Value, ctx: &str) -> Result<&'a [(String, Value)], String> {
-    match v {
-        Value::Object(entries) => Ok(entries),
-        other => Err(format!("{ctx}: expected object, got {other:?}")),
-    }
-}
-
-fn as_u64_array(v: &Value, ctx: &str) -> Result<Vec<u64>, String> {
-    match v {
-        Value::Array(items) => items.iter().map(|item| as_u64(item, ctx)).collect(),
-        other => Err(format!("{ctx}: expected array, got {other:?}")),
-    }
-}
-
-fn histogram_from_value(v: &Value, ctx: &str) -> Result<HistogramSnapshot, String> {
-    Ok(HistogramSnapshot {
-        bounds: as_u64_array(field(v, "bounds", ctx)?, ctx)?,
-        buckets: as_u64_array(field(v, "buckets", ctx)?, ctx)?,
-        count: as_u64(field(v, "count", ctx)?, ctx)?,
-        sum: as_u64(field(v, "sum", ctx)?, ctx)?,
-    })
-}
-
-impl RunManifest {
-    /// Parse a manifest previously written by [`RunManifest::to_json`].
-    /// Structural errors come back as `Err` with a field path — never a
-    /// panic — so the run store can skip corrupt entries with a warning.
-    pub fn from_json(text: &str) -> Result<RunManifest, String> {
-        let v: Value =
-            serde_json::from_str(text).map_err(|e| format!("manifest: invalid JSON: {e}"))?;
-        let schema = as_u64(field(&v, "schema", "manifest")?, "manifest.schema")?;
-        if schema > SCHEMA {
-            return Err(format!(
-                "manifest: schema {schema} is newer than supported {SCHEMA}"
-            ));
-        }
-        let run_v = field(&v, "run", "manifest")?;
-        let workers = match field(run_v, "workers", "manifest.run")? {
-            Value::Null => None,
-            other => Some(as_u64(other, "manifest.run.workers")? as usize),
-        };
-        let stages = as_entries(field(run_v, "stages", "manifest.run")?, "manifest.run.stages")?
-            .iter()
-            .map(|(name, fp)| Ok((name.clone(), as_u64(fp, "manifest.run.stages")?)))
-            .collect::<Result<Vec<_>, String>>()?;
-        let degraded_weeks = as_entries(
-            field(run_v, "degraded_weeks", "manifest.run")?,
-            "manifest.run.degraded_weeks",
-        )?
-        .iter()
-        .map(|(source, weeks)| {
-            Ok((
-                source.clone(),
-                as_u64_array(weeks, "manifest.run.degraded_weeks")?,
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-        let metrics_v = field(&v, "metrics", "manifest")?;
-        let mut metrics = MetricsSnapshot::default();
-        for (name, val) in as_entries(field(metrics_v, "counters", "manifest.metrics")?, "counters")?
-        {
-            metrics
-                .counters
-                .insert(name.clone(), as_u64(val, "manifest.metrics.counters")?);
-        }
-        for (name, val) in as_entries(field(metrics_v, "gauges", "manifest.metrics")?, "gauges")? {
-            metrics
-                .gauges
-                .insert(name.clone(), as_f64(val, "manifest.metrics.gauges")?);
-        }
-        for (name, val) in as_entries(
-            field(metrics_v, "histograms", "manifest.metrics")?,
-            "histograms",
-        )? {
-            metrics.histograms.insert(
-                name.clone(),
-                histogram_from_value(val, "manifest.metrics.histograms")?,
-            );
-        }
-        Ok(RunManifest {
-            schema,
-            version: as_str(field(&v, "version", "manifest")?, "manifest.version")?,
-            describe: as_str(field(&v, "describe", "manifest")?, "manifest.describe")?,
-            run: RunInfo {
-                scenario: as_str(field(run_v, "scenario", "manifest.run")?, "scenario")?,
-                seed: as_u64(field(run_v, "seed", "manifest.run")?, "manifest.run.seed")?,
-                workers,
-                config_hash: as_u64(
-                    field(run_v, "config_hash", "manifest.run")?,
-                    "manifest.run.config_hash",
-                )?,
-                stages,
-                degraded_weeks,
-            },
-            metrics,
-        })
-    }
-}
-
 /// Render a magnitude: nanosecond histograms get time units, count
 /// histograms plain numbers, overflow an `>top` marker.
 fn fmt_mag(name: &str, v: Option<u64>) -> String {
@@ -347,97 +225,6 @@ fn fmt_mag(name: &str, v: Option<u64>) -> String {
         }
     } else {
         v.to_string()
-    }
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-impl Serialize for HistogramSnapshot {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("bounds", self.bounds.to_value()),
-            ("buckets", self.buckets.to_value()),
-            ("count", Value::UInt(self.count)),
-            ("sum", Value::UInt(self.sum)),
-        ])
-    }
-}
-
-impl Serialize for MetricsSnapshot {
-    fn to_value(&self) -> Value {
-        // Emit maps as JSON objects (names are strings); the vendored
-        // serde's generic map impl would render [key, value] pairs.
-        let counters = Value::Object(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                .collect(),
-        );
-        let gauges = Value::Object(
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Float(*v)))
-                .collect(),
-        );
-        let histograms = Value::Object(
-            self.histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        );
-        obj(vec![
-            ("counters", counters),
-            ("gauges", gauges),
-            ("histograms", histograms),
-        ])
-    }
-}
-
-impl Serialize for RunManifest {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("schema", Value::UInt(self.schema)),
-            ("version", Value::Str(self.version.clone())),
-            ("describe", Value::Str(self.describe.clone())),
-            (
-                "run",
-                obj(vec![
-                    ("scenario", Value::Str(self.run.scenario.clone())),
-                    ("seed", Value::UInt(self.run.seed)),
-                    (
-                        "workers",
-                        match self.run.workers {
-                            Some(w) => Value::UInt(w as u64),
-                            None => Value::Null,
-                        },
-                    ),
-                    ("config_hash", Value::UInt(self.run.config_hash)),
-                    (
-                        "stages",
-                        Value::Object(
-                            self.run
-                                .stages
-                                .iter()
-                                .map(|(name, fp)| (name.clone(), Value::UInt(*fp)))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "degraded_weeks",
-                        Value::Object(
-                            self.run
-                                .degraded_weeks
-                                .iter()
-                                .map(|(source, weeks)| (source.clone(), weeks.to_value()))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            ("metrics", self.metrics.to_value()),
-        ])
     }
 }
 
@@ -490,8 +277,7 @@ mod tests {
         assert_eq!(quantile(&h, 1.0), Some(u64::MAX));
     }
 
-    #[test]
-    fn manifest_serializes_to_json_objects() {
+    fn sample() -> RunManifest {
         let mut metrics = MetricsSnapshot::default();
         metrics.counters.insert("gen.attacks".into(), 42);
         metrics.gauges.insert("pool.imbalance".into(), 1.25);
@@ -504,7 +290,7 @@ mod tests {
                 sum: 5,
             },
         );
-        let m = RunManifest {
+        RunManifest {
             schema: SCHEMA,
             version: "0.1.0".into(),
             describe: "v0.1.0-test".into(),
@@ -513,11 +299,16 @@ mod tests {
                 seed: 0xDD05_C0DE,
                 workers: Some(4),
                 config_hash: 7,
-                stages: vec![("plan".into(), 11), ("attacks".into(), 22)],
-                degraded_weeks: vec![("ucsd".into(), vec![3, 4, 5])],
+                stages: BTreeMap::from([("plan".into(), 11), ("attacks".into(), 22)]),
+                degraded_weeks: BTreeMap::from([("ucsd".into(), vec![3, 4, 5])]),
             },
             metrics,
-        };
+        }
+    }
+
+    #[test]
+    fn manifest_serializes_to_json_objects() {
+        let m = sample();
         let json = m.to_json();
         assert!(json.contains("\"gen.attacks\": 42"));
         assert!(json.contains("\"workers\": 4"));
@@ -525,6 +316,10 @@ mod tests {
         let v: Value = serde_json::from_str(&json).unwrap();
         let counters = v.get("metrics").unwrap().get("counters").unwrap();
         assert_eq!(counters.get("gen.attacks"), Some(&Value::UInt(42)));
+        let run = v.get("run").unwrap();
+        let plan = run.get("stages").unwrap().get("plan");
+        assert_eq!(plan, Some(&Value::UInt(11)));
+        assert!(run.get("degraded_weeks").unwrap().get("ucsd").is_some());
         let table = m.summary_table();
         assert!(table.contains("quick run"));
         assert!(table.contains("span.run"));
@@ -559,5 +354,21 @@ mod tests {
                 "must reject {text:?}"
             );
         }
+        // Errors name the JSON path of the value at fault and its kind.
+        let json = serde_json::to_string(&sample()).unwrap();
+        let reject = |from: &str, to: &str| {
+            assert!(json.contains(from), "{json}");
+            RunManifest::from_json(&json.replacen(from, to, 1)).unwrap_err()
+        };
+        let err = reject("\"buckets\":[1,", "\"buckets\":[\"1\",");
+        assert!(
+            err.contains("`metrics.histograms[\"span.run\"].buckets[0]`: expected unsigned integer, got string"),
+            "{err}"
+        );
+        let err = reject("\"seed\":", "\"seed\":\"x\",\"_\":");
+        let seed = "`run.seed`: expected unsigned integer, got string";
+        assert!(err.contains(seed), "{err}");
+        let err = RunManifest::from_json("{\"schema\": 999, \"version\": \"x\"}").unwrap_err();
+        assert!(err.contains("schema 999 is newer than"), "{err}");
     }
 }

@@ -9,6 +9,7 @@
 //! serialized registry is deterministically ordered regardless of
 //! registration order races.
 
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -155,7 +156,7 @@ pub const COUNTS: [u64; 14] = [
 ];
 
 /// Read-only copy of one histogram, for manifests.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     pub bounds: Vec<u64>,
     /// Per-bucket counts; one longer than `bounds` (overflow last).
@@ -165,7 +166,7 @@ pub struct HistogramSnapshot {
 }
 
 /// Read-only copy of a whole registry, deterministically ordered.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,

@@ -27,6 +27,8 @@
 //! identical runs, as latency does on shared hardware.
 
 use crate::manifest::{quantile, RunManifest};
+use crate::metrics::MetricsSnapshot;
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -351,75 +353,40 @@ pub struct RunDiff {
 
 /// Compare manifests `a` and `b` metric by metric.
 pub fn diff(a_label: &str, a: &RunManifest, b_label: &str, b: &RunManifest) -> RunDiff {
+    let (am, bm) = (&a.metrics, &b.metrics);
     let mut deltas = Vec::new();
-    let mut keys: Vec<&String> = a.metrics.counters.keys().chain(b.metrics.counters.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    for name in keys {
+    for name in union(am.counters.keys(), bm.counters.keys()) {
         deltas.push(MetricDelta {
             kind: DeltaKind::Counter,
             name: name.clone(),
-            a: a.metrics.counters.get(name).map(|v| *v as f64),
-            b: b.metrics.counters.get(name).map(|v| *v as f64),
+            a: am.counters.get(name).map(|v| *v as f64),
+            b: bm.counters.get(name).map(|v| *v as f64),
         });
     }
-    let mut keys: Vec<&String> = a.metrics.gauges.keys().chain(b.metrics.gauges.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    for name in keys {
+    for name in union(am.gauges.keys(), bm.gauges.keys()) {
         deltas.push(MetricDelta {
             kind: DeltaKind::Gauge,
             name: name.clone(),
-            a: a.metrics.gauges.get(name).copied(),
-            b: b.metrics.gauges.get(name).copied(),
+            a: am.gauges.get(name).copied(),
+            b: bm.gauges.get(name).copied(),
         });
     }
-    let mut keys: Vec<&String> = a
-        .metrics
-        .histograms
-        .keys()
-        .chain(b.metrics.histograms.keys())
-        .collect();
-    keys.sort();
-    keys.dedup();
-    for name in keys {
+    for name in union(am.histograms.keys(), bm.histograms.keys()) {
         for (kind, q) in [(DeltaKind::HistP50, 0.50), (DeltaKind::HistP99, 0.99)] {
+            let at = |m: &MetricsSnapshot| m.histograms.get(name).and_then(|h| quantile(h, q));
             deltas.push(MetricDelta {
                 kind,
                 name: name.clone(),
-                a: a.metrics
-                    .histograms
-                    .get(name)
-                    .and_then(|h| quantile(h, q))
-                    .map(|v| v as f64),
-                b: b.metrics
-                    .histograms
-                    .get(name)
-                    .and_then(|h| quantile(h, q))
-                    .map(|v| v as f64),
+                a: at(am).map(|v| v as f64),
+                b: at(bm).map(|v| v as f64),
             });
         }
     }
-    let mut stage_names: Vec<&String> = a
-        .run
-        .stages
-        .iter()
-        .map(|(n, _)| n)
-        .chain(b.run.stages.iter().map(|(n, _)| n))
-        .collect();
-    stage_names.sort();
-    stage_names.dedup();
-    let stages = stage_names
+    let stages = union(a.run.stages.keys(), b.run.stages.keys())
         .into_iter()
         .map(|name| {
-            let find = |m: &RunManifest| {
-                m.run
-                    .stages
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, fp)| *fp)
-            };
-            (name.clone(), find(a), find(b))
+            let at = |m: &RunManifest| m.run.stages.get(name).copied();
+            (name.clone(), at(a), at(b))
         })
         .collect();
     RunDiff {
@@ -430,6 +397,14 @@ pub fn diff(a_label: &str, a: &RunManifest, b_label: &str, b: &RunManifest) -> R
         stages,
         deltas,
     }
+}
+
+/// The names on either side, sorted and once each.
+fn union<'a>(
+    a: impl Iterator<Item = &'a String>,
+    b: impl Iterator<Item = &'a String>,
+) -> BTreeSet<&'a String> {
+    a.chain(b).collect()
 }
 
 impl RunDiff {
@@ -528,7 +503,7 @@ fn fmt_opt(v: Option<f64>) -> String {
 mod tests {
     use super::*;
     use crate::manifest::{RunInfo, SCHEMA};
-    use crate::metrics::MetricsSnapshot;
+    use std::collections::BTreeMap;
 
     fn manifest(seed: u64, counters: &[(&str, u64)], gauges: &[(&str, f64)]) -> RunManifest {
         let mut metrics = MetricsSnapshot::default();
@@ -547,8 +522,8 @@ mod tests {
                 seed,
                 workers: Some(2),
                 config_hash: 0xABCD,
-                stages: vec![("plan".into(), 1), ("attacks".into(), 2)],
-                degraded_weeks: Vec::new(),
+                stages: BTreeMap::from([("plan".into(), 1), ("attacks".into(), 2)]),
+                degraded_weeks: BTreeMap::new(),
             },
             metrics,
         }
@@ -767,7 +742,7 @@ mod tests {
             &[("gen.attacks", 1100), ("only_b", 9)],
             &[("rss", 130.0)],
         );
-        b.run.stages[1].1 = 99;
+        b.run.stages.insert("attacks".into(), 99);
         let d = diff("a", &a, "b", &b);
         assert!(!d.seed_changed && !d.config_changed);
         // gen.attacks moved 10%; the rss gauge 30%; only_a/only_b

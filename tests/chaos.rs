@@ -183,16 +183,15 @@ fn baseline_outage_degrades_gracefully() {
         seed: cfg.seed,
         workers: cfg.workers,
         config_hash: 0,
-        stages: Vec::new(),
-        degraded_weeks: cfg.faults.degraded_weeks(),
+        stages: Default::default(),
+        degraded_weeks: cfg.faults.degraded_weeks().into_iter().collect(),
     });
     let json = manifest.to_json();
     assert!(json.contains("\"degraded_weeks\""));
     assert!(json.contains("\"ucsd\""));
     let weeks = &manifest.run.degraded_weeks;
     assert_eq!(weeks.len(), 1);
-    assert_eq!(weeks[0].0, "ucsd");
-    assert_eq!(weeks[0].1.len(), 20);
+    assert_eq!(weeks["ucsd"].len(), 20);
     assert!(manifest.summary_table().contains("degraded source"));
 }
 

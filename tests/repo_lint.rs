@@ -1,5 +1,5 @@
 //! The repo's source lint (`make lint`; the workspace test run includes
-//! it), eleven rules:
+//! it), twelve rules:
 //!
 //! 1. No wall-clock or OS-entropy primitives anywhere in simulation
 //!    code: every stochastic draw must fork from the study seed and
@@ -68,6 +68,11 @@
 //!     Items only tests need are listed in `TEST_SUPPORT` with a reason;
 //!     a stale entry fails too. Code that no program calls is deleted
 //!     with its tests, not kept alive by them.
+//! 12. Serde impls are derived: no `impl … Serialize for` or `impl …
+//!     Deserialize for` on a program line (rule 11's lines; `vendor/` is
+//!     not scanned). A hand-written impl is a second JSON codec beside
+//!     the derive, and the vendored serde already writes string-keyed
+//!     maps as JSON objects (DESIGN.md §4).
 
 use std::collections::HashMap;
 use std::fs;
@@ -199,7 +204,7 @@ fn item_names(line: &str) -> Vec<&str> {
     names
 }
 
-/// One program source as rule 11 reads it.
+/// One program source as rules 11 and 12 read it.
 struct Source {
     rel: String,
     /// Under `crates/*/src`, where the rule looks for items.
@@ -209,15 +214,10 @@ struct Source {
     lines: Vec<String>,
 }
 
-/// Rule 11: every public library item has a caller in program code —
-/// the library lines of `crates/*/src` (the CLI binary included),
-/// `examples/`, `src/` and `benchmark/src`. Comments, `pub use`
-/// re-exports, `mod` declarations and module path segments name
-/// nothing. An item whose name is defined once must be
-/// named on another line; a library file (other than a crate root, a
-/// `mod.rs` or the binary) must have a top-level item named in another
-/// file, unless it exports a macro.
-fn uncalled_public_items(root: &Path) -> Vec<String> {
+/// The program sources rules 11 and 12 read: the library lines of
+/// `crates/*/src` (the CLI binary included), `examples/`, `src/` and
+/// `benchmark/src`.
+fn program_sources(root: &Path) -> Vec<Source> {
     let test_marker = ["#[cfg(te", "st)]"].concat();
     let mut paths = Vec::new();
     for dir in ["crates", "examples", "src", "benchmark/src"] {
@@ -256,7 +256,16 @@ fn uncalled_public_items(root: &Path) -> Vec<String> {
             lines,
         });
     }
+    files
+}
 
+/// Rule 11: every public library item has a caller in program code.
+/// Comments, `pub use` re-exports, `mod` declarations and module path
+/// segments name nothing. An item whose name is defined once must be
+/// named on another line; a library file (other than a crate root, a
+/// `mod.rs` or the binary) must have a top-level item named in another
+/// file, unless it exports a macro.
+fn uncalled_public_items(files: &[Source]) -> Vec<String> {
     // Every identifier on a program line, with where it stands.
     let mut named: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
     for (f, file) in files.iter().enumerate() {
@@ -331,6 +340,30 @@ fn uncalled_public_items(root: &Path) -> Vec<String> {
             violations.push(format!(
                 "{rel}:1: [module without a caller] no pub item of the file is named outside it"
             ));
+        }
+    }
+    violations
+}
+
+/// Rule 12: a hand-written `impl … Serialize for` or `impl …
+/// Deserialize for` on a program line.
+fn hand_written_serde_impls(files: &[Source]) -> Vec<String> {
+    // Built by concatenation so this file passes its own scan.
+    let traits = [
+        ["Serial", "ize for "].concat(),
+        ["Deserial", "ize for "].concat(),
+    ];
+    let mut violations = Vec::new();
+    for file in files {
+        for (l, line) in file.lines.iter().enumerate() {
+            let code = line.trim_start();
+            if code.starts_with("impl") && traits.iter().any(|t| code.contains(t.as_str())) {
+                violations.push(format!(
+                    "{}:{}: [hand-written serde impl; derive it] {code}",
+                    file.rel,
+                    l + 1
+                ));
+            }
         }
     }
     violations
@@ -480,7 +513,9 @@ fn repo_lint_rules_hold() {
     ];
 
     let mut violations: Vec<String> = rules.iter().flat_map(|r| scan(root, r)).collect();
-    violations.extend(uncalled_public_items(root));
+    let program = program_sources(root);
+    violations.extend(uncalled_public_items(&program));
+    violations.extend(hand_written_serde_impls(&program));
     assert!(
         violations.is_empty(),
         "repo lint violations:\n{}",
